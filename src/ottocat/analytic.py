@@ -8,7 +8,9 @@ independent oracles that the matrix-based solvers in
 against, so the expressions are deliberately kept exactly in their
 derived printed shape — no algebraic simplification — letting any
 transcription slip show up as a cross-validation failure instead of
-being silently absorbed.
+being silently absorbed.  The one exception is the catalytic denominator
+(see :func:`_cat_denominator`), whose printed shape cancels in floating
+point; the tests keep that shape as an exact rational oracle.
 
 Naming note: the derivation reuses the letters A and B both for two rate
 combinations and (elsewhere) for the dimensionless trade-off
@@ -57,7 +59,8 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class RateConstants:
-    """The eight rate combinations entering the catalytic current.
+    """The eight rate combinations entering the catalytic current, with
+    the four jump rates they are formed from.
 
     ``alpha1``, ``alpha2``, ``phi1``, ``phi2``, ``xi1``, ``xi2`` carry
     units of inverse rate; ``A_rate`` and ``B_rate`` are rates;
@@ -76,9 +79,16 @@ class RateConstants:
     B_rate: float
     a_h: float
     a_c: float
+    gamma_h_plus: float
+    gamma_h_minus: float
+    gamma_c_plus: float
+    gamma_c_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate"):
+        for name in (
+            "alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate",
+            "gamma_h_plus", "gamma_h_minus", "gamma_c_plus", "gamma_c_minus",
+        ):
             _require_positive(name, getattr(self, name))
         _require_gibbs_range("a_h", self.a_h)
         _require_gibbs_range("a_c", self.a_c)
@@ -248,25 +258,50 @@ def rate_constants(
         B_rate=b_rate,
         a_h=gamma_h_plus / gamma_h_minus,
         a_c=gamma_c_plus / gamma_c_minus,
+        gamma_h_plus=gamma_h_plus,
+        gamma_h_minus=gamma_h_minus,
+        gamma_c_plus=gamma_c_plus,
+        gamma_c_minus=gamma_c_minus,
     )
 
 
 def _cat_denominator(constants: RateConstants, g: float) -> float:
     """The bracketed three-term denominator shared by the catalytic
-    current and characteristic time."""
-    a_h, a_c = constants.a_h, constants.a_c
-    six_sum = (
-        constants.alpha1
-        + constants.phi1
-        + constants.xi1
-        + constants.alpha2
-        + constants.phi2
-        + constants.xi2
+    current and characteristic time.
+
+    Its printed shape is
+
+        (a_c + a_h)/(1 + a_c + 2 a_h) * (alpha2 + A_rate/(4 g^2))
+        + (1 + a_h)/(1 + a_c + 2 a_h) * (phi1 + B_rate/(4 g^2))
+        + (a_h^2 - a_c) (alpha1 + phi1 + xi1 + alpha2 + phi2 + xi2)
+          / ((1 + a_c)(1 + a_h)(1 + a_c + 2 a_h)).
+
+    Its O(1/gamma_h_plus) parts cancel, so at small a_h that shape loses
+    digits (1e-10 relative at a_h ~ 1e-6).  Over a common denominator every
+    coefficient is positive.  Writing g_k^pm for the jump rates,
+    h = g_h^- + g_h^+, c = g_c^- + g_c^+, S = B_rate and
+    w = g_c^- g_h^- + 2 g_c^- g_h^+ + g_c^+ g_h^-, the denominator is
+
+        N_0 / (c h w S) + h N_2 / (4 g^2 (2 g_c^- + h) w)
+
+    with N_0 and N_2 the subtraction-free polynomials below.
+    """
+    hp, hm = constants.gamma_h_plus, constants.gamma_h_minus
+    cp, cm = constants.gamma_c_plus, constants.gamma_c_minus
+    h = hm + hp
+    w = cm * hm + 2.0 * cm * hp + cp * hm
+    n_0 = (
+        cm * (cm**2 * (hm + 3.0 * hp) + 2.0 * cm * h * (hm + 2.0 * hp) + h * (hm**2 + hm * hp + hp**2))
+        + cp * h * (4.0 * cm**2 + 4.0 * cm * h + hm * hp)
+        + cp**2 * (cm * (3.0 * hm + hp) + 2.0 * hm * h)
     )
-    return (
-        ((a_c + a_h) / (1.0 + a_c + 2.0 * a_h)) * (constants.alpha2 + constants.A_rate / (4.0 * g**2))
-        + ((1.0 + a_h) / (1.0 + a_c + 2.0 * a_h)) * (constants.phi1 + constants.B_rate / (4.0 * g**2))
-        + ((a_h**2 - a_c) * six_sum) / ((1.0 + a_c) * (1.0 + a_h) * (1.0 + a_c + 2.0 * a_h))
+    n_2 = (
+        cm * (2.0 * cm**2 + cm * (3.0 * hm + 5.0 * hp) + h * (hm + 2.0 * hp))
+        + cp * (2.0 * cm**2 + 3.0 * cm * h + hm * h)
+        + 2.0 * cp**2 * hm
+    )
+    return n_0 / ((cm + cp) * h * w * constants.B_rate) + h * n_2 / (
+        4.0 * g**2 * (2.0 * cm + h) * w
     )
 
 

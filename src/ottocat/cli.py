@@ -95,6 +95,9 @@ COLUMNS = (
     "regime_continuous",
 )
 
+#: Swap pairs the per-pair columns (delta_p_N, current_N) have room for.
+_CSV_PAIRS = sum(name.startswith("current_") for name in COLUMNS)
+
 #: Wiring tolerance: every emitted steady-state efficiency must match the
 #: family's design efficiency.
 ETA_WIRING_TOL = 1e-9
@@ -355,13 +358,20 @@ def load_custom_spec(path: str) -> EngineSpec:
     Schema: ``[engine]`` with ``catalyst_dim``; ``[hot]`` and ``[cold]``
     with ``beta``, ``omega``, and exactly one of ``tau_eq`` or
     ``gamma_minus``; one ``[swap_N]`` per pair (numbered from 1) with
-    flat level indices ``u``, ``d`` and coupling ``g``.
+    flat level indices ``u``, ``d`` and coupling ``g``.  The CSV has
+    per-pair columns for two pairs, so a third pair is an error.
     """
     parser = _read_ini(path)
     sections = set(parser.sections())
     n_swaps = 0
     while f"swap_{n_swaps + 1}" in sections:
         n_swaps += 1
+    if n_swaps > _CSV_PAIRS:
+        raise ConfigError(
+            f"spec file {path} defines {n_swaps} swap pairs, but the CSV "
+            f"contract has per-pair columns (delta_p_N, current_N) for at most "
+            f"{_CSV_PAIRS}"
+        )
     allowed = {
         "engine": {"catalyst_dim"},
         "hot": _CUSTOM_BATH_KEYS,

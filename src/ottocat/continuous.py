@@ -29,6 +29,8 @@ from bath k, power > 0 is extracted.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +113,6 @@ class Superoperator:
         """Hilbert-Schmidt adjoint: the Heisenberg-picture generator."""
         return Superoperator(self.layout, self.matrix.conj().T)
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if other.layout.factor_dims != self.layout.factor_dims:
-            raise ValueError("cannot add superoperators on different layouts")
-        return Superoperator(self.layout, self.matrix + other.matrix)
-
 
 @dataclass(frozen=True)
 class SteadyStateReport:
@@ -154,17 +151,22 @@ def build_interaction(spec: EngineSpec) -> Operator:
     return Operator(spec.layout, mat)
 
 
-def _lifted_ladder_ops(layout: HilbertLayout, which_qubit: str) -> tuple[np.ndarray, np.ndarray]:
-    """(raising, lowering) operators of one bath qubit on the full space.
+@functools.cache
+def _bath_jumps(
+    factor_dims: tuple[int, ...], which_qubit: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(raising, lowering) jump superoperators of one bath qubit.
 
     Raising |0> -> |1> is the gamma_plus jump; lowering |1> -> |0> the
-    gamma_minus jump.  The layout is (catalyst, hot, cold).
+    gamma_minus jump.  The layout is (catalyst, hot, cold).  Neither
+    depends on the rates, so each is built once per layout and bath
+    qubit and handed out read-only.
     """
-    if len(layout.factor_dims) != 3 or layout.factor_dims[1:] != (2, 2):
-        raise ValueError(f"expected a (catalyst, 2, 2) layout, got {layout.factor_dims}")
+    if len(factor_dims) != 3 or factor_dims[1:] != (2, 2):
+        raise ValueError(f"expected a (catalyst, 2, 2) layout, got {factor_dims}")
     raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
     lower_2 = raise_2.conj().T  # |0><1|
-    eye_cat = np.eye(layout.factor_dims[0], dtype=complex)
+    eye_cat = np.eye(factor_dims[0], dtype=complex)
     eye_2 = np.eye(2, dtype=complex)
     if which_qubit == "hot":
         raising = np.kron(np.kron(eye_cat, raise_2), eye_2)
@@ -174,7 +176,10 @@ def _lifted_ladder_ops(layout: HilbertLayout, which_qubit: str) -> tuple[np.ndar
         lowering = np.kron(np.kron(eye_cat, eye_2), lower_2)
     else:
         raise ValueError(f"bath selector must be 'hot' or 'cold', got {which_qubit!r}")
-    return raising, lowering
+    jumps = (_jump_superoperator(raising), _jump_superoperator(lowering))
+    for jump in jumps:
+        jump.setflags(write=False)
+    return jumps
 
 
 def _jump_superoperator(lindblad_op: np.ndarray) -> np.ndarray:
@@ -195,19 +200,34 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     gamma_plus drives the raising jump |0> -> |1> and gamma_minus the
     lowering jump, so the bath's own Gibbs qubit is an exact fixed point.
     """
-    raising, lowering = _lifted_ladder_ops(layout, which_qubit)
-    mat = bath.gamma_plus * _jump_superoperator(raising) + bath.gamma_minus * (
-        _jump_superoperator(lowering)
-    )
-    return Superoperator(layout, mat)
+    raising, lowering = _bath_jumps(layout.factor_dims, which_qubit)
+    return Superoperator(layout, bath.gamma_plus * raising + bath.gamma_minus * lowering)
+
+
+@functools.cache
+def _swap_commutator(factor_dims: tuple[int, ...], u: int, d: int) -> np.ndarray:
+    """-i[|u><d| + |d><u|, .] in column-stacking form.
+
+    The coherent generator of one swap pair at unit coupling; it does not
+    depend on the coupling, so it is built once per layout and pair and
+    handed out read-only.
+    """
+    dim = math.prod(factor_dims)
+    eye = np.eye(dim, dtype=complex)
+    swap = np.zeros((dim, dim), dtype=complex)
+    swap[u, d] = 1.0
+    swap[d, u] = 1.0
+    mat = -1j * (np.kron(eye, swap) - np.kron(swap.T, eye))
+    mat.setflags(write=False)
+    return mat
 
 
 def build_liouvillian(spec: EngineSpec) -> Superoperator:
     """Full generator -i[V0, .] + D_h + D_c."""
-    v0 = build_interaction(spec).entries
-    dim = spec.dim
-    eye = np.eye(dim, dtype=complex)
-    coherent = -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
+    dims = spec.layout.factor_dims
+    coherent = np.zeros((spec.dim**2, spec.dim**2), dtype=complex)
+    for pair in spec.swaps:
+        coherent += pair.g * _swap_commutator(dims, pair.u, pair.d)
     total = (
         coherent
         + build_dissipator(spec.hot, "hot", spec.layout).matrix

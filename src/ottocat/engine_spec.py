@@ -16,6 +16,7 @@ indices are row-major over (catalyst, hot, cold), see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ class EngineSpec:
             raise ValueError(f"catalyst_dim must be >= 1, got {self.catalyst_dim}")
         object.__setattr__(self, "swaps", tuple(self.swaps))
 
-    @property
+    @functools.cached_property
     def layout(self) -> HilbertLayout:
         return HilbertLayout((self.catalyst_dim, 2, 2))
 
@@ -241,14 +242,17 @@ def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
 
 
 def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
-    """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k read off the bare Hamiltonians."""
+    """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k on the diagonals of the
+    bare Hamiltonians, read off the factor indices of u_i and d_i."""
     if not 0 <= pair_index < len(spec.swaps):
         raise IndexError(f"pair index {pair_index} out of range for {len(spec.swaps)} swaps")
-    h0h, h0c = hamiltonians(spec)
     pair = spec.swaps[pair_index]
-    d_eps_h = float((h0h.entries[pair.u, pair.u] - h0h.entries[pair.d, pair.d]).real)
-    d_eps_c = float((h0c.entries[pair.u, pair.u] - h0c.entries[pair.d, pair.d]).real)
-    return PairEnergetics(d_eps_h=d_eps_h, d_eps_c=d_eps_c)
+    _, h_u, c_u = spec.layout.factor_indices(pair.u)
+    _, h_d, c_d = spec.layout.factor_indices(pair.d)
+    return PairEnergetics(
+        d_eps_h=spec.hot.omega * h_u - spec.hot.omega * h_d,
+        d_eps_c=spec.cold.omega * c_u - spec.cold.omega * c_d,
+    )
 
 
 def validate(spec: EngineSpec) -> list[str]:

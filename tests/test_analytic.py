@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from ottocat.analytic import (
     otto_tau,
     rate_constants,
 )
+from ottocat.verify import check_tradeoff_bounds, sample_grid
 
 gibbs_factors = st.floats(min_value=0.01, max_value=0.99)
 couplings = st.floats(min_value=0.1, max_value=10.0)
@@ -170,6 +173,49 @@ class TestTradeoffFactors:
             1.0 + breakdown.kappa / (g * g * tau_eq * tau_eq)
         )
         assert rebuilt == pytest.approx(breakdown.tau, rel=1e-10)
+
+
+def printed_denominator(gh_p, gh_m, gc_p, gc_m, g) -> Fraction:
+    """The catalytic denominator in its printed three-term shape, in
+    exact rational arithmetic on the given float rates."""
+    gh_p, gh_m, gc_p, gc_m, g = map(Fraction, (gh_p, gh_m, gc_p, gc_m, g))
+    total = gc_p + gc_m + gh_p + gh_m
+    alpha1 = (gc_m + gh_m) / (gh_p * total)
+    alpha2 = (gc_m + gh_m + gh_p) / (gh_p * total)
+    phi1 = (gc_m + gh_m) * (gc_p + gh_p) / (gc_m * gh_p * total)
+    phi2 = gc_p * (gc_m + gh_m) / (gc_m * gh_p * total)
+    xi1 = (gc_p + gh_p) / (gc_m * total)
+    xi2 = gc_p / (gc_m * total)
+    a_rate = gh_m + gh_p + 2 * gc_p - 4 * gc_m * gc_p / (gh_m + gh_p + 2 * gc_m)
+    a_h, a_c = gh_p / gh_m, gc_p / gc_m
+    six_sum = alpha1 + phi1 + xi1 + alpha2 + phi2 + xi2
+    return (
+        (a_c + a_h) / (1 + a_c + 2 * a_h) * (alpha2 + a_rate / (4 * g * g))
+        + (1 + a_h) / (1 + a_c + 2 * a_h) * (phi1 + total / (4 * g * g))
+        + (a_h * a_h - a_c) * six_sum / ((1 + a_c) * (1 + a_h) * (1 + a_c + 2 * a_h))
+    )
+
+
+class TestCatalyticDenominator:
+    @pytest.mark.parametrize("a_h", [1e-8, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("tau_ratio", [1.0, 0.03, 30.0])
+    def test_matches_the_printed_shape_exactly_down_to_tiny_hot_factors(self, a_h, tau_ratio):
+        for a_c in (1e-6, 0.3, 0.97):
+            for g in (0.1, 1.0, 10.0):
+                gh_m = 2.0 / (1.0 + a_h)
+                gc_m = 2.0 / (tau_ratio * (1.0 + a_c))
+                constants = rate_constants(a_h * gh_m, gh_m, a_c * gc_m, gc_m)
+                exact = printed_denominator(a_h * gh_m, gh_m, a_c * gc_m, gc_m, g)
+                tau = cat_tau(constants, g, constants.a_h, constants.a_c).tau
+                assert abs(Fraction(tau) - exact) <= Fraction(1, 10**13) * exact
+                current = cat_current(constants, g, 1.0)
+                assert abs(Fraction(current) * exact - 1) <= Fraction(1, 10**13)
+
+    @pytest.mark.parametrize("seed", [13, 101, 106])
+    def test_tradeoff_check_passes_where_the_printed_shape_cancelled(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        sample_grid(rng, 100)
+        assert check_tradeoff_bounds(rng).passed
 
 
 class TestEfficiencies:

@@ -164,6 +164,18 @@ class TestPointCommands:
             2.0 / (1.5 * (1.0 + math.exp(-1.2))), rel=1e-12
         )
 
+    def test_custom_spec_with_more_pairs_than_columns_is_rejected(self, tmp_path, capsys):
+        qutrit = (
+            CUSTOM_SPEC.replace("catalyst_dim = 2", "catalyst_dim = 3")
+            + "\n[swap_3]\nu = 8\nd = 7\ng = 10.0\n"
+        )
+        spec = write(tmp_path / "engine.ini", qutrit)
+        config = write(tmp_path / "run.ini", f"[run]\nengine = {spec}\n")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["continuous", "--config", config, "--output", str(out)]) == 2
+        assert "3 swap pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_column_selection_is_respected(self, tmp_path):
         config = write(
             tmp_path / "run.ini", BASE_CONFIG + "\n[output]\ncolumns = engine, eta, work\n"

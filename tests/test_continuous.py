@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic
+from ottocat import analytic, continuous
 from ottocat.continuous import (
+    Superoperator,
     build_dissipator,
     build_interaction,
     build_liouvillian,
@@ -23,6 +24,9 @@ from ottocat.continuous import (
 )
 from ottocat.engine_spec import (
     BathParams,
+    EngineSpec,
+    SwapPair,
+    energy_differences,
     hamiltonians,
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
@@ -53,6 +57,13 @@ def random_operator(layout: HilbertLayout, seed: int) -> Operator:
     dim = layout.total_dim
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return Operator(layout, raw)
+
+
+def dissipators_only(spec) -> Superoperator:
+    """D_h + D_c with the coherent swap switched off."""
+    hot = build_dissipator(spec.hot, "hot", spec.layout)
+    cold = build_dissipator(spec.cold, "cold", spec.layout)
+    return Superoperator(spec.layout, hot.matrix + cold.matrix)
 
 
 class TestGeneratorStructure:
@@ -121,9 +132,7 @@ class TestStationaryState:
 
     def test_dissipators_alone_relax_to_the_gibbs_product(self):
         spec = otto_from_factors(0.5, 0.25)
-        diss_only = build_dissipator(spec.hot, "hot", spec.layout) + build_dissipator(
-            spec.cold, "cold", spec.layout
-        )
+        diss_only = dissipators_only(spec)
         rho_ss, gap = stationary_state(diss_only)
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
@@ -137,9 +146,7 @@ class TestStationaryState:
 
     def test_decoupled_catalyst_makes_the_generator_non_ergodic(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        diss_only = build_dissipator(spec.hot, "hot", spec.layout) + build_dissipator(
-            spec.cold, "cold", spec.layout
-        )
+        diss_only = dissipators_only(spec)
         with pytest.raises(ValueError, match="non-ergodic"):
             stationary_state(diss_only)
 
@@ -231,3 +238,90 @@ class TestReportInvariants:
     def test_spectral_gap_is_reported(self):
         report = steady_state_report(otto_from_factors(0.5, 0.25))
         assert report.spectral_gap > 0.0
+
+
+def spec_with_catalyst(catalyst_dim: int) -> EngineSpec:
+    """A valid spec on the (catalyst_dim, 2, 2) layout with unequal couplings."""
+    swaps = {
+        1: ((2, 1, 0.7),),
+        2: ((4, 2, 0.7), (1, 6, 1.9)),
+        3: ((4, 2, 0.7), (1, 6, 1.9), (8, 7, 0.4)),
+    }[catalyst_dim]
+    return EngineSpec(
+        catalyst_dim=catalyst_dim,
+        hot=bath_from_factor(0.6, tau_eq=0.8),
+        cold=bath_from_factor(0.3, omega=1.3, tau_eq=2.5),
+        swaps=tuple(SwapPair(u, d, g) for u, d, g in swaps),
+    )
+
+
+def kron_dissipator(bath: BathParams, which: str, catalyst_dim: int) -> np.ndarray:
+    """The local dissipator built from scratch with np.kron."""
+    eye_2 = np.eye(2, dtype=complex)
+    eye_cat = np.eye(catalyst_dim, dtype=complex)
+    raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+
+    def lifted(op):
+        factors = (eye_cat, op, eye_2) if which == "hot" else (eye_cat, eye_2, op)
+        return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+    def jump(op):
+        eye = np.eye(op.shape[0], dtype=complex)
+        ldl = op.conj().T @ op
+        return np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+
+    return bath.gamma_plus * jump(lifted(raise_2)) + bath.gamma_minus * jump(
+        lifted(raise_2.conj().T)
+    )
+
+
+class TestCachedGeneratorPieces:
+    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["hot", "cold"])
+    def test_dissipator_equals_the_kron_construction(self, catalyst_dim, which):
+        spec = spec_with_catalyst(catalyst_dim)
+        bath = spec.hot if which == "hot" else spec.cold
+        for _ in range(2):
+            built = build_dissipator(bath, which, spec.layout).matrix
+            assert np.array_equal(built, kron_dissipator(bath, which, catalyst_dim))
+
+    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
+    def test_liouvillian_equals_the_kron_construction(self, catalyst_dim):
+        spec = spec_with_catalyst(catalyst_dim)
+        v0 = build_interaction(spec).entries
+        eye = np.eye(spec.dim, dtype=complex)
+        expected = (
+            -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
+            + kron_dissipator(spec.hot, "hot", catalyst_dim)
+            + kron_dissipator(spec.cold, "cold", catalyst_dim)
+        )
+        for _ in range(2):
+            assert np.array_equal(build_liouvillian(spec).matrix, expected)
+
+    def test_cached_arrays_reject_writes(self):
+        spec = spec_with_catalyst(2)
+        build_liouvillian(spec)
+        dims = spec.layout.factor_dims
+        cached = [
+            *continuous._bath_jumps(dims, "hot"),
+            *continuous._bath_jumps(dims, "cold"),
+            *(continuous._swap_commutator(dims, p.u, p.d) for p in spec.swaps),
+        ]
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_layout_without_a_catalyst_factor_is_rejected_on_every_call(self):
+        bath = bath_from_factor(0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="catalyst, 2, 2"):
+                build_dissipator(bath, "hot", HilbertLayout((2, 2)))
+
+    @pytest.mark.parametrize("make", [otto_from_factors, catalyst_from_factors])
+    def test_energy_differences_equal_the_hamiltonian_diagonals(self, make):
+        spec = make(0.5, 0.2)
+        h0h, h0c = hamiltonians(spec)
+        for i, pair in enumerate(spec.swaps):
+            en = energy_differences(spec, i)
+            assert en.d_eps_h == (h0h.entries[pair.u, pair.u] - h0h.entries[pair.d, pair.d]).real
+            assert en.d_eps_c == (h0c.entries[pair.u, pair.u] - h0c.entries[pair.d, pair.d]).real
