@@ -8,9 +8,10 @@ independent oracles that the matrix-based solvers in
 against, so the expressions are deliberately kept exactly in their
 derived printed shape — no algebraic simplification — letting any
 transcription slip show up as a cross-validation failure instead of
-being silently absorbed.  The one exception is the catalytic denominator
-(see :func:`_cat_denominator`), whose printed shape cancels in floating
-point; the tests keep that shape as an exact rational oracle.
+being silently absorbed.  The two exceptions are the catalytic
+denominator (see :func:`_cat_denominator`) and ``A_rate`` (see
+:func:`rate_constants`), whose printed shapes cancel in floating point;
+the tests keep those shapes as exact rational oracles.
 
 Naming note: the derivation reuses the letters A and B both for two rate
 combinations and (elsewhere) for the dimensionless trade-off
@@ -221,6 +222,10 @@ def rate_constants(
     * xi2    = g^c_+ / (g^c_- S)
     * A_rate = g^h_- + g^h_+ + 2 g^c_+ - 4 g^c_- g^c_+ / (g^h_- + g^h_+ + 2 g^c_-)
     * B_rate = S
+
+    A_rate is evaluated as h (h + 2 g^c_- + 2 g^c_+) / (h + 2 g^c_-) with
+    h = g^h_- + g^h_+, the same value without the subtraction, which
+    loses digits when the hot rates are far below the cold ones.
     """
     for name, val in (
         ("gamma_h_plus", gamma_h_plus),
@@ -240,12 +245,8 @@ def rate_constants(
     )
     xi1 = (gamma_c_plus + gamma_h_plus) / (gamma_c_minus * total)
     xi2 = gamma_c_plus / (gamma_c_minus * total)
-    a_rate = (
-        gamma_h_minus
-        + gamma_h_plus
-        + 2.0 * gamma_c_plus
-        - 4.0 * gamma_c_minus * gamma_c_plus / (gamma_h_minus + gamma_h_plus + 2.0 * gamma_c_minus)
-    )
+    h = gamma_h_minus + gamma_h_plus
+    a_rate = h * (h + 2.0 * gamma_c_minus + 2.0 * gamma_c_plus) / (h + 2.0 * gamma_c_minus)
     b_rate = gamma_h_minus + gamma_h_plus + gamma_c_minus + gamma_c_plus
     return RateConstants(
         alpha1=alpha1,
@@ -380,28 +381,11 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
 
 
 def _is_equal_relaxation(constants: RateConstants, rel_tol: float = 1e-9) -> bool:
-    """Whether the constants are consistent with tau_eq_h = tau_eq_c.
-
-    The constants do not store the raw jump rates, but under the
-    equal-relaxation hypothesis those are fixed by (B_rate, a_h, a_c):
-    gamma_k_minus = B/(2(1 + a_k)), gamma_k_plus = a_k * gamma_k_minus.
-    Recomputing all eight constants from that reconstruction and
-    comparing settles the question.
-    """
-    gh_minus = constants.B_rate / (2.0 * (1.0 + constants.a_h))
-    gc_minus = constants.B_rate / (2.0 * (1.0 + constants.a_c))
-    candidate = rate_constants(
-        gamma_h_plus=constants.a_h * gh_minus,
-        gamma_h_minus=gh_minus,
-        gamma_c_plus=constants.a_c * gc_minus,
-        gamma_c_minus=gc_minus,
-    )
-    for name in ("alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate"):
-        ours = getattr(constants, name)
-        theirs = getattr(candidate, name)
-        if abs(ours - theirs) > rel_tol * max(abs(ours), abs(theirs), 1e-300):
-            return False
-    return True
+    """Whether tau_eq_h = tau_eq_c, i.e. whether the two baths' jump-rate
+    sums gamma_k_minus + gamma_k_plus agree to ``rel_tol``."""
+    h = constants.gamma_h_minus + constants.gamma_h_plus
+    c = constants.gamma_c_minus + constants.gamma_c_plus
+    return abs(h - c) <= rel_tol * max(h, c)
 
 
 def one_minus_zeta(a_h: float, a_c: float) -> float:

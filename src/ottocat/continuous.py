@@ -16,12 +16,20 @@ commutator part of the generator is -i (I (x) V0 - V0^T (x) I) and the
 Hilbert-Schmidt adjoint (Heisenberg picture) is the plain conjugate
 transpose.
 
-The stationary state is found twice — as the kernel eigenvector of the
-generator and by a trace-normalized bordered solve — and the two must
-agree, so a silent drift into a wrong subspace cannot go unnoticed.
+The stationary state is found twice — by a trace-normalized bordered
+solve of the full generator, and as a kernel eigenvector — and the two
+must agree, so a silent drift into a wrong subspace cannot go unnoticed.
 Heat currents are likewise computed along two routes (energy-difference
 sums over the pair transfer rates vs. adjoint dissipators applied to the
 energy operators) and cross-checked on every call.
+
+The eigenvector route is a block certificate: no nonzero entry of the
+generator couples two connected components of its sparsity pattern, so
+its spectrum is the union of theirs.  The component holding the |0><0|
+population gets a full eigendecomposition and yields the kernel vector;
+the others only their eigenvalues.  The pooled spectrum proves the
+kernel one-dimensional and gives the spectral gap.  The components are
+found once per sparsity pattern, on first use.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -259,25 +267,101 @@ def _refined_bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return solution
 
 
+@functools.lru_cache(maxsize=64)
+def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
+    """Independent blocks of an n x n generator with the given sparsity.
+
+    The blocks are the connected components of ``mask | mask.T`` where
+    ``mask`` (packed row-major by ``np.packbits``) marks the nonzero
+    entries; no entry couples two blocks, so the spectrum is the union of
+    the blocks' spectra.  Returns ``(main, stacks, singles)``: the
+    indices of the block holding vec index 0, one ``(rows, cols)``
+    gather per size of the other blocks (indexing with it stacks the
+    equal-size blocks for one batched ``eigvals``), and the indices of
+    the 1 x 1 blocks, which are their own eigenvalues.  Built once per
+    pattern and handed out read-only.
+    """
+    bits = np.unpackbits(np.frombuffer(packed_pattern, dtype=np.uint8), count=n * n)
+    linked = bits.reshape(n, n).astype(bool)
+    linked |= linked.T
+    block_of = np.full(n, -1)
+    blocks = []
+    for start in range(n):
+        if block_of[start] >= 0:
+            continue
+        block_of[start] = len(blocks)
+        members = [start]
+        for i in members:  # grows while it is walked: a breadth-first search
+            for j in np.flatnonzero(linked[i] & (block_of < 0)):
+                block_of[j] = len(blocks)
+                members.append(int(j))
+        blocks.append(np.sort(members))
+    by_size: dict[int, list[np.ndarray]] = {}
+    for block in blocks[1:]:
+        by_size.setdefault(len(block), []).append(block)
+    singles = np.array([int(b[0]) for b in by_size.pop(1, [])], dtype=np.intp)
+    stacks = []
+    for size in sorted(by_size):
+        stacked = np.stack(by_size[size])
+        stacks.append((stacked[:, :, None], stacked[:, None, :]))
+    main = blocks[0]
+    for array in (main, *(a for pair in stacks for a in pair), singles):
+        array.setflags(write=False)
+    return main, tuple(stacks), singles
+
+
+def _block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of a square matrix, gathered block by block.
+
+    Returns ``(eigvals, main, main_vecs)``: every eigenvalue, the indices
+    of the block holding index 0, and that block's right eigenvectors.
+    The first ``len(main)`` eigenvalues are that block's, in the order of
+    the columns of ``main_vecs``.  Only this block goes through
+    ``np.linalg.eig``; the others through one batched ``eigvals`` per
+    block size.
+    """
+    n = mat.shape[0]
+    main, stacks, singles = _kernel_blocks(n, np.packbits(mat != 0).tobytes())
+    main_vals, main_vecs = np.linalg.eig(mat[main[:, None], main])
+    eigvals = np.concatenate(
+        [
+            main_vals,
+            *(np.linalg.eigvals(mat[rows, cols]).ravel() for rows, cols in stacks),
+            mat[singles, singles],
+        ]
+    )
+    return eigvals, main, main_vecs
+
+
 def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     """Unique steady state and spectral gap of a generator.
 
-    The kernel is located in the full eigendecomposition as the single
-    eigenvalue whose real part sits within ``KERNEL_TOL`` of zero
-    (relative to the spectral scale); finding two or more such
+    The generator splits into independent blocks along its sparsity
+    pattern (the symmetry-block reduction of Lindblad generators), and
+    its spectrum is the union of the blocks' spectra.  The block holding
+    the |0><0| population gets a full eigendecomposition; every other
+    block only its eigenvalues.  Across the pooled spectrum, the kernel
+    is the single eigenvalue whose real part sits within ``KERNEL_TOL``
+    of zero (relative to the spectral scale); finding two or more such
     eigenvalues raises "non-ergodic Liouvillian: steady state not
-    unique".  The returned state comes from the better-conditioned route:
-    one generator row replaced by the trace constraint, solved with
-    extended-precision iterative refinement.  The raw kernel eigenvector
-    is kept as an independent cross-check and must agree elementwise to
-    ``SOLVER_CROSS_TOL``.
+    unique".  Each block holding a population has the identity,
+    restricted to it, as a left null vector, so a trace-preserving
+    generator whose populations fall into several blocks always has a
+    degenerate kernel, and a unique kernel always lies in the block of
+    |0><0|.
+
+    The returned state comes from the better-conditioned route: one
+    generator row replaced by the trace constraint, solved on the full
+    generator with extended-precision iterative refinement.  The kernel
+    eigenvector of the |0><0| block is kept as an independent
+    cross-check and must agree elementwise to ``SOLVER_CROSS_TOL``.
 
     Returns ``(rho_ss, spectral_gap)`` where the gap is the smallest
     decay rate -Re(lambda) over the nonstationary spectrum.
     """
     mat = liouvillian.matrix
     dim = liouvillian.dim
-    eigvals, eigvecs = np.linalg.eig(mat)
+    eigvals, main, main_vecs = _block_spectrum(mat)
     scale = float(np.max(np.abs(eigvals)))
     if scale == 0.0:
         raise ValueError("generator is identically zero; every state is stationary")
@@ -287,7 +371,14 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
         raise ValueError("no stationary state found (kernel is numerically empty)")
     if n_zero > 1:
         raise ValueError("non-ergodic Liouvillian: steady state not unique")
-    kernel_vec = eigvecs[:, zero_mask][:, 0]
+    main_zero = zero_mask[: len(main)]
+    if not main_zero.any():
+        raise ValueError(
+            "stationary kernel lies outside the block of |0><0|; "
+            "generator is not trace preserving"
+        )
+    kernel_vec = np.zeros(dim * dim, dtype=complex)
+    kernel_vec[main] = main_vecs[:, main_zero][:, 0]
     rho_eig = _normalize_state(_unvec(kernel_vec, dim))
 
     # Primary route: bordered linear solve with the trace constraint.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ottocat import analytic
 from ottocat.analytic import (
     cat_current,
     cat_delta_p,
@@ -94,6 +95,48 @@ class TestRateConstants:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(ValueError):
             rate_constants(0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("hot_over_cold", [1e-2, 1e-4, 1e-6])
+    def test_a_rate_matches_the_printed_shape_exactly_for_slow_hot_baths(self, hot_over_cold):
+        gc_p, gc_m = 0.4, 1.3
+        gh_p, gh_m = 0.7 * hot_over_cold, 1.1 * hot_over_cold
+        h, cp, cm = Fraction(gh_m) + Fraction(gh_p), Fraction(gc_p), Fraction(gc_m)
+        exact = h + 2 * cp - 4 * cm * cp / (h + 2 * cm)
+        a_rate = rate_constants(gh_p, gh_m, gc_p, gc_m).A_rate
+        assert abs(Fraction(a_rate) - exact) <= Fraction(1, 10**14) * exact
+
+
+def rebuilt_constants_agree(constants, rel_tol: float = 1e-9) -> bool:
+    """The equal-relaxation test by rebuilding all eight constants from
+    (B_rate, a_h, a_c) under that hypothesis and comparing them."""
+    gh_minus = constants.B_rate / (2.0 * (1.0 + constants.a_h))
+    gc_minus = constants.B_rate / (2.0 * (1.0 + constants.a_c))
+    candidate = rate_constants(
+        constants.a_h * gh_minus, gh_minus, constants.a_c * gc_minus, gc_minus
+    )
+    for name in ("alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate"):
+        ours, theirs = getattr(constants, name), getattr(candidate, name)
+        if abs(ours - theirs) > rel_tol * max(abs(ours), abs(theirs), 1e-300):
+            return False
+    return True
+
+
+class TestEqualRelaxation:
+    def test_rate_sums_decide_as_the_rebuilt_constants_do(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(500):
+            a_h, a_c = rng.uniform(0.01, 1.0, size=2)
+            tau_h = 10.0 ** rng.uniform(-2.0, 2.0)
+            unequal = tau_h * 10.0 ** (rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0))
+            for tau_c in (tau_h, unequal):
+                constants = equal_relaxation_constants(a_h, a_c, tau_h)
+                gc_m = 2.0 / (tau_c * (1.0 + a_c))
+                constants = rate_constants(
+                    constants.gamma_h_plus, constants.gamma_h_minus, a_c * gc_m, gc_m
+                )
+                decision = analytic._is_equal_relaxation(constants)
+                assert decision == rebuilt_constants_agree(constants)
+                assert decision == (tau_c == tau_h)
 
 
 class TestCurrentsAndTimes:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ottocat
 from ottocat import analytic, cli
 
 BASE_CONFIG = """\
@@ -301,3 +306,23 @@ class TestVerifySubcommand:
     def test_zero_points_is_a_usage_error(self, capsys):
         assert cli.main(["verify", "--points", "0"]) == 2
         assert "points" in capsys.readouterr().err
+
+
+def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
+    probe = (
+        "import sys, ottocat.cli\n"
+        "from ottocat import continuous as c\n"
+        "sizes = [f.cache_info().currsize for f in "
+        "(c._bath_jumps, c._swap_commutator, c._kernel_blocks)]\n"
+        "print(sizes, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(ottocat.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split("\n")[0] == "[0, 0, 0] False"

@@ -32,6 +32,7 @@ from ottocat.engine_spec import (
     qubit_catalyst_spec_from_baths,
 )
 from ottocat.qstate import DensityMatrix, HilbertLayout, Operator, gibbs_qubit, tensor_all
+from ottocat.verify import sample_grid
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
 
@@ -325,3 +326,114 @@ class TestCachedGeneratorPieces:
             en = energy_differences(spec, i)
             assert en.d_eps_h == (h0h.entries[pair.u, pair.u] - h0h.entries[pair.d, pair.d]).real
             assert en.d_eps_c == (h0c.entries[pair.u, pair.u] - h0c.entries[pair.d, pair.d]).real
+
+
+def kernel_mask(eigvals: np.ndarray) -> np.ndarray:
+    """The stationary eigenvalues under the rule stationary_state applies."""
+    return np.abs(eigvals.real) <= continuous.KERNEL_TOL * np.max(np.abs(eigvals))
+
+
+def dense_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray]:
+    """(kernel count, gap, kernel state) from one eig of the whole generator."""
+    eigvals, eigvecs = np.linalg.eig(mat)
+    zero = kernel_mask(eigvals)
+    rho = continuous._normalize_state(eigvecs[:, zero][:, 0].reshape((dim, dim), order="F"))
+    return int(np.count_nonzero(zero)), float(-np.max(eigvals[~zero].real)), rho
+
+
+def block_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray]:
+    """The same three quantities from the block-by-block spectrum."""
+    eigvals, main, main_vecs = continuous._block_spectrum(mat)
+    zero = kernel_mask(eigvals)
+    kernel = np.zeros(dim * dim, dtype=complex)
+    kernel[main] = main_vecs[:, zero[: len(main)]][:, 0]
+    rho = continuous._normalize_state(kernel.reshape((dim, dim), order="F"))
+    return int(np.count_nonzero(zero)), float(-np.max(eigvals[~zero].real)), rho
+
+
+def certificate_specs() -> list[EngineSpec]:
+    """Both engines on the verify grids of seeds 1-3, plus a g*tau_eq sweep."""
+    specs = []
+    for seed in (1, 2, 3):
+        for point in sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
+            specs += [point.otto(), point.catalytic()]
+    hot = BathParams.from_relaxation_time(0.2, 1.0, 1.0)
+    for g_tau in np.logspace(-2, 3, 21):
+        cold = BathParams.from_relaxation_time(2.0, 0.45, 1.0)
+        specs.append(otto_spec_from_baths(hot, cold, g=g_tau))
+        cold = BathParams.from_relaxation_time(2.0, 0.9, 1.0)
+        specs.append(qubit_catalyst_spec_from_baths(hot, cold, g=g_tau))
+    return specs
+
+
+class TestBlockCertificate:
+    def test_blocks_agree_with_the_dense_eig(self):
+        specs = certificate_specs()
+        assert len(specs) >= 600
+        for spec in specs:
+            mat = build_liouvillian(spec).matrix
+            n_dense, gap_dense, rho_dense = dense_certificate(mat, spec.dim)
+            n_block, gap_block, rho_block = block_certificate(mat, spec.dim)
+            assert n_block == n_dense == 1
+            assert abs(gap_block - gap_dense) <= 1e-9 * gap_dense
+            assert np.max(np.abs(rho_block - rho_dense)) <= continuous.SOLVER_CROSS_TOL
+
+    @pytest.mark.parametrize(
+        "make, sizes",
+        [
+            (otto_from_factors, [6, 4, 4, 1, 1]),
+            (catalyst_from_factors, [14, 12, 12, 8, 8, 3, 3, 1, 1, 1, 1]),
+        ],
+    )
+    def test_block_sizes_of_the_built_in_engines(self, make, sizes):
+        mat = build_liouvillian(make(0.5, 0.2)).matrix
+        main, stacks, singles = continuous._kernel_blocks(
+            mat.shape[0], np.packbits(mat != 0).tobytes()
+        )
+        found = [len(main)] + [1] * len(singles)
+        for rows, _ in stacks:
+            found += [rows.shape[1]] * rows.shape[0]
+        assert sorted(found, reverse=True) == sizes
+        covered = np.concatenate([main, *(rows.ravel() for rows, _ in stacks), singles])
+        assert np.array_equal(np.sort(covered), np.arange(mat.shape[0]))
+
+    def test_one_eig_per_solve(self, monkeypatch):
+        calls = []
+        dense_eig = np.linalg.eig
+
+        def counted_eig(a):
+            calls.append(a.shape)
+            return dense_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        stationary_state(build_liouvillian(catalyst_from_factors(0.5, 0.2)))
+        assert calls == [(14, 14)]
+
+    def test_qutrit_catalyst_spec_solves(self):
+        spec = spec_with_catalyst(3)
+        liouv = build_liouvillian(spec)
+        rho_ss, gap = stationary_state(liouv)
+        n_dense, gap_dense, rho_dense = dense_certificate(liouv.matrix, spec.dim)
+        assert n_dense == 1
+        assert gap == pytest.approx(gap_dense, rel=1e-9)
+        assert np.max(np.abs(rho_ss.matrix - rho_dense)) <= continuous.SOLVER_CROSS_TOL
+
+    def test_dissipators_alone_have_the_same_degenerate_kernel_on_both_routes(self):
+        spec = catalyst_from_factors(0.5, 0.2)
+        mat = dissipators_only(spec).matrix
+        # One stationary direction per catalyst operator |s><s'|.
+        n_block = int(np.count_nonzero(kernel_mask(continuous._block_spectrum(mat)[0])))
+        assert n_block == dense_certificate(mat, spec.dim)[0] == 4
+
+    def test_zero_generator_raises(self):
+        layout = HilbertLayout((1, 2, 2))
+        with pytest.raises(ValueError, match="identically zero"):
+            stationary_state(Superoperator(layout, np.zeros((16, 16))))
+
+    def test_kernel_outside_the_ground_population_block_raises(self):
+        # Not trace preserving: the only stationary direction is the
+        # coherence |1><0|, which no entry links to |0><0|.
+        mat = -np.eye(16, dtype=complex)
+        mat[1, 1] = 0.0
+        with pytest.raises(ValueError, match="outside the block"):
+            stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
