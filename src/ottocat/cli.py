@@ -526,9 +526,7 @@ def build_row(
         row["power"] = report.power
         row["eta_continuous"] = report.efficiency
         row["clausius_continuous"] = report.clausius_margin
-        row["entropy_production"] = continuous.entropy_production_rate(
-            spec, report.rho_ss
-        )
+        row["entropy_production"] = report.entropy_production
         row["first_law_residual"] = report.first_law_residual
         row["int_vanish_hot"] = report.int_vanish_residuals[0]
         row["int_vanish_cold"] = report.int_vanish_residuals[1]

@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +130,7 @@ class SteadyStateReport:
     ``currents[i]`` is the stationary transfer rate of swap pair i (the
     continuous analog of the per-cycle delta_p_i).  ``efficiency`` is
     ``None`` when no heat flows from the hot bath.
+    ``entropy_production`` is sigma = -sum_k beta_k (J_k - <D_k^+[V0]>).
     ``int_vanish_residuals`` holds |<D_k^+[V0]>| for the hot and cold
     dissipators, ``catalysis_residuals`` the signed net transfer rate
     through each catalyst level, and ``first_law_residual`` the gap
@@ -143,6 +145,7 @@ class SteadyStateReport:
     efficiency: float | None
     spectral_gap: float
     clausius_margin: float
+    entropy_production: float
     int_vanish_residuals: tuple[float, float]
     catalysis_residuals: tuple[float, ...]
     first_law_residual: float
@@ -439,21 +442,33 @@ def probability_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
     return out
 
 
-def currents_and_power(
-    spec: EngineSpec, rho_ss: DensityMatrix, spectral_gap: float | None = None
-) -> SteadyStateReport:
-    """Audit the energetics of a steady state.
+class _Exchange(NamedTuple):
+    """Everything the audits read off one state, each computed once."""
 
-    Heat currents are formed from the pair transfer rates,
-    J_k = sum_i d_eps_i^k <n_i>, and re-derived through the adjoint
-    dissipators, J_k = <D_k^+[H_0k + V0]>; the two must agree to
-    ``CURRENT_CROSS_TOL`` (relative).  Power is accumulated separately
-    over the pair resonance frequencies, P = sum_i Omega_i <n_i>, and
-    ``first_law_residual`` = |P - J_h - J_c| is required to stay below
-    ``FIRST_LAW_TOL``.
+    currents: np.ndarray
+    j_hot: float
+    j_cold: float
+    power: float
+    adjoint_heat: tuple[complex, complex]  # <D_k^+[H_0k + V0]>
+    int_vanish: tuple[float, float]  # |<D_k^+[V0]>|
+    clausius_margin: float
+    entropy_production: float
+    catalyst_flow: tuple[float, ...]
+
+
+def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
+    """Measure the pair currents once and derive every bath exchange.
+
+    Heat currents and power are summed over the pair transfer rates,
+    J_k = sum_i d_eps_i^k <n_i> and P = sum_i Omega_i <n_i>.  Each bath's
+    dissipator is built once; its adjoint yields both the independent
+    heat route <D_k^+[H_0k + V0]> and the interaction term <D_k^+[V0]>,
+    which enters the entropy production
+    sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).  The catalyst flow of
+    level m is the signed net transfer rate
+    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.
     """
     currents = probability_currents(spec, rho_ss)
-
     j_hot = 0.0
     j_cold = 0.0
     power = 0.0
@@ -463,16 +478,64 @@ def currents_and_power(
         j_cold += en.d_eps_c * currents[i]
         power += en.omega_i * currents[i]
 
-    # Independent route through the Heisenberg-picture dissipators.
     h0h, h0c = hamiltonians(spec)
     v0 = build_interaction(spec)
-    for label, bath, h0k, direct in (
+    adjoint_heat = []
+    int_vanish = []
+    sigma = 0.0
+    for label, bath, h0k, j_k in (
         ("hot", spec.hot, h0h, j_hot),
         ("cold", spec.cold, h0c, j_cold),
     ):
         adj = build_dissipator(bath, label, spec.layout).adjoint()
         target = Operator(spec.layout, h0k.entries + v0.entries)
-        val = expectation(adj.apply(target), rho_ss)
+        adjoint_heat.append(expectation(adj.apply(target), rho_ss))
+        int_term = expectation(adj.apply(v0), rho_ss)
+        int_vanish.append(float(abs(int_term)))
+        sigma -= bath.beta * (j_k - int_term.real)
+
+    layout = spec.layout
+    cat_flow = []
+    for level in range(spec.catalyst_dim):
+        net = 0.0
+        for i, pair in enumerate(spec.swaps):
+            s_u = layout.factor_indices(pair.u)[0]
+            s_d = layout.factor_indices(pair.d)[0]
+            net += ((1.0 if s_u == level else 0.0) - (1.0 if s_d == level else 0.0)) * currents[i]
+        cat_flow.append(float(net))
+
+    return _Exchange(
+        currents=currents,
+        j_hot=j_hot,
+        j_cold=j_cold,
+        power=power,
+        adjoint_heat=tuple(adjoint_heat),
+        int_vanish=tuple(int_vanish),
+        clausius_margin=-(spec.hot.beta * j_hot + spec.cold.beta * j_cold),
+        entropy_production=sigma,
+        catalyst_flow=tuple(cat_flow),
+    )
+
+
+def currents_and_power(
+    spec: EngineSpec, rho_ss: DensityMatrix, spectral_gap: float
+) -> SteadyStateReport:
+    """Audit the energetics of a steady state.
+
+    Heat currents are formed from the pair transfer rates,
+    J_k = sum_i d_eps_i^k <n_i>, and re-derived through the adjoint
+    dissipators, J_k = <D_k^+[H_0k + V0]>; the two must agree to
+    ``CURRENT_CROSS_TOL`` (relative).  Power is accumulated separately
+    over the pair resonance frequencies, P = sum_i Omega_i <n_i>, and
+    ``first_law_residual`` = |P - J_h - J_c| is required to stay below
+    ``FIRST_LAW_TOL``.  ``spectral_gap`` is the gap the solve of
+    ``rho_ss`` found; it is passed through to the report.
+    """
+    ex = _exchange(spec, rho_ss)
+    for label, direct, val in (
+        ("hot", ex.j_hot, ex.adjoint_heat[0]),
+        ("cold", ex.j_cold, ex.adjoint_heat[1]),
+    ):
         if abs(val.imag) > CURRENT_IMAG_TOL:
             raise AssertionError(
                 f"adjoint-route {label} current has imaginary part {val.imag:.3e}"
@@ -484,32 +547,26 @@ def currents_and_power(
                 f"adjoint {val.real!r}"
             )
 
-    first_law_residual = abs(power - (j_hot + j_cold))
-    if first_law_residual > FIRST_LAW_TOL * max(1.0, abs(power)):
+    first_law_residual = abs(ex.power - (ex.j_hot + ex.j_cold))
+    if first_law_residual > FIRST_LAW_TOL * max(1.0, abs(ex.power)):
         raise AssertionError(
             f"first-law residual {first_law_residual:.3e} exceeds {FIRST_LAW_TOL:.1e}"
         )
-    efficiency = None if j_hot == 0.0 else power / j_hot
-    regime = "engine" if (power > 0.0 and j_hot > 0.0) else "non_engine"
-    clausius_margin = -(spec.hot.beta * j_hot + spec.cold.beta * j_cold)
-
-    checks = ness_condition_checks(spec, rho_ss)
-    if spectral_gap is None:
-        _, spectral_gap = stationary_state(build_liouvillian(spec))
 
     return SteadyStateReport(
         rho_ss=rho_ss,
-        currents=tuple(float(x) for x in currents),
-        j_hot=j_hot,
-        j_cold=j_cold,
-        power=power,
-        efficiency=efficiency,
+        currents=tuple(float(x) for x in ex.currents),
+        j_hot=ex.j_hot,
+        j_cold=ex.j_cold,
+        power=ex.power,
+        efficiency=None if ex.j_hot == 0.0 else ex.power / ex.j_hot,
         spectral_gap=float(spectral_gap),
-        clausius_margin=clausius_margin,
-        int_vanish_residuals=checks["int_vanish"],
-        catalysis_residuals=checks["catalyst_flow"],
+        clausius_margin=ex.clausius_margin,
+        entropy_production=ex.entropy_production,
+        int_vanish_residuals=ex.int_vanish,
+        catalysis_residuals=ex.catalyst_flow,
         first_law_residual=first_law_residual,
-        regime=regime,
+        regime="engine" if (ex.power > 0.0 and ex.j_hot > 0.0) else "non_engine",
     )
 
 
@@ -526,40 +583,16 @@ def ness_condition_checks(spec: EngineSpec, rho_ss: DensityMatrix) -> dict:
       rate sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>, which must
       vanish for the engine to run without consuming its catalyst;
     * ``clausius_margin`` — -(beta_h J_h + beta_c J_c).
+
+    All but the first are the values :func:`steady_state_report` reports.
     """
-    liouv = build_liouvillian(spec)
-    l_rho = liouv.apply(Operator(spec.layout, rho_ss.matrix))
-    liouvillian_residual = float(np.max(np.abs(l_rho.entries)))
-
-    v0 = build_interaction(spec)
-    int_vanish = []
-    for label, bath in (("hot", spec.hot), ("cold", spec.cold)):
-        adj = build_dissipator(bath, label, spec.layout).adjoint()
-        int_vanish.append(abs(expectation(adj.apply(v0), rho_ss)))
-
-    currents = probability_currents(spec, rho_ss)
-    layout = spec.layout
-    cat_flow = []
-    for level in range(spec.catalyst_dim):
-        net = 0.0
-        for i, pair in enumerate(spec.swaps):
-            s_u = layout.factor_indices(pair.u)[0]
-            s_d = layout.factor_indices(pair.d)[0]
-            net += ((1.0 if s_u == level else 0.0) - (1.0 if s_d == level else 0.0)) * currents[i]
-        cat_flow.append(float(net))
-
-    j_hot = 0.0
-    j_cold = 0.0
-    for i in range(len(spec.swaps)):
-        en = energy_differences(spec, i)
-        j_hot += en.d_eps_h * currents[i]
-        j_cold += en.d_eps_c * currents[i]
-
+    l_rho = build_liouvillian(spec).apply(Operator(spec.layout, rho_ss.matrix))
+    ex = _exchange(spec, rho_ss)
     return {
-        "liouvillian_residual": liouvillian_residual,
-        "int_vanish": (float(int_vanish[0]), float(int_vanish[1])),
-        "catalyst_flow": tuple(cat_flow),
-        "clausius_margin": -(spec.hot.beta * j_hot + spec.cold.beta * j_cold),
+        "liouvillian_residual": float(np.max(np.abs(l_rho.entries))),
+        "int_vanish": ex.int_vanish,
+        "catalyst_flow": ex.catalyst_flow,
+        "clausius_margin": ex.clausius_margin,
     }
 
 
@@ -570,24 +603,16 @@ def entropy_production_rate(spec: EngineSpec, rho_ss: DensityMatrix) -> float:
     system entropy is constant, so this is the entropy dumped into the
     baths per unit time; it is nonnegative for thermal dissipators in
     detailed balance, and coincides with the Clausius margin whenever
-    the interaction terms <D_k^+[V0]> vanish.
+    the interaction terms <D_k^+[V0]> vanish.  At the steady state it is
+    the report's ``entropy_production``.
     """
-    currents = probability_currents(spec, rho_ss)
-    v0 = build_interaction(spec)
-    sigma = 0.0
-    for label, bath in (("hot", spec.hot), ("cold", spec.cold)):
-        j_k = 0.0
-        for i in range(len(spec.swaps)):
-            en = energy_differences(spec, i)
-            j_k += (en.d_eps_h if label == "hot" else en.d_eps_c) * currents[i]
-        adj = build_dissipator(bath, label, spec.layout).adjoint()
-        int_term = expectation(adj.apply(v0), rho_ss).real
-        sigma -= bath.beta * (j_k - int_term)
-    return sigma
+    return _exchange(spec, rho_ss).entropy_production
 
 
 def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
-    """Solve for the steady state and return its audited energetics."""
-    liouv = build_liouvillian(spec)
-    rho_ss, gap = stationary_state(liouv)
+    """Solve for the steady state and return its audited energetics.
+
+    One generator build, one solve, one measurement of the currents.
+    """
+    rho_ss, gap = stationary_state(build_liouvillian(spec))
     return currents_and_power(spec, rho_ss, spectral_gap=gap)

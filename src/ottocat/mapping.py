@@ -209,7 +209,7 @@ def equivalence_from_parts(
             )
         if abs(p_times_tau_minus_w) > WORK_POWER_TOL * max(1e-30, abs(cycle.work)):
             raise AssertionError(
-                f"work-power bridge broken: P*tau - W = {p_times_tau_minus_w!r} "
+                f"work-power bridge broken: P*tau - W = {float(p_times_tau_minus_w)!r} "
                 f"with W = {cycle.work!r}"
             )
 
@@ -273,15 +273,13 @@ def table_correspondence_residuals(spec: EngineSpec) -> dict[str, float]:
         out["efficiency"] = _relative_gap(cycle.efficiency, ss.efficiency)
 
     layout = spec.layout
-    for level in range(spec.catalyst_dim):
+    for level, net_c in enumerate(ss.catalysis_residuals):
         net_d = 0.0
-        net_c = 0.0
         for i, pair in enumerate(spec.swaps):
             s_u = layout.factor_indices(pair.u)[0]
             s_d = layout.factor_indices(pair.d)[0]
             weight = (1.0 if s_u == level else 0.0) - (1.0 if s_d == level else 0.0)
             net_d += weight * cycle.delta_p[i]
-            net_c += weight * ss.currents[i]
         out[f"catalyst_balance_discrete_{level}"] = abs(net_d)
         out[f"catalyst_balance_continuous_{level}"] = abs(net_c) * tau
     return out

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ottocat
-from ottocat import analytic, cli
+from ottocat import analytic, cli, verify
 
 BASE_CONFIG = """\
 [run]
@@ -302,6 +303,37 @@ class TestVerifySubcommand:
         text = out.read_text(encoding="utf-8")
         assert "FAIL  two_stroke_oracles" in text
         assert "RESULT: FAIL" in text
+
+    def test_a_broken_bridge_fails_its_check_by_point_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        # Grid point 70 at seed 27 is a catalytic point whose work-power
+        # bridge misses WORK_POWER_TOL: the two pair frequencies nearly
+        # cancel, so P amplifies the pair-current round-off.
+        out = tmp_path / "report.txt"
+        code = cli.main(["verify", "--seed", "27", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert sum(line.startswith("PASS  ") for line in lines) == 7
+        (failed,) = [line for line in lines if line.startswith("FAIL  ")]
+        assert failed.startswith("FAIL  time_bridge")
+        assert "qubit_catalyst bridge failed at grid point 70, GridPoint(a_h=0.834" in failed
+        assert "work-power bridge broken" in failed
+        assert lines[-1] == "RESULT: FAIL (7/8 checks)"
+
+    def test_a_singular_bridge_fails_the_check_naming_its_point(self, monkeypatch):
+        def singular(spec, cycle, ss):
+            raise ValueError("mapping singular at equilibrium boundary")
+
+        monkeypatch.setattr(verify.mapping, "equivalence_from_parts", singular)
+        grid = verify.sample_grid(np.random.Generator(np.random.PCG64(3)), 1)
+        result = verify.check_time_bridge(grid)
+        assert not result.passed and result.worst == math.inf
+        assert result.detail == (
+            f"otto bridge failed at grid point 0, {grid[0]!r}: "
+            "mapping singular at equilibrium boundary"
+        )
 
     def test_zero_points_is_a_usage_error(self, capsys):
         assert cli.main(["verify", "--points", "0"]) == 2

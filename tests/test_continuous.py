@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, continuous
+from ottocat import analytic, continuous, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
@@ -31,7 +31,14 @@ from ottocat.engine_spec import (
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
 )
-from ottocat.qstate import DensityMatrix, HilbertLayout, Operator, gibbs_qubit, tensor_all
+from ottocat.qstate import (
+    DensityMatrix,
+    HilbertLayout,
+    Operator,
+    expectation,
+    gibbs_qubit,
+    tensor_all,
+)
 from ottocat.verify import sample_grid
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
@@ -437,3 +444,108 @@ class TestBlockCertificate:
         mat[1, 1] = 0.0
         with pytest.raises(ValueError, match="outside the block"):
             stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+
+
+def exact_agreement_specs() -> dict[str, EngineSpec]:
+    """Both built-in engines, a qutrit catalyst, and stiff points at
+    g*tau_eq = 1e-2 and 1e3."""
+    specs = {
+        "otto": otto_from_factors(0.5, 0.2),
+        "qubit_catalyst": catalyst_from_factors(0.9, 0.2),
+        "qutrit_catalyst": spec_with_catalyst(3),
+    }
+    for g_tau in (1e-2, 1e3):
+        specs[f"otto_g{g_tau:g}"] = otto_from_factors(0.5, 0.2, g=g_tau)
+        specs[f"qubit_catalyst_g{g_tau:g}"] = catalyst_from_factors(0.9, 0.2, g=g_tau)
+    return specs
+
+
+def term_by_term_audit(spec: EngineSpec, rho_ss: DensityMatrix):
+    """(int_vanish, catalyst_flow, sigma) summed bath by bath and pair by
+    pair from freshly built pieces, in the operand order of the formulas."""
+    currents = probability_currents(spec, rho_ss)
+    v0 = build_interaction(spec)
+    int_vanish = []
+    sigma = 0.0
+    for label, bath in (("hot", spec.hot), ("cold", spec.cold)):
+        j_k = 0.0
+        for i in range(len(spec.swaps)):
+            en = energy_differences(spec, i)
+            j_k += (en.d_eps_h if label == "hot" else en.d_eps_c) * currents[i]
+        adj = build_dissipator(bath, label, spec.layout).adjoint()
+        int_term = expectation(adj.apply(v0), rho_ss)
+        int_vanish.append(float(abs(int_term)))
+        sigma -= bath.beta * (j_k - int_term.real)
+    flow = []
+    for level in range(spec.catalyst_dim):
+        net = 0.0
+        for i, pair in enumerate(spec.swaps):
+            weight = float(spec.layout.factor_indices(pair.u)[0] == level) - float(
+                spec.layout.factor_indices(pair.d)[0] == level
+            )
+            net += weight * currents[i]
+        flow.append(float(net))
+    return tuple(int_vanish), tuple(flow), sigma
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the first argument of every call to ``continuous.<name>``."""
+    calls = []
+    original = getattr(continuous, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(continuous, name, counted)
+    return calls
+
+
+class TestSolveOnce:
+    def test_report_builds_one_generator_and_measures_once(self, monkeypatch):
+        builds = count_calls(monkeypatch, "build_liouvillian")
+        solves = count_calls(monkeypatch, "stationary_state")
+        measures = count_calls(monkeypatch, "probability_currents")
+        dissipators = count_calls(monkeypatch, "build_dissipator")
+        steady_state_report(catalyst_from_factors(0.5, 0.2))
+        assert (len(builds), len(solves), len(measures)) == (1, 1, 1)
+        # Two inside the generator, then one per bath for the audit.
+        assert len(dissipators) == 4
+
+    def test_verify_solves_each_spec_once(self, monkeypatch):
+        builds = count_calls(monkeypatch, "build_liouvillian")
+        solves = count_calls(monkeypatch, "stationary_state")
+        verify.run_suite(seed=1234, n_points=5)
+        # 2 engines x 5 grid points; 2 x (100 matched efficiencies + the
+        # near-limit probe); 20 stationary-relation rate sets.
+        assert len(solves) == 2 * 5 + 202 + 20
+        assert len(builds) == len(solves)
+        assert len(set(builds)) == len(builds)
+
+    @pytest.mark.parametrize("name", list(exact_agreement_specs()))
+    def test_report_fields_equal_the_standalone_audits_exactly(self, name):
+        spec = exact_agreement_specs()[name]
+        report = steady_state_report(spec)
+        rho = report.rho_ss
+        assert report.currents == tuple(probability_currents(spec, rho).tolist())
+        checks = ness_condition_checks(spec, rho)
+        assert checks["int_vanish"] == report.int_vanish_residuals
+        assert checks["catalyst_flow"] == report.catalysis_residuals
+        assert checks["clausius_margin"] == report.clausius_margin
+        assert entropy_production_rate(spec, rho) == report.entropy_production
+        assert term_by_term_audit(spec, rho) == (
+            report.int_vanish_residuals,
+            report.catalysis_residuals,
+            report.entropy_production,
+        )
+
+    def test_thermo_check_does_not_depend_on_the_checks_run_before_it(self):
+        def grid():
+            return sample_grid(np.random.Generator(np.random.PCG64(1234)), 5)
+
+        fresh = verify.check_thermo_consistency(grid())
+        shared = grid()
+        verify.check_efficiency_design_match(shared)
+        verify.check_current_closed_form(shared)
+        verify.check_time_bridge(shared)
+        assert verify.check_thermo_consistency(shared) == fresh
