@@ -1,8 +1,13 @@
 """Closed-form results for both engines: flows, currents, times, trade-offs.
 
-Everything here is a pure scalar function of Gibbs factors
+Everything here is a pure function of Gibbs factors
 a_k = exp(-beta_k * omega_k), jump rates gamma_k_plusminus, half-rates
-Gamma_k = (gamma_plus + gamma_minus)/2, and the coupling g.  These are the
+Gamma_k = (gamma_plus + gamma_minus)/2, and the coupling g.
+:func:`rate_constants`, :func:`cat_tau`, :func:`otto_tau`,
+:func:`one_minus_zeta` and :func:`one_minus_kappa` take each argument as a
+float or a 1-D NumPy array and work elementwise; each validation runs once
+per call, and a bad element anywhere raises what the scalar call would.
+A scalar call returns exactly the floats it always did.  These are the
 independent oracles that the matrix-based solvers in
 :mod:`~ottocat.discrete` and :mod:`~ottocat.continuous` are validated
 against, so the expressions are deliberately kept exactly in their
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "TAU_IDENTITY_TOL",
@@ -48,14 +55,40 @@ __all__ = [
 TAU_IDENTITY_TOL = 1e-12
 
 
+def _holds(cond) -> bool:
+    """Whether an elementwise condition holds everywhere.  A comparison of
+    Python floats is already a bool, and passing it through untouched
+    keeps scalar calls cheap."""
+    return cond if isinstance(cond, bool) else bool(np.all(cond))
+
+
+def _failing(cond, *values):
+    """``values`` as given for a bool ``cond``; otherwise each value at the
+    first element where ``cond`` fails, so an error names one element."""
+    if isinstance(cond, bool):
+        return values
+    bad = ~np.asarray(cond)
+    return tuple(np.broadcast_to(v, bad.shape)[bad][0].item() for v in values)
+
+
+def _pow(base, exponent: float):
+    """``base ** exponent`` as Python's float power computes it.  NumPy's
+    ``**`` squares an array exactly as x*x, which differs from the C
+    library's ``pow`` in the last ulp for about one value in 1200;
+    ``np.float_power`` calls that same ``pow``."""
+    return np.float_power(base, exponent) if isinstance(base, np.ndarray) else base**exponent
+
+
 def _require_gibbs_range(name: str, value: float) -> None:
-    if not (0.0 < value <= 1.0):
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    ok = (value > 0.0) & (value <= 1.0)
+    if not _holds(ok):
+        raise ValueError(f"{name} must lie in (0, 1], got {_failing(ok, value)[0]}")
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    ok = (value > 0.0) & (value < math.inf)
+    if not _holds(ok):
+        raise ValueError(f"{name} must be positive and finite, got {_failing(ok, value)[0]}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +100,8 @@ class RateConstants:
     units of inverse rate; ``A_rate`` and ``B_rate`` are rates;
     ``a_h``/``a_c`` are the dimensionless Gibbs factors recovered from
     the jump-rate ratios.  All are positive for positive input rates, and
-    ``B_rate`` is exactly the sum of the four jump rates.
+    ``B_rate`` is exactly the sum of the four jump rates.  Built from
+    arrays of rates, every field is an array of the same length.
     """
 
     alpha1: float
@@ -101,7 +135,9 @@ class TauBreakdown:
 
     ``zeta`` and ``kappa`` are only defined when both baths share the
     same relaxation time (then tau = zeta * tau_eq * (1 + kappa /
-    (g*tau_eq)^2)); otherwise they are ``None``.
+    (g*tau_eq)^2)); otherwise they are ``None``.  Computed over arrays,
+    ``tau`` (and any factor that varies) is an array, and the factors are
+    ``None`` unless every element shares one relaxation time.
     """
 
     tau: float
@@ -172,11 +208,11 @@ def otto_tau(big_gamma_h: float, big_gamma_c: float, g: float) -> TauBreakdown:
     _require_positive("big_gamma_h", big_gamma_h)
     _require_positive("big_gamma_c", big_gamma_c)
     _require_positive("g", g)
-    tau = (1.0 + big_gamma_h * big_gamma_c / g**2) * (
+    tau = (1.0 + big_gamma_h * big_gamma_c / _pow(g, 2)) * (
         (big_gamma_h + big_gamma_c) / (2.0 * big_gamma_h * big_gamma_c)
     )
-    equal = abs(big_gamma_h - big_gamma_c) <= 1e-12 * max(big_gamma_h, big_gamma_c)
-    if equal:
+    gap = abs(big_gamma_h - big_gamma_c)
+    if _holds((gap <= 1e-12 * big_gamma_h) | (gap <= 1e-12 * big_gamma_c)):
         return TauBreakdown(tau=tau, zeta=1.0, kappa=1.0, regime_note="otto")
     return TauBreakdown(tau=tau, zeta=None, kappa=None, regime_note="otto")
 
@@ -292,17 +328,18 @@ def _cat_denominator(constants: RateConstants, g: float) -> float:
     h = hm + hp
     w = cm * hm + 2.0 * cm * hp + cp * hm
     n_0 = (
-        cm * (cm**2 * (hm + 3.0 * hp) + 2.0 * cm * h * (hm + 2.0 * hp) + h * (hm**2 + hm * hp + hp**2))
-        + cp * h * (4.0 * cm**2 + 4.0 * cm * h + hm * hp)
-        + cp**2 * (cm * (3.0 * hm + hp) + 2.0 * hm * h)
+        cm * (_pow(cm, 2) * (hm + 3.0 * hp) + 2.0 * cm * h * (hm + 2.0 * hp)
+              + h * (_pow(hm, 2) + hm * hp + _pow(hp, 2)))
+        + cp * h * (4.0 * _pow(cm, 2) + 4.0 * cm * h + hm * hp)
+        + _pow(cp, 2) * (cm * (3.0 * hm + hp) + 2.0 * hm * h)
     )
     n_2 = (
-        cm * (2.0 * cm**2 + cm * (3.0 * hm + 5.0 * hp) + h * (hm + 2.0 * hp))
-        + cp * (2.0 * cm**2 + 3.0 * cm * h + hm * h)
-        + 2.0 * cp**2 * hm
+        cm * (2.0 * _pow(cm, 2) + cm * (3.0 * hm + 5.0 * hp) + h * (hm + 2.0 * hp))
+        + cp * (2.0 * _pow(cm, 2) + 3.0 * cm * h + hm * h)
+        + 2.0 * _pow(cp, 2) * hm
     )
     return n_0 / ((cm + cp) * h * w * constants.B_rate) + h * n_2 / (
-        4.0 * g**2 * (2.0 * cm + h) * w
+        4.0 * _pow(g, 2) * (2.0 * cm + h) * w
     )
 
 
@@ -332,18 +369,22 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
     working point).  When both baths share one relaxation time, the
     factorization tau = zeta * tau_eq * (1 + kappa/(g tau_eq)^2) is
     returned as well and the identity is verified to
-    ``TAU_IDENTITY_TOL`` relative.
+    ``TAU_IDENTITY_TOL`` relative (at every element, for arrays).
     """
     _require_positive("g", g)
     for name, passed, stored in (("a_h", a_h, constants.a_h), ("a_c", a_c, constants.a_c)):
-        if abs(passed - stored) > 1e-12 * max(1.0, abs(stored)):
+        gap = abs(passed - stored)
+        ok = (gap <= 1e-12) | (gap <= 1e-12 * abs(stored))
+        if not _holds(ok):
+            passed, stored = _failing(ok, passed, stored)
             raise ValueError(
                 f"{name} = {passed!r} disagrees with the rate constants' value {stored!r}"
             )
     denom = _cat_denominator(constants, g)
-    if denom <= 0.0:
+    ok = denom > 0.0
+    if not _holds(ok):
         raise ValueError(
-            f"characteristic-time denominator is nonpositive ({denom!r}); "
+            f"characteristic-time denominator is nonpositive ({_failing(ok, denom)[0]!r}); "
             "inputs are outside the physical domain"
         )
 
@@ -368,11 +409,14 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
             4.0
             + 2.0 * a_c * (4.0 + a_c)
             + (1.0 + a_c) * (11.0 + 3.0 * a_c) * a_h
-            + 2.0 * (4.0 + 3.0 * a_c) * a_h**2
+            + 2.0 * (4.0 + 3.0 * a_c) * _pow(a_h, 2)
         )
     )
-    factored = zeta * tau_eq * (1.0 + kappa / (g**2 * tau_eq**2))
-    if abs(factored - denom) > TAU_IDENTITY_TOL * max(1.0, abs(denom)):
+    factored = zeta * tau_eq * (1.0 + kappa / (_pow(g, 2) * _pow(tau_eq, 2)))
+    gap = abs(factored - denom)
+    ok = (gap <= TAU_IDENTITY_TOL) | (gap <= TAU_IDENTITY_TOL * abs(denom))
+    if not _holds(ok):
+        factored, denom = _failing(ok, factored, denom)
         raise AssertionError(
             f"characteristic-time factorization disagrees with the general "
             f"form: {factored!r} vs {denom!r}"
@@ -382,17 +426,19 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
 
 def _is_equal_relaxation(constants: RateConstants, rel_tol: float = 1e-9) -> bool:
     """Whether tau_eq_h = tau_eq_c, i.e. whether the two baths' jump-rate
-    sums gamma_k_minus + gamma_k_plus agree to ``rel_tol``."""
+    sums gamma_k_minus + gamma_k_plus agree to ``rel_tol`` (for arrays:
+    at every element)."""
     h = constants.gamma_h_minus + constants.gamma_h_plus
     c = constants.gamma_c_minus + constants.gamma_c_plus
-    return abs(h - c) <= rel_tol * max(h, c)
+    gap = abs(h - c)
+    return _holds((gap <= rel_tol * h) | (gap <= rel_tol * c))
 
 
 def one_minus_zeta(a_h: float, a_c: float) -> float:
     """1 - zeta in its manifestly nonnegative rational form."""
     _require_gibbs_range("a_h", a_h)
     _require_gibbs_range("a_c", a_c)
-    return (a_h + 2.0 * a_c * a_h * (1.0 + a_h) + a_c**2 * (2.0 + a_h)) / (
+    return (a_h + 2.0 * a_c * a_h * (1.0 + a_h) + _pow(a_c, 2) * (2.0 + a_h)) / (
         4.0 * (1.0 + a_c) * (1.0 + a_h) * (1.0 + a_c + 2.0 * a_h)
     )
 
@@ -404,8 +450,8 @@ def one_minus_kappa(a_h: float, a_c: float) -> float:
     return (
         (1.0 - a_c)
         * (
-            2.0 * (2.0 * a_c + 3.0) * a_h**2
-            + 3.0 * (a_c + 1.0) ** 2 * a_h
+            2.0 * (2.0 * a_c + 3.0) * _pow(a_h, 2)
+            + 3.0 * _pow(a_c + 1.0, 2) * a_h
             + 2.0 * a_c * (2.0 * a_c + 3.0)
         )
     ) / (
@@ -414,7 +460,7 @@ def one_minus_kappa(a_h: float, a_c: float) -> float:
             4.0
             + 2.0 * a_c * (4.0 + a_c)
             + (1.0 + a_c) * (11.0 + 3.0 * a_c) * a_h
-            + 2.0 * (4.0 + 3.0 * a_c) * a_h**2
+            + 2.0 * (4.0 + 3.0 * a_c) * _pow(a_h, 2)
         )
     )
 

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+#: Samples per array block in :func:`check_tradeoff_bounds`.  Blocks bound
+#: the temporaries: evaluating all 10 000 samples at once raised the peak
+#: resident memory of a default ``verify`` run by about 5 %.
+_TRADEOFF_BLOCK = 1000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One named check with its worst observed residual and tolerance."""
@@ -107,6 +113,12 @@ class GridPoint:
         return continuous.steady_state_report(self.catalytic())
 
 
+def _naming_worst(detail: str, passed: bool, grid: list[GridPoint], index: int) -> str:
+    """``detail``, and for a failed check the index and fields of the grid
+    point that set its worst value."""
+    return detail if passed else f"{detail}; worst at grid point {index}, {grid[index]!r}"
+
+
 def sample_grid(rng: np.random.Generator, n_points: int) -> list[GridPoint]:
     """Draw ``n_points`` working points for the grid-based checks."""
     points = []
@@ -138,7 +150,8 @@ def check_efficiency_design_match(grid: list[GridPoint]) -> CheckResult:
     (qubit catalyst), to 1e-9 absolute."""
     tol = 1e-9
     worst = 0.0
-    for pt in grid:
+    worst_at = 0
+    for index, pt in enumerate(grid):
         eta_otto, eta_cat = analytic.design_efficiencies(pt.omega_h, pt.omega_c)
         for report, expected in (
             (pt.otto_report, eta_otto),
@@ -152,13 +165,19 @@ def check_efficiency_design_match(grid: list[GridPoint]) -> CheckResult:
                     tol=tol,
                     detail="hit a point with undefined efficiency (J_h = 0)",
                 )
-            worst = max(worst, abs(report.efficiency - expected))
+            gap = abs(report.efficiency - expected)
+            if gap > worst:
+                worst, worst_at = gap, index
+    passed = worst <= tol
     return CheckResult(
         name="efficiency_design_match",
-        passed=worst <= tol,
+        passed=passed,
         worst=worst,
         tol=tol,
-        detail=f"|eta_ness - eta_design| over {len(grid)} points x 2 engines",
+        detail=_naming_worst(
+            f"|eta_ness - eta_design| over {len(grid)} points x 2 engines",
+            passed, grid, worst_at,
+        ),
     )
 
 
@@ -167,15 +186,15 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
     relative, for both engines on every grid point."""
     tol = 1e-9
     worst = 0.0
-    for pt in grid:
+    worst_at = 0
+    for index, pt in enumerate(grid):
         otto = pt.otto()
-        expected = analytic.otto_current(
+        otto_expected = analytic.otto_current(
             otto.hot.big_gamma,
             otto.cold.big_gamma,
             pt.g,
             analytic.otto_delta_p(pt.a_h, pt.a_c),
         )
-        worst = max(worst, abs(pt.otto_report.currents[0] - expected) / abs(expected))
 
         cat = pt.catalytic()
         constants = analytic.rate_constants(
@@ -184,17 +203,25 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
             cat.cold.gamma_plus,
             cat.cold.gamma_minus,
         )
-        expected = analytic.cat_current(
+        cat_expected = analytic.cat_current(
             constants, pt.g, analytic.cat_delta_p(pt.a_h, pt.a_c).value
         )
-        for current in pt.catalytic_report.currents:
-            worst = max(worst, abs(current - expected) / abs(expected))
+        pairs = [(pt.otto_report.currents[0], otto_expected)]
+        pairs += [(current, cat_expected) for current in pt.catalytic_report.currents]
+        for current, expected in pairs:
+            error = abs(current - expected) / abs(expected)
+            if error > worst:
+                worst, worst_at = error, index
+    passed = worst <= tol
     return CheckResult(
         name="current_closed_form",
-        passed=worst <= tol,
+        passed=passed,
         worst=worst,
         tol=tol,
-        detail=f"relative current error over {len(grid)} points x 2 engines",
+        detail=_naming_worst(
+            f"relative current error over {len(grid)} points x 2 engines",
+            passed, grid, worst_at,
+        ),
     )
 
 
@@ -207,6 +234,7 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
     current_tol = 1e-10
     worst = 0.0
     worst_pair_gap = 0.0
+    worst_at = pair_gap_at = 0
     for index, pt in enumerate(grid):
         for engine, spec, ss in (
             ("otto", pt.otto(), pt.otto_report),
@@ -223,25 +251,26 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
                     tol=tol,
                     detail=f"{engine} bridge failed at grid point {index}, {pt!r}: {exc}",
                 )
-            worst = max(
-                worst,
-                abs(report.p_times_tau_minus_w) / abs(report.work_per_cycle),
-            )
+            gaps = [abs(report.p_times_tau_minus_w) / abs(report.work_per_cycle)]
             if report.eta_discrete is not None:
-                worst = max(worst, report.eta_gap)
+                gaps.append(report.eta_gap)
+            for gap in gaps:
+                if gap > worst:
+                    worst, worst_at = gap, index
             if len(spec.swaps) == 2:
-                worst_pair_gap = max(
-                    worst_pair_gap, abs(ss.currents[0] - ss.currents[1])
-                )
+                pair_gap = abs(ss.currents[0] - ss.currents[1])
+                if pair_gap > worst_pair_gap:
+                    worst_pair_gap, pair_gap_at = pair_gap, index
     passed = worst <= tol and worst_pair_gap <= current_tol
     return CheckResult(
         name="time_bridge",
         passed=passed,
         worst=max(worst, worst_pair_gap),
         tol=tol,
-        detail=(
+        detail=_naming_worst(
             f"work-power and efficiency gaps over {len(grid)} points x 2 "
-            f"engines; pair-current gap {worst_pair_gap:.3e} (tol {current_tol:.0e})"
+            f"engines; pair-current gap {worst_pair_gap:.3e} (tol {current_tol:.0e})",
+            passed, grid, worst_at if worst > tol else pair_gap_at,
         ),
     )
 
@@ -254,10 +283,18 @@ def check_tradeoff_bounds(rng: np.random.Generator, n_samples: int = 10_000) -> 
     tau_tol = 1e-9
     worst_bound = 0.0
     worst_tau = 0.0
-    for _ in range(n_samples):
-        a_h = rng.uniform(1e-6, 1.0)
-        a_c = rng.uniform(1e-6, 1.0)
-        g = 10.0 ** rng.uniform(-1.0, 1.0)
+    bound_at = tau_at = None  # (a_h, a_c, g) of the sample that set each
+    for start in range(0, n_samples, _TRADEOFF_BLOCK):
+        # One row (a_h, a_c, log10 g) per sample: the same doubles, in the
+        # same order, as three scalar draws per sample.
+        draws = rng.uniform(
+            low=[1e-6, 1e-6, -1.0],
+            high=[1.0, 1.0, 1.0],
+            size=(min(_TRADEOFF_BLOCK, n_samples - start), 3),
+        )
+        a_h, a_c = draws[:, 0], draws[:, 1]
+        # Python's float power: NumPy's array power differs in the last ulp.
+        g = np.array([10.0**x for x in draws[:, 2].tolist()])
         gamma_h_minus = 2.0 / (1.0 + a_h)  # tau_eq = 1 for both baths
         gamma_c_minus = 2.0 / (1.0 + a_c)
         constants = analytic.rate_constants(
@@ -272,26 +309,36 @@ def check_tradeoff_bounds(rng: np.random.Generator, n_samples: int = 10_000) -> 
                 tol=bound_tol,
                 detail="equal-relaxation factorization not detected",
             )
-        worst_bound = max(worst_bound, breakdown.zeta - 1.0, breakdown.kappa - 1.0)
-        # The complement forms must describe the same numbers...
-        worst_bound = max(
-            worst_bound,
+        bound_excess = np.maximum.reduce([
+            breakdown.zeta - 1.0,
+            breakdown.kappa - 1.0,
+            # The complement forms must describe the same numbers...
             abs(breakdown.zeta - (1.0 - analytic.one_minus_zeta(a_h, a_c))),
             abs(breakdown.kappa - (1.0 - analytic.one_minus_kappa(a_h, a_c))),
-        )
+        ])
         # ...and the consequence must hold: the catalyst never slows the machine.
         tau_otto = analytic.otto_tau(1.0, 1.0, g).tau
-        worst_tau = max(worst_tau, (breakdown.tau - tau_otto) / tau_otto)
+        tau_excess = (breakdown.tau - tau_otto) / tau_otto
+        i = int(np.argmax(bound_excess))
+        if bound_excess[i] > worst_bound:
+            worst_bound, bound_at = float(bound_excess[i]), (a_h[i], a_c[i], g[i])
+        i = int(np.argmax(tau_excess))
+        if tau_excess[i] > worst_tau:
+            worst_tau, tau_at = float(tau_excess[i]), (a_h[i], a_c[i], g[i])
     passed = worst_bound <= bound_tol and worst_tau <= tau_tol
+    detail = (
+        f"zeta/kappa excess over 1 and complement-form gap, {n_samples} "
+        f"samples; max relative tau excess {worst_tau:.3e} (tol {tau_tol:.0e})"
+    )
+    if not passed:
+        sample = bound_at if worst_bound > bound_tol else tau_at
+        detail += f"; worst sample (a_h, a_c, g) = {tuple(map(float, sample))}"
     return CheckResult(
         name="tradeoff_bounds",
         passed=passed,
         worst=worst_bound,
         tol=bound_tol,
-        detail=(
-            f"zeta/kappa excess over 1 and complement-form gap, {n_samples} "
-            f"samples; max relative tau excess {worst_tau:.3e} (tol {tau_tol:.0e})"
-        ),
+        detail=detail,
     )
 
 
@@ -341,21 +388,26 @@ def check_thermo_consistency(grid: list[GridPoint]) -> CheckResult:
     int_tol = 1e-10
     worst_margin = math.inf
     worst_int = 0.0
-    for pt in grid:
+    margin_at = int_at = 0
+    for index, pt in enumerate(grid):
         for report in (pt.otto_report, pt.catalytic_report):
-            worst_margin = min(
-                worst_margin, report.clausius_margin, report.entropy_production
-            )
-            worst_int = max(worst_int, *report.int_vanish_residuals)
-    passed = worst_margin >= -margin_tol and worst_int <= int_tol
+            for margin in (report.clausius_margin, report.entropy_production):
+                if margin < worst_margin:
+                    worst_margin, margin_at = margin, index
+            for residual in report.int_vanish_residuals:
+                if residual > worst_int:
+                    worst_int, int_at = residual, index
+    margin_ok = worst_margin >= -margin_tol
+    passed = margin_ok and worst_int <= int_tol
     return CheckResult(
         name="thermo_consistency",
         passed=passed,
         worst=max(-worst_margin, 0.0) + worst_int,
         tol=margin_tol,
-        detail=(
+        detail=_naming_worst(
             f"min(Clausius, sigma) = {worst_margin:.3e} (tol -{margin_tol:.0e}); "
-            f"max interaction residual {worst_int:.3e} (tol {int_tol:.0e})"
+            f"max interaction residual {worst_int:.3e} (tol {int_tol:.0e})",
+            passed, grid, int_at if margin_ok else margin_at,
         ),
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from ottocat.analytic import (
     otto_tau,
     rate_constants,
 )
-from ottocat.verify import check_tradeoff_bounds, sample_grid
+from ottocat.verify import CheckResult, check_tradeoff_bounds, sample_grid
 
 gibbs_factors = st.floats(min_value=0.01, max_value=0.99)
 couplings = st.floats(min_value=0.1, max_value=10.0)
@@ -182,6 +183,11 @@ class TestCurrentsAndTimes:
         with pytest.raises(ValueError):
             cat_tau(constants, 1.0, 0.5, 0.2)
 
+    def test_cat_tau_rejects_a_nan_gibbs_factor(self):
+        constants = equal_relaxation_constants(0.6, 0.2)
+        with pytest.raises(ValueError):
+            cat_tau(constants, 1.0, math.nan, 0.2)
+
 
 class TestTradeoffFactors:
     def test_frozen_exact_values(self):
@@ -284,3 +290,195 @@ class TestEfficiencies:
     def test_rejects_a_cold_bath_hotter_than_the_hot_bath(self):
         with pytest.raises(ValueError):
             efficiencies(1.0, 0.6, 1.0, 0.5)
+
+
+def rate_arrays(a_h, a_c, tau_h, tau_c):
+    """The four jump rates (gamma_h+, gamma_h-, gamma_c+, gamma_c-) of baths
+    with Gibbs factors a_k and relaxation times tau_k, elementwise."""
+    gh_m = 2.0 / (tau_h * (1.0 + a_h))
+    gc_m = 2.0 / (tau_c * (1.0 + a_c))
+    return a_h * gh_m, gh_m, a_c * gc_m, gc_m
+
+
+def assert_fields_equal(array_result, scalar_results):
+    """Every field of a dataclass built from arrays equals, element by
+    element and exactly, the same field of the scalar results."""
+    for field in dataclasses.fields(array_result):
+        values = getattr(array_result, field.name)
+        expected = [getattr(one, field.name) for one in scalar_results]
+        if values is None or isinstance(values, str):
+            assert all(e == values for e in expected), field.name
+        else:
+            assert np.array_equal(np.broadcast_to(values, len(expected)), expected), field.name
+
+
+def assert_array_calls_match_scalar_calls(a_h, a_c, tau_h, tau_c, g):
+    rates = rate_arrays(a_h, a_c, tau_h, tau_c)
+    constants = rate_constants(*rates)
+    scalar_constants = [rate_constants(*r) for r in zip(*(x.tolist() for x in rates))]
+    assert_fields_equal(constants, scalar_constants)
+    # cat_tau receives the Gibbs factors stored in the constants, so that
+    # the agreement check passes at every element on either path.
+    assert_fields_equal(
+        cat_tau(constants, g, constants.a_h, constants.a_c),
+        [
+            cat_tau(c, g_i, c.a_h, c.a_c)
+            for c, g_i in zip(scalar_constants, g.tolist())
+        ],
+    )
+    big_gamma_h, big_gamma_c = 1.0 / tau_h, 1.0 / tau_c
+    assert_fields_equal(
+        otto_tau(big_gamma_h, big_gamma_c, g),
+        [
+            otto_tau(*args)
+            for args in zip(big_gamma_h.tolist(), big_gamma_c.tolist(), g.tolist())
+        ],
+    )
+    for function in (one_minus_zeta, one_minus_kappa):
+        expected = [function(*args) for args in zip(a_h.tolist(), a_c.tolist())]
+        assert np.array_equal(function(a_h, a_c), expected)
+
+
+class TestArrayCalls:
+    """Array calls of the closed forms equal the scalar calls exactly."""
+
+    @pytest.mark.parametrize("equal_relaxation", [True, False])
+    def test_random_draws(self, equal_relaxation):
+        rng = np.random.Generator(np.random.PCG64(6))
+        n = 10_000
+        a_h, a_c = rng.uniform(1e-6, 1.0, size=(2, n))
+        tau_h = 10.0 ** rng.uniform(-1.5, 1.5, size=n)
+        tau_c = tau_h if equal_relaxation else 10.0 ** rng.uniform(-1.5, 1.5, size=n)
+        g = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+        assert_array_calls_match_scalar_calls(a_h, a_c, tau_h, tau_c, g)
+
+    @pytest.mark.parametrize("tau_ratio", [1.0, 0.03, 30.0])
+    def test_oracle_points(self, tau_ratio):
+        # The exact-value points of TestTradeoffFactors and the denominator
+        # grid of TestCatalyticDenominator.
+        points = [(0.6, 0.2, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1e-12, 1e-12, 1.0)]
+        points += [
+            (a_h, a_c, g)
+            for a_h in (1e-8, 3e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.05, 0.5, 1.0)
+            for a_c in (1e-6, 0.3, 0.97)
+            for g in (0.1, 1.0, 10.0)
+        ]
+        a_h, a_c, g = np.array(points).T
+        tau_h = np.ones_like(a_h)
+        assert_array_calls_match_scalar_calls(a_h, a_c, tau_h, tau_ratio * tau_h, g)
+
+    def test_a_mixed_relaxation_array_has_no_factorization(self):
+        tau_c = np.array([1.0, 2.0])
+        rates = rate_arrays(np.array([0.6, 0.6]), np.array([0.2, 0.2]), 1.0, tau_c)
+        constants = rate_constants(*rates)
+        breakdown = cat_tau(constants, 1.0, constants.a_h, constants.a_c)
+        assert breakdown.zeta is None and breakdown.kappa is None
+        scalar = [rate_constants(*r) for r in zip(*(x.tolist() for x in rates))]
+        assert np.array_equal(
+            breakdown.tau, [cat_tau(c, 1.0, c.a_h, c.a_c).tau for c in scalar]
+        )
+        assert otto_tau(1.0, 1.0 / tau_c, 1.0).zeta is None
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda a_h: one_minus_zeta(a_h, 0.3), id="a_h=0-zeta"),
+            pytest.param(lambda a_h: one_minus_kappa(a_h, 0.3), id="a_h=0-kappa"),
+            pytest.param(lambda a_h: rate_constants(a_h, 1.0, 0.3, 1.0), id="a_h=0-rates"),
+        ],
+    )
+    def test_a_zero_gibbs_factor_anywhere_raises_as_the_scalar_call(self, call):
+        self.assert_raises_as_scalar(call, good=0.5, bad=0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(
+                lambda g: cat_tau(equal_relaxation_constants(0.6, 0.2), g, 0.6, 0.2),
+                id="cat_tau",
+            ),
+            pytest.param(lambda g: otto_tau(1.0, 2.0, g), id="otto_tau"),
+        ],
+    )
+    def test_a_nan_coupling_anywhere_raises_as_the_scalar_call(self, call):
+        self.assert_raises_as_scalar(call, good=1.0, bad=math.nan)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_nonpositive_rate_anywhere_raises_as_the_scalar_call(self, position):
+        def call(rate):
+            rates = [0.3, 1.0, 0.2, 1.0]
+            rates[position] = rate
+            return rate_constants(*rates)
+
+        self.assert_raises_as_scalar(call, good=0.5, bad=-0.5)
+
+    @staticmethod
+    def assert_raises_as_scalar(call, good, bad):
+        with pytest.raises(ValueError) as scalar:
+            call(bad)
+        for index in (0, 3, 6):
+            values = np.full(7, good)
+            values[index] = bad
+            with pytest.raises(type(scalar.value)) as array:
+                call(values)
+            assert str(array.value) == str(scalar.value)
+
+
+def scalar_tradeoff_bounds(rng: np.random.Generator, n_samples: int) -> CheckResult:
+    """The trade-off check as one scalar sample at a time: the reference
+    that the array-block check must reproduce exactly."""
+    bound_tol = 1e-12
+    tau_tol = 1e-9
+    worst_bound = 0.0
+    worst_tau = 0.0
+    for _ in range(n_samples):
+        a_h = rng.uniform(1e-6, 1.0)
+        a_c = rng.uniform(1e-6, 1.0)
+        g = 10.0 ** rng.uniform(-1.0, 1.0)
+        gamma_h_minus = 2.0 / (1.0 + a_h)
+        gamma_c_minus = 2.0 / (1.0 + a_c)
+        constants = rate_constants(
+            a_h * gamma_h_minus, gamma_h_minus, a_c * gamma_c_minus, gamma_c_minus
+        )
+        breakdown = cat_tau(constants, g, a_h, a_c)
+        if breakdown.zeta is None or breakdown.kappa is None:
+            return CheckResult(
+                name="tradeoff_bounds",
+                passed=False,
+                worst=math.inf,
+                tol=bound_tol,
+                detail="equal-relaxation factorization not detected",
+            )
+        worst_bound = max(worst_bound, breakdown.zeta - 1.0, breakdown.kappa - 1.0)
+        worst_bound = max(
+            worst_bound,
+            abs(breakdown.zeta - (1.0 - one_minus_zeta(a_h, a_c))),
+            abs(breakdown.kappa - (1.0 - one_minus_kappa(a_h, a_c))),
+        )
+        tau_otto = otto_tau(1.0, 1.0, g).tau
+        worst_tau = max(worst_tau, (breakdown.tau - tau_otto) / tau_otto)
+    passed = worst_bound <= bound_tol and worst_tau <= tau_tol
+    return CheckResult(
+        name="tradeoff_bounds",
+        passed=passed,
+        worst=worst_bound,
+        tol=bound_tol,
+        detail=(
+            f"zeta/kappa excess over 1 and complement-form gap, {n_samples} "
+            f"samples; max relative tau excess {worst_tau:.3e} (tol {tau_tol:.0e})"
+        ),
+    )
+
+
+class TestTradeoffBlocks:
+    @pytest.mark.parametrize("seed", [13, 101, 106, 1234])
+    def test_blocks_reproduce_the_scalar_loop_and_its_draws(self, seed):
+        for n_samples in (0, 1, 999, 1000, 1001, 10_000):
+            blocked = np.random.Generator(np.random.PCG64(seed))
+            scalar = np.random.Generator(np.random.PCG64(seed))
+            sample_grid(blocked, 100)
+            sample_grid(scalar, 100)
+            assert check_tradeoff_bounds(blocked, n_samples) == scalar_tradeoff_bounds(
+                scalar, n_samples
+            )
+            assert blocked.bit_generator.state == scalar.bit_generator.state
