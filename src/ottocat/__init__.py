@@ -58,7 +58,6 @@ from .discrete import (
     clausius_check,
     heat_stroke,
     permutation_matrix,
-    probability_flows,
     run_cycle,
     solve_catalyst,
 )
@@ -92,7 +91,6 @@ from .qstate import (
     partial_trace,
     tensor,
     tensor_all,
-    von_neumann_entropy,
 )
 from .verify import CheckResult, format_report, run_suite
 
@@ -109,7 +107,6 @@ __all__ = [
     "tensor_all",
     "partial_trace",
     "expectation",
-    "von_neumann_entropy",
     # engine construction
     "BathParams",
     "SwapPair",
@@ -127,7 +124,6 @@ __all__ = [
     "CycleReport",
     "permutation_matrix",
     "build_initial_state",
-    "probability_flows",
     "heat_stroke",
     "solve_catalyst",
     "run_cycle",

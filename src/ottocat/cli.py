@@ -4,7 +4,7 @@ Four subcommands::
 
     ottocat discrete   --config run.ini [--output rows.csv]
     ottocat continuous --config run.ini [--output rows.csv]
-    ottocat sweep      --config run.ini [--output rows.csv] [--threads N]
+    ottocat sweep      --config run.ini [--output rows.csv]
     ottocat verify     [--seed N] [--points N] [--output report.txt]
 
 Configs are flat UTF-8 ``key = value`` files with sections (see the
@@ -14,9 +14,9 @@ are hard errors: a config that does not parse cleanly never half-runs.
 Every data subcommand emits the same CSV column contract (header row,
 comma separated, floats with 17 significant digits, LF line endings,
 ``NA`` for fields that are undefined or not computed by that
-subcommand).  Sweep rows are computed as independent tasks on a worker
-pool and sorted by (sweep value, engine) before writing, so the bytes do
-not depend on scheduling or thread count.
+subcommand).  Sweep rows are computed one after another in (sweep value,
+engine) order.  ``--threads`` is still accepted, for old scripts, and has
+no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
 error.
@@ -28,9 +28,7 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import analytic, continuous, discrete
@@ -138,14 +136,13 @@ class SweepAxis:
 @dataclass(frozen=True)
 class RunConfig:
     engines: tuple[str, ...]
-    seed: int
     fixed: FixedParams | None
     sweep: SweepAxis | None
     columns: tuple[str, ...]
 
 
 _ALLOWED_KEYS = {
-    "run": {"engine", "seed"},
+    "run": {"engine"},
     "fixed": {
         "beta_h_omega_h",
         "beta_c_over_beta_h",
@@ -213,15 +210,6 @@ def load_config(path: str, command: str) -> RunConfig:
         raise ConfigError("key 'engine' in section [run] names no engines")
     if len(set(engines)) != len(engines):
         raise ConfigError("duplicate engine in section [run]")
-
-    seed = 0
-    if "seed" in parser["run"]:
-        try:
-            seed = int(parser["run"]["seed"])
-        except ValueError:
-            raise ConfigError("key 'seed' in section [run] is not an integer") from None
-        if seed < 0:
-            raise ConfigError("key 'seed' in section [run] must be >= 0")
 
     is_family = [token in FAMILY_KINDS for token in engines]
     if any(is_family) and not all(is_family):
@@ -345,7 +333,7 @@ def load_config(path: str, command: str) -> RunConfig:
         columns = requested
 
     return RunConfig(
-        engines=engines, seed=seed, fixed=fixed, sweep=sweep, columns=columns
+        engines=engines, fixed=fixed, sweep=sweep, columns=columns
     )
 
 
@@ -609,34 +597,29 @@ def _sweep_values(axis: SweepAxis) -> list[float]:
     return [axis.start + i * step for i in range(axis.points)]
 
 
-def cmd_sweep(config: RunConfig, output: str | None = None, threads: int = 0) -> int:
-    """Both-picture rows over the swept parameter, deterministically ordered."""
+def cmd_sweep(config: RunConfig, output: str | None = None) -> int:
+    """Both-picture rows over the swept parameter, sorted by (value, engine)."""
     axis = config.sweep
     fixed = config.fixed
-    tasks = [
+    rows = []
+    for value, token in sorted(
         (value, token) for value in _sweep_values(axis) for token in config.engines
-    ]
-
-    def compute(task: tuple[float, str]) -> tuple[float, str, dict[str, object]]:
-        value, token = task
+    ):
         if axis.parameter == "eta":
             family = _family(token, fixed, fixed.g_tau_eq)
             eta = value
         else:
             family = _family(token, fixed, value)
             eta = fixed.eta
-        return value, token, build_row(token, family.spec_at(eta), eta, "both")
-
-    max_workers = threads if threads > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(compute, tasks))
-    results.sort(key=lambda item: (item[0], item[1]))
-    _write_csv([row for _, _, row in results], config.columns, output)
+        rows.append(build_row(token, family.spec_at(eta), eta, "both"))
+    _write_csv(rows, config.columns, output)
     return 0
 
 
 def cmd_verify(seed: int, n_points: int, output: str | None = None) -> int:
     """Run the oracle suite; exit 0 only if every check passes."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if n_points < 1:
         raise ConfigError(f"--points must be >= 1, got {n_points}")
     results = verify_mod.run_suite(seed=seed, n_points=n_points)
@@ -675,7 +658,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--threads",
                 type=int,
                 default=0,
-                help="worker threads (0 = one per CPU)",
+                help="accepted for compatibility; has no effect",
             )
     v = sub.add_parser("verify", help="run the oracle suite")
     v.add_argument("--seed", type=int, default=1234)
@@ -694,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_discrete(config, args.output)
         if args.command == "continuous":
             return cmd_continuous(config, args.output)
-        return cmd_sweep(config, args.output, args.threads)
+        return cmd_sweep(config, args.output)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,6 @@ __all__ = [
     "tensor_all",
     "partial_trace",
     "expectation",
-    "von_neumann_entropy",
 ]
 
 #: Max-abs tolerance on rho - rho^dagger for a valid density matrix.
@@ -232,18 +231,3 @@ def expectation(obs: Operator, rho: DensityMatrix) -> complex:
     # Tr[A B] = sum_{ij} A_ij B_ji without forming the product.
     return complex(np.sum(obs.entries * rho.matrix.T))
 
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr[rho ln rho] in nats, with 0 ln 0 := 0.
-
-    Uses a Hermitian eigensolver; eigenvalues are clamped to [0, 1] after
-    checking they do not undershoot :data:`EIGENVALUE_FLOOR`, which keeps
-    tiny negative round-off from producing NaNs.
-    """
-    mat = rho.matrix
-    eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if float(eigs.min()) < EIGENVALUE_FLOOR:
-        raise ValueError(f"state has negative eigenvalue {eigs.min():.3e}")
-    eigs = np.clip(eigs, 0.0, 1.0)
-    nonzero = eigs[eigs > 0.0]
-    return float(-np.sum(nonzero * np.log(nonzero)))

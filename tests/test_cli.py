@@ -17,7 +17,6 @@ from ottocat import analytic, cli, verify
 BASE_CONFIG = """\
 [run]
 engine = otto, qubit_catalyst
-seed = 7
 
 [fixed]
 beta_h_omega_h = 0.1
@@ -88,6 +87,14 @@ class TestConfigParsing:
         assert code == 2
         err = capsys.readouterr().err
         assert "gama" in err and "[fixed]" in err
+
+    def test_run_seed_is_an_unknown_key(self, tmp_path, capsys):
+        config = write(
+            tmp_path / "run.ini",
+            BASE_CONFIG.replace("qubit_catalyst\n", "qubit_catalyst\nseed = 7\n"),
+        )
+        assert cli.main(["discrete", "--config", config]) == 2
+        assert "unknown key 'seed' in section [run]" in capsys.readouterr().err
 
     def test_unknown_section_is_named(self, tmp_path, capsys):
         config = write(tmp_path / "run.ini", BASE_CONFIG + "\n[extra]\nx = 1\n")
@@ -214,6 +221,31 @@ class TestSweep:
         keys = [(float(row["eta"]), row["engine"]) for row in rows]
         assert keys == sorted(keys)
 
+    def test_rows_are_sorted_whatever_the_engine_order_in_the_config(self, tmp_path):
+        config = write(
+            tmp_path / "run.ini",
+            SWEEP_CONFIG.replace("engine = otto, qubit_catalyst", "engine = qubit_catalyst, otto"),
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 0
+        keys = [(float(row["eta"]), row["engine"]) for row in read_rows(out)]
+        assert len(keys) == 10
+        assert keys == sorted(keys)
+
+    def test_repeated_sweep_values_group_rows_by_engine(self, tmp_path):
+        # start == stop with several points repeats one value; rows stay
+        # sorted by (value, engine), so each engine's rows come together.
+        config = write(
+            tmp_path / "run.ini",
+            SWEEP_CONFIG.replace("start = 0.05", "start = 0.4")
+            .replace("stop = 0.85", "stop = 0.4")
+            .replace("points = 5", "points = 2"),
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 0
+        engines = [row["engine"] for row in read_rows(out)]
+        assert engines == ["otto", "otto", "qubit_catalyst", "qubit_catalyst"]
+
     def test_single_point_sweep_emits_header_plus_one_row_per_engine(self, tmp_path):
         config = write(
             tmp_path / "run.ini",
@@ -338,6 +370,10 @@ class TestVerifySubcommand:
     def test_zero_points_is_a_usage_error(self, capsys):
         assert cli.main(["verify", "--points", "0"]) == 2
         assert "points" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():

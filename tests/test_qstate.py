@@ -18,7 +18,6 @@ from ottocat.qstate import (
     partial_trace,
     tensor,
     tensor_all,
-    von_neumann_entropy,
 )
 
 THREE_QUBITS = HilbertLayout((2, 2, 2))
@@ -172,13 +171,3 @@ class TestExpectationAndEntropy:
         rho = gibbs_qubit(beta=1.0, omega=math.log(2.0))
         number = Operator(rho.layout, np.diag([0.0, 1.0]))
         assert math.isclose(expectation(number, rho).real, 1 / 3, rel_tol=1e-14)
-
-    def test_entropy_of_known_state(self):
-        rho = gibbs_qubit(beta=1.0, omega=math.log(2.0))
-        expected = math.log(3.0) - (2 / 3) * math.log(2.0)
-        assert math.isclose(von_neumann_entropy(rho), expected, rel_tol=1e-12)
-
-    def test_entropy_of_pure_state_is_zero(self):
-        layout = HilbertLayout((2,))
-        rho = DensityMatrix(Operator(layout, np.diag([1.0, 0.0])))
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)

@@ -115,3 +115,25 @@ def test_tradeoff_check_names_its_worst_sample(monkeypatch, sample):
     g = 10.0 ** replay.uniform(-1.0, 1.0)
     assert not result.passed
     assert result.detail.endswith(f"; worst sample (a_h, a_c, g) = {(a_h, a_c, g)!r}")
+
+
+@pytest.mark.parametrize(
+    "field, shift",
+    [("q_hot", 1e-9), ("q_cold", -1e-9), ("catalyst_residual", 1e-9)],
+)
+def test_two_stroke_check_holds_the_emitted_cycle_to_the_operator_route(
+    monkeypatch, field, shift
+):
+    # Check 8 recomputes the cycle along the operator route: a population
+    # route that drifts from it in any one emitted field fails the check.
+    assert verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5))).passed
+    run_cycle = verify.discrete.run_cycle
+
+    def drifted(spec, catalyst=None):
+        report = run_cycle(spec, catalyst)
+        return dataclasses.replace(report, **{field: getattr(report, field) + shift})
+
+    monkeypatch.setattr(verify.discrete, "run_cycle", drifted)
+    result = verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5)))
+    assert not result.passed
+    assert result.worst == pytest.approx(abs(shift), rel=1e-3)
