@@ -19,6 +19,8 @@ transpose.
 The stationary state is found twice — by a trace-normalized bordered
 solve of the full generator, and as a kernel eigenvector — and the two
 must agree, so a silent drift into a wrong subspace cannot go unnoticed.
+The bordered solve is refined in extended precision on the block of
+|0><0| alone, the only block its solution lives on.
 Heat currents are likewise computed along two routes (energy-difference
 sums over the pair transfer rates vs. adjoint dissipators applied to the
 energy operators) and cross-checked on every call.
@@ -44,7 +46,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine_spec import BathParams, EngineSpec, energy_differences, hamiltonians
+from .engine_spec import (
+    BathParams,
+    EngineSpec,
+    catalyst_weights,
+    energy_differences,
+    level_table,
+)
 from .qstate import DensityMatrix, HilbertLayout, Operator, expectation
 
 __all__ = [
@@ -257,16 +265,33 @@ def _normalize_state(mat: np.ndarray) -> np.ndarray:
     return herm / np.trace(herm).real
 
 
-def _refined_bordered_solve(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with two steps of iterative refinement, computing residuals
-    in extended precision so stiff generators (fast rates next to a slow
-    transfer mode) still yield currents accurate near machine level."""
+def _refined_bordered_solve(
+    bordered: np.ndarray, rhs: np.ndarray, main: np.ndarray
+) -> np.ndarray:
+    """Solve the bordered system, refining on the block of |0><0|.
+
+    One LU solve of the full matrix, then two steps of iterative
+    refinement with residuals in extended precision, so stiff generators
+    (fast rates next to a slow transfer mode) still yield currents
+    accurate near machine level.  ``main`` holds the indices of the
+    block of |0><0|, which carries the trace row and the right-hand
+    side.  Partial pivoting never mixes blocks that no entry couples, so
+    the full solve is exactly zero off ``main`` (checked on every call),
+    the residual vanishes there, and both refinement steps run on the
+    ``main`` block alone: only it is cast to extended precision and
+    factorized again.
+    """
     solution = np.linalg.solve(bordered, rhs)
-    bordered_ld = bordered.astype(np.clongdouble)
-    rhs_ld = rhs.astype(np.clongdouble)
+    block = solution[main]
+    if np.count_nonzero(block) != np.count_nonzero(solution):
+        raise AssertionError("bordered solve is nonzero outside the block of |0><0|")
+    sub = bordered[main[:, None], main]
+    sub_ld = sub.astype(np.clongdouble)
+    rhs_ld = rhs[main].astype(np.clongdouble)
     for _ in range(2):
-        residual = rhs_ld - bordered_ld @ solution.astype(np.clongdouble)
-        solution = solution + np.linalg.solve(bordered, residual.astype(complex))
+        residual = rhs_ld - sub_ld @ block.astype(np.clongdouble)
+        block = block + np.linalg.solve(sub, residual.astype(complex))
+    solution[main] = block
     return solution
 
 
@@ -355,7 +380,8 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
 
     The returned state comes from the better-conditioned route: one
     generator row replaced by the trace constraint, solved on the full
-    generator with extended-precision iterative refinement.  The kernel
+    generator, then refined in extended precision on the block of
+    |0><0|, which holds the whole solution.  The kernel
     eigenvector of the |0><0| block is kept as an independent
     cross-check and must agree elementwise to ``SOLVER_CROSS_TOL``.
 
@@ -392,7 +418,7 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
     try:
-        solved = _refined_bordered_solve(bordered, rhs)
+        solved = _refined_bordered_solve(bordered, rhs, main)
     except np.linalg.LinAlgError as exc:
         raise ValueError("non-ergodic Liouvillian: steady state not unique") from exc
     rho_lin = _normalize_state(_unvec(solved, dim))
@@ -461,12 +487,14 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
 
     Heat currents and power are summed over the pair transfer rates,
     J_k = sum_i d_eps_i^k <n_i> and P = sum_i Omega_i <n_i>.  Each bath's
-    dissipator is built once; its adjoint yields both the independent
-    heat route <D_k^+[H_0k + V0]> and the interaction term <D_k^+[V0]>,
-    which enters the entropy production
+    adjoint dissipator D_k^+ is formed once, as a matrix, and applied to
+    vec(H_0k + V0) and vec(V0): the first gives the independent heat
+    route <D_k^+[H_0k + V0]>, the second the interaction term
+    <D_k^+[V0]>, which enters the entropy production
     sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).  The catalyst flow of
     level m is the signed net transfer rate
-    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.
+    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.  Level energies
+    and catalyst levels come from the layout's :func:`level_table`.
     """
     currents = probability_currents(spec, rho_ss)
     j_hot = 0.0
@@ -478,30 +506,35 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
         j_cold += en.d_eps_c * currents[i]
         power += en.omega_i * currents[i]
 
-    h0h, h0c = hamiltonians(spec)
-    v0 = build_interaction(spec)
+    dims = spec.layout.factor_dims
+    dim = spec.dim
+    levels = level_table(dims)
+    v0 = _vec(build_interaction(spec).entries)
+    rho_t = rho_ss.matrix.T
     adjoint_heat = []
     int_vanish = []
     sigma = 0.0
-    for label, bath, h0k, j_k in (
-        ("hot", spec.hot, h0h, j_hot),
-        ("cold", spec.cold, h0c, j_cold),
+    for label, bath, excitation, j_k in (
+        ("hot", spec.hot, levels.hot, j_hot),
+        ("cold", spec.cold, levels.cold, j_cold),
     ):
-        adj = build_dissipator(bath, label, spec.layout).adjoint()
-        target = Operator(spec.layout, h0k.entries + v0.entries)
-        adjoint_heat.append(expectation(adj.apply(target), rho_ss))
-        int_term = expectation(adj.apply(v0), rho_ss)
+        raising, lowering = _bath_jumps(dims, label)
+        adjoint = np.ascontiguousarray(
+            (bath.gamma_plus * raising + bath.gamma_minus * lowering).conj().T
+        )
+        target = v0.copy()
+        target[:: dim + 1] += bath.omega * excitation  # the diagonal of H_0k
+        # Tr[A rho] summed as expectation() sums it, without an Operator.
+        adjoint_heat.append(complex(np.sum(_unvec(adjoint @ target, dim) * rho_t)))
+        int_term = complex(np.sum(_unvec(adjoint @ v0, dim) * rho_t))
         int_vanish.append(float(abs(int_term)))
         sigma -= bath.beta * (j_k - int_term.real)
 
-    layout = spec.layout
     cat_flow = []
-    for level in range(spec.catalyst_dim):
+    for weights in catalyst_weights(spec):
         net = 0.0
-        for i, pair in enumerate(spec.swaps):
-            s_u = layout.factor_indices(pair.u)[0]
-            s_d = layout.factor_indices(pair.d)[0]
-            net += ((1.0 if s_u == level else 0.0) - (1.0 if s_d == level else 0.0)) * currents[i]
+        for i, weight in enumerate(weights):
+            net += weight * currents[i]
         cat_flow.append(float(net))
 
     return _Exchange(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine_spec import EngineSpec, energy_differences, hamiltonians
+from .engine_spec import EngineSpec, energy_differences, level_table
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
@@ -189,12 +189,19 @@ def _pair_flows(spec: EngineSpec, p0: np.ndarray) -> np.ndarray:
     return np.array([p0[pair.u] - p0[pair.d] for pair in spec.swaps])
 
 
-def _marginal_gap(spec: EngineSpec, p0: np.ndarray, p1: np.ndarray) -> float:
-    """Max change of the catalyst marginal over the work stroke, summing
-    out hot then cold, in the order of :func:`~ottocat.qstate.partial_trace`."""
+def _catalyst_marginals(
+    spec: EngineSpec, p0: np.ndarray, p1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Catalyst marginal before and after the work stroke, summing out hot
+    then cold, in the order of :func:`~ottocat.qstate.partial_trace`."""
     shape = spec.layout.factor_dims
-    before = p0.reshape(shape).sum(axis=1).sum(axis=1)
-    after = p1.reshape(shape).sum(axis=1).sum(axis=1)
+    return (
+        p0.reshape(shape).sum(axis=1).sum(axis=1),
+        p1.reshape(shape).sum(axis=1).sum(axis=1),
+    )
+
+
+def _max_gap(before: np.ndarray, after: np.ndarray) -> float:
     return float(np.max(np.abs(after - before)))
 
 
@@ -213,44 +220,31 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
     For degenerate systems the minimum-norm solution is returned.
     """
     d_s = spec.catalyst_dim
-    layout = spec.layout
+    levels = level_table(spec.layout.factor_dims)
     w_h = _gibbs_weights(spec.hot.gibbs_factor)
     w_c = _gibbs_weights(spec.cold.gibbs_factor)
 
     # delta_p_i = row_i . q with row built from the bath Gibbs weights.
     n_pairs = len(spec.swaps)
+    u_levels = levels.catalyst[[pair.u for pair in spec.swaps]].tolist()
+    d_levels = levels.catalyst[[pair.d for pair in spec.swaps]].tolist()
+    hot, cold = levels.hot, levels.cold
     flow_rows = np.zeros((n_pairs, d_s))
-    u_levels = np.zeros(n_pairs, dtype=int)
-    d_levels = np.zeros(n_pairs, dtype=int)
     for i, pair in enumerate(spec.swaps):
-        s_u, h_u, c_u = layout.factor_indices(pair.u)
-        s_d, h_d, c_d = layout.factor_indices(pair.d)
-        flow_rows[i, s_u] += w_h[h_u] * w_c[c_u]
-        flow_rows[i, s_d] -= w_h[h_d] * w_c[c_d]
-        u_levels[i], d_levels[i] = s_u, s_d
+        flow_rows[i, u_levels[i]] += w_h[hot[pair.u]] * w_c[cold[pair.u]]
+        flow_rows[i, d_levels[i]] -= w_h[hot[pair.d]] * w_c[cold[pair.d]]
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
     # (i) equal flows across consecutive pairs.
-    for i in range(n_pairs - 1):
-        rows.append(flow_rows[i] - flow_rows[i + 1])
-        rhs.append(0.0)
+    equal = flow_rows[:-1] - flow_rows[1:]
     # (ii) zero net flow through each catalyst level.
-    for s in range(d_s):
-        row = np.zeros(d_s)
-        for i in range(n_pairs):
-            if d_levels[i] == s:
-                row += flow_rows[i]
-            if u_levels[i] == s:
-                row -= flow_rows[i]
-        rows.append(row)
-        rhs.append(0.0)
+    balance = np.zeros((d_s, d_s))
+    for i in range(n_pairs):
+        balance[d_levels[i]] += flow_rows[i]
+        balance[u_levels[i]] -= flow_rows[i]
     # (iii) normalization.
-    rows.append(np.ones(d_s))
-    rhs.append(1.0)
-
-    a_mat = np.vstack(rows)
-    b_vec = np.asarray(rhs)
+    a_mat = np.concatenate([equal, balance, np.ones((1, d_s))])
+    b_vec = np.zeros(len(a_mat))
+    b_vec[-1] = 1.0
     q, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(np.max(np.abs(a_mat @ q - b_vec)))
     if residual > CATALYST_SOLVE_TOL:
@@ -263,14 +257,15 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
             "no simple-permutation catalyst exists for this spec "
             f"(solution has negative population {q.min():.3e})"
         )
-    catalyst = CatalystState(tuple(np.clip(q, 0.0, None) / np.sum(np.clip(q, 0.0, None))))
+    q = np.clip(q, 0.0, None)
+    catalyst = CatalystState(tuple(q / np.sum(q)))
 
     # Post-check on the actual cycle: equal flows and a restored marginal.
     p0, p1 = _populations(spec, catalyst)
     flows = _pair_flows(spec, p0)
     if n_pairs > 1 and float(np.max(np.abs(flows - flows[0]))) > CATALYST_SOLVE_TOL:
         raise ValueError("catalyst solve left unequal pair flows; spec is inconsistent")
-    if _marginal_gap(spec, p0, p1) > CATALYST_SOLVE_TOL:
+    if _max_gap(*_catalyst_marginals(spec, p0, p1)) > CATALYST_SOLVE_TOL:
         raise ValueError("catalyst solve failed to restore the catalyst marginal")
     return catalyst
 
@@ -290,10 +285,10 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
 
     # Level energies times population changes, summed in complex like the
     # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes.
-    h0h, h0c = hamiltonians(spec)
+    levels = level_table(spec.layout.factor_dims)
     diff = p0 - p1
-    q_hot = float(np.sum(h0h.entries.diagonal() * diff).real)
-    q_cold = float(np.sum(h0c.entries.diagonal() * diff).real)
+    q_hot = float(np.sum((spec.hot.omega * levels.hot).astype(complex) * diff).real)
+    q_cold = float(np.sum((spec.cold.omega * levels.cold).astype(complex) * diff).real)
 
     # Cross-check against the pairwise energy-difference form.
     q_hot_pairs = 0.0
@@ -317,7 +312,8 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
     efficiency = None if q_hot == 0.0 else work / q_hot
     regime = "engine" if (work > 0.0 and q_hot > 0.0) else "non_engine"
 
-    margin = clausius_check(spec, q_hot, q_cold)
+    marginals = _catalyst_marginals(spec, p0, p1)
+    margin = clausius_check(spec, q_hot, q_cold, catalyst_marginals=marginals)
     return CycleReport(
         delta_p=tuple(float(x) for x in flows),
         q_hot=q_hot,
@@ -325,22 +321,50 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
         work=work,
         efficiency=efficiency,
         clausius_margin=margin,
-        catalyst_residual=_marginal_gap(spec, p0, p1),
+        catalyst_residual=_max_gap(*marginals),
         regime=regime,
     )
 
 
-def clausius_check(
-    spec: EngineSpec, q_hot: float, q_cold: float, tol: float = CLAUSIUS_TOL
-) -> float:
-    """Second-law margin -(beta_h Q_h + beta_c Q_c); raises if negative.
+def _shannon_entropy(p: np.ndarray) -> float:
+    """-sum p log p over the nonzero entries of a population vector."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)))
 
-    The margin equals the entropy dumped into the baths per cycle and
-    must be nonnegative for any stroke built from a unitary plus
-    rethermalization; a violation beyond ``tol`` indicates a bug, not
-    physics, hence ``AssertionError``.
+
+def clausius_check(
+    spec: EngineSpec,
+    q_hot: float,
+    q_cold: float,
+    tol: float = CLAUSIUS_TOL,
+    catalyst_marginals: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """Second-law margin -(beta_h Q_h + beta_c Q_c); raises if the second
+    law is violated.
+
+    The margin is the entropy the baths take up per cycle.  A unitary
+    stroke on a product state cannot lower the summed entropies of the
+    marginals (subadditivity), and a bath qubit starting in its Gibbs
+    state gains at most -beta_k Q_k of entropy, so
+
+        -(beta_h Q_h + beta_c Q_c) + dS_cat >= 0,
+
+    where dS_cat is the entropy change of the catalyst marginal over the
+    work stroke, given as ``catalyst_marginals = (before, after)``
+    population vectors.  It is zero when the stroke restores the
+    catalyst, and is evaluated only when the margin alone is below
+    ``-tol``.  A violation beyond ``tol`` indicates a bug, not physics,
+    hence ``AssertionError``.  Returns the margin without dS_cat.
     """
     margin = -(spec.hot.beta * q_hot + spec.cold.beta * q_cold)
     if margin < -tol:
-        raise AssertionError(f"second-law margin is negative: {margin:.3e}")
+        d_s_cat = 0.0
+        if catalyst_marginals is not None:
+            before, after = catalyst_marginals
+            d_s_cat = _shannon_entropy(after) - _shannon_entropy(before)
+        if margin + d_s_cat < -tol:
+            raise AssertionError(
+                f"second-law margin is negative: {margin:.3e} "
+                f"(catalyst entropy change {d_s_cat:.3e})"
+            )
     return margin

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,15 @@ __all__ = [
     "SwapPair",
     "EngineSpec",
     "PairEnergetics",
+    "LevelTable",
     "otto_spec",
     "otto_spec_from_baths",
     "qubit_catalyst_spec",
     "qubit_catalyst_spec_from_baths",
     "energy_differences",
     "hamiltonians",
+    "level_table",
+    "catalyst_weights",
     "validate",
 ]
 
@@ -220,6 +224,46 @@ def qubit_catalyst_spec(
     hot = BathParams(beta_h, omega_h, gamma_h_plus, gamma_h_minus)
     cold = BathParams(beta_c, omega_c, gamma_c_plus, gamma_c_minus)
     return qubit_catalyst_spec_from_baths(hot, cold, g)
+
+
+class LevelTable(NamedTuple):
+    """Factor indices of every flat basis index |s h c> of one layout.
+
+    ``catalyst``, ``hot`` and ``cold`` hold s, h and c per flat index, so
+    the bare level energies are ``omega_h * hot`` and ``omega_c * cold``.
+    ``incidence[m, n]`` is 1.0 where flat index n sits on catalyst level
+    m and 0.0 elsewhere.
+    """
+
+    catalyst: np.ndarray
+    hot: np.ndarray
+    cold: np.ndarray
+    incidence: np.ndarray
+
+
+@functools.cache
+def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
+    """The :class:`LevelTable` of a (catalyst, hot, cold) layout.
+
+    Built once per layout, on first use, and handed out read-only.
+    """
+    if len(factor_dims) != 3:
+        raise ValueError(f"expected a (catalyst, hot, cold) layout, got {factor_dims}")
+    catalyst, hot, cold = np.indices(factor_dims).reshape(3, -1)
+    incidence = (catalyst == np.arange(factor_dims[0])[:, None]).astype(float)
+    table = LevelTable(catalyst, hot, cold, incidence)
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def catalyst_weights(spec: EngineSpec) -> list[list[float]]:
+    """indicator_m(u_i) - indicator_m(d_i) at ``[m][i]``: +1.0 when swap
+    pair i leaves catalyst level m through u_i, -1.0 through d_i."""
+    incidence = level_table(spec.layout.factor_dims).incidence
+    u = [pair.u for pair in spec.swaps]
+    d = [pair.d for pair in spec.swaps]
+    return (incidence[:, u] - incidence[:, d]).tolist()
 
 
 def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:

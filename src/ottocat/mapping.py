@@ -28,6 +28,7 @@ from . import continuous, discrete
 from .engine_spec import (
     BathParams,
     EngineSpec,
+    catalyst_weights,
     energy_differences,
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
@@ -272,13 +273,11 @@ def table_correspondence_residuals(spec: EngineSpec) -> dict[str, float]:
     else:
         out["efficiency"] = _relative_gap(cycle.efficiency, ss.efficiency)
 
-    layout = spec.layout
-    for level, net_c in enumerate(ss.catalysis_residuals):
+    for level, (net_c, weights) in enumerate(
+        zip(ss.catalysis_residuals, catalyst_weights(spec))
+    ):
         net_d = 0.0
-        for i, pair in enumerate(spec.swaps):
-            s_u = layout.factor_indices(pair.u)[0]
-            s_d = layout.factor_indices(pair.d)[0]
-            weight = (1.0 if s_u == level else 0.0) - (1.0 if s_d == level else 0.0)
+        for i, weight in enumerate(weights):
             net_d += weight * cycle.delta_p[i]
         out[f"catalyst_balance_discrete_{level}"] = abs(net_d)
         out[f"catalyst_balance_continuous_{level}"] = abs(net_c) * tau

@@ -379,9 +379,9 @@ class TestVerifySubcommand:
 def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
     probe = (
         "import sys, ottocat.cli\n"
-        "from ottocat import continuous as c\n"
+        "from ottocat import continuous as c, engine_spec as e\n"
         "sizes = [f.cache_info().currsize for f in "
-        "(c._bath_jumps, c._swap_commutator, c._kernel_blocks)]\n"
+        "(c._bath_jumps, c._swap_commutator, c._kernel_blocks, e.level_table)]\n"
         "print(sizes, 'scipy' in sys.modules)\n"
     )
     src = str(Path(ottocat.__file__).resolve().parents[1])
@@ -393,4 +393,4 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert done.stdout.split("\n")[0] == "[0, 0, 0] False"
+    assert done.stdout.split("\n")[0] == "[0, 0, 0, 0] False"

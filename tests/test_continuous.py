@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, continuous, verify
+from ottocat import analytic, cli, continuous, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
@@ -42,6 +44,8 @@ from ottocat.qstate import (
 from ottocat.verify import sample_grid
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
+
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_power_sweep.ini"
 
 
 def bath_from_factor(a: float, omega: float = 1.0, tau_eq: float = 1.0) -> BathParams:
@@ -446,6 +450,119 @@ class TestBlockCertificate:
             stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
 
 
+def full_refinement_state(liouvillian: Superoperator) -> np.ndarray:
+    """The bordered solve refined on the whole generator: three solves of
+    the full matrix, all of it cast to extended precision."""
+    mat = liouvillian.matrix
+    dim = liouvillian.dim
+    bordered = mat.copy()
+    bordered[0, :] = 0.0
+    bordered[0, :: dim + 1] = 1.0
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    solution = np.linalg.solve(bordered, rhs)
+    bordered_ld = bordered.astype(np.clongdouble)
+    rhs_ld = rhs.astype(np.clongdouble)
+    for _ in range(2):
+        residual = rhs_ld - bordered_ld @ solution.astype(np.clongdouble)
+        solution = solution + np.linalg.solve(bordered, residual.astype(complex))
+    return continuous._normalize_state(solution.reshape((dim, dim), order="F"))
+
+
+def ladder_spec(d: int, hot: BathParams, cold: BathParams) -> EngineSpec:
+    """d - 1 swaps |k+1,0,0> <-> |k,1,0> climb the catalyst with hot quanta,
+    and |0,0,1> <-> |d-1,1,0> closes the cycle against the cold qubit."""
+    layout = HilbertLayout((d, 2, 2))
+    pairs = [
+        SwapPair(layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0), 1.0)
+        for k in range(d - 1)
+    ]
+    pairs.append(SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0), 1.0))
+    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=tuple(pairs))
+
+
+def golden_specs() -> list[EngineSpec]:
+    """Every spec of the golden sweep."""
+    config = cli.load_config(str(GOLDEN_CONFIG), "sweep")
+    return [
+        cli._family(token, config.fixed, config.fixed.g_tau_eq).spec_at(eta)
+        for eta in cli._sweep_values(config.sweep)
+        for token in config.engines
+    ]
+
+
+def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):
+    """(<D_k^+[H_0k + V0]>, <D_k^+[V0]>) per bath through Superoperator
+    adjoints, Operators and ``expectation``."""
+    v0 = build_interaction(spec)
+    heat, interaction = [], []
+    for (label, bath), h0k in zip((("hot", spec.hot), ("cold", spec.cold)), hamiltonians(spec)):
+        adj = build_dissipator(bath, label, spec.layout).adjoint()
+        target = Operator(spec.layout, h0k.entries + v0.entries)
+        heat.append(expectation(adj.apply(target), rho_ss))
+        interaction.append(float(abs(expectation(adj.apply(v0), rho_ss))))
+    return tuple(heat), tuple(interaction)
+
+
+def report_fields(report: continuous.SteadyStateReport) -> dict:
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "rho_ss"}
+
+
+class TestBlockRefinement:
+    """Refinement on the block of |0><0| against refinement on the whole
+    generator, and the matrix audit against the operator route."""
+
+    def specs(self) -> list[EngineSpec]:
+        hot = bath_from_factor(0.7)
+        cold = bath_from_factor(0.3, omega=2.0)
+        return [
+            *certificate_specs(),
+            *golden_specs(),
+            ladder_spec(3, hot, cold),
+            ladder_spec(3, cold, hot),
+        ]
+
+    @staticmethod
+    def both_refinements(spec: EngineSpec):
+        report = steady_state_report(spec)
+        rho_full = full_refinement_state(build_liouvillian(spec))
+        full = currents_and_power(
+            spec, DensityMatrix(Operator(spec.layout, rho_full)), report.spectral_gap
+        )
+        return report, full
+
+    def test_reports_equal_the_full_refinement_exactly(self):
+        specs = self.specs()
+        assert len(specs) >= 800
+        for spec in specs:
+            report, full = self.both_refinements(spec)
+            assert np.array_equal(report.rho_ss.matrix, full.rho_ss.matrix)
+            assert report_fields(full) == report_fields(report)
+            heat, interaction = operator_route_audit(spec, report.rho_ss)
+            exchange = continuous._exchange(spec, report.rho_ss)
+            assert exchange.adjoint_heat == heat
+            assert exchange.int_vanish == interaction
+
+    def test_round_off_coherences_may_move_in_their_last_bit(self):
+        # The third pair of this qutrit spec carries no current; its
+        # coherence is round-off (about 1e-18), and the two refinements
+        # may round it differently.  Every other field stays bit-identical.
+        report, full = self.both_refinements(spec_with_catalyst(3))
+        assert np.max(np.abs(report.rho_ss.matrix - full.rho_ss.matrix)) <= 1e-30
+        assert abs(report.currents[2]) <= 1e-15
+        assert report.currents[:2] == full.currents[:2]
+        for name in ("j_hot", "j_cold", "power", "entropy_production", "clausius_margin"):
+            assert getattr(report, name) == getattr(full, name)
+
+    def test_a_solve_that_leaves_the_block_raises(self):
+        # An identity bordered system puts the right-hand side wherever it
+        # is nonzero; one entry outside ``main`` must trip the check.
+        rhs = np.zeros(16, dtype=complex)
+        rhs[0] = rhs[5] = 1.0
+        with pytest.raises(AssertionError, match="outside the block"):
+            continuous._refined_bordered_solve(np.eye(16, dtype=complex), rhs, np.array([0]))
+
+
 def exact_agreement_specs() -> dict[str, EngineSpec]:
     """Both built-in engines, a qutrit catalyst, and stiff points at
     g*tau_eq = 1e-2 and 1e3."""
@@ -509,8 +626,8 @@ class TestSolveOnce:
         dissipators = count_calls(monkeypatch, "build_dissipator")
         steady_state_report(catalyst_from_factors(0.5, 0.2))
         assert (len(builds), len(solves), len(measures)) == (1, 1, 1)
-        # Two inside the generator, then one per bath for the audit.
-        assert len(dissipators) == 4
+        # Both inside the generator; the audit reuses the cached jumps.
+        assert len(dissipators) == 2
 
     def test_verify_solves_each_spec_once(self, monkeypatch):
         builds = count_calls(monkeypatch, "build_liouvillian")

@@ -13,12 +13,15 @@ from ottocat.engine_spec import (
     BathParams,
     EngineSpec,
     SwapPair,
+    catalyst_weights,
     energy_differences,
     hamiltonians,
+    level_table,
     otto_spec,
     qubit_catalyst_spec,
     validate,
 )
+from ottocat.qstate import HilbertLayout
 
 betas = st.floats(min_value=0.01, max_value=5.0)
 omegas = st.floats(min_value=0.1, max_value=3.0)
@@ -155,3 +158,35 @@ class TestEnergetics:
             assert h_hot.entries[flat, flat] == pytest.approx(spec.hot.omega * n_h)
             assert h_cold.entries[flat, flat] == pytest.approx(spec.cold.omega * n_c)
         assert np.count_nonzero(h_hot.entries - np.diag(np.diag(h_hot.entries))) == 0
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
+    def test_table_equals_the_factor_indices(self, catalyst_dim):
+        layout = HilbertLayout((catalyst_dim, 2, 2))
+        table = level_table(layout.factor_dims)
+        for flat in range(layout.total_dim):
+            s, h, c = layout.factor_indices(flat)
+            assert (table.catalyst[flat], table.hot[flat], table.cold[flat]) == (s, h, c)
+            assert table.incidence[:, flat].tolist() == [
+                float(m == s) for m in range(catalyst_dim)
+            ]
+        for array in table:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_catalyst_weights_follow_each_pair_across_levels(self):
+        spec = catalyst_example()
+        level = [
+            (spec.layout.factor_indices(p.u)[0], spec.layout.factor_indices(p.d)[0])
+            for p in spec.swaps
+        ]
+        expected = [
+            [float(s_u == m) - float(s_d == m) for s_u, s_d in level]
+            for m in range(spec.catalyst_dim)
+        ]
+        assert catalyst_weights(spec) == expected == [[-1.0, 1.0], [1.0, -1.0]]
+
+    def test_layout_without_a_catalyst_factor_is_rejected(self):
+        with pytest.raises(ValueError, match="catalyst, hot, cold"):
+            level_table((2, 2))
