@@ -30,7 +30,6 @@ from .analytic import (
     cat_population,
     cat_tau,
     design_efficiencies,
-    efficiencies,
     one_minus_kappa,
     one_minus_zeta,
     otto_current,
@@ -68,9 +67,7 @@ from .engine_spec import (
     SwapPair,
     energy_differences,
     hamiltonians,
-    otto_spec,
     otto_spec_from_baths,
-    qubit_catalyst_spec,
     qubit_catalyst_spec_from_baths,
     validate,
 )
@@ -112,9 +109,7 @@ __all__ = [
     "SwapPair",
     "EngineSpec",
     "PairEnergetics",
-    "otto_spec",
     "otto_spec_from_baths",
-    "qubit_catalyst_spec",
     "qubit_catalyst_spec_from_baths",
     "hamiltonians",
     "energy_differences",
@@ -155,7 +150,6 @@ __all__ = [
     "one_minus_zeta",
     "one_minus_kappa",
     "design_efficiencies",
-    "efficiencies",
     # the bridge
     "EquivalenceReport",
     "EngineFamily",

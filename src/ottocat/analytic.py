@@ -16,7 +16,8 @@ transcription slip show up as a cross-validation failure instead of
 being silently absorbed.  The two exceptions are the catalytic
 denominator (see :func:`_cat_denominator`) and ``A_rate`` (see
 :func:`rate_constants`), whose printed shapes cancel in floating point;
-the tests keep those shapes as exact rational oracles.
+the tests keep those shapes, and the six rate ratios that only the
+printed denominator reads, as exact rational oracles.
 
 Naming note: the derivation reuses the letters A and B both for two rate
 combinations and (elsewhere) for the dimensionless trade-off
@@ -47,7 +48,6 @@ __all__ = [
     "one_minus_zeta",
     "one_minus_kappa",
     "design_efficiencies",
-    "efficiencies",
 ]
 
 #: Relative agreement required between the general characteristic time
@@ -93,23 +93,18 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class RateConstants:
-    """The eight rate combinations entering the catalytic current, with
-    the four jump rates they are formed from.
+    """The two rate combinations entering the catalytic current, with the
+    four jump rates they are formed from.
 
-    ``alpha1``, ``alpha2``, ``phi1``, ``phi2``, ``xi1``, ``xi2`` carry
-    units of inverse rate; ``A_rate`` and ``B_rate`` are rates;
-    ``a_h``/``a_c`` are the dimensionless Gibbs factors recovered from
-    the jump-rate ratios.  All are positive for positive input rates, and
-    ``B_rate`` is exactly the sum of the four jump rates.  Built from
-    arrays of rates, every field is an array of the same length.
+    ``A_rate`` and ``B_rate`` are rates; ``a_h``/``a_c`` are the
+    dimensionless Gibbs factors recovered from the jump-rate ratios.  All
+    are positive for positive input rates, and ``B_rate`` is exactly the
+    sum of the four jump rates.  The six inverse-rate ratios of the
+    printed denominator are not kept; see :func:`_cat_denominator`.
+    Built from arrays of rates, every field is an array of the same
+    length.
     """
 
-    alpha1: float
-    alpha2: float
-    phi1: float
-    phi2: float
-    xi1: float
-    xi2: float
     A_rate: float
     B_rate: float
     a_h: float
@@ -121,8 +116,7 @@ class RateConstants:
 
     def __post_init__(self) -> None:
         for name in (
-            "alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate",
-            "gamma_h_plus", "gamma_h_minus", "gamma_c_plus", "gamma_c_minus",
+            "A_rate", "B_rate", "gamma_h_plus", "gamma_h_minus", "gamma_c_plus", "gamma_c_minus",
         ):
             _require_positive(name, getattr(self, name))
         _require_gibbs_range("a_h", self.a_h)
@@ -143,11 +137,8 @@ class TauBreakdown:
     tau: float
     zeta: float | None
     kappa: float | None
-    regime_note: str
 
     def __post_init__(self) -> None:
-        if self.regime_note not in ("otto", "catalytic"):
-            raise ValueError(f"regime_note must be 'otto' or 'catalytic', got {self.regime_note!r}")
         _require_positive("tau", self.tau)
 
 
@@ -213,8 +204,8 @@ def otto_tau(big_gamma_h: float, big_gamma_c: float, g: float) -> TauBreakdown:
     )
     gap = abs(big_gamma_h - big_gamma_c)
     if _holds((gap <= 1e-12 * big_gamma_h) | (gap <= 1e-12 * big_gamma_c)):
-        return TauBreakdown(tau=tau, zeta=1.0, kappa=1.0, regime_note="otto")
-    return TauBreakdown(tau=tau, zeta=None, kappa=None, regime_note="otto")
+        return TauBreakdown(tau=tau, zeta=1.0, kappa=1.0)
+    return TauBreakdown(tau=tau, zeta=None, kappa=None)
 
 
 def cat_population(a_h: float, a_c: float) -> float:
@@ -246,18 +237,13 @@ def rate_constants(
     gamma_c_plus: float,
     gamma_c_minus: float,
 ) -> RateConstants:
-    """The eight combinations of jump rates entering the catalytic current.
+    """The two rate combinations entering the catalytic current.
 
-    With S = gamma_c_plus + gamma_c_minus + gamma_h_plus + gamma_h_minus:
-
-    * alpha1 = (g^c_- + g^h_-) / (g^h_+ S)
-    * alpha2 = (g^c_- + g^h_- + g^h_+) / (g^h_+ S)
-    * phi1   = (g^c_- + g^h_-)(g^c_+ + g^h_+) / (g^c_- g^h_+ S)
-    * phi2   = g^c_+ (g^c_- + g^h_-) / (g^c_- g^h_+ S)
-    * xi1    = (g^c_+ + g^h_+) / (g^c_- S)
-    * xi2    = g^c_+ / (g^c_- S)
     * A_rate = g^h_- + g^h_+ + 2 g^c_+ - 4 g^c_- g^c_+ / (g^h_- + g^h_+ + 2 g^c_-)
-    * B_rate = S
+    * B_rate = S = g^c_+ + g^c_- + g^h_+ + g^h_-
+
+    The six ratios alpha1, alpha2, phi1, phi2, xi1, xi2 of the printed
+    denominator are not formed: see :func:`_cat_denominator`.
 
     A_rate is evaluated as h (h + 2 g^c_- + 2 g^c_+) / (h + 2 g^c_-) with
     h = g^h_- + g^h_+, the same value without the subtraction, which
@@ -270,27 +256,10 @@ def rate_constants(
         ("gamma_c_minus", gamma_c_minus),
     ):
         _require_positive(name, val)
-    total = gamma_c_plus + gamma_c_minus + gamma_h_plus + gamma_h_minus
-    alpha1 = (gamma_c_minus + gamma_h_minus) / (gamma_h_plus * total)
-    alpha2 = (gamma_c_minus + gamma_h_minus + gamma_h_plus) / (gamma_h_plus * total)
-    phi1 = ((gamma_c_minus + gamma_h_minus) * (gamma_c_plus + gamma_h_plus)) / (
-        gamma_c_minus * gamma_h_plus * total
-    )
-    phi2 = (gamma_c_plus * (gamma_c_minus + gamma_h_minus)) / (
-        gamma_c_minus * gamma_h_plus * total
-    )
-    xi1 = (gamma_c_plus + gamma_h_plus) / (gamma_c_minus * total)
-    xi2 = gamma_c_plus / (gamma_c_minus * total)
     h = gamma_h_minus + gamma_h_plus
     a_rate = h * (h + 2.0 * gamma_c_minus + 2.0 * gamma_c_plus) / (h + 2.0 * gamma_c_minus)
     b_rate = gamma_h_minus + gamma_h_plus + gamma_c_minus + gamma_c_plus
     return RateConstants(
-        alpha1=alpha1,
-        alpha2=alpha2,
-        phi1=phi1,
-        phi2=phi2,
-        xi1=xi1,
-        xi2=xi2,
         A_rate=a_rate,
         B_rate=b_rate,
         a_h=gamma_h_plus / gamma_h_minus,
@@ -311,7 +280,16 @@ def _cat_denominator(constants: RateConstants, g: float) -> float:
         (a_c + a_h)/(1 + a_c + 2 a_h) * (alpha2 + A_rate/(4 g^2))
         + (1 + a_h)/(1 + a_c + 2 a_h) * (phi1 + B_rate/(4 g^2))
         + (a_h^2 - a_c) (alpha1 + phi1 + xi1 + alpha2 + phi2 + xi2)
-          / ((1 + a_c)(1 + a_h)(1 + a_c + 2 a_h)).
+          / ((1 + a_c)(1 + a_h)(1 + a_c + 2 a_h))
+
+    with S = B_rate and the inverse-rate ratios
+
+    * alpha1 = (g^c_- + g^h_-) / (g^h_+ S)
+    * alpha2 = (g^c_- + g^h_- + g^h_+) / (g^h_+ S)
+    * phi1   = (g^c_- + g^h_-)(g^c_+ + g^h_+) / (g^c_- g^h_+ S)
+    * phi2   = g^c_+ (g^c_- + g^h_-) / (g^c_- g^h_+ S)
+    * xi1    = (g^c_+ + g^h_+) / (g^c_- S)
+    * xi2    = g^c_+ / (g^c_- S).
 
     Its O(1/gamma_h_plus) parts cancel, so at small a_h that shape loses
     digits (1e-10 relative at a_h ~ 1e-6).  Over a common denominator every
@@ -389,7 +367,7 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
         )
 
     if not _is_equal_relaxation(constants):
-        return TauBreakdown(tau=denom, zeta=None, kappa=None, regime_note="catalytic")
+        return TauBreakdown(tau=denom, zeta=None, kappa=None)
 
     tau_eq = 4.0 / constants.B_rate
     zeta = 0.25 * (
@@ -421,7 +399,7 @@ def cat_tau(constants: RateConstants, g: float, a_h: float, a_c: float) -> TauBr
             f"characteristic-time factorization disagrees with the general "
             f"form: {factored!r} vs {denom!r}"
         )
-    return TauBreakdown(tau=denom, zeta=zeta, kappa=kappa, regime_note="catalytic")
+    return TauBreakdown(tau=denom, zeta=zeta, kappa=kappa)
 
 
 def _is_equal_relaxation(constants: RateConstants, rel_tol: float = 1e-9) -> bool:
@@ -476,27 +454,3 @@ def design_efficiencies(omega_h: float, omega_c: float) -> tuple[float, float]:
     _require_positive("omega_c", omega_c)
     return 1.0 - omega_c / omega_h, 1.0 - omega_c / (2.0 * omega_h)
 
-
-def efficiencies(
-    omega_h: float, omega_c: float, beta_h: float, beta_c: float
-) -> tuple[float, float, float]:
-    """(eta_otto, eta_catalytic, eta_carnot) at one working point.
-
-    eta_otto = 1 - omega_c/omega_h, eta_catalytic = 1 - omega_c/(2
-    omega_h), eta_carnot = 1 - beta_h/beta_c.  Requires beta_c > beta_h
-    (the cold bath must actually be colder).
-    """
-    _require_positive("omega_h", omega_h)
-    _require_positive("omega_c", omega_c)
-    _require_positive("beta_c", beta_c)
-    if not (math.isfinite(beta_h) and beta_h >= 0):
-        raise ValueError(f"beta_h must be nonnegative and finite, got {beta_h}")
-    if not beta_c > beta_h:
-        raise ValueError(
-            f"need beta_c > beta_h for a hot and a cold bath, got {beta_c} <= {beta_h}"
-        )
-    return (
-        1.0 - omega_c / omega_h,
-        1.0 - omega_c / (2.0 * omega_h),
-        1.0 - beta_h / beta_c,
-    )

@@ -336,7 +336,6 @@ def clausius_check(
     spec: EngineSpec,
     q_hot: float,
     q_cold: float,
-    tol: float = CLAUSIUS_TOL,
     catalyst_marginals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Second-law margin -(beta_h Q_h + beta_c Q_c); raises if the second
@@ -353,16 +352,17 @@ def clausius_check(
     work stroke, given as ``catalyst_marginals = (before, after)``
     population vectors.  It is zero when the stroke restores the
     catalyst, and is evaluated only when the margin alone is below
-    ``-tol``.  A violation beyond ``tol`` indicates a bug, not physics,
-    hence ``AssertionError``.  Returns the margin without dS_cat.
+    ``-CLAUSIUS_TOL``.  A violation beyond ``CLAUSIUS_TOL`` indicates a
+    bug, not physics, hence ``AssertionError``.  Returns the margin
+    without dS_cat.
     """
     margin = -(spec.hot.beta * q_hot + spec.cold.beta * q_cold)
-    if margin < -tol:
+    if margin < -CLAUSIUS_TOL:
         d_s_cat = 0.0
         if catalyst_marginals is not None:
             before, after = catalyst_marginals
             d_s_cat = _shannon_entropy(after) - _shannon_entropy(before)
-        if margin + d_s_cat < -tol:
+        if margin + d_s_cat < -CLAUSIUS_TOL:
             raise AssertionError(
                 f"second-law margin is negative: {margin:.3e} "
                 f"(catalyst entropy change {d_s_cat:.3e})"

@@ -4,10 +4,11 @@ An :class:`EngineSpec` is the single source of truth from which both the
 discrete two-stroke permutation and the continuous resonant interaction are
 generated.  Two concrete machines ship as constructors:
 
-* :func:`otto_spec` — no catalyst, one swap |10> <-> |01> on hot (x) cold;
-* :func:`qubit_catalyst_spec` — a qubit catalyst with the two swaps
-  |200> <-> |110> and |101> <-> |210| (catalyst levels written 1, 2 in ket
-  labels, stored as indices 0, 1).
+* :func:`otto_spec_from_baths` — no catalyst, one swap |10> <-> |01> on
+  hot (x) cold;
+* :func:`qubit_catalyst_spec_from_baths` — a qubit catalyst with the two
+  swaps |200> <-> |110> and |101> <-> |210| (catalyst levels written 1, 2
+  in ket labels, stored as indices 0, 1).
 
 Basis convention: kets |s h c> with the catalyst index slowest; flat
 indices are row-major over (catalyst, hot, cold), see
@@ -32,9 +33,7 @@ __all__ = [
     "EngineSpec",
     "PairEnergetics",
     "LevelTable",
-    "otto_spec",
     "otto_spec_from_baths",
-    "qubit_catalyst_spec",
     "qubit_catalyst_spec_from_baths",
     "energy_differences",
     "hamiltonians",
@@ -178,23 +177,6 @@ def otto_spec_from_baths(hot: BathParams, cold: BathParams, g: float) -> EngineS
     return EngineSpec(catalyst_dim=1, hot=hot, cold=cold, swaps=(SwapPair(u, d, g),))
 
 
-def otto_spec(
-    beta_h: float,
-    omega_h: float,
-    beta_c: float,
-    omega_c: float,
-    gamma_h_plus: float,
-    gamma_h_minus: float,
-    gamma_c_plus: float,
-    gamma_c_minus: float,
-    g: float,
-) -> EngineSpec:
-    """Scalar-parameter convenience wrapper for :func:`otto_spec_from_baths`."""
-    hot = BathParams(beta_h, omega_h, gamma_h_plus, gamma_h_minus)
-    cold = BathParams(beta_c, omega_c, gamma_c_plus, gamma_c_minus)
-    return otto_spec_from_baths(hot, cold, g)
-
-
 def qubit_catalyst_spec_from_baths(hot: BathParams, cold: BathParams, g: float) -> EngineSpec:
     """Qubit-catalyst engine: swaps |200> <-> |110> and |101> <-> |210>.
 
@@ -207,23 +189,6 @@ def qubit_catalyst_spec_from_baths(hot: BathParams, cold: BathParams, g: float) 
         SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(1, 1, 0), g),  # |101> <-> |210>
     )
     return EngineSpec(catalyst_dim=2, hot=hot, cold=cold, swaps=pairs)
-
-
-def qubit_catalyst_spec(
-    beta_h: float,
-    omega_h: float,
-    beta_c: float,
-    omega_c: float,
-    gamma_h_plus: float,
-    gamma_h_minus: float,
-    gamma_c_plus: float,
-    gamma_c_minus: float,
-    g: float,
-) -> EngineSpec:
-    """Scalar-parameter convenience wrapper for :func:`qubit_catalyst_spec_from_baths`."""
-    hot = BathParams(beta_h, omega_h, gamma_h_plus, gamma_h_minus)
-    cold = BathParams(beta_c, omega_c, gamma_c_plus, gamma_c_minus)
-    return qubit_catalyst_spec_from_baths(hot, cold, g)
 
 
 class LevelTable(NamedTuple):

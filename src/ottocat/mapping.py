@@ -29,7 +29,6 @@ from .engine_spec import (
     BathParams,
     EngineSpec,
     catalyst_weights,
-    energy_differences,
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
 )

@@ -116,9 +116,6 @@ class Operator:
     def dagger(self) -> "Operator":
         return Operator(self.layout, self.entries.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

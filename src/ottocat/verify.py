@@ -424,11 +424,10 @@ def stationary_relation_residuals(spec: EngineSpec) -> list[float]:
     """
     if spec.catalyst_dim != 2 or len(spec.swaps) != 2:
         raise ValueError("stationary relations apply to the qubit-catalyst engine")
-    liouv = continuous.build_liouvillian(spec)
-    rho_ss, _ = continuous.stationary_state(liouv)
+    report = continuous.steady_state_report(spec)
+    rho_ss = report.rho_ss
     p = rho_ss.populations()
-    currents = continuous.probability_currents(spec, rho_ss)
-    n1, n2 = float(currents[0]), float(currents[1])
+    n1, n2 = report.currents
     ndot = 0.5 * (n1 + n2)
 
     gh_p, gh_m = spec.hot.gamma_plus, spec.hot.gamma_minus

@@ -18,7 +18,6 @@ from ottocat.analytic import (
     cat_population,
     cat_tau,
     design_efficiencies,
-    efficiencies,
     one_minus_kappa,
     one_minus_zeta,
     otto_current,
@@ -84,12 +83,6 @@ class TestCatalystPopulation:
 class TestRateConstants:
     def test_frozen_point_with_all_unit_rates(self):
         constants = rate_constants(1.0, 1.0, 1.0, 1.0)
-        assert constants.alpha1 == pytest.approx(0.5, rel=1e-15)
-        assert constants.alpha2 == pytest.approx(0.75, rel=1e-15)
-        assert constants.phi1 == pytest.approx(1.0, rel=1e-15)
-        assert constants.phi2 == pytest.approx(0.5, rel=1e-15)
-        assert constants.xi1 == pytest.approx(0.5, rel=1e-15)
-        assert constants.xi2 == pytest.approx(0.25, rel=1e-15)
         assert constants.B_rate == pytest.approx(4.0, rel=1e-15)
         assert constants.A_rate == pytest.approx(3.0, rel=1e-15)
 
@@ -108,14 +101,17 @@ class TestRateConstants:
 
 
 def rebuilt_constants_agree(constants, rel_tol: float = 1e-9) -> bool:
-    """The equal-relaxation test by rebuilding all eight constants from
-    (B_rate, a_h, a_c) under that hypothesis and comparing them."""
+    """The equal-relaxation test by rebuilding the constants and the four
+    jump rates from (B_rate, a_h, a_c) under that hypothesis and comparing
+    them."""
     gh_minus = constants.B_rate / (2.0 * (1.0 + constants.a_h))
     gc_minus = constants.B_rate / (2.0 * (1.0 + constants.a_c))
     candidate = rate_constants(
         constants.a_h * gh_minus, gh_minus, constants.a_c * gc_minus, gc_minus
     )
-    for name in ("alpha1", "alpha2", "phi1", "phi2", "xi1", "xi2", "A_rate", "B_rate"):
+    for name in (
+        "A_rate", "B_rate", "gamma_h_plus", "gamma_h_minus", "gamma_c_plus", "gamma_c_minus",
+    ):
         ours, theirs = getattr(constants, name), getattr(candidate, name)
         if abs(ours - theirs) > rel_tol * max(abs(ours), abs(theirs), 1e-300):
             return False
@@ -161,7 +157,6 @@ class TestCurrentsAndTimes:
         assert breakdown.tau == pytest.approx(1.01, rel=1e-15)
         assert breakdown.zeta == 1.0
         assert breakdown.kappa == 1.0
-        assert breakdown.regime_note == "otto"
 
     def test_otto_time_with_unequal_rates_has_no_factorization(self):
         breakdown = otto_tau(1.0, 2.0, 1.0)
@@ -173,7 +168,6 @@ class TestCurrentsAndTimes:
     def test_catalytic_time_factorizes_only_for_equal_relaxation(self):
         equal = cat_tau(equal_relaxation_constants(0.6, 0.2), 1.0, 0.6, 0.2)
         assert equal.zeta is not None and equal.kappa is not None
-        assert equal.regime_note == "catalytic"
         unequal_constants = rate_constants(0.6 * 2.0, 2.0, 0.2 * 0.5, 0.5)
         unequal = cat_tau(unequal_constants, 1.0, 0.6, 0.2)
         assert unequal.zeta is None and unequal.kappa is None
@@ -273,12 +267,6 @@ class TestEfficiencies:
         assert eta_otto == pytest.approx(0.4, rel=1e-15)
         assert eta_cat == pytest.approx(0.7, rel=1e-15)
 
-    def test_full_comparison_includes_the_carnot_bound(self):
-        eta_otto, eta_cat, eta_carnot = efficiencies(1.0, 0.6, 0.1, 1.0)
-        assert eta_otto == pytest.approx(0.4, rel=1e-15)
-        assert eta_cat == pytest.approx(0.7, rel=1e-15)
-        assert eta_carnot == pytest.approx(0.9, rel=1e-15)
-
     @given(
         omega_h=st.floats(min_value=0.5, max_value=2.0),
         ratio=st.floats(min_value=0.05, max_value=0.95),
@@ -286,10 +274,6 @@ class TestEfficiencies:
     def test_catalytic_design_always_beats_otto_design(self, omega_h, ratio):
         eta_otto, eta_cat = design_efficiencies(omega_h, ratio * omega_h)
         assert eta_cat > eta_otto
-
-    def test_rejects_a_cold_bath_hotter_than_the_hot_bath(self):
-        with pytest.raises(ValueError):
-            efficiencies(1.0, 0.6, 1.0, 0.5)
 
 
 def rate_arrays(a_h, a_c, tau_h, tau_c):
@@ -306,7 +290,7 @@ def assert_fields_equal(array_result, scalar_results):
     for field in dataclasses.fields(array_result):
         values = getattr(array_result, field.name)
         expected = [getattr(one, field.name) for one in scalar_results]
-        if values is None or isinstance(values, str):
+        if values is None:
             assert all(e == values for e in expected), field.name
         else:
             assert np.array_equal(np.broadcast_to(values, len(expected)), expected), field.name

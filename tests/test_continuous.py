@@ -666,3 +666,51 @@ class TestSolveOnce:
         verify.check_current_closed_form(shared)
         verify.check_time_bridge(shared)
         assert verify.check_thermo_consistency(shared) == fresh
+
+
+def current_operator(spec: EngineSpec, pair_index: int) -> Operator:
+    """i g_i (|u_i><d_i| - |d_i><u_i|), the pair's transfer-rate observable."""
+    pair = spec.swaps[pair_index]
+    mat = np.zeros((spec.dim, spec.dim), dtype=complex)
+    mat[pair.u, pair.d] = 1j * pair.g
+    mat[pair.d, pair.u] = -1j * pair.g
+    return Operator(spec.layout, mat)
+
+
+def random_state(layout: HilbertLayout, rng: np.random.Generator) -> DensityMatrix:
+    """A random full-rank density matrix; no generator holds it stationary."""
+    dim = layout.total_dim
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = raw @ raw.conj().T
+    return DensityMatrix(Operator(layout, mat / np.trace(mat).real))
+
+
+class TestCurrentOracle:
+    """The two-term transfer rates against ``expectation`` of the full
+    current observable, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_the_observable(spec: EngineSpec, rho: DensityMatrix):
+        expected = [
+            expectation(current_operator(spec, i), rho).real for i in range(len(spec.swaps))
+        ]
+        assert probability_currents(spec, rho).tolist() == expected
+
+    def test_steady_and_random_states_of_every_spec_family(self):
+        hot = bath_from_factor(0.7)
+        cold = bath_from_factor(0.3, omega=2.0)
+        specs = [
+            *certificate_specs(),
+            *golden_specs(),
+            *(ladder_spec(d, a, b) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
+        ]
+        rng = np.random.Generator(np.random.PCG64(11))
+        for spec in specs:
+            self.assert_equal_to_the_observable(spec, steady_state_report(spec).rho_ss)
+            self.assert_equal_to_the_observable(spec, random_state(spec.layout, rng))
+
+    def test_a_non_hermitian_state_raises_on_the_imaginary_part(self):
+        spec = catalyst_from_factors(0.5, 0.2)
+        rho = DensityMatrix(random_operator(spec.layout, seed=5))
+        with pytest.raises(AssertionError, match="imaginary part"):
+            probability_currents(spec, rho)

@@ -17,8 +17,8 @@ from ottocat.engine_spec import (
     energy_differences,
     hamiltonians,
     level_table,
-    otto_spec,
-    qubit_catalyst_spec,
+    otto_spec_from_baths,
+    qubit_catalyst_spec_from_baths,
     validate,
 )
 from ottocat.qstate import HilbertLayout
@@ -29,18 +29,18 @@ rates = st.floats(min_value=0.01, max_value=10.0)
 
 
 def otto_example(g: float = 1.0) -> EngineSpec:
-    return otto_spec(
-        beta_h=0.2, omega_h=1.0, beta_c=1.0, omega_c=0.6,
-        gamma_h_plus=math.exp(-0.2), gamma_h_minus=1.0,
-        gamma_c_plus=math.exp(-0.6), gamma_c_minus=1.0, g=g,
+    return otto_spec_from_baths(
+        BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
+        BathParams(beta=1.0, omega=0.6, gamma_plus=math.exp(-0.6), gamma_minus=1.0),
+        g=g,
     )
 
 
 def catalyst_example(g: float = 1.0) -> EngineSpec:
-    return qubit_catalyst_spec(
-        beta_h=0.2, omega_h=1.0, beta_c=1.0, omega_c=1.2,
-        gamma_h_plus=math.exp(-0.2), gamma_h_minus=1.0,
-        gamma_c_plus=math.exp(-1.2), gamma_c_minus=1.0, g=g,
+    return qubit_catalyst_spec_from_baths(
+        BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
+        BathParams(beta=1.0, omega=1.2, gamma_plus=math.exp(-1.2), gamma_minus=1.0),
+        g=g,
     )
 
 

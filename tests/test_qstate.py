@@ -65,11 +65,6 @@ class TestOperator:
         skewed = Operator(THREE_QUBITS, op.entries + 1j * np.eye(8))
         assert np.array_equal(skewed.dagger().dagger().entries, skewed.entries)
 
-    def test_is_hermitian_detects_symmetry(self):
-        op = random_hermitian(THREE_QUBITS, seed=4)
-        assert op.is_hermitian()
-        assert not Operator(THREE_QUBITS, op.entries + 1j * np.eye(8)).is_hermitian()
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             Operator(THREE_QUBITS, np.eye(4))

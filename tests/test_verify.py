@@ -1,14 +1,25 @@
 """A failing verify check names the working point or sample that set its
-worst value; a passing check's line stays as it was."""
+worst value; a passing check's line stays as it was.  The stationary
+relations behind check 7 vanish on every rate set the check can draw."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ottocat import analytic, verify
+from ottocat.engine_spec import (
+    BathParams,
+    EngineSpec,
+    SwapPair,
+    otto_spec_from_baths,
+    qubit_catalyst_spec_from_baths,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +148,55 @@ def test_two_stroke_check_holds_the_emitted_cycle_to_the_operator_route(
     result = verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5)))
     assert not result.passed
     assert result.worst == pytest.approx(abs(shift), rel=1e-3)
+
+
+# The ranges check 7 draws from: Gibbs factors, frequencies, and the
+# decimal logarithms of the damping rates and the coupling.
+gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
+frequencies = st.floats(min_value=0.5, max_value=2.0)
+half_decades = st.floats(min_value=-0.5, max_value=0.5)
+
+
+def damped_bath(a: float, omega: float, log_gamma_minus: float) -> BathParams:
+    return BathParams.from_damping(-math.log(a) / omega, omega, 10.0**log_gamma_minus)
+
+
+@given(
+    a_h=gibbs_factors,
+    a_c=gibbs_factors,
+    omega_h=frequencies,
+    omega_c=frequencies,
+    log_gamma_h=half_decades,
+    log_gamma_c=half_decades,
+    log_g=half_decades,
+)
+@settings(max_examples=60, deadline=None)
+def test_stationary_relations_vanish_on_every_rate_set_check_7_draws(
+    a_h, a_c, omega_h, omega_c, log_gamma_h, log_gamma_c, log_g
+):
+    hot = damped_bath(a_h, omega_h, log_gamma_h)
+    cold = damped_bath(a_c, omega_c, log_gamma_c)
+    spec = qubit_catalyst_spec_from_baths(hot, cold, 10.0**log_g)
+    residuals = verify.stationary_relation_residuals(spec)
+    assert len(residuals) == 12
+    assert max(abs(r) for r in residuals) <= 1e-9
+
+
+def qutrit_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
+    swaps = ((4, 2, 0.7), (1, 6, 1.9), (8, 7, 0.4))
+    return EngineSpec(
+        catalyst_dim=3, hot=hot, cold=cold, swaps=tuple(SwapPair(*s) for s in swaps)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda hot, cold: otto_spec_from_baths(hot, cold, 1.0), id="otto"),
+        pytest.param(qutrit_catalyst_spec, id="qutrit_catalyst"),
+    ],
+)
+def test_stationary_relations_reject_other_engines(make):
+    spec = make(damped_bath(0.6, 1.0, 0.0), damped_bath(0.2, 1.2, 0.0))
+    with pytest.raises(ValueError, match="qubit-catalyst engine"):
+        verify.stationary_relation_residuals(spec)
