@@ -317,6 +317,17 @@ def load_config(path: str, command: str) -> RunConfig:
             omega_h=omega_h,
             eta=eta,
         )
+        # exp(-beta*omega) is 0 in doubles once beta*omega passes about 745.  The
+        # cold bath's beta*omega falls as eta rises, so the lowest eta is the test.
+        lowest_eta = sweep.start if sweeping_eta else eta
+        for token in engines:
+            try:
+                _family(token, fixed, 1.0).spec_at(lowest_eta)  # g does not enter the baths
+            except ValueError as exc:
+                raise ConfigError(
+                    f"keys 'beta_h_omega_h' and 'beta_c_over_beta_h' put a bath of "
+                    f"{token} out of double range at eta = {lowest_eta!r} ({exc})"
+                ) from None
 
     columns = COLUMNS
     if "output" in parser and "columns" in parser["output"]:

@@ -27,11 +27,13 @@ energy operators) and cross-checked on every call.
 
 The eigenvector route is a block certificate: no nonzero entry of the
 generator couples two connected components of its sparsity pattern, so
-its spectrum is the union of theirs.  The component holding the |0><0|
-population gets a full eigendecomposition and yields the kernel vector;
-the others only their eigenvalues.  The pooled spectrum proves the
-kernel one-dimensional and gives the spectral gap.  The components are
-found once per sparsity pattern, on first use.
+its spectrum is the union of theirs.  They come in mirror pairs (|i><j|
+against |j><i|), exact complex conjugates, certified on every call.  The
+component holding the |0><0| population gets a real eigendecomposition
+and yields the kernel vector; one of each other pair only its
+eigenvalues.  The pooled spectrum proves the kernel one-dimensional and
+gives the spectral gap.  The components are found once per sparsity
+pattern, on first use.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -176,13 +178,14 @@ def build_interaction(spec: EngineSpec) -> Operator:
 @functools.cache
 def _bath_jumps(
     factor_dims: tuple[int, ...], which_qubit: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(raising, lowering) jump superoperators of one bath qubit.
+) -> tuple[np.ndarray, ...]:
+    """(raising, lowering) jump superoperators of one bath qubit, and their adjoints.
 
     Raising |0> -> |1> is the gamma_plus jump; lowering |1> -> |0> the
-    gamma_minus jump.  The layout is (catalyst, hot, cold).  Neither
-    depends on the rates, so each is built once per layout and bath
-    qubit and handed out read-only.
+    gamma_minus jump.  The layout is (catalyst, hot, cold).  None depends
+    on the rates, so each is built once per layout and bath qubit and
+    handed out read-only.  The jumps are real, so a(R^+) + b(L^+) equals
+    (aR + bL)^+ bit for bit.
     """
     if len(factor_dims) != 3 or factor_dims[1:] != (2, 2):
         raise ValueError(f"expected a (catalyst, 2, 2) layout, got {factor_dims}")
@@ -199,6 +202,7 @@ def _bath_jumps(
     else:
         raise ValueError(f"bath selector must be 'hot' or 'cold', got {which_qubit!r}")
     jumps = (_jump_superoperator(raising), _jump_superoperator(lowering))
+    jumps += tuple(np.ascontiguousarray(jump.conj().T) for jump in jumps)
     for jump in jumps:
         jump.setflags(write=False)
     return jumps
@@ -222,40 +226,50 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     gamma_plus drives the raising jump |0> -> |1> and gamma_minus the
     lowering jump, so the bath's own Gibbs qubit is an exact fixed point.
     """
-    raising, lowering = _bath_jumps(layout.factor_dims, which_qubit)
+    raising, lowering = _bath_jumps(layout.factor_dims, which_qubit)[:2]
     return Superoperator(layout, bath.gamma_plus * raising + bath.gamma_minus * lowering)
 
 
 @functools.cache
-def _swap_commutator(factor_dims: tuple[int, ...], u: int, d: int) -> np.ndarray:
-    """-i[|u><d| + |d><u|, .] in column-stacking form.
-
-    The coherent generator of one swap pair at unit coupling; it does not
-    depend on the coupling, so it is built once per layout and pair and
-    handed out read-only.
+def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, pieces)``: the flat positions of a generator's nonzero
+    entries, and there one row per rate-free piece: -i[|u><d| + |d><u|, .]
+    of each swap pair (u, d), then the raising and lowering jumps of the
+    hot and of the cold qubit.  Built once per structure, read-only.
     """
     dim = math.prod(factor_dims)
     eye = np.eye(dim, dtype=complex)
-    swap = np.zeros((dim, dim), dtype=complex)
-    swap[u, d] = 1.0
-    swap[d, u] = 1.0
-    mat = -1j * (np.kron(eye, swap) - np.kron(swap.T, eye))
-    mat.setflags(write=False)
-    return mat
+    pieces = []
+    for u, d in pairs:
+        swap = np.zeros((dim, dim), dtype=complex)
+        swap[u, d] = swap[d, u] = 1.0
+        pieces.append(-1j * (np.kron(eye, swap) - np.kron(swap.T, eye)))
+    pieces += [*_bath_jumps(factor_dims, "hot")[:2], *_bath_jumps(factor_dims, "cold")[:2]]
+    flat = [piece.ravel() for piece in pieces]
+    positions = np.flatnonzero(np.logical_or.reduce([piece != 0 for piece in flat]))
+    gathered = np.stack([piece[positions] for piece in flat])
+    for array in (positions, gathered):
+        array.setflags(write=False)
+    return positions, gathered
 
 
 def build_liouvillian(spec: EngineSpec) -> Superoperator:
-    """Full generator -i[V0, .] + D_h + D_c."""
-    dims = spec.layout.factor_dims
-    coherent = np.zeros((spec.dim**2, spec.dim**2), dtype=complex)
-    for pair in spec.swaps:
-        coherent += pair.g * _swap_commutator(dims, pair.u, pair.d)
-    total = (
-        coherent
-        + build_dissipator(spec.hot, "hot", spec.layout).matrix
-        + build_dissipator(spec.cold, "cold", spec.layout).matrix
+    """Full generator -i[V0, .] + D_h + D_c, evaluated on its nonzero entries
+    only, each by the dense sum's operations in the same order (bit-identical)."""
+    pairs = tuple((p.u, p.d) for p in spec.swaps)
+    positions, (*commutators, raise_h, lower_h, raise_c, lower_c) = _generator_plan(
+        spec.layout.factor_dims, pairs
     )
-    return Superoperator(spec.layout, total)
+    coherent = np.zeros(len(positions), dtype=complex)
+    for pair, commutator in zip(spec.swaps, commutators):
+        coherent += pair.g * commutator
+    total = np.zeros(spec.dim**4, dtype=complex)
+    total[positions] = (
+        coherent
+        + (spec.hot.gamma_plus * raise_h + spec.hot.gamma_minus * lower_h)
+        + (spec.cold.gamma_plus * raise_c + spec.cold.gamma_minus * lower_c)
+    )
+    return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
 
 
 def _normalize_state(mat: np.ndarray) -> np.ndarray:
@@ -305,40 +319,53 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
     The blocks are the connected components of ``mask | mask.T`` where
     ``mask`` (packed row-major by ``np.packbits``) marks the nonzero
     entries; no entry couples two blocks, so the spectrum is the union of
-    the blocks' spectra.  Returns ``(main, stacks, singles)``: the
-    indices of the block holding vec index 0, one ``(rows, cols)``
-    gather per size of the other blocks (indexing with it stacks the
-    equal-size blocks for one batched ``eigvals``), and the indices of
-    the 1 x 1 blocks, which are their own eigenvalues.  Built once per
+    the blocks' spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <->
+    |j><i|) of a Hermiticity-preserving generator maps blocks onto blocks;
+    a pattern where it does not raises ``ValueError``.  Returns ``(main,
+    (T, T^-1), others, singles, gather)``: the block of vec index 0 and
+    its real basis (row k of T reads x_k on a population, x_k + x_k' on
+    the first of a coherence pair k < k', i(x_k' - x_k) on the second);
+    ``(indices, paired)`` for one block of each mirror pair larger than
+    1 x 1; the 1 x 1 blocks; and a ``(rows, cols)`` gather of ``main`` and
+    ``others`` row-major, then of their mirror images.  Built once per
     pattern and handed out read-only.
     """
     bits = np.unpackbits(np.frombuffer(packed_pattern, dtype=np.uint8), count=n * n)
     linked = bits.reshape(n, n).astype(bool)
     linked |= linked.T
-    block_of = np.full(n, -1)
-    blocks = []
-    for start in range(n):
-        if block_of[start] >= 0:
-            continue
-        block_of[start] = len(blocks)
-        members = [start]
-        for i in members:  # grows while it is walked: a breadth-first search
-            for j in np.flatnonzero(linked[i] & (block_of < 0)):
-                block_of[j] = len(blocks)
-                members.append(int(j))
-        blocks.append(np.sort(members))
-    by_size: dict[int, list[np.ndarray]] = {}
-    for block in blocks[1:]:
-        by_size.setdefault(len(block), []).append(block)
-    singles = np.array([int(b[0]) for b in by_size.pop(1, [])], dtype=np.intp)
-    stacks = []
-    for size in sorted(by_size):
-        stacked = np.stack(by_size[size])
-        stacks.append((stacked[:, :, None], stacked[:, None, :]))
+    label = np.arange(n)
+    while True:  # every index takes the least label around it, until none changes
+        least = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        if np.array_equal(least, label):
+            break
+        label = least
+    roots, block_of = np.unique(label, return_inverse=True)
+    blocks = [np.flatnonzero(label == root) for root in roots]
+    dim = math.isqrt(n)
+    mirror = (np.arange(n) % dim) * dim + np.arange(n) // dim
+    kept = {}  # block number -> whether a partner block shares its spectrum
+    for b, block in enumerate(blocks):
+        partner = int(block_of[mirror[block[0]]])
+        if not np.array_equal(np.sort(mirror[block]), blocks[partner]):
+            raise ValueError("generator does not preserve Hermiticity")
+        if partner not in kept and (b == 0 or len(block) > 1):
+            kept[b] = partner != b
     main = blocks[0]
-    for array in (main, *(a for pair in stacks for a in pair), singles):
+    k = np.arange(len(main))
+    mk = np.searchsorted(main, mirror[main])
+    to_real = (
+        np.where(k > mk, -1j, 1.0)[:, None] * np.eye(len(main))
+        + np.where(k < mk, 1.0, 1j * (k > mk))[:, None] * np.eye(len(main))[mk]
+    )
+    grids = [np.meshgrid(blocks[b], blocks[b], indexing="ij") for b in kept]
+    rows, cols = (np.concatenate([grid[i].ravel() for grid in grids]) for i in (0, 1))
+    others = tuple((blocks[b], paired) for b, paired in kept.items() if b)
+    singles = np.array([b[0] for b in blocks[1:] if len(b) == 1], dtype=np.intp)
+    real_basis = (to_real, np.linalg.inv(to_real))
+    gather = (np.concatenate([rows, mirror[rows]]), np.concatenate([cols, mirror[cols]]))
+    for array in (main, *real_basis, *(b for b, _ in others), singles, *gather):
         array.setflags(write=False)
-    return main, tuple(stacks), singles
+    return main, real_basis, others, singles, gather
 
 
 def _block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,21 +374,31 @@ def _block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns ``(eigvals, main, main_vecs)``: every eigenvalue, the indices
     of the block holding index 0, and that block's right eigenvectors.
     The first ``len(main)`` eigenvalues are that block's, in the order of
-    the columns of ``main_vecs``.  Only this block goes through
-    ``np.linalg.eig``; the others through one batched ``eigvals`` per
-    block size.
+    the columns of ``main_vecs``.  One gather and one exact comparison
+    certify that each block larger than 1 x 1 is the conjugate of its
+    mirror image, or raise ``ValueError``.  The block of index 0 goes
+    through one real ``np.linalg.eig`` in its real basis, one block of
+    every other mirror pair through ``eigvals``.
     """
-    n = mat.shape[0]
-    main, stacks, singles = _kernel_blocks(n, np.packbits(mat != 0).tobytes())
-    main_vals, main_vecs = np.linalg.eig(mat[main[:, None], main])
-    eigvals = np.concatenate(
-        [
-            main_vals,
-            *(np.linalg.eigvals(mat[rows, cols]).ravel() for rows, cols in stacks),
-            mat[singles, singles],
-        ]
+    main, (to_real, from_real), others, singles, gather = _kernel_blocks(
+        mat.shape[0], np.packbits(mat != 0).tobytes()
     )
-    return eigvals, main, main_vecs
+    entries = mat[gather]
+    half = len(entries) // 2
+    if not np.array_equal(entries[half:], entries[:half].conj()):
+        raise ValueError("generator does not preserve Hermiticity")
+    start = len(main) ** 2
+    # Real in exact arithmetic by the certificate; the rest is round-off.
+    real = (to_real @ entries[:start].reshape(len(main), -1) @ from_real).real
+    main_vals, real_vecs = np.linalg.eig(real)
+    parts = [main_vals]
+    for block, paired in others:
+        stop = start + len(block) ** 2
+        vals = np.linalg.eigvals(entries[start:stop].reshape(len(block), -1))
+        parts += [vals, vals.conj()] if paired else [vals]
+        start = stop
+    parts.append(mat[singles, singles])
+    return np.concatenate(parts), main, from_real @ real_vecs
 
 
 def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
@@ -369,10 +406,14 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
 
     The generator splits into independent blocks along its sparsity
     pattern (the symmetry-block reduction of Lindblad generators), and
-    its spectrum is the union of the blocks' spectra.  The block holding
-    the |0><0| population gets a full eigendecomposition; every other
-    block only its eigenvalues.  Across the pooled spectrum, the kernel
-    is the single eigenvalue whose real part sits within ``KERNEL_TOL``
+    its spectrum is the union of the blocks' spectra.  The blocks come in
+    mirror pairs, |i><j| against |j><i|; if they are not exact complex
+    conjugates, "generator does not preserve Hermiticity" raises
+    ``ValueError``.  The block holding the |0><0| population gets a full
+    eigendecomposition in the real basis of its populations,
+    rho_ij + rho_ji and i(rho_ij - rho_ji); one block of every other
+    mirror pair only its eigenvalues.  Across the pooled spectrum, the
+    kernel is the single eigenvalue whose real part sits within ``KERNEL_TOL``
     of zero (relative to the spectral scale); finding two or more such
     eigenvalues raises "non-ergodic Liouvillian: steady state not
     unique".  Each block holding a population has the identity,
@@ -515,10 +556,8 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
         ("hot", spec.hot, levels.hot, j_hot),
         ("cold", spec.cold, levels.cold, j_cold),
     ):
-        raising, lowering = _bath_jumps(dims, label)
-        adjoint = np.ascontiguousarray(
-            (bath.gamma_plus * raising + bath.gamma_minus * lowering).conj().T
-        )
+        raising, lowering = _bath_jumps(dims, label)[2:]
+        adjoint = bath.gamma_plus * raising + bath.gamma_minus * lowering
         target = v0.copy()
         target[:: dim + 1] += bath.omega * excitation  # the diagonal of H_0k
         # Tr[A rho] summed as expectation() sums it, without an Operator.

@@ -126,6 +126,47 @@ class TestConfigParsing:
         config = write(tmp_path / "run.ini", SWEEP_CONFIG.replace("points = 5", "points = 0"))
         assert cli.main(["sweep", "--config", config]) == 2
 
+    @pytest.mark.parametrize(
+        "command, beta_h_omega_h, ratio, eta, engine",
+        [
+            # beta_c omega_c = 700 * 1.01 * 1.4: only the catalyst's cold bath underflows.
+            ("continuous", "700", "1.01", "0.3", "qubit_catalyst"),
+            ("discrete", "800", "10.0", "0.4", "otto"),  # both hot baths underflow
+        ],
+    )
+    def test_a_bath_whose_gibbs_factor_underflows_is_a_config_error(
+        self, tmp_path, capsys, command, beta_h_omega_h, ratio, eta, engine
+    ):
+        text = BASE_CONFIG.replace("beta_h_omega_h = 0.1", f"beta_h_omega_h = {beta_h_omega_h}")
+        text = text.replace("beta_c_over_beta_h = 10.0", f"beta_c_over_beta_h = {ratio}")
+        config = write(tmp_path / "run.ini", text.replace("eta = 0.4", f"eta = {eta}"))
+        assert cli.main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            "error: keys 'beta_h_omega_h' and 'beta_c_over_beta_h' put a bath of "
+            f"{engine} out of double range at eta = {eta} (bath rates must be positive)\n"
+        )
+
+    def test_an_eta_sweep_is_checked_at_its_lowest_eta(self, tmp_path, capsys):
+        # The catalyst's cold bath underflows at the sweep's first values only.
+        text = SWEEP_CONFIG.replace("beta_h_omega_h = 0.1", "beta_h_omega_h = 700").replace(
+            "beta_c_over_beta_h = 10.0", "beta_c_over_beta_h = 1.01"
+        )
+        config = write(tmp_path / "run.ini", text)
+        assert cli.main(["sweep", "--config", config]) == 2
+        assert "qubit_catalyst out of double range at eta = 0.05 " in capsys.readouterr().err
+
+    def test_a_subnormal_gibbs_factor_still_emits_its_row(self, tmp_path):
+        text = BASE_CONFIG.replace("beta_h_omega_h = 0.1", "beta_h_omega_h = 720")
+        text = text.replace("beta_c_over_beta_h = 10.0", "beta_c_over_beta_h = 1.01")
+        config = write(tmp_path / "run.ini", text.replace("eta = 0.4", "eta = 0.99"))
+        assert 0.0 < math.exp(-720.0) < sys.float_info.min
+        for command, energy in (("discrete", "work"), ("continuous", "power")):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", config, "--output", str(out)]) == 0
+            rows = read_rows(out)
+            assert [row["engine"] for row in rows] == ["otto", "qubit_catalyst"]
+            assert all(row[energy] != "NA" for row in rows)
+
     def test_custom_and_family_engines_cannot_mix(self, tmp_path):
         spec = write(tmp_path / "engine.ini", CUSTOM_SPEC)
         config = write(
@@ -381,7 +422,7 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         "import sys, ottocat.cli\n"
         "from ottocat import continuous as c, engine_spec as e\n"
         "sizes = [f.cache_info().currsize for f in "
-        "(c._bath_jumps, c._swap_commutator, c._kernel_blocks, e.level_table)]\n"
+        "(c._bath_jumps, c._generator_plan, c._kernel_blocks, e.level_table)]\n"
         "print(sizes, 'scipy' in sys.modules)\n"
     )
     src = str(Path(ottocat.__file__).resolve().parents[1])

@@ -287,6 +287,19 @@ def kron_dissipator(bath: BathParams, which: str, catalyst_dim: int) -> np.ndarr
     )
 
 
+#: Spec families of the assembly oracle; "1" to "3" are spec_with_catalyst.
+#: Lambdas, because the builders are defined further down.
+ASSEMBLY_FAMILIES = {
+    **{str(d): (lambda d=d: [spec_with_catalyst(d)]) for d in (1, 2, 3)},
+    "golden": lambda: golden_specs(),
+    "verify-grids": lambda: certificate_specs(),
+    "ladder-4": lambda: [
+        ladder_spec(4, bath_from_factor(a), bath_from_factor(b, omega=2.0))
+        for a, b in ((0.7, 0.3), (0.3, 0.7))
+    ],
+}
+
+
 class TestCachedGeneratorPieces:
     @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
     @pytest.mark.parametrize("which", ["hot", "cold"])
@@ -297,18 +310,18 @@ class TestCachedGeneratorPieces:
             built = build_dissipator(bath, which, spec.layout).matrix
             assert np.array_equal(built, kron_dissipator(bath, which, catalyst_dim))
 
-    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
-    def test_liouvillian_equals_the_kron_construction(self, catalyst_dim):
-        spec = spec_with_catalyst(catalyst_dim)
-        v0 = build_interaction(spec).entries
-        eye = np.eye(spec.dim, dtype=complex)
-        expected = (
-            -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
-            + kron_dissipator(spec.hot, "hot", catalyst_dim)
-            + kron_dissipator(spec.cold, "cold", catalyst_dim)
-        )
-        for _ in range(2):
-            assert np.array_equal(build_liouvillian(spec).matrix, expected)
+    @pytest.mark.parametrize("family", list(ASSEMBLY_FAMILIES))
+    def test_liouvillian_equals_the_kron_construction(self, family):
+        for spec in ASSEMBLY_FAMILIES[family]():
+            v0 = build_interaction(spec).entries
+            eye = np.eye(spec.dim, dtype=complex)
+            expected = (
+                -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
+                + kron_dissipator(spec.hot, "hot", spec.catalyst_dim)
+                + kron_dissipator(spec.cold, "cold", spec.catalyst_dim)
+            )
+            for _ in range(2):
+                assert np.array_equal(build_liouvillian(spec).matrix, expected)
 
     def test_cached_arrays_reject_writes(self):
         spec = spec_with_catalyst(2)
@@ -317,11 +330,11 @@ class TestCachedGeneratorPieces:
         cached = [
             *continuous._bath_jumps(dims, "hot"),
             *continuous._bath_jumps(dims, "cold"),
-            *(continuous._swap_commutator(dims, p.u, p.d) for p in spec.swaps),
+            *continuous._generator_plan(dims, tuple((p.u, p.d) for p in spec.swaps)),
         ]
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+                array[...] = 0.0
 
     def test_layout_without_a_catalyst_factor_is_rejected_on_every_call(self):
         bath = bath_from_factor(0.5)
@@ -398,27 +411,51 @@ class TestBlockCertificate:
     )
     def test_block_sizes_of_the_built_in_engines(self, make, sizes):
         mat = build_liouvillian(make(0.5, 0.2)).matrix
-        main, stacks, singles = continuous._kernel_blocks(
+        main, _, others, singles, _ = continuous._kernel_blocks(
             mat.shape[0], np.packbits(mat != 0).tobytes()
         )
+        dim = math.isqrt(mat.shape[0])
         found = [len(main)] + [1] * len(singles)
-        for rows, _ in stacks:
-            found += [rows.shape[1]] * rows.shape[0]
+        covered = [main, singles]
+        for block, paired in others:
+            assert paired
+            found += [len(block)] * 2
+            covered += [block, (block % dim) * dim + block // dim]  # and its mirror
         assert sorted(found, reverse=True) == sizes
-        covered = np.concatenate([main, *(rows.ravel() for rows, _ in stacks), singles])
-        assert np.array_equal(np.sort(covered), np.arange(mat.shape[0]))
+        assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(mat.shape[0]))
 
     def test_one_eig_per_solve(self, monkeypatch):
         calls = []
         dense_eig = np.linalg.eig
 
         def counted_eig(a):
-            calls.append(a.shape)
+            calls.append((a.shape, a.dtype))
             return dense_eig(a)
 
         monkeypatch.setattr(np.linalg, "eig", counted_eig)
         stationary_state(build_liouvillian(catalyst_from_factors(0.5, 0.2)))
-        assert calls == [(14, 14)]
+        assert calls == [((14, 14), np.dtype(float))]
+
+    def test_one_eigvals_per_conjugate_pair(self, monkeypatch):
+        calls = []
+        dense_eigvals = np.linalg.eigvals
+
+        def counted_eigvals(a):
+            calls.append(a.shape)
+            return dense_eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        stationary_state(build_liouvillian(catalyst_from_factors(0.5, 0.2)))
+        assert sorted(calls, reverse=True) == [(12, 12), (8, 8), (3, 3)]
+
+    def test_a_one_ulp_break_of_a_mirror_block_raises(self):
+        liouv = build_liouvillian(catalyst_from_factors(0.5, 0.2))
+        mat = liouv.matrix.copy()
+        v = 1  # |1><0| of the cold qubit, in an 8 x 8 block mirrored by |0><1|'s
+        assert mat[v, v].real != 0.0
+        mat[v, v] = complex(np.nextafter(mat[v, v].real, 0.0), mat[v, v].imag)
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            stationary_state(Superoperator(liouv.layout, mat))
 
     def test_qutrit_catalyst_spec_solves(self):
         spec = spec_with_catalyst(3)
@@ -626,8 +663,8 @@ class TestSolveOnce:
         dissipators = count_calls(monkeypatch, "build_dissipator")
         steady_state_report(catalyst_from_factors(0.5, 0.2))
         assert (len(builds), len(solves), len(measures)) == (1, 1, 1)
-        # Both inside the generator; the audit reuses the cached jumps.
-        assert len(dissipators) == 2
+        # The generator and the audit read the cached jumps directly.
+        assert len(dissipators) == 0
 
     def test_verify_solves_each_spec_once(self, monkeypatch):
         builds = count_calls(monkeypatch, "build_liouvillian")
