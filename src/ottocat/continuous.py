@@ -51,9 +51,9 @@ import numpy as np
 from .engine_spec import (
     BathParams,
     EngineSpec,
-    catalyst_weights,
     energy_differences,
     level_table,
+    pair_table,
 )
 from .qstate import DensityMatrix, HilbertLayout, Operator
 # Not called here: bench/test_bench.py checks that the tracer wraps and
@@ -179,7 +179,8 @@ def build_interaction(spec: EngineSpec) -> Operator:
 def _bath_jumps(
     factor_dims: tuple[int, ...], which_qubit: str
 ) -> tuple[np.ndarray, ...]:
-    """(raising, lowering) jump superoperators of one bath qubit, and their adjoints.
+    """(raising, lowering) jumps of one bath qubit, the flat positions where
+    either adjoint is nonzero, and both adjoints there.
 
     Raising |0> -> |1> is the gamma_plus jump; lowering |1> -> |0> the
     gamma_minus jump.  The layout is (catalyst, hot, cold).  None depends
@@ -202,9 +203,11 @@ def _bath_jumps(
     else:
         raise ValueError(f"bath selector must be 'hot' or 'cold', got {which_qubit!r}")
     jumps = (_jump_superoperator(raising), _jump_superoperator(lowering))
-    jumps += tuple(np.ascontiguousarray(jump.conj().T) for jump in jumps)
-    for jump in jumps:
-        jump.setflags(write=False)
+    adjoints = [jump.conj().T.ravel() for jump in jumps]
+    positions = np.flatnonzero((adjoints[0] != 0) | (adjoints[1] != 0))
+    jumps += (positions, *(adjoint[positions] for adjoint in adjoints))
+    for array in jumps:
+        array.setflags(write=False)
     return jumps
 
 
@@ -256,9 +259,8 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
 def build_liouvillian(spec: EngineSpec) -> Superoperator:
     """Full generator -i[V0, .] + D_h + D_c, evaluated on its nonzero entries
     only, each by the dense sum's operations in the same order (bit-identical)."""
-    pairs = tuple((p.u, p.d) for p in spec.swaps)
     positions, (*commutators, raise_h, lower_h, raise_c, lower_c) = _generator_plan(
-        spec.layout.factor_dims, pairs
+        *spec.structure
     )
     coherent = np.zeros(len(positions), dtype=complex)
     for pair, commutator in zip(spec.swaps, commutators):
@@ -269,17 +271,20 @@ def build_liouvillian(spec: EngineSpec) -> Superoperator:
         + (spec.hot.gamma_plus * raise_h + spec.hot.gamma_minus * lower_h)
         + (spec.cold.gamma_plus * raise_c + spec.cold.gamma_minus * lower_c)
     )
-    return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
+    total.setflags(write=False)
+    sop = object.__new__(Superoperator)  # adopts the fresh matrix without the copy
+    sop.__dict__.update(layout=spec.layout, matrix=total.reshape(spec.dim**2, -1))
+    return sop
 
 
 def _normalize_state(mat: np.ndarray) -> np.ndarray:
     """Rotate away any global phase, hermitize, and scale to unit trace."""
-    tr = np.trace(mat)
-    if abs(tr) < 1e-14 * max(1.0, float(np.max(np.abs(mat)))):
+    tr = mat.trace()
+    if abs(tr) < 1e-14 * max(1.0, float(abs(mat).max())):
         raise ValueError("candidate steady state is traceless; cannot normalize")
     mat = mat / tr
     herm = (mat + mat.conj().T) / 2.0
-    return herm / np.trace(herm).real
+    return herm / herm.trace().real
 
 
 def _refined_bordered_solve(
@@ -435,7 +440,7 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     mat = liouvillian.matrix
     dim = liouvillian.dim
     eigvals, main, main_vecs = _block_spectrum(mat)
-    scale = float(np.max(np.abs(eigvals)))
+    scale = float(abs(eigvals).max())
     if scale == 0.0:
         raise ValueError("generator is identically zero; every state is stationary")
     zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale
@@ -457,8 +462,7 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     # Primary route: bordered linear solve with the trace constraint.
     bordered = mat.copy()
     bordered[0, :] = 0.0
-    for j in range(dim):
-        bordered[0, j * (dim + 1)] = 1.0  # diagonal (j, j) in column stacking
+    bordered[0, :: dim + 1] = 1.0  # the diagonal (j, j) in column stacking
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
     try:
@@ -467,14 +471,14 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
         raise ValueError("non-ergodic Liouvillian: steady state not unique") from exc
     rho_lin = _normalize_state(_unvec(solved, dim))
 
-    disagreement = float(np.max(np.abs(rho_eig - rho_lin)))
+    disagreement = float(abs(rho_eig - rho_lin).max())
     if disagreement > SOLVER_CROSS_TOL:
         raise AssertionError(
             f"steady-state routes disagree by {disagreement:.3e} "
             f"(> {SOLVER_CROSS_TOL:.1e})"
         )
 
-    spectral_gap = float(-np.max(eigvals[~zero_mask].real))
+    spectral_gap = float(-eigvals[~zero_mask].real.max())
     rho = DensityMatrix(Operator(liouvillian.layout, rho_lin))
     rho.validate()
     return rho, spectral_gap
@@ -532,7 +536,7 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
     sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).  The catalyst flow of
     level m is the signed net transfer rate
     sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.  Level energies
-    and catalyst levels come from the layout's :func:`level_table`.
+    and catalyst weights come from :func:`level_table` and :func:`pair_table`.
     """
     currents = probability_currents(spec, rho_ss)
     j_hot = 0.0
@@ -556,18 +560,19 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
         ("hot", spec.hot, levels.hot, j_hot),
         ("cold", spec.cold, levels.cold, j_cold),
     ):
-        raising, lowering = _bath_jumps(dims, label)[2:]
-        adjoint = bath.gamma_plus * raising + bath.gamma_minus * lowering
+        positions, raising, lowering = _bath_jumps(dims, label)[2:]
+        adjoint = np.zeros((dim * dim, dim * dim), dtype=complex)
+        adjoint.put(positions, bath.gamma_plus * raising + bath.gamma_minus * lowering)
         target = v0.copy()
         target[:: dim + 1] += bath.omega * excitation  # the diagonal of H_0k
         # Tr[A rho] summed as expectation() sums it, without an Operator.
-        adjoint_heat.append(complex(np.sum(_unvec(adjoint @ target, dim) * rho_t)))
-        int_term = complex(np.sum(_unvec(adjoint @ v0, dim) * rho_t))
+        adjoint_heat.append(complex((_unvec(adjoint @ target, dim) * rho_t).sum()))
+        int_term = complex((_unvec(adjoint @ v0, dim) * rho_t).sum())
         int_vanish.append(float(abs(int_term)))
         sigma -= bath.beta * (j_k - int_term.real)
 
     cat_flow = []
-    for weights in catalyst_weights(spec):
+    for weights in pair_table(*spec.structure).catalyst_weights:
         net = 0.0
         for i, weight in enumerate(weights):
             net += weight * currents[i]

@@ -22,7 +22,8 @@ The cycle is exactly periodic iff the catalyst marginal is restored by
 the work stroke; for diagonal states this is equivalent to all pair
 flows delta_p_i being equal ("simple" permutations), and
 :func:`solve_catalyst` finds diagonal catalyst populations with that
-property by a linear solve.
+property by a linear solve, checked on the work stroke that
+:func:`run_cycle` then accounts instead of deriving it again.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine_spec import EngineSpec, energy_differences, level_table
+from .engine_spec import EngineSpec, energy_differences, level_table, pair_table
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
@@ -115,20 +116,12 @@ class CycleReport:
 
 
 def _swap_permutation(spec: EngineSpec) -> np.ndarray:
-    """Index map of the work stroke, level n <-> perm[n]; raises
+    """Index map of the work stroke, level n <-> perm[n], read-only; raises
     ``ValueError`` if swap pairs overlap or leave the space."""
-    dim = spec.dim
-    perm = np.arange(dim)
-    touched: set[int] = set()
-    for i, pair in enumerate(spec.swaps):
-        for idx in (pair.u, pair.d):
-            if not 0 <= idx < dim:
-                raise ValueError(f"swap {i}: index {idx} out of range for dimension {dim}")
-            if idx in touched:
-                raise ValueError(f"swap {i}: index {idx} appears in more than one pair")
-            touched.add(idx)
-        perm[pair.u], perm[pair.d] = perm[pair.d], perm[pair.u]
-    return perm
+    table = pair_table(*spec.structure)
+    if table.overlap is not None:
+        raise ValueError("swap {}: index {} appears in more than one pair".format(*table.overlap))
+    return table.perm
 
 
 def permutation_matrix(spec: EngineSpec) -> Operator:
@@ -172,8 +165,9 @@ def _gibbs_weights(a: float) -> tuple[float, float]:
     return 1.0 / (1.0 + a), a / (1.0 + a)
 
 
-def _populations(spec: EngineSpec, catalyst: CatalystState) -> tuple[np.ndarray, np.ndarray]:
-    """Level populations (p0, p1) before and after the work stroke."""
+def _work_stroke(spec: EngineSpec, catalyst: CatalystState) -> tuple:
+    """``(p0, p1, flows, marginals)``: the level populations and catalyst
+    marginals before and after one work stroke, delta_p_i = p0(u_i) - p0(d_i)."""
     _require_catalyst_dim(spec, catalyst)
     q = np.clip(np.asarray(catalyst.populations, dtype=float), 0.0, None)
     w_h = _gibbs_weights(spec.hot.gibbs_factor)
@@ -181,28 +175,66 @@ def _populations(spec: EngineSpec, catalyst: CatalystState) -> tuple[np.ndarray,
     # q (x) w_h (x) w_c in np.kron's element order and arithmetic, without
     # its per-call overhead.
     p0 = np.outer(np.outer(q, w_h), w_c).ravel()
-    return p0, p0[_swap_permutation(spec)]
-
-
-def _pair_flows(spec: EngineSpec, p0: np.ndarray) -> np.ndarray:
-    """delta_p_i = p(u_i) - p(d_i) for each swap pair."""
-    return np.array([p0[pair.u] - p0[pair.d] for pair in spec.swaps])
-
-
-def _catalyst_marginals(
-    spec: EngineSpec, p0: np.ndarray, p1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Catalyst marginal before and after the work stroke, summing out hot
-    then cold, in the order of :func:`~ottocat.qstate.partial_trace`."""
+    p1 = p0[_swap_permutation(spec)]
+    table = pair_table(*spec.structure)
+    # Marginals sum out hot then cold, as :func:`~ottocat.qstate.partial_trace` does.
     shape = spec.layout.factor_dims
-    return (
-        p0.reshape(shape).sum(axis=1).sum(axis=1),
-        p1.reshape(shape).sum(axis=1).sum(axis=1),
-    )
+    marginals = tuple(p.reshape(shape).sum(axis=1).sum(axis=1) for p in (p0, p1))
+    return p0, p1, p0[table.u] - p0[table.d], marginals
 
 
 def _max_gap(before: np.ndarray, after: np.ndarray) -> float:
-    return float(np.max(np.abs(after - before)))
+    return float(abs(after - before).max())
+
+
+def _solved_catalyst(spec: EngineSpec) -> tuple[CatalystState, tuple]:
+    """:func:`solve_catalyst`'s catalyst and the work stroke that checked it."""
+    d_s = spec.catalyst_dim
+    table = pair_table(*spec.structure)
+    w_h = _gibbs_weights(spec.hot.gibbs_factor)
+    w_c = _gibbs_weights(spec.cold.gibbs_factor)
+
+    # delta_p_i = row_i . q, rows from the bath Gibbs weights (Python lists).
+    n_pairs = len(spec.swaps)
+    flow_rows = [[0.0] * d_s for _ in range(n_pairs)]
+    for row, (s_u, h_u, c_u), (s_d, h_d, c_d) in zip(flow_rows, table.levels_u, table.levels_d):
+        row[s_u] += w_h[h_u] * w_c[c_u]
+        row[s_d] -= w_h[h_d] * w_c[c_d]
+
+    # (i) equal flows across consecutive pairs.
+    equal = [[a - b for a, b in zip(*rows)] for rows in zip(flow_rows, flow_rows[1:])]
+    # (ii) zero net flow through each catalyst level.
+    balance = [[0.0] * d_s for _ in range(d_s)]
+    for row, level_u, level_d in zip(flow_rows, table.levels_u, table.levels_d):
+        balance[level_d[0]] = [b + f for b, f in zip(balance[level_d[0]], row)]
+        balance[level_u[0]] = [b - f for b, f in zip(balance[level_u[0]], row)]
+    # (iii) normalization.
+    a_mat = np.array([*equal, *balance, [1.0] * d_s])
+    b_vec = np.zeros(len(a_mat))
+    b_vec[-1] = 1.0
+    q, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    residual = float(abs(a_mat @ q - b_vec).max())
+    if residual > CATALYST_SOLVE_TOL:
+        raise ValueError(
+            "no simple-permutation catalyst exists for this spec "
+            f"(linear system residual {residual:.3e})"
+        )
+    if float(q.min()) < -CATALYST_SOLVE_TOL:
+        raise ValueError(
+            "no simple-permutation catalyst exists for this spec "
+            f"(solution has negative population {q.min():.3e})"
+        )
+    q = np.clip(q, 0.0, None)
+    catalyst = CatalystState(tuple(q / q.sum()))
+
+    # Post-check on the actual cycle: equal flows and a restored marginal.
+    stroke = _work_stroke(spec, catalyst)
+    flows, marginals = stroke[2:]
+    if n_pairs > 1 and float(abs(flows - flows[0]).max()) > CATALYST_SOLVE_TOL:
+        raise ValueError("catalyst solve left unequal pair flows; spec is inconsistent")
+    if _max_gap(*marginals) > CATALYST_SOLVE_TOL:
+        raise ValueError("catalyst solve failed to restore the catalyst marginal")
+    return catalyst, stroke
 
 
 def solve_catalyst(spec: EngineSpec) -> CatalystState:
@@ -219,55 +251,7 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
 
     For degenerate systems the minimum-norm solution is returned.
     """
-    d_s = spec.catalyst_dim
-    levels = level_table(spec.layout.factor_dims)
-    w_h = _gibbs_weights(spec.hot.gibbs_factor)
-    w_c = _gibbs_weights(spec.cold.gibbs_factor)
-
-    # delta_p_i = row_i . q with row built from the bath Gibbs weights.
-    n_pairs = len(spec.swaps)
-    u_levels = levels.catalyst[[pair.u for pair in spec.swaps]].tolist()
-    d_levels = levels.catalyst[[pair.d for pair in spec.swaps]].tolist()
-    hot, cold = levels.hot, levels.cold
-    flow_rows = np.zeros((n_pairs, d_s))
-    for i, pair in enumerate(spec.swaps):
-        flow_rows[i, u_levels[i]] += w_h[hot[pair.u]] * w_c[cold[pair.u]]
-        flow_rows[i, d_levels[i]] -= w_h[hot[pair.d]] * w_c[cold[pair.d]]
-
-    # (i) equal flows across consecutive pairs.
-    equal = flow_rows[:-1] - flow_rows[1:]
-    # (ii) zero net flow through each catalyst level.
-    balance = np.zeros((d_s, d_s))
-    for i in range(n_pairs):
-        balance[d_levels[i]] += flow_rows[i]
-        balance[u_levels[i]] -= flow_rows[i]
-    # (iii) normalization.
-    a_mat = np.concatenate([equal, balance, np.ones((1, d_s))])
-    b_vec = np.zeros(len(a_mat))
-    b_vec[-1] = 1.0
-    q, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(np.max(np.abs(a_mat @ q - b_vec)))
-    if residual > CATALYST_SOLVE_TOL:
-        raise ValueError(
-            "no simple-permutation catalyst exists for this spec "
-            f"(linear system residual {residual:.3e})"
-        )
-    if float(q.min()) < -CATALYST_SOLVE_TOL:
-        raise ValueError(
-            "no simple-permutation catalyst exists for this spec "
-            f"(solution has negative population {q.min():.3e})"
-        )
-    q = np.clip(q, 0.0, None)
-    catalyst = CatalystState(tuple(q / np.sum(q)))
-
-    # Post-check on the actual cycle: equal flows and a restored marginal.
-    p0, p1 = _populations(spec, catalyst)
-    flows = _pair_flows(spec, p0)
-    if n_pairs > 1 and float(np.max(np.abs(flows - flows[0]))) > CATALYST_SOLVE_TOL:
-        raise ValueError("catalyst solve left unequal pair flows; spec is inconsistent")
-    if _max_gap(*_catalyst_marginals(spec, p0, p1)) > CATALYST_SOLVE_TOL:
-        raise ValueError("catalyst solve failed to restore the catalyst marginal")
-    return catalyst
+    return _solved_catalyst(spec)[0]
 
 
 def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleReport:
@@ -276,19 +260,18 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
     When ``catalyst`` is omitted it is the trivial single-level state for
     catalyst-free specs and the :func:`solve_catalyst` solution otherwise.
     """
-    if catalyst is None:
-        catalyst = (
-            CatalystState((1.0,)) if spec.catalyst_dim == 1 else solve_catalyst(spec)
-        )
-    p0, p1 = _populations(spec, catalyst)
-    flows = _pair_flows(spec, p0)
+    if catalyst is None and spec.catalyst_dim > 1:
+        _, stroke = _solved_catalyst(spec)
+    else:
+        stroke = _work_stroke(spec, CatalystState((1.0,)) if catalyst is None else catalyst)
+    p0, p1, flows, marginals = stroke
 
     # Level energies times population changes, summed in complex like the
     # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes.
     levels = level_table(spec.layout.factor_dims)
     diff = p0 - p1
-    q_hot = float(np.sum((spec.hot.omega * levels.hot).astype(complex) * diff).real)
-    q_cold = float(np.sum((spec.cold.omega * levels.cold).astype(complex) * diff).real)
+    q_hot = float(((spec.hot.omega * levels.hot).astype(complex) * diff).sum().real)
+    q_cold = float(((spec.cold.omega * levels.cold).astype(complex) * diff).sum().real)
 
     # Cross-check against the pairwise energy-difference form.
     q_hot_pairs = 0.0
@@ -312,7 +295,6 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
     efficiency = None if q_hot == 0.0 else work / q_hot
     regime = "engine" if (work > 0.0 and q_hot > 0.0) else "non_engine"
 
-    marginals = _catalyst_marginals(spec, p0, p1)
     margin = clausius_check(spec, q_hot, q_cold, catalyst_marginals=marginals)
     return CycleReport(
         delta_p=tuple(float(x) for x in flows),

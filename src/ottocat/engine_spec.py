@@ -12,7 +12,8 @@ generated.  Two concrete machines ship as constructors:
 
 Basis convention: kets |s h c> with the catalyst index slowest; flat
 indices are row-major over (catalyst, hot, cold), see
-:class:`~ottocat.qstate.HilbertLayout`.
+:class:`~ottocat.qstate.HilbertLayout`.  What depends on the structure
+alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ __all__ = [
     "EngineSpec",
     "PairEnergetics",
     "LevelTable",
+    "PairTable",
     "otto_spec_from_baths",
     "qubit_catalyst_spec_from_baths",
     "energy_differences",
     "hamiltonians",
     "level_table",
+    "pair_table",
     "catalyst_weights",
     "validate",
 ]
@@ -152,6 +155,10 @@ class EngineSpec:
     def dim(self) -> int:
         return self.layout.total_dim
 
+    @functools.cached_property
+    def structure(self) -> tuple:  # (factor dims, (u, d) pairs): keys the tables
+        return self.layout.factor_dims, tuple((pair.u, pair.d) for pair in self.swaps)
+
 
 @dataclass(frozen=True)
 class PairEnergetics:
@@ -222,13 +229,46 @@ def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
     return table
 
 
+class PairTable(NamedTuple):
+    """Per pair i the (catalyst, hot, cold) levels and flat indices of u_i
+    and d_i, :func:`catalyst_weights`, the work stroke's index map n <->
+    ``perm[n]``, and ``overlap``, the first (pair, index) reusing an index."""
+
+    levels_u: tuple[tuple[int, ...], ...]
+    levels_d: tuple[tuple[int, ...], ...]
+    catalyst_weights: tuple[tuple[float, ...], ...]
+    u: np.ndarray
+    d: np.ndarray
+    perm: np.ndarray
+    overlap: tuple[int, int] | None
+
+
+@functools.cache
+def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
+    """The :class:`PairTable` of one ``EngineSpec.structure``, built once,
+    read-only; an index outside the space raises ``ValueError``."""
+    layout = HilbertLayout(factor_dims)
+    dim = layout.total_dim
+    flat = [idx for pair in pairs for idx in pair]
+    for k, idx in enumerate(flat):
+        if not 0 <= idx < dim:
+            raise ValueError(f"swap {k // 2}: index {idx} out of range for dimension {dim}")
+    overlap = next(((k // 2, idx) for k, idx in enumerate(flat) if idx in flat[:k]), None)
+    u, d = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    perm = np.arange(dim)
+    perm[u], perm[d] = d, u
+    incidence = level_table(factor_dims).incidence
+    weights = tuple(map(tuple, (incidence[:, u] - incidence[:, d]).tolist()))
+    for array in (u, d, perm):
+        array.setflags(write=False)
+    levels = (tuple(map(layout.factor_indices, idx.tolist())) for idx in (u, d))
+    return PairTable(*levels, weights, u, d, perm, overlap)
+
+
 def catalyst_weights(spec: EngineSpec) -> list[list[float]]:
     """indicator_m(u_i) - indicator_m(d_i) at ``[m][i]``: +1.0 when swap
     pair i leaves catalyst level m through u_i, -1.0 through d_i."""
-    incidence = level_table(spec.layout.factor_dims).incidence
-    u = [pair.u for pair in spec.swaps]
-    d = [pair.d for pair in spec.swaps]
-    return (incidence[:, u] - incidence[:, d]).tolist()
+    return [list(weights) for weights in pair_table(*spec.structure).catalyst_weights]
 
 
 def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
@@ -237,27 +277,21 @@ def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
     H_0h = omega_h (I_s (x) |1><1|_h (x) I_c), and analogously for the
     cold qubit; the catalyst carries no Hamiltonian of its own.
     """
-    layout = spec.layout
-    diag_h = np.zeros(layout.total_dim)
-    diag_c = np.zeros(layout.total_dim)
-    for flat in range(layout.total_dim):
-        _, h_idx, c_idx = layout.factor_indices(flat)
-        diag_h[flat] = spec.hot.omega * h_idx
-        diag_c[flat] = spec.cold.omega * c_idx
+    levels = level_table(spec.layout.factor_dims)
     return (
-        Operator(layout, np.diag(diag_h).astype(complex)),
-        Operator(layout, np.diag(diag_c).astype(complex)),
+        Operator(spec.layout, np.diag(spec.hot.omega * levels.hot).astype(complex)),
+        Operator(spec.layout, np.diag(spec.cold.omega * levels.cold).astype(complex)),
     )
 
 
 def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
     """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k on the diagonals of the
-    bare Hamiltonians, read off the factor indices of u_i and d_i."""
+    bare Hamiltonians, read off the levels of u_i and d_i in :func:`pair_table`."""
     if not 0 <= pair_index < len(spec.swaps):
         raise IndexError(f"pair index {pair_index} out of range for {len(spec.swaps)} swaps")
-    pair = spec.swaps[pair_index]
-    _, h_u, c_u = spec.layout.factor_indices(pair.u)
-    _, h_d, c_d = spec.layout.factor_indices(pair.d)
+    table = pair_table(*spec.structure)
+    _, h_u, c_u = table.levels_u[pair_index]
+    _, h_d, c_d = table.levels_d[pair_index]
     return PairEnergetics(
         d_eps_h=spec.hot.omega * h_u - spec.hot.omega * h_d,
         d_eps_c=spec.cold.omega * c_u - spec.cold.omega * c_d,

@@ -29,6 +29,7 @@ from .engine_spec import (
     BathParams,
     EngineSpec,
     catalyst_weights,
+    energy_differences,
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
 )
@@ -53,7 +54,7 @@ FLOW_EXCLUSION_TOL = 1e-13
 #: Allowed relative spread of per-pair times for simple engines.
 TAU_UNIFORM_TOL = 1e-9
 
-#: Allowed relative violation of W = P * tau for simple engines.
+#: Allowed violation of W = P * tau for simple engines, of its scale.
 WORK_POWER_TOL = 1e-9
 
 
@@ -64,7 +65,9 @@ class EquivalenceReport:
     ``tau_i`` holds delta_p_i / <n_i> per pair (``None`` where the pair
     sits on the equilibrium boundary and the ratio is excluded);
     ``tau`` is their mean over included pairs.  ``p_times_tau_minus_w``
-    is the signed residual of the work-power bridge W = P * tau.
+    is the signed residual of the work-power bridge W = P * tau, a sum
+    of pair terms Omega_i (<n_i> tau - delta_p_i) whose round-off scales
+    with ``work_power_scale`` = max(|W|, sum_i |Omega_i delta_p_i|).
     """
 
     tau_i: tuple[float | None, ...]
@@ -75,6 +78,7 @@ class EquivalenceReport:
     work_per_cycle: float
     power: float
     p_times_tau_minus_w: float
+    work_power_scale: float
     simple_permutation: bool
     tau_uniform_residual: float
 
@@ -142,8 +146,8 @@ def verify_equivalence(spec: EngineSpec) -> EquivalenceReport:
     Computes tau_i = delta_p_i / <n_i> per pair, the efficiency in both
     pictures, and the work-power bridge.  For simple engines the per-pair
     times must agree to ``TAU_UNIFORM_TOL`` relative and W = P * tau to
-    ``WORK_POWER_TOL`` relative; a violation raises ``AssertionError``
-    because those are theorems for this model, not tunables.
+    ``WORK_POWER_TOL`` of the report's ``work_power_scale``; a violation
+    raises ``AssertionError``: those are theorems for this model, not tunables.
 
     Raises ``ValueError`` ("mapping singular at equilibrium boundary")
     when a finite flow meets a vanished current, or when every pair sits
@@ -192,14 +196,14 @@ def equivalence_from_parts(
         )
     eta_gap = 0.0 if eta_d is None else abs(eta_d - eta_c)
 
-    flows = np.asarray(cycle.delta_p)
-    flow_scale = float(np.max(np.abs(flows))) if flows.size else 0.0
-    flows_equal = (
-        float(np.max(np.abs(flows - flows[0]))) <= 1e-12 * max(1.0, flow_scale)
-    )
+    flows = cycle.delta_p
+    flow_scale = max(abs(dp) for dp in flows)
+    flows_equal = max(abs(dp - flows[0]) for dp in flows) <= 1e-12 * max(1.0, flow_scale)
     simple = flows_equal and cycle.catalyst_residual <= 1e-10
 
     p_times_tau_minus_w = ss.power * tau - cycle.work
+    pair_work = (energy_differences(spec, i).omega_i * dp for i, dp in enumerate(flows))
+    work_power_scale = max(abs(cycle.work), sum(map(abs, pair_work)))
 
     if simple:
         if tau_uniform_residual > TAU_UNIFORM_TOL * abs(tau):
@@ -207,10 +211,10 @@ def equivalence_from_parts(
                 f"per-pair times spread {tau_uniform_residual:.3e} exceeds "
                 f"{TAU_UNIFORM_TOL:.1e} of tau = {tau!r}"
             )
-        if abs(p_times_tau_minus_w) > WORK_POWER_TOL * max(1e-30, abs(cycle.work)):
+        if abs(p_times_tau_minus_w) > WORK_POWER_TOL * max(1e-30, work_power_scale):
             raise AssertionError(
                 f"work-power bridge broken: P*tau - W = {float(p_times_tau_minus_w)!r} "
-                f"with W = {cycle.work!r}"
+                f"with W = {cycle.work!r}, max(|W|, sum |Omega_i dp_i|) = {work_power_scale!r}"
             )
 
     return EquivalenceReport(
@@ -222,6 +226,7 @@ def equivalence_from_parts(
         work_per_cycle=cycle.work,
         power=ss.power,
         p_times_tau_minus_w=p_times_tau_minus_w,
+        work_power_scale=work_power_scale,
         simple_permutation=simple,
         tau_uniform_residual=tau_uniform_residual,
     )

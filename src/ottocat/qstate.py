@@ -140,10 +140,10 @@ class DensityMatrix:
     def validate(self) -> None:
         """Raise ``ValueError`` unless this is a physical state."""
         mat = self.matrix
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        herm = float(abs(mat - mat.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian: max |rho - rho^+| = {herm:.3e}")
-        tr = complex(np.trace(mat))
+        tr = complex(mat.trace())
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1")
         eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)

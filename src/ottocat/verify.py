@@ -227,10 +227,11 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
 
 
 def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
-    """The two pictures describe one machine: |P*tau - W| <= 1e-9 |W| and
-    |eta_disc - eta_cont| <= 1e-9 on every point; the catalytic engine's
-    two pair currents agree to 1e-10 absolute.  A point where the bridge
-    audit raises fails the check, naming the engine and the point."""
+    """The two pictures describe one machine: |P*tau - W| <= 1e-9 S, with
+    S = max(|W|, sum_i |Omega_i delta_p_i|) the scale of the bridge's pair
+    terms, and |eta_disc - eta_cont| <= 1e-9 on every point; the catalytic
+    engine's two pair currents agree to 1e-10 absolute.  A point where the
+    bridge audit raises fails the check, naming the engine and the point."""
     tol = 1e-9
     current_tol = 1e-10
     worst = 0.0
@@ -252,7 +253,7 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
                     tol=tol,
                     detail=f"{engine} bridge failed at grid point {index}, {pt!r}: {exc}",
                 )
-            gaps = [abs(report.p_times_tau_minus_w) / abs(report.work_per_cycle)]
+            gaps = [abs(report.p_times_tau_minus_w) / report.work_power_scale]
             if report.eta_discrete is not None:
                 gaps.append(report.eta_gap)
             for gap in gaps:
@@ -269,8 +270,9 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
         worst=max(worst, worst_pair_gap),
         tol=tol,
         detail=_naming_worst(
-            f"work-power and efficiency gaps over {len(grid)} points x 2 "
-            f"engines; pair-current gap {worst_pair_gap:.3e} (tol {current_tol:.0e})",
+            f"|P*tau - W|/max(|W|, sum|Omega_i dp_i|) and efficiency gaps over "
+            f"{len(grid)} points x 2 engines; pair-current gap {worst_pair_gap:.3e} "
+            f"(tol {current_tol:.0e})",
             passed, grid, worst_at if worst > tol else pair_gap_at,
         ),
     )

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, cli, continuous, verify
+from ottocat import analytic, continuous, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
@@ -42,14 +41,9 @@ from ottocat.qstate import (
     tensor_all,
 )
 from ottocat.verify import sample_grid
+from spec_helpers import bath_from_factor, golden_specs, ladder_spec
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
-
-GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_power_sweep.ini"
-
-
-def bath_from_factor(a: float, omega: float = 1.0, tau_eq: float = 1.0) -> BathParams:
-    return BathParams.from_relaxation_time(-math.log(a) / omega, omega, tau_eq)
 
 
 def otto_from_factors(a_h: float, a_c: float, omega_c: float = 0.6, g: float = 1.0):
@@ -330,11 +324,29 @@ class TestCachedGeneratorPieces:
         cached = [
             *continuous._bath_jumps(dims, "hot"),
             *continuous._bath_jumps(dims, "cold"),
-            *continuous._generator_plan(dims, tuple((p.u, p.d) for p in spec.swaps)),
+            *continuous._generator_plan(*spec.structure),
         ]
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
+
+    def test_the_generator_matrix_is_read_only(self):
+        liouv = build_liouvillian(spec_with_catalyst(2))
+        with pytest.raises(ValueError, match="read-only"):
+            liouv.matrix[0, 0] = 1.0
+
+    def test_the_constructor_copies_the_callers_array(self):
+        layout = HilbertLayout((1, 2, 2))
+        writable = np.eye(16, dtype=complex)
+        frozen = np.eye(16, dtype=complex)
+        frozen.setflags(write=False)
+        kept = [Superoperator(layout, writable), Superoperator(layout, frozen)]
+        frozen.setflags(write=True)  # the owner may turn writing back on
+        for mat in (writable, frozen):
+            mat[0, 0] = 5.0
+        for sup in kept:
+            assert np.array_equal(sup.matrix, np.eye(16))
+            assert not sup.matrix.flags.writeable
 
     def test_layout_without_a_catalyst_factor_is_rejected_on_every_call(self):
         bath = bath_from_factor(0.5)
@@ -504,28 +516,6 @@ def full_refinement_state(liouvillian: Superoperator) -> np.ndarray:
         residual = rhs_ld - bordered_ld @ solution.astype(np.clongdouble)
         solution = solution + np.linalg.solve(bordered, residual.astype(complex))
     return continuous._normalize_state(solution.reshape((dim, dim), order="F"))
-
-
-def ladder_spec(d: int, hot: BathParams, cold: BathParams) -> EngineSpec:
-    """d - 1 swaps |k+1,0,0> <-> |k,1,0> climb the catalyst with hot quanta,
-    and |0,0,1> <-> |d-1,1,0> closes the cycle against the cold qubit."""
-    layout = HilbertLayout((d, 2, 2))
-    pairs = [
-        SwapPair(layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0), 1.0)
-        for k in range(d - 1)
-    ]
-    pairs.append(SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0), 1.0))
-    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=tuple(pairs))
-
-
-def golden_specs() -> list[EngineSpec]:
-    """Every spec of the golden sweep."""
-    config = cli.load_config(str(GOLDEN_CONFIG), "sweep")
-    return [
-        cli._family(token, config.fixed, config.fixed.g_tau_eq).spec_at(eta)
-        for eta in cli._sweep_values(config.sweep)
-        for token in config.engines
-    ]
 
 
 def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):

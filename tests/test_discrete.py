@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,13 +28,10 @@ from ottocat.engine_spec import (
     otto_spec_from_baths,
     qubit_catalyst_spec_from_baths,
 )
-from ottocat.qstate import DensityMatrix, HilbertLayout, Operator, partial_trace
+from ottocat.qstate import DensityMatrix, Operator, partial_trace
+from spec_helpers import bath_from_factor, golden_specs, ladder_spec
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
-
-
-def bath_from_factor(a: float, omega: float = 1.0, tau_eq: float = 1.0) -> BathParams:
-    return BathParams.from_relaxation_time(-math.log(a) / omega, omega, tau_eq)
 
 
 def otto_from_factors(a_h: float, a_c: float, omega_c: float = 0.6) -> EngineSpec:
@@ -146,6 +143,54 @@ class TestCatalystSolve:
         np.testing.assert_allclose(flows, 0.0, atol=1e-14)
 
 
+class TestHandOff:
+    """Without an explicit catalyst, ``run_cycle`` accounts the work stroke
+    that ``solve_catalyst`` checked its solution on."""
+
+    def specs(self) -> list[EngineSpec]:
+        hot, cold = bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0)
+        return [
+            *(spec for spec in golden_specs() if spec.catalyst_dim == 2),
+            *(ladder_spec(d, a, b) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
+        ]
+
+    def test_cycle_equals_the_cycle_on_the_solved_catalyst(self):
+        specs = self.specs()
+        assert len(specs) == 104
+        for spec in specs:
+            handed_off = run_cycle(spec)
+            rerun = run_cycle(spec, solve_catalyst(spec))
+            for field in fields(CycleReport):
+                assert getattr(handed_off, field.name) == getattr(rerun, field.name)
+
+    @pytest.mark.parametrize(
+        "swaps, message",
+        [
+            (
+                (SwapPair(4, 2, 1.0), SwapPair(6, 0, 1.0)),
+                r"no simple-permutation catalyst exists for this spec "
+                r"\(linear system residual 2\.579e-01\)",
+            ),
+            (
+                (SwapPair(4, 2, 1.0), SwapPair(2, 6, 1.0)),
+                "swap 1: index 2 appears in more than one pair",
+            ),
+            (
+                (SwapPair(4, 2, 1.0), SwapPair(1, 8, 1.0)),
+                "swap 1: index 8 out of range for dimension 8",
+            ),
+        ],
+        ids=["inconsistent", "overlapping", "out-of-range"],
+    )
+    def test_solve_and_cycle_raise_the_same_error_on_every_call(self, swaps, message):
+        spec = catalyst_from_factors(0.5, 0.2)
+        bad = EngineSpec(catalyst_dim=2, hot=spec.hot, cold=spec.cold, swaps=swaps)
+        for _ in range(2):
+            for route in (solve_catalyst, run_cycle):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    route(bad)
+
+
 class TestCatalyticCycle:
     def test_population_bias_matches_the_closed_form(self):
         # frozen oracle at a_h = a_c = 1/2: magnitude 1/4 / (3/2 * 3/2 * 5/2)
@@ -182,18 +227,6 @@ class TestCatalyticCycle:
         spec = catalyst_from_factors(0.5, 0.2)
         report = run_cycle(spec, catalyst=CatalystState(populations=(0.5, 0.5)))
         assert report.catalyst_residual > 1e-3
-
-
-def ladder_spec(d: int, hot: BathParams, cold: BathParams) -> EngineSpec:
-    """d - 1 swaps |k+1,0,0> <-> |k,1,0> climb the catalyst with hot quanta,
-    and |0,0,1> <-> |d-1,1,0> closes the cycle against the cold qubit."""
-    layout = HilbertLayout((d, 2, 2))
-    pairs = [
-        SwapPair(layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0), 1.0)
-        for k in range(d - 1)
-    ]
-    pairs.append(SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0), 1.0))
-    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=tuple(pairs))
 
 
 def operator_route_cycle(spec: EngineSpec, catalyst: CatalystState) -> CycleReport:

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ottocat import discrete
 from ottocat.engine_spec import (
     BathParams,
     EngineSpec,
+    PairEnergetics,
     SwapPair,
     catalyst_weights,
     energy_differences,
     hamiltonians,
     level_table,
     otto_spec_from_baths,
+    pair_table,
     qubit_catalyst_spec_from_baths,
     validate,
 )
@@ -190,3 +193,76 @@ class TestLevelTable:
     def test_layout_without_a_catalyst_factor_is_rejected(self):
         with pytest.raises(ValueError, match="catalyst, hot, cold"):
             level_table((2, 2))
+
+
+@st.composite
+def structures(draw) -> EngineSpec:
+    """A spec with catalyst dimension 1 to 4 and random disjoint swap pairs."""
+    catalyst_dim = draw(st.integers(min_value=1, max_value=4))
+    dim = 4 * catalyst_dim
+    indices = draw(st.permutations(range(dim)))
+    n_pairs = draw(st.integers(min_value=1, max_value=dim // 2))
+    swaps = tuple(SwapPair(indices[2 * i], indices[2 * i + 1], 1.0) for i in range(n_pairs))
+    hot = BathParams.from_relaxation_time(0.3, draw(omegas), 1.0)
+    cold = BathParams.from_relaxation_time(2.0, draw(omegas), 1.0)
+    return EngineSpec(catalyst_dim=catalyst_dim, hot=hot, cold=cold, swaps=swaps)
+
+
+def permutation(spec: EngineSpec) -> np.ndarray:
+    return discrete._swap_permutation(spec)
+
+
+def with_swaps(spec: EngineSpec, swaps: tuple[SwapPair, ...]) -> EngineSpec:
+    return EngineSpec(catalyst_dim=spec.catalyst_dim, hot=spec.hot, cold=spec.cold, swaps=swaps)
+
+
+class TestPairTable:
+    """The per-structure tables against a derivation from the factor indices."""
+
+    @given(spec=structures())
+    def test_table_reads_equal_the_factor_indices(self, spec):
+        levels = [
+            (spec.layout.factor_indices(pair.u), spec.layout.factor_indices(pair.d))
+            for pair in spec.swaps
+        ]
+        for _ in range(2):
+            for i, ((_, h_u, c_u), (_, h_d, c_d)) in enumerate(levels):
+                assert energy_differences(spec, i) == PairEnergetics(
+                    d_eps_h=spec.hot.omega * h_u - spec.hot.omega * h_d,
+                    d_eps_c=spec.cold.omega * c_u - spec.cold.omega * c_d,
+                )
+            assert catalyst_weights(spec) == [
+                [float(s_u == m) - float(s_d == m) for (s_u, *_), (s_d, *_) in levels]
+                for m in range(spec.catalyst_dim)
+            ]
+            perm = list(range(spec.dim))
+            for pair in spec.swaps:
+                perm[pair.u], perm[pair.d] = pair.d, pair.u
+            assert permutation(spec).tolist() == perm
+
+    @given(spec=structures())
+    def test_tables_are_read_only(self, spec):
+        table = pair_table(*spec.structure)
+        assert table is pair_table(*with_swaps(spec, spec.swaps).structure)
+        assert permutation(spec) is table.perm
+        for array in (table.u, table.d, table.perm):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        weights = catalyst_weights(spec)
+        weights[0][0] = 7.0
+        assert catalyst_weights(spec) != weights
+
+    @given(spec=structures(), data=st.data())
+    def test_invalid_pairs_raise_on_every_call(self, spec, data):
+        dim = spec.dim
+        taken = data.draw(st.sampled_from([p.u for p in spec.swaps] + [p.d for p in spec.swaps]))
+        outside = data.draw(st.integers(min_value=dim, max_value=dim + 8) | st.integers(-8, -1))
+        free = data.draw(st.integers(min_value=0, max_value=dim - 1).filter(lambda n: n != taken))
+        overlapping = with_swaps(spec, spec.swaps + (SwapPair(free, taken, 1.0),))
+        out_of_range = with_swaps(spec, spec.swaps + (SwapPair(outside, free, 1.0),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="appears in more than one pair"):
+                permutation(overlapping)
+            for route in (permutation, catalyst_weights, lambda s: energy_differences(s, 0)):
+                with pytest.raises(ValueError, match=f"index {outside} out of range for dimension"):
+                    route(out_of_range)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, continuous, discrete
+from ottocat import analytic, continuous, discrete, verify
 from ottocat.discrete import CatalystState
 from ottocat.engine_spec import BathParams, otto_spec_from_baths
 from ottocat.mapping import (
@@ -104,6 +103,18 @@ class TestEquivalence:
         spec = otto_spec_from_baths(hot, cold, g=1.0)
         with pytest.raises(ValueError, match="equilibrium boundary"):
             verify_equivalence(spec)
+
+    def test_the_bridge_scale_is_the_work_on_otto_specs(self):
+        # One pair: the scale |Omega delta_p| differs from |W| only by the
+        # rounding in W = Q_h + Q_c.
+        worst = 0.0
+        for seed in (1, 16, 27):
+            for pt in verify.sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
+                spec = pt.otto()
+                cycle = discrete.run_cycle(spec)
+                report = equivalence_from_parts(spec, cycle, pt.otto_report)
+                worst = max(worst, report.work_power_scale / abs(cycle.work) - 1.0)
+        assert 0.0 <= worst <= 1e-11
 
     def test_unbalanced_catalyst_is_flagged_as_non_simple(self):
         spec = cat_family().spec_at(0.4)

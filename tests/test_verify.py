@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, verify
+from ottocat import analytic, cli, discrete, mapping, verify
 from ottocat.engine_spec import (
     BathParams,
     EngineSpec,
@@ -88,6 +88,38 @@ def test_bridge_check_names_its_worst_point(solved_grid, monkeypatch):
     monkeypatch.setattr(verify.mapping, "equivalence_from_parts", off_at_one_point)
     result = verify.check_time_bridge(solved_grid)
     assert names_point(result, solved_grid, 1)
+
+
+@pytest.fixture(scope="module")
+def seed_27_grid():
+    """The first 71 points of seed 27's grid; point 70 has W = 1.7e-5 and
+    pair terms Omega_i delta_p_i of opposite sign, 437 times larger."""
+    return verify.sample_grid(np.random.Generator(np.random.PCG64(27)), 71)
+
+
+def test_seed_27_passes_every_check(capsys):
+    assert cli.main(["verify", "--seed", "27"]) == 0
+    report = capsys.readouterr().out
+    assert report.count("\nPASS  ") == 8 and report.endswith("RESULT: PASS (8/8 checks)\n")
+
+
+def test_the_bridge_scale_at_seed_27_point_70_is_the_pair_terms(seed_27_grid):
+    spec = seed_27_grid[70].catalytic()
+    cycle = discrete.run_cycle(spec)
+    report = mapping.equivalence_from_parts(spec, cycle, seed_27_grid[70].catalytic_report)
+    assert 400.0 < report.work_power_scale / abs(cycle.work) < 500.0
+    assert abs(report.p_times_tau_minus_w) > 1e-9 * abs(cycle.work)
+    assert abs(report.p_times_tau_minus_w) <= 1e-9 * report.work_power_scale
+
+
+def test_a_pair_current_off_by_1e_7_at_seed_27_point_70_fails(seed_27_grid, monkeypatch):
+    perturb_report(
+        monkeypatch, seed_27_grid[70], "catalytic_report",
+        currents=lambda r: (r.currents[0] * (1.0 + 1e-7), r.currents[1]),
+    )
+    result = verify.check_time_bridge(seed_27_grid)
+    assert not result.passed
+    assert "bridge failed at grid point 70" in result.detail
 
 
 @pytest.mark.parametrize(
