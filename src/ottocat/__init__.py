@@ -76,7 +76,6 @@ from .mapping import (
     EngineFamily,
     EquivalenceReport,
     compare_at_efficiency,
-    table_correspondence_residuals,
     verify_equivalence,
 )
 from .qstate import (
@@ -155,7 +154,6 @@ __all__ = [
     "EngineFamily",
     "EfficiencyComparison",
     "verify_equivalence",
-    "table_correspondence_residuals",
     "compare_at_efficiency",
     # self-audit
     "CheckResult",

@@ -41,7 +41,6 @@ __all__ = [
     "hamiltonians",
     "level_table",
     "pair_table",
-    "catalyst_weights",
     "validate",
 ]
 
@@ -231,8 +230,12 @@ def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
 
 class PairTable(NamedTuple):
     """Per pair i the (catalyst, hot, cold) levels and flat indices of u_i
-    and d_i, :func:`catalyst_weights`, the work stroke's index map n <->
-    ``perm[n]``, and ``overlap``, the first (pair, index) reusing an index."""
+    and d_i, the catalyst weights, the work stroke's index map n <->
+    ``perm[n]``, and ``overlap``, the first (pair, index) reusing an index.
+
+    ``catalyst_weights[m][i]`` is indicator_m(u_i) - indicator_m(d_i):
+    +1.0 when swap pair i leaves catalyst level m through u_i, -1.0
+    through d_i."""
 
     levels_u: tuple[tuple[int, ...], ...]
     levels_d: tuple[tuple[int, ...], ...]
@@ -263,12 +266,6 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
         array.setflags(write=False)
     levels = (tuple(map(layout.factor_indices, idx.tolist())) for idx in (u, d))
     return PairTable(*levels, weights, u, d, perm, overlap)
-
-
-def catalyst_weights(spec: EngineSpec) -> list[list[float]]:
-    """indicator_m(u_i) - indicator_m(d_i) at ``[m][i]``: +1.0 when swap
-    pair i leaves catalyst level m through u_i, -1.0 through d_i."""
-    return [list(weights) for weights in pair_table(*spec.structure).catalyst_weights]
 
 
 def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:

@@ -79,7 +79,7 @@ class TestAcceptance:
     def test_criterion_3_mapping_identity(self, suite):
         results, _ = suite
         result = results["bridge"]
-        report(3, "P*tau = W, matching efficiencies, equal pair currents", result)
+        report(3, "every row of the flow-current dictionary, equal pair currents", result)
         assert result.passed, result.detail
 
     def test_criterion_4_characteristic_time_theorem(self, suite):

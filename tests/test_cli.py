@@ -382,8 +382,9 @@ class TestVerifySubcommand:
     ):
         # Grid point 70 at seed 27 is a catalytic point whose pair terms
         # Omega_i delta_p_i nearly cancel; its work-power gap, 8.5e-12 of
-        # their scale, is the only one above 2e-12 at this seed.  Tightened
-        # to 5e-12, the bridge breaks there and nowhere else.
+        # their scale, is the only one above 2e-12 at this seed, with its
+        # cold-heat and efficiency rows.  Tightened to 5e-12, the bridge
+        # breaks there and nowhere else.
         monkeypatch.setattr(verify.mapping, "WORK_POWER_TOL", 5e-12)
         out = tmp_path / "report.txt"
         code = cli.main(["verify", "--seed", "27", "--output", str(out)])
@@ -394,7 +395,8 @@ class TestVerifySubcommand:
         (failed,) = [line for line in lines if line.startswith("FAIL  ")]
         assert failed.startswith("FAIL  time_bridge")
         assert "qubit_catalyst bridge failed at grid point 70, GridPoint(a_h=0.834" in failed
-        assert "work-power bridge broken" in failed
+        assert ": bridge rows over their tolerance: heat_cold 8.5" in failed
+        assert ", work_power 8.5" in failed and failed.endswith(" > 5.0e-12")
         assert lines[-1] == "RESULT: FAIL (7/8 checks)"
 
     def test_a_singular_bridge_fails_the_check_naming_its_point(self, monkeypatch):

@@ -392,7 +392,7 @@ def certificate_specs() -> list[EngineSpec]:
     specs = []
     for seed in (1, 2, 3):
         for point in sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
-            specs += [point.otto(), point.catalytic()]
+            specs += [point.otto, point.catalytic]
     hot = BathParams.from_relaxation_time(0.2, 1.0, 1.0)
     for g_tau in np.logspace(-2, 3, 21):
         cold = BathParams.from_relaxation_time(2.0, 0.45, 1.0)

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used by that module.
+"""Every name a module of the package imports is used by that module,
+and every name it exports exists.
 
 The scan parses each ``src/ottocat/*.py`` except ``__init__.py`` (whose
 imports are the package's exports) and reports the imported names that
@@ -8,6 +9,7 @@ never appear as a name in the module's code or in its ``__all__``.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ottocat"
@@ -55,6 +57,16 @@ def test_no_module_imports_a_name_it_does_not_use():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found == set(KEPT)
+
+
+def test_every_exported_name_resolves():
+    missing = set()
+    for path in sorted(SRC.glob("*.py")):
+        name = "ottocat" if path.name == "__init__.py" else f"ottocat.{path.stem}"
+        module = importlib.import_module(name)
+        assert "__all__" in vars(module), name
+        missing |= {(name, attr) for attr in module.__all__ if not hasattr(module, attr)}
+    assert missing == set()
 
 
 def test_the_scan_sees_names_in_code_and_in_all_but_not_in_docstrings():

@@ -81,13 +81,28 @@ def test_bridge_check_names_its_worst_point(solved_grid, monkeypatch):
         report = audit(spec, cycle, ss)
         if ss is broken:
             report = dataclasses.replace(
-                report, p_times_tau_minus_w=1e-7 * report.work_per_cycle
+                report, residuals={**report.residuals, "second_law": 1e-7}
             )
         return report
 
     monkeypatch.setattr(verify.mapping, "equivalence_from_parts", off_at_one_point)
     result = verify.check_time_bridge(solved_grid)
     assert names_point(result, solved_grid, 1)
+    assert result.worst == 1e-7
+    assert "worst bridge row qubit_catalyst second_law over 3 points" in result.detail
+
+
+def test_a_heat_current_off_by_1e_7_fails_the_bridge_naming_its_row(solved_grid, monkeypatch):
+    perturb_report(
+        monkeypatch, solved_grid[2], "catalytic_report",
+        j_hot=lambda r: r.j_hot * (1.0 + 1e-7),
+    )
+    result = verify.check_time_bridge(solved_grid)
+    assert not result.passed and result.worst == math.inf
+    assert result.detail.startswith(
+        f"qubit_catalyst bridge failed at grid point 2, {solved_grid[2]!r}: "
+        "bridge rows over their tolerance: heat_hot "
+    )
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +119,29 @@ def test_seed_27_passes_every_check(capsys):
 
 
 def test_the_bridge_scale_at_seed_27_point_70_is_the_pair_terms(seed_27_grid):
-    spec = seed_27_grid[70].catalytic()
+    spec = seed_27_grid[70].catalytic
     cycle = discrete.run_cycle(spec)
     report = mapping.equivalence_from_parts(spec, cycle, seed_27_grid[70].catalytic_report)
     assert 400.0 < report.work_power_scale / abs(cycle.work) < 500.0
-    assert abs(report.p_times_tau_minus_w) > 1e-9 * abs(cycle.work)
-    assert abs(report.p_times_tau_minus_w) <= 1e-9 * report.work_power_scale
+    gap = abs(report.power * report.tau - cycle.work)
+    assert gap > 1e-9 * abs(cycle.work)
+    assert gap <= 1e-9 * report.work_power_scale
+
+
+@pytest.mark.parametrize("engine", ["otto", "catalytic"])
+def test_every_bridge_row_at_seed_27_point_70_is_within_its_tolerance(seed_27_grid, engine):
+    # The relative work row of the old from-scratch table read 3.7e-9 here.
+    pt = seed_27_grid[70]
+    spec = getattr(pt, engine)
+    report = mapping.verify_equivalence(spec)
+    assert report.residuals == mapping.equivalence_from_parts(
+        spec, discrete.run_cycle(spec), getattr(pt, f"{engine}_report")
+    ).residuals
+    for row, value in report.residuals.items():
+        if row.startswith("catalyst_balance_"):
+            assert value <= discrete.CATALYST_SOLVE_TOL, row
+        else:
+            assert value <= mapping.WORK_POWER_TOL == mapping.TAU_UNIFORM_TOL, row
 
 
 def test_a_pair_current_off_by_1e_7_at_seed_27_point_70_fails(seed_27_grid, monkeypatch):
