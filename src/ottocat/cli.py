@@ -477,11 +477,13 @@ def build_row(
     spec: EngineSpec,
     eta: float | None,
     mode: str,
+    report: continuous.SteadyStateReport | None,
 ) -> dict[str, object]:
     """One ResultRow: echoed inputs plus whatever ``mode`` computes.
 
     ``mode`` is ``"discrete"``, ``"continuous"``, or ``"both"``; fields
     the mode does not compute stay ``None`` and serialize as ``NA``.
+    ``report`` is the spec's steady state (``None`` in discrete mode).
     """
     row: dict[str, object] = dict.fromkeys(COLUMNS)
     row["engine"] = engine_token
@@ -514,9 +516,7 @@ def build_row(
         row["catalyst_residual"] = cycle.catalyst_residual
         row["regime_discrete"] = cycle.regime
 
-    report = None
     if mode in ("continuous", "both"):
-        report = continuous.steady_state_report(spec)
         row["current_1"] = report.currents[0]
         if len(report.currents) > 1:
             row["current_2"] = report.currents[1]
@@ -577,16 +577,23 @@ def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: 
 # subcommands
 
 
+def _rows(points: list[tuple[str, EngineSpec, float | None]], mode: str) -> list[dict[str, object]]:
+    """One row per (engine token, spec, eta); one call solves every steady state."""
+    specs = [spec for _, spec, _ in points]
+    reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
+    return [build_row(*point, mode, report) for point, report in zip(points, reports)]
+
+
 def _point_rows(config: RunConfig, mode: str) -> list[dict[str, object]]:
-    rows = []
+    points = []
     for token in config.engines:
         if token in FAMILY_KINDS:
             fixed = config.fixed
             family = _family(token, fixed, fixed.g_tau_eq)
-            rows.append(build_row(token, family.spec_at(fixed.eta), fixed.eta, mode))
+            points.append((token, family.spec_at(fixed.eta), fixed.eta))
         else:
-            rows.append(build_row(token, load_custom_spec(token), None, mode))
-    return rows
+            points.append((token, load_custom_spec(token), None))
+    return _rows(points, mode)
 
 
 def cmd_discrete(config: RunConfig, output: str | None = None) -> int:
@@ -612,7 +619,7 @@ def cmd_sweep(config: RunConfig, output: str | None = None) -> int:
     """Both-picture rows over the swept parameter, sorted by (value, engine)."""
     axis = config.sweep
     fixed = config.fixed
-    rows = []
+    points = []
     for value, token in sorted(
         (value, token) for value in _sweep_values(axis) for token in config.engines
     ):
@@ -622,8 +629,8 @@ def cmd_sweep(config: RunConfig, output: str | None = None) -> int:
         else:
             family = _family(token, fixed, value)
             eta = fixed.eta
-        rows.append(build_row(token, family.spec_at(eta), eta, "both"))
-    _write_csv(rows, config.columns, output)
+        points.append((token, family.spec_at(eta), eta))
+    _write_csv(_rows(points, "both"), config.columns, output)
     return 0
 
 

@@ -28,12 +28,12 @@ energy operators) and cross-checked on every call.
 The eigenvector route is a block certificate: no nonzero entry of the
 generator couples two connected components of its sparsity pattern, so
 its spectrum is the union of theirs.  They come in mirror pairs (|i><j|
-against |j><i|), exact complex conjugates, certified on every call.  The
-component holding the |0><0| population gets a real eigendecomposition
-and yields the kernel vector; one of each other pair only its
-eigenvalues.  The pooled spectrum proves the kernel one-dimensional and
-gives the spectral gap.  The components are found once per sparsity
-pattern, on first use.
+against |j><i|), exact complex conjugates, certified entry by entry.  The
+component of the |0><0| population gets a real eigendecomposition and
+yields the kernel vector; one of each other pair only its eigenvalues.
+The components are found once per pattern.  Specs of one structure are
+solved in stacks that share each eigen-solve, the refinement and the
+checks; only the LU of the full generator stays one per spec.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,7 +56,7 @@ from .engine_spec import (
     level_table,
     pair_table,
 )
-from .qstate import DensityMatrix, HilbertLayout, Operator
+from .qstate import DensityMatrix, HilbertLayout, Operator, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
 from .qstate import expectation  # noqa: F401
@@ -77,6 +78,7 @@ __all__ = [
     "ness_condition_checks",
     "entropy_production_rate",
     "steady_state_report",
+    "steady_state_reports",
 ]
 
 #: Eigenvalues whose real part is within this fraction of the spectral
@@ -92,6 +94,14 @@ CURRENT_IMAG_TOL = 1e-10
 #: Relative agreement required between the two heat-current routes.
 CURRENT_CROSS_TOL = 1e-9
 
+#: Specs per stack in :func:`steady_state_reports`, chosen from peak RSS.
+#: Stacks of 1, 8, 16, 32 and 100 ran the golden sweep in 117, 62, 56, 54
+#: and 50 ms (96 ms one spec at a time) and raised a default ``verify``'s
+#: peak RSS by 0.5, 0.7, 0.9, 1.4 and 3.9 MB over 41.5 MB (one BLAS thread).
+_STACK = 16
+
+_NON_ERGODIC = "non-ergodic Liouvillian: steady state not unique"
+
 #: Allowed violation of P = J_h + J_c (power accumulated over pair
 #: resonance frequencies vs. the two heat currents separately).
 FIRST_LAW_TOL = 1e-10
@@ -103,7 +113,8 @@ def _vec(mat: np.ndarray) -> np.ndarray:
 
 
 def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape((dim, dim), order="F")
+    """Inverse of :func:`_vec`; on a stack of vectors, of each."""
+    return np.asarray(v).reshape(*np.shape(v)[:-1], dim, dim).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -175,7 +186,7 @@ def build_interaction(spec: EngineSpec) -> Operator:
     return Operator(spec.layout, mat)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _bath_jumps(
     factor_dims: tuple[int, ...], which_qubit: str
 ) -> tuple[np.ndarray, ...]:
@@ -233,13 +244,12 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     return Superoperator(layout, bath.gamma_plus * raising + bath.gamma_minus * lowering)
 
 
-@functools.cache
-def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``(positions, pieces)``: the flat positions of a generator's nonzero
-    entries, and there one row per rate-free piece: -i[|u><d| + |d><u|, .]
-    of each swap pair (u, d), then the raising and lowering jumps of the
-    hot and of the cold qubit.  Built once per structure, read-only.
-    """
+@functools.lru_cache(maxsize=64)
+def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndarray, tuple]:
+    """``(pieces, blocks)``: -i[|u><d| + |d><u|, .] of each swap pair (u, d),
+    then the raising and lowering jumps of the hot and of the cold qubit, on
+    the flat positions where any is nonzero, and the :func:`_kernel_blocks`
+    of that pattern.  Built once per structure."""
     dim = math.prod(factor_dims)
     eye = np.eye(dim, dtype=complex)
     pieces = []
@@ -248,72 +258,100 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
         swap[u, d] = swap[d, u] = 1.0
         pieces.append(-1j * (np.kron(eye, swap) - np.kron(swap.T, eye)))
     pieces += [*_bath_jumps(factor_dims, "hot")[:2], *_bath_jumps(factor_dims, "cold")[:2]]
-    flat = [piece.ravel() for piece in pieces]
-    positions = np.flatnonzero(np.logical_or.reduce([piece != 0 for piece in flat]))
-    gathered = np.stack([piece[positions] for piece in flat])
-    for array in (positions, gathered):
-        array.setflags(write=False)
-    return positions, gathered
+    pattern = np.logical_or.reduce([piece.ravel() != 0 for piece in pieces])
+    gathered = np.stack([piece.ravel()[pattern] for piece in pieces])
+    gathered.setflags(write=False)
+    return gathered, _kernel_blocks(dim * dim, np.packbits(pattern).tobytes())
+
+
+def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.ndarray:
+    """One row per spec: its generator's nonzero entries,
+    sum_i g_i C_i + (gamma_+ R + gamma_- L)_h + (gamma_+ R + gamma_- L)_c,
+    each by the dense sum's operations in the same order (bit-identical)."""
+    *commutators, raise_h, lower_h, raise_c, lower_c = pieces
+    rates = np.array(
+        [[*(pair.g for pair in s.swaps), s.hot.gamma_plus, s.hot.gamma_minus,
+          s.cold.gamma_plus, s.cold.gamma_minus] for s in specs],
+        dtype=complex,
+    )
+    *couplings, up_h, down_h, up_c, down_c = rates.T[..., None]
+    coherent = np.zeros((len(specs), pieces.shape[1]), dtype=complex)
+    for g, commutator in zip(couplings, commutators):
+        coherent += g * commutator
+    return coherent + (up_h * raise_h + down_h * lower_h) + (up_c * raise_c + down_c * lower_c)
 
 
 def build_liouvillian(spec: EngineSpec) -> Superoperator:
     """Full generator -i[V0, .] + D_h + D_c, evaluated on its nonzero entries
-    only, each by the dense sum's operations in the same order (bit-identical)."""
-    positions, (*commutators, raise_h, lower_h, raise_c, lower_c) = _generator_plan(
-        *spec.structure
-    )
-    coherent = np.zeros(len(positions), dtype=complex)
-    for pair, commutator in zip(spec.swaps, commutators):
-        coherent += pair.g * commutator
+    only (:func:`_generator_values`)."""
+    pieces, blocks = _generator_plan(*spec.structure)
     total = np.zeros(spec.dim**4, dtype=complex)
-    total[positions] = (
-        coherent
-        + (spec.hot.gamma_plus * raise_h + spec.hot.gamma_minus * lower_h)
-        + (spec.cold.gamma_plus * raise_c + spec.cold.gamma_minus * lower_c)
-    )
+    total[blocks[0]] = _generator_values([spec], pieces)[0]
     total.setflags(write=False)
     sop = object.__new__(Superoperator)  # adopts the fresh matrix without the copy
     sop.__dict__.update(layout=spec.layout, matrix=total.reshape(spec.dim**2, -1))
     return sop
 
 
-def _normalize_state(mat: np.ndarray) -> np.ndarray:
-    """Rotate away any global phase, hermitize, and scale to unit trace."""
-    tr = mat.trace()
-    if abs(tr) < 1e-14 * max(1.0, float(abs(mat).max())):
-        raise ValueError("candidate steady state is traceless; cannot normalize")
-    mat = mat / tr
-    herm = (mat + mat.conj().T) / 2.0
-    return herm / herm.trace().real
+def _fail(bad, where: Sequence[str] | None, error: type, message) -> None:
+    """Raise ``error`` for the first flagged row of a stack, named by
+    ``where`` if given; ``message`` is a string or a function of the row."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        text = message(row) if callable(message) else message
+        raise error(text if where is None else f"{where[row]}: {text}")
+
+
+def _normalize_state(mat: np.ndarray, where: Sequence[str] | None = None) -> np.ndarray:
+    """Rotate away any global phase, hermitize, and scale to unit trace;
+    on a stack of matrices, each one."""
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    bound = 1e-14 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    traceless = "candidate steady state is traceless; cannot normalize"
+    _fail(np.abs(tr) < bound, where, ValueError, traceless)
+    mat = mat / tr[..., None, None]
+    herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    return herm / np.trace(herm, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _refined_bordered_solve(
-    bordered: np.ndarray, rhs: np.ndarray, main: np.ndarray
+    dim: int, values: np.ndarray, sub: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
 ) -> np.ndarray:
-    """Solve the bordered system, refining on the block of |0><0|.
+    """Solve the bordered systems (row 0 the trace row, right-hand side
+    e_0) of a stack of generators with ``values`` on ``blocks``' pattern.
 
-    One LU solve of the full matrix, then two steps of iterative
+    One LU solve of each full matrix, assembled one at a time since its
+    bits depend on the full embedding, then two steps of iterative
     refinement with residuals in extended precision, so stiff generators
     (fast rates next to a slow transfer mode) still yield currents
-    accurate near machine level.  ``main`` holds the indices of the
-    block of |0><0|, which carries the trace row and the right-hand
-    side.  Partial pivoting never mixes blocks that no entry couples, so
-    the full solve is exactly zero off ``main`` (checked on every call),
-    the residual vanishes there, and both refinement steps run on the
-    ``main`` block alone: only it is cast to extended precision and
-    factorized again.
+    accurate near machine level.  Partial pivoting never mixes blocks
+    that no entry couples, so each solve is exactly zero off the block of
+    |0><0| (checked), and both refinement steps run on ``sub``, the
+    stack's bordered blocks of |0><0|, alone.
     """
-    solution = np.linalg.solve(bordered, rhs)
-    block = solution[main]
-    if np.count_nonzero(block) != np.count_nonzero(solution):
-        raise AssertionError("bordered solve is nonzero outside the block of |0><0|")
-    sub = bordered[main[:, None], main]
+    positions, main = blocks[:2]
+    n = dim * dim
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    solution = np.empty((len(values), n), dtype=complex)
+    for row, entries in enumerate(values):
+        bordered = np.zeros((n, n), dtype=complex)
+        bordered.flat[positions] = entries
+        bordered[0, :] = 0.0
+        bordered[0, :: dim + 1] = 1.0  # the diagonal (j, j) in column stacking
+        try:
+            solution[row] = np.linalg.solve(bordered, rhs)
+        except np.linalg.LinAlgError:
+            _fail(np.arange(len(values)) == row, where, ValueError, _NON_ERGODIC)
+    block = solution[:, main]
+    outside = np.count_nonzero(block, axis=1) != np.count_nonzero(solution, axis=1)
+    _fail(outside, where, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
     sub_ld = sub.astype(np.clongdouble)
     rhs_ld = rhs[main].astype(np.clongdouble)
     for _ in range(2):
-        residual = rhs_ld - sub_ld @ block.astype(np.clongdouble)
-        block = block + np.linalg.solve(sub, residual.astype(complex))
-    solution[main] = block
+        residual = rhs_ld - (sub_ld @ block.astype(np.clongdouble)[..., None])[..., 0]
+        block = block + np.linalg.solve(sub, residual.astype(complex)[..., None])[..., 0]
+    solution[:, main] = block
     return solution
 
 
@@ -326,14 +364,14 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
     entries; no entry couples two blocks, so the spectrum is the union of
     the blocks' spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <->
     |j><i|) of a Hermiticity-preserving generator maps blocks onto blocks;
-    a pattern where it does not raises ``ValueError``.  Returns ``(main,
-    (T, T^-1), others, singles, gather)``: the block of vec index 0 and
-    its real basis (row k of T reads x_k on a population, x_k + x_k' on
-    the first of a coherence pair k < k', i(x_k' - x_k) on the second);
-    ``(indices, paired)`` for one block of each mirror pair larger than
-    1 x 1; the 1 x 1 blocks; and a ``(rows, cols)`` gather of ``main`` and
-    ``others`` row-major, then of their mirror images.  Built once per
-    pattern and handed out read-only.
+    a pattern where it does not raises ``ValueError``.  Returns
+    ``(positions, main, (T, T^-1), others, gather, mirrored)``: the flat
+    positions of the nonzero entries; the block of vec index 0 and its real
+    basis (row k of T reads x_k on a population, x_k + x_k' on the first of
+    a coherence pair k < k', i(x_k' - x_k) on the second); ``(members,
+    paired)`` per block size for one block of every other mirror pair; and
+    where, among the nonzero entries (-1: a zero), to read those blocks
+    row-major, and each entry's mirror image.  Built once per pattern.
     """
     bits = np.unpackbits(np.frombuffer(packed_pattern, dtype=np.uint8), count=n * n)
     linked = bits.reshape(n, n).astype(bool)
@@ -348,13 +386,13 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
     blocks = [np.flatnonzero(label == root) for root in roots]
     dim = math.isqrt(n)
     mirror = (np.arange(n) % dim) * dim + np.arange(n) // dim
-    kept = {}  # block number -> whether a partner block shares its spectrum
+    by_size = {}  # (size, whether a partner block shares the spectrum) -> blocks
     for b, block in enumerate(blocks):
         partner = int(block_of[mirror[block[0]]])
         if not np.array_equal(np.sort(mirror[block]), blocks[partner]):
             raise ValueError("generator does not preserve Hermiticity")
-        if partner not in kept and (b == 0 or len(block) > 1):
-            kept[b] = partner != b
+        if 0 < b <= partner:
+            by_size.setdefault((len(block), partner != b), []).append(block)
     main = blocks[0]
     k = np.arange(len(main))
     mk = np.searchsorted(main, mirror[main])
@@ -362,126 +400,119 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
         np.where(k > mk, -1j, 1.0)[:, None] * np.eye(len(main))
         + np.where(k < mk, 1.0, 1j * (k > mk))[:, None] * np.eye(len(main))[mk]
     )
-    grids = [np.meshgrid(blocks[b], blocks[b], indexing="ij") for b in kept]
+    others = tuple((np.array(members), paired) for (_, paired), members in by_size.items())
+    kept = [main, *(block for members, _ in others for block in members)]
+    grids = [np.meshgrid(block, block, indexing="ij") for block in kept]
     rows, cols = (np.concatenate([grid[i].ravel() for grid in grids]) for i in (0, 1))
-    others = tuple((blocks[b], paired) for b, paired in kept.items() if b)
-    singles = np.array([b[0] for b in blocks[1:] if len(b) == 1], dtype=np.intp)
+    positions = np.flatnonzero(bits)
+    entry_of = np.where(bits, np.cumsum(bits, dtype=np.intp) - 1, -1)
+    gather = entry_of[rows * n + cols]
+    mirrored = entry_of[mirror[positions // n] * n + mirror[positions % n]]
     real_basis = (to_real, np.linalg.inv(to_real))
-    gather = (np.concatenate([rows, mirror[rows]]), np.concatenate([cols, mirror[cols]]))
-    for array in (main, *real_basis, *(b for b, _ in others), singles, *gather):
+    for array in (positions, main, *real_basis, *(m for m, _ in others), gather, mirrored):
         array.setflags(write=False)
-    return main, real_basis, others, singles, gather
+    return positions, main, real_basis, others, gather, mirrored
 
 
-def _block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of a square matrix, gathered block by block.
+def _block_spectrum(
+    padded: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigvals, main_vecs)`` of a stack of generators on ``blocks``
+    (:func:`_kernel_blocks`), one row of nonzero entries each, then a zero.
 
-    Returns ``(eigvals, main, main_vecs)``: every eigenvalue, the indices
-    of the block holding index 0, and that block's right eigenvectors.
-    The first ``len(main)`` eigenvalues are that block's, in the order of
-    the columns of ``main_vecs``.  One gather and one exact comparison
-    certify that each block larger than 1 x 1 is the conjugate of its
-    mirror image, or raise ``ValueError``.  The block of index 0 goes
-    through one real ``np.linalg.eig`` in its real basis, one block of
-    every other mirror pair through ``eigvals``.
+    Each row of ``eigvals`` starts with the block of |0><0|, in the order
+    of the columns of its right eigenvectors ``main_vecs``.  One exact
+    comparison certifies every entry as the conjugate of its mirror image,
+    or raises ``ValueError``; then one real ``eig`` per stack runs on the
+    block of |0><0| in its real basis, one ``eigvals`` per block size on
+    one block of every other mirror pair.
     """
-    main, (to_real, from_real), others, singles, gather = _kernel_blocks(
-        mat.shape[0], np.packbits(mat != 0).tobytes()
-    )
-    entries = mat[gather]
-    half = len(entries) // 2
-    if not np.array_equal(entries[half:], entries[:half].conj()):
-        raise ValueError("generator does not preserve Hermiticity")
+    _, main, (to_real, from_real), others, gather, mirrored = blocks
+    broken = (padded[:, mirrored] != padded[:, :-1].conj()).any(axis=1)
+    _fail(broken, where, ValueError, "generator does not preserve Hermiticity")
+    entries = padded[:, gather]
     start = len(main) ** 2
     # Real in exact arithmetic by the certificate; the rest is round-off.
-    real = (to_real @ entries[:start].reshape(len(main), -1) @ from_real).real
+    real = (to_real @ entries[:, :start].reshape(-1, len(main), len(main)) @ from_real).real
     main_vals, real_vecs = np.linalg.eig(real)
     parts = [main_vals]
-    for block, paired in others:
-        stop = start + len(block) ** 2
-        vals = np.linalg.eigvals(entries[start:stop].reshape(len(block), -1))
+    for members, paired in others:
+        count, size = members.shape
+        stop = start + count * size**2
+        vals = np.linalg.eigvals(entries[:, start:stop].reshape(-1, size, size))
+        vals = vals.reshape(len(padded), -1)
         parts += [vals, vals.conj()] if paired else [vals]
         start = stop
-    parts.append(mat[singles, singles])
-    return np.concatenate(parts), main, from_real @ real_vecs
+    return np.concatenate(parts, axis=1), from_real @ real_vecs
+
+
+def _stationary_stack(
+    layout: HilbertLayout, values: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
+) -> list[tuple[DensityMatrix, float]]:
+    """:func:`stationary_state` of a stack of generators on one pattern,
+    ``values[k]`` the nonzero entries of the k-th, ``blocks`` the pattern's
+    :func:`_kernel_blocks`; a failure names its generator by ``where``."""
+    dim = layout.total_dim
+    count, main = len(values), blocks[1]
+    padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
+    eigvals, main_vecs = _block_spectrum(padded, blocks, where)
+    scale = np.abs(eigvals).max(axis=1)
+    _fail(scale == 0.0, where, ValueError, "generator is identically zero; every state is "
+          "stationary")
+    zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale[:, None]
+    n_zero = np.count_nonzero(zero_mask, axis=1)
+    _fail(n_zero == 0, where, ValueError, "no stationary state found (kernel is numerically empty)")
+    _fail(n_zero > 1, where, ValueError, _NON_ERGODIC)
+    main_zero = zero_mask[:, : len(main)]
+    _fail(~main_zero.any(axis=1), where, ValueError, "stationary kernel lies outside the block "
+          "of |0><0|; generator is not trace preserving")
+    kernel_vecs = np.zeros((count, dim * dim), dtype=complex)
+    kernel_vecs[:, main] = main_vecs[np.arange(count), :, main_zero.argmax(axis=1)]
+    rho_eig = _normalize_state(_unvec(kernel_vecs, dim), where)
+
+    # Primary route: bordered linear solve with the trace constraint.  The
+    # block of |0><0| starts at vec index 0, so its row 0 is the trace row.
+    sub = padded[:, blocks[4][: len(main) ** 2]].reshape(count, len(main), len(main))
+    sub[:, 0, :] = main % (dim + 1) == 0
+    solved = _refined_bordered_solve(dim, values, sub, blocks, where)
+    rho_lin = _normalize_state(_unvec(solved, dim), where)
+
+    apart = np.abs(rho_eig - rho_lin).max(axis=(1, 2))
+    _fail(apart > SOLVER_CROSS_TOL, where, AssertionError, lambda k: "steady-state routes "
+          f"disagree by {apart[k]:.3e} (> {SOLVER_CROSS_TOL:.1e})")
+    bad, why = state_defects(rho_lin)
+    _fail(bad, where, ValueError, why)
+    decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
+    return [(DensityMatrix(Operator(layout, rho)), float(d)) for rho, d in zip(rho_lin, decay)]
 
 
 def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     """Unique steady state and spectral gap of a generator.
 
-    The generator splits into independent blocks along its sparsity
-    pattern (the symmetry-block reduction of Lindblad generators), and
-    its spectrum is the union of the blocks' spectra.  The blocks come in
-    mirror pairs, |i><j| against |j><i|; if they are not exact complex
-    conjugates, "generator does not preserve Hermiticity" raises
-    ``ValueError``.  The block holding the |0><0| population gets a full
-    eigendecomposition in the real basis of its populations,
-    rho_ij + rho_ji and i(rho_ij - rho_ji); one block of every other
-    mirror pair only its eigenvalues.  Across the pooled spectrum, the
-    kernel is the single eigenvalue whose real part sits within ``KERNEL_TOL``
-    of zero (relative to the spectral scale); finding two or more such
-    eigenvalues raises "non-ergodic Liouvillian: steady state not
-    unique".  Each block holding a population has the identity,
-    restricted to it, as a left null vector, so a trace-preserving
-    generator whose populations fall into several blocks always has a
-    degenerate kernel, and a unique kernel always lies in the block of
-    |0><0|.
+    The spectrum is pooled block by block (see the module docstring): if
+    mirror blocks are not exact complex conjugates, "generator does not
+    preserve Hermiticity" raises ``ValueError``.  The kernel is the single
+    eigenvalue whose real part sits within ``KERNEL_TOL`` of zero
+    (relative to the spectral scale); two or more raise "non-ergodic
+    Liouvillian: steady state not unique".  Each block holding a
+    population has the identity, restricted to it, as a left null vector,
+    so a trace-preserving generator whose populations fall into several
+    blocks always has a degenerate kernel, and a unique kernel always
+    lies in the block of |0><0|.
 
     The returned state comes from the better-conditioned route: one
     generator row replaced by the trace constraint, solved on the full
-    generator, then refined in extended precision on the block of
-    |0><0|, which holds the whole solution.  The kernel
-    eigenvector of the |0><0| block is kept as an independent
-    cross-check and must agree elementwise to ``SOLVER_CROSS_TOL``.
+    generator, then refined in extended precision on the block of |0><0|,
+    which holds the whole solution.  The kernel eigenvector of that block
+    must agree with it elementwise to ``SOLVER_CROSS_TOL``.
 
-    Returns ``(rho_ss, spectral_gap)`` where the gap is the smallest
-    decay rate -Re(lambda) over the nonstationary spectrum.
+    Returns ``(rho_ss, spectral_gap)`` where the gap is the smallest decay
+    rate -Re(lambda) over the nonstationary spectrum; a stack of one.
     """
     mat = liouvillian.matrix
-    dim = liouvillian.dim
-    eigvals, main, main_vecs = _block_spectrum(mat)
-    scale = float(abs(eigvals).max())
-    if scale == 0.0:
-        raise ValueError("generator is identically zero; every state is stationary")
-    zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale
-    n_zero = int(np.count_nonzero(zero_mask))
-    if n_zero == 0:
-        raise ValueError("no stationary state found (kernel is numerically empty)")
-    if n_zero > 1:
-        raise ValueError("non-ergodic Liouvillian: steady state not unique")
-    main_zero = zero_mask[: len(main)]
-    if not main_zero.any():
-        raise ValueError(
-            "stationary kernel lies outside the block of |0><0|; "
-            "generator is not trace preserving"
-        )
-    kernel_vec = np.zeros(dim * dim, dtype=complex)
-    kernel_vec[main] = main_vecs[:, main_zero][:, 0]
-    rho_eig = _normalize_state(_unvec(kernel_vec, dim))
-
-    # Primary route: bordered linear solve with the trace constraint.
-    bordered = mat.copy()
-    bordered[0, :] = 0.0
-    bordered[0, :: dim + 1] = 1.0  # the diagonal (j, j) in column stacking
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        solved = _refined_bordered_solve(bordered, rhs, main)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("non-ergodic Liouvillian: steady state not unique") from exc
-    rho_lin = _normalize_state(_unvec(solved, dim))
-
-    disagreement = float(abs(rho_eig - rho_lin).max())
-    if disagreement > SOLVER_CROSS_TOL:
-        raise AssertionError(
-            f"steady-state routes disagree by {disagreement:.3e} "
-            f"(> {SOLVER_CROSS_TOL:.1e})"
-        )
-
-    spectral_gap = float(-eigvals[~zero_mask].real.max())
-    rho = DensityMatrix(Operator(liouvillian.layout, rho_lin))
-    rho.validate()
-    return rho, spectral_gap
+    blocks = _kernel_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+    [state] = _stationary_stack(liouvillian.layout, mat[mat != 0][None], blocks)
+    return state
 
 
 def probability_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
@@ -684,9 +715,29 @@ def entropy_production_rate(spec: EngineSpec, rho_ss: DensityMatrix) -> float:
 
 
 def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
-    """Solve for the steady state and return its audited energetics.
+    """Solve for the steady state and return its audited energetics: one
+    solve, as a stack of one, and one measurement of the currents."""
+    [report] = steady_state_reports([spec])
+    return report
 
-    One generator build, one solve, one measurement of the currents.
-    """
-    rho_ss, gap = stationary_state(build_liouvillian(spec))
-    return currents_and_power(spec, rho_ss, spectral_gap=gap)
+
+def steady_state_reports(specs: Sequence[EngineSpec]) -> Iterator[SteadyStateReport]:
+    """:func:`steady_state_report` of every spec, yielded in input order, bit for bit.
+
+    Each window of ``2 * _STACK`` consecutive specs is grouped by structure
+    and solved in stacks of up to ``_STACK``, one window at a time; with
+    more than one spec, a failing solve names its position, "spec <i>: ..."."""
+    for first in range(0, len(specs), 2 * _STACK):
+        window = range(first, min(first + 2 * _STACK, len(specs)))
+        reports = {}
+        for structure in dict.fromkeys(specs[i].structure for i in window):
+            indices = [i for i in window if specs[i].structure == structure]
+            pieces, blocks = _generator_plan(*structure)
+            for start in range(0, len(indices), _STACK):
+                stack = indices[start : start + _STACK]
+                values = _generator_values([specs[i] for i in stack], pieces)
+                where = [f"spec {i}" for i in stack] if len(specs) > 1 else None
+                states = _stationary_stack(specs[stack[0]].layout, values, blocks, where)
+                for i, (rho_ss, gap) in zip(stack, states):
+                    reports[i] = currents_and_power(specs[i], rho_ss, spectral_gap=gap)
+        yield from (reports[i] for i in window)

@@ -158,6 +158,14 @@ class EngineSpec:
     def structure(self) -> tuple:  # (factor dims, (u, d) pairs): keys the tables
         return self.layout.factor_dims, tuple((pair.u, pair.d) for pair in self.swaps)
 
+    @functools.cached_property
+    def _energetics(self) -> tuple:  # every pair's PairEnergetics, for energy_differences
+        table, hot, cold = pair_table(*self.structure), self.hot.omega, self.cold.omega
+        return tuple(
+            PairEnergetics(d_eps_h=hot * h_u - hot * h_d, d_eps_c=cold * c_u - cold * c_d)
+            for (_, h_u, c_u), (_, h_d, c_d) in zip(table.levels_u, table.levels_d)
+        )
+
 
 @dataclass(frozen=True)
 class PairEnergetics:
@@ -212,11 +220,12 @@ class LevelTable(NamedTuple):
     incidence: np.ndarray
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
     """The :class:`LevelTable` of a (catalyst, hot, cold) layout.
 
-    Built once per layout, on first use, and handed out read-only.
+    Built once per layout, on first use (the 64 most recent are kept),
+    and handed out read-only.
     """
     if len(factor_dims) != 3:
         raise ValueError(f"expected a (catalyst, hot, cold) layout, got {factor_dims}")
@@ -246,7 +255,7 @@ class PairTable(NamedTuple):
     overlap: tuple[int, int] | None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     """The :class:`PairTable` of one ``EngineSpec.structure``, built once,
     read-only; an index outside the space raises ``ValueError``."""
@@ -283,16 +292,11 @@ def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
 
 def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
     """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k on the diagonals of the
-    bare Hamiltonians, read off the levels of u_i and d_i in :func:`pair_table`."""
+    bare Hamiltonians, read off the levels of u_i and d_i in :func:`pair_table`;
+    every pair's is built once per spec, on first use."""
     if not 0 <= pair_index < len(spec.swaps):
         raise IndexError(f"pair index {pair_index} out of range for {len(spec.swaps)} swaps")
-    table = pair_table(*spec.structure)
-    _, h_u, c_u = table.levels_u[pair_index]
-    _, h_d, c_d = table.levels_d[pair_index]
-    return PairEnergetics(
-        d_eps_h=spec.hot.omega * h_u - spec.hot.omega * h_d,
-        d_eps_c=spec.cold.omega * c_u - spec.cold.omega * c_d,
-    )
+    return spec._energetics[pair_index]
 
 
 def validate(spec: EngineSpec) -> list[str]:

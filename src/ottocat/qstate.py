@@ -24,6 +24,7 @@ __all__ = [
     "HilbertLayout",
     "Operator",
     "DensityMatrix",
+    "state_defects",
     "gibbs_qubit",
     "tensor",
     "tensor_all",
@@ -139,20 +140,31 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Raise ``ValueError`` unless this is a physical state."""
-        mat = self.matrix
-        herm = float(abs(mat - mat.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: max |rho - rho^+| = {herm:.3e}")
-        tr = complex(mat.trace())
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        eigs = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if float(eigs.min()) < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+        bad, why = state_defects(self.matrix[None])
+        if bad[0]:
+            raise ValueError(why(0))
 
     def populations(self) -> np.ndarray:
         """Real diagonal of the matrix (no diagonality check)."""
         return self.matrix.diagonal().real.copy()
+
+
+def state_defects(mats: np.ndarray) -> tuple:
+    """One flag per matrix of a stack ``(n, d, d)`` that is not a physical
+    state, and a function of its index that says why."""
+    adjoint = mats.conj().swapaxes(-1, -2)
+    herm = np.abs(mats - adjoint).max(axis=(-2, -1))
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    lowest = np.linalg.eigvalsh((mats + adjoint) / 2.0).min(axis=-1)
+
+    def why(k: int) -> str:
+        if herm[k] > HERMITICITY_TOL:
+            return f"density matrix not Hermitian: max |rho - rho^+| = {herm[k]:.3e}"
+        if abs(tr[k] - 1.0) > TRACE_TOL:
+            return f"density matrix trace {complex(tr[k])} differs from 1"
+        return f"density matrix has negative eigenvalue {lowest[k]:.3e}"
+
+    return (herm > HERMITICITY_TOL) | (abs(tr - 1.0) > TRACE_TOL) | (lowest < EIGENVALUE_FLOOR), why
 
 
 def gibbs_qubit(beta: float, omega: float) -> DensityMatrix:

@@ -422,13 +422,13 @@ class TestVerifySubcommand:
 
 
 def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
+    # Every cached function of every ottocat module, by qualified name.
     probe = (
         "import sys, ottocat.cli\n"
-        "from ottocat import continuous as c, engine_spec as e\n"
-        "sizes = [f.cache_info().currsize for f in "
-        "(c._bath_jumps, c._generator_plan, c._kernel_blocks, "
-        "e.level_table, e.pair_table)]\n"
-        "print(sizes, 'scipy' in sys.modules)\n"
+        "caches = {f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize\n"
+        "          for name, module in list(sys.modules.items()) if name.startswith('ottocat')\n"
+        "          for f in vars(module).values() if hasattr(f, 'cache_info')}\n"
+        "print(sorted(caches.items()), 'scipy' in sys.modules)\n"
     )
     src = str(Path(ottocat.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -439,4 +439,11 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert done.stdout.split("\n")[0] == "[0, 0, 0, 0, 0] False"
+    names = (
+        "ottocat.continuous._bath_jumps",
+        "ottocat.continuous._generator_plan",
+        "ottocat.continuous._kernel_blocks",
+        "ottocat.engine_spec.level_table",
+        "ottocat.engine_spec.pair_table",
+    )
+    assert done.stdout.split("\n")[0] == f"{[(name, 0) for name in names]} False"

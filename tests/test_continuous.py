@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, continuous, verify
+from ottocat import analytic, cli, continuous, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
@@ -29,7 +29,9 @@ from ottocat.engine_spec import (
     SwapPair,
     energy_differences,
     hamiltonians,
+    level_table,
     otto_spec_from_baths,
+    pair_table,
     qubit_catalyst_spec_from_baths,
 )
 from ottocat.qstate import (
@@ -41,7 +43,7 @@ from ottocat.qstate import (
     tensor_all,
 )
 from ottocat.verify import sample_grid
-from spec_helpers import bath_from_factor, golden_specs, ladder_spec
+from spec_helpers import GOLDEN_CONFIG, bath_from_factor, golden_specs, ladder_spec
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
 
@@ -321,10 +323,19 @@ class TestCachedGeneratorPieces:
         spec = spec_with_catalyst(2)
         build_liouvillian(spec)
         dims = spec.layout.factor_dims
+        pieces, (positions, main, real_basis, others, gather, mirrored) = (
+            continuous._generator_plan(*spec.structure)
+        )
         cached = [
             *continuous._bath_jumps(dims, "hot"),
             *continuous._bath_jumps(dims, "cold"),
-            *continuous._generator_plan(*spec.structure),
+            pieces,
+            positions,
+            main,
+            *real_basis,
+            *(members for members, _ in others),
+            gather,
+            mirrored,
         ]
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -377,9 +388,23 @@ def dense_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray
     return int(np.count_nonzero(zero)), float(-np.max(eigvals[~zero].real)), rho
 
 
+def pattern_blocks(mat: np.ndarray) -> tuple:
+    """The :func:`continuous._kernel_blocks` of a generator's own pattern."""
+    return continuous._kernel_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+
+
+def block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block-by-block spectrum of one generator, a stack of one:
+    ``(eigvals, main, main_vecs)``."""
+    blocks = pattern_blocks(mat)
+    padded = np.append(mat[mat != 0], 0.0)
+    eigvals, main_vecs = continuous._block_spectrum(padded[None], blocks)
+    return eigvals[0], blocks[1], main_vecs[0]
+
+
 def block_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray]:
     """The same three quantities from the block-by-block spectrum."""
-    eigvals, main, main_vecs = continuous._block_spectrum(mat)
+    eigvals, main, main_vecs = block_spectrum(mat)
     zero = kernel_mask(eigvals)
     kernel = np.zeros(dim * dim, dtype=complex)
     kernel[main] = main_vecs[:, zero[: len(main)]][:, 0]
@@ -422,43 +447,22 @@ class TestBlockCertificate:
         ],
     )
     def test_block_sizes_of_the_built_in_engines(self, make, sizes):
-        mat = build_liouvillian(make(0.5, 0.2)).matrix
-        main, _, others, singles, _ = continuous._kernel_blocks(
-            mat.shape[0], np.packbits(mat != 0).tobytes()
-        )
+        spec = make(0.5, 0.2)
+        mat = build_liouvillian(spec).matrix
+        blocks = continuous._generator_plan(*spec.structure)[1]
+        assert blocks is pattern_blocks(mat)
+        _, main, _, others, _, _ = blocks
         dim = math.isqrt(mat.shape[0])
-        found = [len(main)] + [1] * len(singles)
-        covered = [main, singles]
-        for block, paired in others:
+        found = [len(main)]
+        covered = [main]
+        for members, paired in others:
             assert paired
-            found += [len(block)] * 2
-            covered += [block, (block % dim) * dim + block // dim]  # and its mirror
+            for block in members:  # one group per block size
+                assert len(block) == members.shape[1]
+                found += [len(block)] * 2
+                covered += [block, (block % dim) * dim + block // dim]  # and its mirror
         assert sorted(found, reverse=True) == sizes
         assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(mat.shape[0]))
-
-    def test_one_eig_per_solve(self, monkeypatch):
-        calls = []
-        dense_eig = np.linalg.eig
-
-        def counted_eig(a):
-            calls.append((a.shape, a.dtype))
-            return dense_eig(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counted_eig)
-        stationary_state(build_liouvillian(catalyst_from_factors(0.5, 0.2)))
-        assert calls == [((14, 14), np.dtype(float))]
-
-    def test_one_eigvals_per_conjugate_pair(self, monkeypatch):
-        calls = []
-        dense_eigvals = np.linalg.eigvals
-
-        def counted_eigvals(a):
-            calls.append(a.shape)
-            return dense_eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
-        stationary_state(build_liouvillian(catalyst_from_factors(0.5, 0.2)))
-        assert sorted(calls, reverse=True) == [(12, 12), (8, 8), (3, 3)]
 
     def test_a_one_ulp_break_of_a_mirror_block_raises(self):
         liouv = build_liouvillian(catalyst_from_factors(0.5, 0.2))
@@ -482,7 +486,7 @@ class TestBlockCertificate:
         spec = catalyst_from_factors(0.5, 0.2)
         mat = dissipators_only(spec).matrix
         # One stationary direction per catalyst operator |s><s'|.
-        n_block = int(np.count_nonzero(kernel_mask(continuous._block_spectrum(mat)[0])))
+        n_block = int(np.count_nonzero(kernel_mask(block_spectrum(mat)[0])))
         assert n_block == dense_certificate(mat, spec.dim)[0] == 4
 
     def test_zero_generator_raises(self):
@@ -492,10 +496,14 @@ class TestBlockCertificate:
 
     def test_kernel_outside_the_ground_population_block_raises(self):
         # Not trace preserving: the only stationary direction is the
-        # coherence |1><0|, which no entry links to |0><0|.
+        # population |1><1| (vec index 5), which no entry links to |0><0|.
+        # (A lone coherence |1><0| would break the mirror certificate.)
         mat = -np.eye(16, dtype=complex)
-        mat[1, 1] = 0.0
+        mat[5, 5] = 0.0
         with pytest.raises(ValueError, match="outside the block"):
+            stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+        mat[5, 5], mat[1, 1] = -1.0, 0.0
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
             stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
 
 
@@ -582,12 +590,17 @@ class TestBlockRefinement:
             assert getattr(report, name) == getattr(full, name)
 
     def test_a_solve_that_leaves_the_block_raises(self):
-        # An identity bordered system puts the right-hand side wherever it
-        # is nonzero; one entry outside ``main`` must trip the check.
-        rhs = np.zeros(16, dtype=complex)
-        rhs[0] = rhs[5] = 1.0
-        with pytest.raises(AssertionError, match="outside the block"):
-            continuous._refined_bordered_solve(np.eye(16, dtype=complex), rhs, np.array([0]))
+        # Next to the trace row x_0 + x_5 + x_10 + x_15 = 1, the row
+        # x_5 - x_0 = 0 puts one entry of the solution outside ``main``,
+        # which must trip the check, naming the failing generator.
+        mat = np.eye(16, dtype=complex)
+        mat[5, 0] = -1.0
+        positions = np.flatnonzero(mat)
+        values = np.stack([np.eye(16).ravel()[positions], mat.ravel()[positions]])
+        blocks = (positions, np.array([0]))
+        sub = np.ones((2, 1, 1), dtype=complex)
+        with pytest.raises(AssertionError, match="^spec 7: bordered solve is nonzero outside"):
+            continuous._refined_bordered_solve(4, values, sub, blocks, ["spec 3", "spec 7"])
 
 
 def exact_agreement_specs() -> dict[str, EngineSpec]:
@@ -646,25 +659,30 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 class TestSolveOnce:
-    def test_report_builds_one_generator_and_measures_once(self, monkeypatch):
-        builds = count_calls(monkeypatch, "build_liouvillian")
-        solves = count_calls(monkeypatch, "stationary_state")
+    def test_report_solves_a_stack_of_one_and_measures_once(self, monkeypatch):
+        values = count_calls(monkeypatch, "_generator_values")
+        stacks = count_calls(monkeypatch, "_stationary_stack")
         measures = count_calls(monkeypatch, "probability_currents")
         dissipators = count_calls(monkeypatch, "build_dissipator")
-        steady_state_report(catalyst_from_factors(0.5, 0.2))
-        assert (len(builds), len(solves), len(measures)) == (1, 1, 1)
+        spec = catalyst_from_factors(0.5, 0.2)
+        steady_state_report(spec)
+        assert values == [[spec]]
+        assert (len(stacks), len(measures)) == (1, 1)
         # The generator and the audit read the cached jumps directly.
         assert len(dissipators) == 0
 
-    def test_verify_solves_each_spec_once(self, monkeypatch):
-        builds = count_calls(monkeypatch, "build_liouvillian")
-        solves = count_calls(monkeypatch, "stationary_state")
+    def test_verify_solves_each_spec_once_in_stacks(self, monkeypatch):
+        values = count_calls(monkeypatch, "_generator_values")
         verify.run_suite(seed=1234, n_points=5)
+        solved = [spec for stack in values for spec in stack]
         # 2 engines x 5 grid points; 2 x (100 matched efficiencies + the
         # near-limit probe); 20 stationary-relation rate sets.
-        assert len(solves) == 2 * 5 + 202 + 20
-        assert len(builds) == len(solves)
-        assert len(set(builds)) == len(builds)
+        assert len(solved) == 2 * 5 + 202 + 20
+        assert len(set(solved)) == len(solved)
+        # One stack per engine for the grid, ceil(101 / _STACK) per engine
+        # for check 5 and ceil(20 / _STACK) for check 7.
+        stack = continuous._STACK
+        assert len(values) == 2 + 2 * -(-101 // stack) + -(-20 // stack)
 
     @pytest.mark.parametrize("name", list(exact_agreement_specs()))
     def test_report_fields_equal_the_standalone_audits_exactly(self, name):
@@ -741,3 +759,130 @@ class TestCurrentOracle:
         rho = DensityMatrix(random_operator(spec.layout, seed=5))
         with pytest.raises(AssertionError, match="imaginary part"):
             probability_currents(spec, rho)
+
+
+def stack_spec(kind: str, a_h: float, a_c: float, g: float) -> EngineSpec:
+    """One spec of each structure the stacked solve may meet in one call."""
+    hot, cold = bath_from_factor(a_h), bath_from_factor(a_c, omega=2.0)
+    if kind == "otto":
+        return otto_spec_from_baths(hot, bath_from_factor(a_c, omega=0.6), g)
+    if kind == "qubit_catalyst":
+        return qubit_catalyst_spec_from_baths(hot, bath_from_factor(a_c, omega=1.2), g)
+    return ladder_spec(int(kind[-1]), hot, cold)
+
+
+def decoupled_level_spec() -> EngineSpec:
+    """A d = 3 catalyst with only the two pairs of the d = 2 ladder: level 2
+    never couples, so the steady state is not unique."""
+    layout = HilbertLayout((3, 2, 2))
+    pairs = (
+        SwapPair(layout.flat_index(1, 0, 0), layout.flat_index(0, 1, 0), 1.0),
+        SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(1, 1, 0), 1.0),
+    )
+    return EngineSpec(3, bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0), pairs)
+
+
+stack_specs = st.builds(
+    stack_spec,
+    st.sampled_from(["otto", "qubit_catalyst", "ladder-3", "ladder-4"]),
+    gibbs_factors,
+    gibbs_factors,
+    st.floats(min_value=0.1, max_value=10.0),
+)
+
+
+class TestStackedSolves:
+    @given(
+        data=st.data(),
+        length=st.sampled_from(
+            [1, continuous._STACK - 1, continuous._STACK, continuous._STACK + 1]
+        ),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_stacked_reports_equal_the_reports_one_by_one(self, data, length):
+        specs = data.draw(st.lists(stack_specs, min_size=length, max_size=length))
+        for stacked, spec in zip(continuous.steady_state_reports(specs), specs, strict=True):
+            alone = steady_state_report(spec)
+            assert stacked.rho_ss.matrix.tobytes() == alone.rho_ss.matrix.tobytes()
+            assert report_fields(stacked) == report_fields(alone)
+
+    def test_windows_of_two_stacks_keep_the_input_order(self):
+        kinds = ["otto", "qubit_catalyst", "ladder-3"] * continuous._STACK
+        specs = [stack_spec(kind, 0.7, 0.2, 1.0 + i) for i, kind in enumerate(kinds)]
+        reports = list(continuous.steady_state_reports(specs))
+        assert len(reports) == len(specs)
+        for spec, report in zip(specs, reports):
+            assert report.rho_ss.matrix.tobytes() == steady_state_report(spec).rho_ss.matrix.tobytes()
+
+    def test_a_non_ergodic_spec_in_mid_stack_is_named_by_position(self):
+        specs = [catalyst_from_factors(0.5, 0.2, g=1.0 + i) for i in range(continuous._STACK)]
+        specs[7] = decoupled_level_spec()
+        with pytest.raises(ValueError, match="^spec 7: non-ergodic Liouvillian"):
+            list(continuous.steady_state_reports(specs))
+        with pytest.raises(ValueError, match="^non-ergodic Liouvillian"):
+            steady_state_report(specs[7])
+
+    def test_the_golden_sweep_runs_one_eig_per_stack_and_one_full_lu_per_spec(
+        self, monkeypatch, tmp_path
+    ):
+        calls = {"eig": [], "eigvals": [], "solve": []}
+        for name, shapes in calls.items():
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _shapes=shapes):
+                _shapes.append(a.shape)
+                return _original(a, *args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(GOLDEN_CONFIG), "--output", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_CONFIG.with_suffix(".csv").read_bytes()
+        stacks = -(-100 // continuous._STACK)  # per engine
+        last = 100 - (stacks - 1) * continuous._STACK
+        for size in (6, 14):  # the real block of |0><0|: Otto, qubit catalyst
+            expected = [(continuous._STACK, size, size)] * (stacks - 1) + [(last, size, size)]
+            assert [shape for shape in calls["eig"] if shape[1] == size] == expected
+        assert len(calls["eig"]) == 2 * stacks
+        full = [shape for shape in calls["solve"] if len(shape) == 2]
+        assert sorted(full) == [(16, 16)] * 100 + [(64, 64)] * 100
+        assert len(calls["solve"]) == len(full) + 2 * 2 * stacks  # two refinement steps
+        sizes = {  # one eigvals per block size and stack
+            kind: len(continuous._generator_plan(*make(0.5, 0.2).structure)[1][3])
+            for kind, make in (("otto", otto_from_factors), ("cat", catalyst_from_factors))
+        }
+        assert len(calls["eigvals"]) == stacks * (sizes["otto"] + sizes["cat"])
+
+
+def test_per_structure_caches_keep_at_most_64_entries():
+    spec = catalyst_from_factors(0.5, 0.2)
+    report = steady_state_report(spec)
+    table = pair_table(*spec.structure)
+    structures = [
+        ((d, 2, 2), ((u, v),))
+        for d in (1, 2, 3)
+        for u in range(4 * d)
+        for v in range(4 * d)
+        if u != v
+    ][:100]
+    for dims, pairs in structures:
+        continuous._generator_plan(dims, pairs)
+        pair_table(dims, pairs)
+    for d in range(1, 101):
+        level_table((d, 2, 2))
+    caches = (
+        continuous._bath_jumps,
+        continuous._generator_plan,
+        continuous._kernel_blocks,
+        level_table,
+        pair_table,
+    )
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64, cache
+    rebuilt = pair_table(*spec.structure)
+    assert rebuilt is not table  # evicted, then built again alike
+    assert rebuilt[:3] == table[:3] and rebuilt.overlap == table.overlap
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt[3:6], table[3:6]))
+    again = steady_state_report(spec)
+    assert again.rho_ss.matrix.tobytes() == report.rho_ss.matrix.tobytes()
+    assert report_fields(again) == report_fields(report)

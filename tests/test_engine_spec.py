@@ -150,6 +150,20 @@ class TestEnergetics:
     def test_pair_index_out_of_range(self):
         with pytest.raises(IndexError):
             energy_differences(otto_example(), 1)
+        with pytest.raises(IndexError):
+            energy_differences(otto_example(), -1)
+
+    def test_each_spec_builds_its_pair_energetics_once(self):
+        spec = catalyst_example()
+        first = [energy_differences(spec, i) for i in range(2)]
+        assert [energy_differences(spec, i) for i in range(2)] == first
+        assert all(a is b for a, b in zip(first, map(energy_differences, [spec] * 2, range(2))))
+        # The bits of the per-call formula eps_u - eps_d, factor by factor.
+        for pair, en in zip(spec.swaps, first):
+            _, h_u, c_u = spec.layout.factor_indices(pair.u)
+            _, h_d, c_d = spec.layout.factor_indices(pair.d)
+            assert en.d_eps_h == spec.hot.omega * h_u - spec.hot.omega * h_d
+            assert en.d_eps_c == spec.cold.omega * c_u - spec.cold.omega * c_d
 
     def test_hamiltonians_are_diagonal_number_operators(self):
         spec = catalyst_example()

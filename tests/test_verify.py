@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ottocat import analytic, cli, discrete, mapping, verify
+from ottocat.continuous import steady_state_report
 from ottocat.engine_spec import (
     BathParams,
     EngineSpec,
@@ -241,7 +242,7 @@ def test_stationary_relations_vanish_on_every_rate_set_check_7_draws(
     hot = damped_bath(a_h, omega_h, log_gamma_h)
     cold = damped_bath(a_c, omega_c, log_gamma_c)
     spec = qubit_catalyst_spec_from_baths(hot, cold, 10.0**log_g)
-    residuals = verify.stationary_relation_residuals(spec)
+    residuals = verify.stationary_relation_residuals(spec, steady_state_report(spec))
     assert len(residuals) == 12
     assert max(abs(r) for r in residuals) <= 1e-9
 
@@ -263,4 +264,4 @@ def qutrit_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
 def test_stationary_relations_reject_other_engines(make):
     spec = make(damped_bath(0.6, 1.0, 0.0), damped_bath(0.2, 1.2, 0.0))
     with pytest.raises(ValueError, match="qubit-catalyst engine"):
-        verify.stationary_relation_residuals(spec)
+        verify.stationary_relation_residuals(spec, steady_state_report(spec))
