@@ -536,12 +536,15 @@ def build_row(
         if engine_token in FAMILY_KINDS and eta is not None:
             if report.efficiency is None or abs(report.efficiency - eta) > ETA_WIRING_TOL:
                 raise CheckFailure(
-                    f"emitted steady-state efficiency {report.efficiency!r} does "
+                    f"emitted steady-state efficiency {report.efficiency} does "
                     f"not match the design efficiency {eta!r} of {engine_token}"
                 )
 
     if mode == "both":
-        bridge = equivalence_from_parts(spec, cycle, report)
+        try:
+            bridge = equivalence_from_parts(spec, cycle, report)
+        except ValueError as exc:  # no characteristic time, as at the Carnot efficiency
+            raise CheckFailure(f"{engine_token} at eta = {eta}, g = {row['g']}: {exc}") from None
         row["tau"] = bridge.tau
         row["tau_spread"] = bridge.tau_uniform_residual
 

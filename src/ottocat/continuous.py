@@ -49,13 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine_spec import (
-    BathParams,
-    EngineSpec,
-    energy_differences,
-    level_table,
-    pair_table,
-)
+from .engine_spec import BathParams, EngineSpec, level_table, pair_sums
 from .qstate import DensityMatrix, HilbertLayout, Operator, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
@@ -287,10 +281,7 @@ def build_liouvillian(spec: EngineSpec) -> Superoperator:
     pieces, blocks = _generator_plan(*spec.structure)
     total = np.zeros(spec.dim**4, dtype=complex)
     total[blocks[0]] = _generator_values([spec], pieces)[0]
-    total.setflags(write=False)
-    sop = object.__new__(Superoperator)  # adopts the fresh matrix without the copy
-    sop.__dict__.update(layout=spec.layout, matrix=total.reshape(spec.dim**2, -1))
-    return sop
+    return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
 
 
 def _fail(bad, where: Sequence[str] | None, error: type, message) -> None:
@@ -558,26 +549,18 @@ class _Exchange(NamedTuple):
 def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
     """Measure the pair currents once and derive every bath exchange.
 
-    Heat currents and power are summed over the pair transfer rates,
-    J_k = sum_i d_eps_i^k <n_i> and P = sum_i Omega_i <n_i>.  Each bath's
+    Heat currents, power and catalyst flow are the pair transfer rates
+    through :func:`~ottocat.engine_spec.pair_sums`: J_k = sum_i d_eps_i^k
+    <n_i>, P = sum_i Omega_i <n_i>, and for level m the signed net rate
+    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.  Each bath's
     adjoint dissipator D_k^+ is formed once, as a matrix, and applied to
     vec(H_0k + V0) and vec(V0): the first gives the independent heat
     route <D_k^+[H_0k + V0]>, the second the interaction term
     <D_k^+[V0]>, which enters the entropy production
-    sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).  The catalyst flow of
-    level m is the signed net transfer rate
-    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.  Level energies
-    and catalyst weights come from :func:`level_table` and :func:`pair_table`.
+    sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).
     """
     currents = probability_currents(spec, rho_ss)
-    j_hot = 0.0
-    j_cold = 0.0
-    power = 0.0
-    for i in range(len(spec.swaps)):
-        en = energy_differences(spec, i)
-        j_hot += en.d_eps_h * currents[i]
-        j_cold += en.d_eps_c * currents[i]
-        power += en.omega_i * currents[i]
+    j_hot, j_cold, power, cat_flow = pair_sums(spec, currents)
 
     dims = spec.layout.factor_dims
     dim = spec.dim
@@ -602,13 +585,6 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
         int_vanish.append(float(abs(int_term)))
         sigma -= bath.beta * (j_k - int_term.real)
 
-    cat_flow = []
-    for weights in pair_table(*spec.structure).catalyst_weights:
-        net = 0.0
-        for i, weight in enumerate(weights):
-            net += weight * currents[i]
-        cat_flow.append(float(net))
-
     return _Exchange(
         currents=currents,
         j_hot=j_hot,
@@ -618,7 +594,7 @@ def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
         int_vanish=tuple(int_vanish),
         clausius_margin=-(spec.hot.beta * j_hot + spec.cold.beta * j_cold),
         entropy_production=sigma,
-        catalyst_flow=tuple(cat_flow),
+        catalyst_flow=tuple(map(float, cat_flow)),
     )
 
 

@@ -12,7 +12,8 @@ Every state in the cycle is diagonal, so :func:`run_cycle` and
 :func:`solve_catalyst` move population vectors: p0 = q (x) w_h (x) w_c, the
 work stroke is the index swap p1 = p0[perm], and Q_k = sum_n eps_n^k
 (p0 - p1)_n over the bare level energies, cross-checked against the
-pairwise form sum_i d_eps_i^k * delta_p_i on every run.  Positive Q_k means
+pairwise form sum_i d_eps_i^k * delta_p_i of
+:func:`~ottocat.engine_spec.pair_sums` on every run.  Positive Q_k means
 energy drawn *from* bath k into the machine; positive work means work
 extracted.  The operator route (:func:`permutation_matrix`,
 :func:`build_initial_state`, :func:`heat_stroke`, operator traces) is the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine_spec import EngineSpec, energy_differences, level_table, pair_table
+from .engine_spec import EngineSpec, level_table, pair_sums, pair_table
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
@@ -120,7 +121,7 @@ def _swap_permutation(spec: EngineSpec) -> np.ndarray:
     ``ValueError`` if swap pairs overlap or leave the space."""
     table = pair_table(*spec.structure)
     if table.overlap is not None:
-        raise ValueError("swap {}: index {} appears in more than one pair".format(*table.overlap))
+        raise ValueError(table.overlap)
     return table.perm
 
 
@@ -274,16 +275,8 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
     q_cold = float(((spec.cold.omega * levels.cold).astype(complex) * diff).sum().real)
 
     # Cross-check against the pairwise energy-difference form.
-    q_hot_pairs = 0.0
-    q_cold_pairs = 0.0
-    for i in range(len(spec.swaps)):
-        en = energy_differences(spec, i)
-        q_hot_pairs += en.d_eps_h * flows[i]
-        q_cold_pairs += en.d_eps_c * flows[i]
-    for label, level_val, pair_val in (
-        ("hot", q_hot, q_hot_pairs),
-        ("cold", q_cold, q_cold_pairs),
-    ):
+    pair_heats = pair_sums(spec, flows)[:2]
+    for label, level_val, pair_val in zip(("hot", "cold"), (q_hot, q_cold), pair_heats):
         scale = max(1.0, abs(level_val))
         if abs(level_val - pair_val) > HEAT_CROSS_CHECK_TOL * scale:
             raise AssertionError(

@@ -14,6 +14,9 @@ Basis convention: kets |s h c> with the catalyst index slowest; flat
 indices are row-major over (catalyst, hot, cold), see
 :class:`~ottocat.qstate.HilbertLayout`.  What depends on the structure
 alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
+:func:`pair_sums` is the dictionary both pictures share: it turns one
+transfer per pair, a flow per cycle or a current, into heats, work and
+catalyst balance.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "hamiltonians",
     "level_table",
     "pair_table",
+    "pair_sums",
     "validate",
 ]
 
@@ -132,8 +136,9 @@ class EngineSpec:
 
     ``catalyst_dim = 1`` encodes "no catalyst" so that both shipped
     engines flow through the same code paths.  Cross-pair consistency
-    (index ranges, disjointness) is reported by :func:`validate` rather
-    than enforced here, so that malformed specs can be diagnosed.
+    (index ranges, disjointness) is judged by :func:`pair_table` and
+    reported by :func:`validate` rather than enforced here, so that
+    malformed specs can be diagnosed.
     """
 
     catalyst_dim: int
@@ -240,7 +245,8 @@ def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
 class PairTable(NamedTuple):
     """Per pair i the (catalyst, hot, cold) levels and flat indices of u_i
     and d_i, the catalyst weights, the work stroke's index map n <->
-    ``perm[n]``, and ``overlap``, the first (pair, index) reusing an index.
+    ``perm[n]``, and ``overlap``, the message naming the first pair that
+    reuses an index (``None`` if the pairs are disjoint).
 
     ``catalyst_weights[m][i]`` is indicator_m(u_i) - indicator_m(d_i):
     +1.0 when swap pair i leaves catalyst level m through u_i, -1.0
@@ -252,7 +258,7 @@ class PairTable(NamedTuple):
     u: np.ndarray
     d: np.ndarray
     perm: np.ndarray
-    overlap: tuple[int, int] | None
+    overlap: str | None
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,7 +271,10 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     for k, idx in enumerate(flat):
         if not 0 <= idx < dim:
             raise ValueError(f"swap {k // 2}: index {idx} out of range for dimension {dim}")
-    overlap = next(((k // 2, idx) for k, idx in enumerate(flat) if idx in flat[:k]), None)
+    reused = next((k for k, idx in enumerate(flat) if idx in flat[:k]), None)
+    overlap = None if reused is None else (
+        f"swap {reused // 2}: index {flat[reused]} appears in more than one pair"
+    )
     u, d = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     perm = np.arange(dim)
     perm[u], perm[d] = d, u
@@ -299,40 +308,36 @@ def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
     return spec._energetics[pair_index]
 
 
+def pair_sums(spec: EngineSpec, transfers) -> tuple:
+    """``(hot, cold, omega, catalyst)``: sum_i d_eps_i^h x_i, sum_i d_eps_i^c x_i,
+    sum_i Omega_i x_i and, per catalyst level m, sum_i w_m,i x_i over the
+    :class:`PairTable` weights, for one transfer x_i per swap pair (an
+    ndarray or a tuple).
+
+    Flows delta_p_i give Q_h, Q_c, W and the catalyst balance per cycle;
+    currents <n_i> give J_h, J_c, P and the catalyst flow.  Each sum starts
+    at 0.0 and adds the pairs in order, so its type is the transfers'."""
+    weights = pair_table(*spec.structure).catalyst_weights
+    hot = cold = omega = 0.0
+    catalyst = [0.0] * len(weights)
+    for i, (en, x) in enumerate(zip(spec._energetics, transfers)):
+        hot += en.d_eps_h * x
+        cold += en.d_eps_c * x
+        omega += en.omega_i * x
+        for m, row in enumerate(weights):
+            catalyst[m] += row[i] * x
+    return hot, cold, omega, tuple(catalyst)
+
+
 def validate(spec: EngineSpec) -> list[str]:
-    """Report-style consistency check; an empty list means the spec is valid.
+    """The pair table's verdict on the swap set: its range error or its
+    overlap message, or an empty list when the spec is valid.
 
-    Re-checks bath invariants defensively (they are normally enforced at
-    construction) alongside the cross-pair conditions that only make
-    sense at the spec level.
+    Bath rates, detailed balance and couplings need no second look:
+    :class:`BathParams` and :class:`SwapPair` refuse them when built.
     """
-    problems: list[str] = []
-    dim = spec.dim
-
-    seen: set[int] = set()
-    for i, pair in enumerate(spec.swaps):
-        for idx in (pair.u, pair.d):
-            if not 0 <= idx < dim:
-                problems.append(f"swap {i}: basis index {idx} out of range for dim {dim}")
-            elif idx in seen:
-                problems.append("swap indices not disjoint")
-            else:
-                seen.add(idx)
-        if not pair.g > 0:
-            problems.append(f"swap {i}: non-positive coupling {pair.g}")
-
-    for name, bath in (("hot", spec.hot), ("cold", spec.cold)):
-        if bath.gamma_plus <= 0 or bath.gamma_minus <= 0:
-            problems.append(f"{name} bath rates not positive")
-            continue
-        ratio = bath.gamma_plus / bath.gamma_minus
-        if abs(ratio - math.exp(-bath.beta * bath.omega)) > DETAILED_BALANCE_TOL:
-            problems.append("detailed balance violated")
-
-    # Resonance well-definedness: the energy differences must be readable,
-    # which only requires in-range indices (already checked above).
-    dedup: list[str] = []
-    for p in problems:
-        if p not in dedup:
-            dedup.append(p)
-    return dedup
+    try:
+        overlap = pair_table(*spec.structure).overlap
+    except ValueError as exc:
+        return [str(exc)]
+    return [] if overlap is None else [overlap]

@@ -6,7 +6,8 @@ transfer rates <n_i> of the autonomous machine describe the same
 thermodynamics after rescaling time, delta_p_i = <n_i> * tau_i.  For
 "simple" engines (all delta_p_i equal, catalyst restored), the tau_i
 collapse to a single characteristic time tau, and the heats, work and
-power, second law, efficiency and catalyst balance follow.
+power, second law, efficiency and catalyst balance follow, both sides
+summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
 :func:`equivalence_from_parts` audits that dictionary, row by row, from
 one cycle run and one steady state; :func:`verify_equivalence` runs a
@@ -29,7 +30,7 @@ from .engine_spec import (
     EngineSpec,
     energy_differences,
     otto_spec_from_baths,
-    pair_table,
+    pair_sums,
     qubit_catalyst_spec_from_baths,
 )
 
@@ -234,9 +235,8 @@ def equivalence_from_parts(
     residuals["work_power"] = _gap(ss.power * tau, cycle.work, work_power_scale)
     residuals["second_law"] = _gap(cycle.clausius_margin, ss.clausius_margin * tau, entropy_scale)
     residuals["efficiency"] = 0.0 if eta_d is None else abs(eta_d - eta_c)
-    weights = pair_table(*spec.structure).catalyst_weights
-    for level, (net_c, row) in enumerate(zip(ss.catalysis_residuals, weights)):
-        net_d = sum(weight * dp for weight, dp in zip(row, flows))
+    net_flows = pair_sums(spec, flows)[3]
+    for level, (net_c, net_d) in enumerate(zip(ss.catalysis_residuals, net_flows)):
         residuals[f"catalyst_balance_discrete_{level}"] = abs(net_d)
         residuals[f"catalyst_balance_continuous_{level}"] = abs(net_c) * tau
 

@@ -23,9 +23,9 @@ from . import analytic, continuous, discrete, mapping
 from .engine_spec import (
     BathParams,
     EngineSpec,
-    energy_differences,
     hamiltonians,
     otto_spec_from_baths,
+    pair_sums,
     qubit_catalyst_spec_from_baths,
 )
 from .qstate import DensityMatrix, Operator, expectation, partial_trace
@@ -525,12 +525,6 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
                     abs(catalyst.populations[1] - (1.0 - expected)),
                 )
             cycle = discrete.run_cycle(spec, catalyst)
-            # Re-derive the heats along the energy-difference route.
-            q_hot = q_cold = 0.0
-            for i, dp in enumerate(cycle.delta_p):
-                en = energy_differences(spec, i)
-                q_hot += en.d_eps_h * dp
-                q_cold += en.d_eps_c * dp
 
             # The operator route: permutation matrix, operator traces of the
             # bare Hamiltonians, partial trace, heat stroke.
@@ -542,9 +536,9 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
                 )
             )
             diff = rho0.matrix - rho1.matrix
-            for h0k, emitted, pairwise in zip(
-                hamiltonians(spec), (cycle.q_hot, cycle.q_cold), (q_hot, q_cold)
-            ):
+            emitted_heats = (cycle.q_hot, cycle.q_cold)
+            pair_heats = pair_sums(spec, cycle.delta_p)[:2]  # the energy-difference route
+            for h0k, emitted, pairwise in zip(hamiltonians(spec), emitted_heats, pair_heats):
                 traced = float(np.trace(h0k.entries @ diff).real)
                 worst = max(worst, abs(traced - emitted), abs(traced - pairwise))
             gap = partial_trace(rho1, keep=(0,)).matrix - partial_trace(rho0, keep=(0,)).matrix

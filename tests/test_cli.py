@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ import pytest
 
 import ottocat
 from ottocat import analytic, cli, verify
+from ottocat.discrete import run_cycle
+from ottocat.engine_spec import EngineSpec, SwapPair, validate
+from spec_helpers import GOLDEN_CONFIG
 
 BASE_CONFIG = """\
 [run]
@@ -230,6 +234,29 @@ class TestPointCommands:
         assert "3 swap pairs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "swap_2, message",
+        [
+            ((2, 6), "swap 1: index 2 appears in more than one pair"),
+            ((1, 8), "swap 1: index 8 out of range for dimension 8"),
+        ],
+        ids=["overlapping", "out-of-range"],
+    )
+    def test_a_bad_swap_set_reads_the_same_on_every_path(
+        self, tmp_path, capsys, swap_2, message
+    ):
+        text = CUSTOM_SPEC.replace("u = 1\nd = 6", "u = {}\nd = {}".format(*swap_2))
+        spec_file = write(tmp_path / "engine.ini", text)
+        config = write(tmp_path / "run.ini", f"[run]\nengine = {spec_file}\n")
+        assert cli.main(["discrete", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
+        good = cli.load_custom_spec(write(tmp_path / "good.ini", CUSTOM_SPEC))
+        swaps = (good.swaps[0], SwapPair(*swap_2, 10.0))
+        bad = EngineSpec(catalyst_dim=2, hot=good.hot, cold=good.cold, swaps=swaps)
+        assert validate(bad) == [message]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_cycle(bad)
+
     def test_column_selection_is_respected(self, tmp_path):
         config = write(
             tmp_path / "run.ini", BASE_CONFIG + "\n[output]\ncolumns = engine, eta, work\n"
@@ -343,7 +370,24 @@ class TestWiringGuard:
         monkeypatch.setattr(cli, "ETA_WIRING_TOL", -1.0)
         config = write(tmp_path / "run.ini", BASE_CONFIG)
         assert cli.main(["continuous", "--config", config]) == 1
-        assert "design efficiency" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"check failed: emitted steady-state efficiency 0\.\d+ does not match the "
+            r"design efficiency 0\.4 of otto\n",
+            err,
+        ), err
+
+    def test_a_sweep_ending_at_the_carnot_efficiency_fails_by_point(self, tmp_path, capsys):
+        text = GOLDEN_CONFIG.read_text(encoding="utf-8")
+        text = text.replace("stop = 0.89", "stop = 0.9").replace("points = 100", "points = 5")
+        config = write(tmp_path / "carnot.ini", text)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: otto at eta = 0.9, g = 10.0: mapping singular at "
+            "equilibrium boundary: all pair flows vanish\n"
+        )
+        assert not out.exists()
 
 
 class TestVerifySubcommand:

@@ -19,6 +19,7 @@ from ottocat.engine_spec import (
     hamiltonians,
     level_table,
     otto_spec_from_baths,
+    pair_sums,
     pair_table,
     qubit_catalyst_spec_from_baths,
     validate,
@@ -112,8 +113,7 @@ class TestEngineShapes:
             catalyst_dim=spec.catalyst_dim, hot=spec.hot, cold=spec.cold,
             swaps=(SwapPair(u=7, d=1, g=1.0),),
         )
-        problems = validate(bad)
-        assert problems and any("out of range" in p for p in problems)
+        assert validate(bad) == ["swap 0: index 7 out of range for dimension 4"]
 
     def test_validate_flags_overlapping_swap_pairs(self):
         spec = catalyst_example()
@@ -121,8 +121,7 @@ class TestEngineShapes:
             catalyst_dim=spec.catalyst_dim, hot=spec.hot, cold=spec.cold,
             swaps=(SwapPair(u=4, d=2, g=1.0), SwapPair(u=4, d=6, g=1.0)),
         )
-        problems = validate(bad)
-        assert problems
+        assert validate(bad) == ["swap 1: index 4 appears in more than one pair"]
 
 
 class TestEnergetics:
@@ -265,6 +264,31 @@ class TestPairTable:
         assert all(type(weights) is tuple for weights in table.catalyst_weights)
 
     @given(spec=structures(), data=st.data())
+    def test_pair_sums_equal_the_per_pair_loops(self, spec, data):
+        n_pairs = len(spec.swaps)
+        values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n_pairs, max_size=n_pairs))
+        for transfers in (np.array(values), tuple(values)):
+            hot = cold = omega = 0.0
+            for i in range(n_pairs):
+                en = energy_differences(spec, i)
+                hot += en.d_eps_h * transfers[i]
+                cold += en.d_eps_c * transfers[i]
+                omega += en.omega_i * transfers[i]
+            catalyst = []
+            for weights in pair_table(*spec.structure).catalyst_weights:
+                net = 0.0
+                for i, weight in enumerate(weights):
+                    net += weight * transfers[i]
+                catalyst.append(net)
+            expected = (hot, cold, omega, *catalyst)
+            got = pair_sums(spec, transfers)
+            assert len(got[3]) == spec.catalyst_dim
+            got = (*got[:3], *got[3])
+            assert got == expected
+            assert list(map(type, got)) == list(map(type, expected))
+            assert {type(x) for x in got} == {type(transfers[0])}
+
+    @given(spec=structures(), data=st.data())
     def test_invalid_pairs_raise_on_every_call(self, spec, data):
         dim = spec.dim
         taken = data.draw(st.sampled_from([p.u for p in spec.swaps] + [p.d for p in spec.swaps]))
@@ -272,9 +296,11 @@ class TestPairTable:
         free = data.draw(st.integers(min_value=0, max_value=dim - 1).filter(lambda n: n != taken))
         overlapping = with_swaps(spec, spec.swaps + (SwapPair(free, taken, 1.0),))
         out_of_range = with_swaps(spec, spec.swaps + (SwapPair(outside, free, 1.0),))
+        assert validate(spec) == []
         for _ in range(2):
-            with pytest.raises(ValueError, match="appears in more than one pair"):
+            with pytest.raises(ValueError, match="appears in more than one pair") as overlap:
                 permutation(overlapping)
+            assert validate(overlapping) == [str(overlap.value)]
             for route in (
                 permutation,
                 lambda s: pair_table(*s.structure),
@@ -282,3 +308,6 @@ class TestPairTable:
             ):
                 with pytest.raises(ValueError, match=f"index {outside} out of range for dimension"):
                     route(out_of_range)
+            assert validate(out_of_range) == [
+                f"swap {len(spec.swaps)}: index {outside} out of range for dimension {dim}"
+            ]
