@@ -14,7 +14,8 @@ numerically, on every run — that they agree:
 :mod:`~ottocat.mapping` bridges the pictures via per-cycle flow =
 stationary rate x characteristic time; :mod:`~ottocat.analytic` holds
 the closed forms used as independent oracles; :mod:`~ottocat.verify`
-packages the full self-audit behind the ``ottocat verify`` command.
+packages the full self-audit behind the ``ottocat verify`` command and
+is imported on its own (``from ottocat import verify``).
 
 Units: hbar = k_B = 1 throughout; energies are angular frequencies.
 """
@@ -29,7 +30,7 @@ from .analytic import (
     cat_delta_p,
     cat_population,
     cat_tau,
-    design_efficiencies,
+    design_efficiency,
     one_minus_kappa,
     one_minus_zeta,
     otto_current,
@@ -61,14 +62,14 @@ from .discrete import (
     solve_catalyst,
 )
 from .engine_spec import (
+    FAMILIES,
     BathParams,
     EngineSpec,
     PairEnergetics,
     SwapPair,
     energy_differences,
     hamiltonians,
-    otto_spec_from_baths,
-    qubit_catalyst_spec_from_baths,
+    ladder_spec,
     validate,
 )
 from .mapping import (
@@ -88,7 +89,6 @@ from .qstate import (
     tensor,
     tensor_all,
 )
-from .verify import CheckResult, format_report, run_suite
 
 __version__ = "0.1.0"
 
@@ -108,8 +108,8 @@ __all__ = [
     "SwapPair",
     "EngineSpec",
     "PairEnergetics",
-    "otto_spec_from_baths",
-    "qubit_catalyst_spec_from_baths",
+    "FAMILIES",
+    "ladder_spec",
     "hamiltonians",
     "energy_differences",
     "validate",
@@ -148,15 +148,11 @@ __all__ = [
     "cat_tau",
     "one_minus_zeta",
     "one_minus_kappa",
-    "design_efficiencies",
+    "design_efficiency",
     # the bridge
     "EquivalenceReport",
     "EngineFamily",
     "EfficiencyComparison",
     "verify_equivalence",
     "compare_at_efficiency",
-    # self-audit
-    "CheckResult",
-    "run_suite",
-    "format_report",
 ]

@@ -47,7 +47,7 @@ __all__ = [
     "cat_tau",
     "one_minus_zeta",
     "one_minus_kappa",
-    "design_efficiencies",
+    "design_efficiency",
 ]
 
 #: Relative agreement required between the general characteristic time
@@ -443,14 +443,14 @@ def one_minus_kappa(a_h: float, a_c: float) -> float:
     )
 
 
-def design_efficiencies(omega_h: float, omega_c: float) -> tuple[float, float]:
-    """(eta of the catalyst-free engine, eta of the qubit-catalyst engine).
+def design_efficiency(omega_h: float, omega_c: float, d: int) -> float:
+    """Design efficiency 1 - omega_c/(d omega_h) of the ladder engine with a
+    d-level catalyst: 1 - omega_c/omega_h catalyst-free (d = 1),
+    1 - omega_c/(2 omega_h) with a qubit catalyst (d = 2).
 
-    Both depend only on the frequency ratio: 1 - omega_c/omega_h and
-    1 - omega_c/(2 omega_h).  Negative values simply mean the working
-    point is outside the respective engine regime.
+    A negative value simply means the working point is outside the
+    engine regime.
     """
     _require_positive("omega_h", omega_h)
     _require_positive("omega_c", omega_c)
-    return 1.0 - omega_c / omega_h, 1.0 - omega_c / (2.0 * omega_h)
-
+    return 1.0 - omega_c / (d * omega_h)

@@ -32,8 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analytic, continuous, discrete
-from . import verify as verify_mod
-from .engine_spec import BathParams, EngineSpec, SwapPair
+from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
 from .engine_spec import validate as validate_spec
 from .mapping import EngineFamily, equivalence_from_parts
 
@@ -49,8 +48,6 @@ __all__ = [
     "cmd_verify",
     "main",
 ]
-
-FAMILY_KINDS = ("otto", "qubit_catalyst")
 
 #: The CSV column contract, in emission order.  Inputs are echoed first,
 #: then per-pair flows and rates, per-cycle and per-time energetics, the
@@ -211,7 +208,7 @@ def load_config(path: str, command: str) -> RunConfig:
     if len(set(engines)) != len(engines):
         raise ConfigError("duplicate engine in section [run]")
 
-    is_family = [token in FAMILY_KINDS for token in engines]
+    is_family = [token in FAMILIES for token in engines]
     if any(is_family) and not all(is_family):
         raise ConfigError(
             "cannot mix built-in engines with custom spec files in one run"
@@ -222,7 +219,7 @@ def load_config(path: str, command: str) -> RunConfig:
     if command == "sweep":
         if custom:
             raise ConfigError(
-                "sweep requires built-in engines (otto, qubit_catalyst); "
+                f"sweep requires built-in engines ({', '.join(FAMILIES)}); "
                 "custom spec files run via the discrete/continuous subcommands"
             )
         if "sweep" not in parser:
@@ -457,9 +454,9 @@ def _family(kind: str, fixed: FixedParams, g_tau_eq: float) -> EngineFamily:
     )
 
 
-def _family_breakdown(kind: str, spec: EngineSpec) -> analytic.TauBreakdown:
+def _family_breakdown(spec: EngineSpec) -> analytic.TauBreakdown:
     g = spec.swaps[0].g
-    if kind == "otto":
+    if spec.catalyst_dim == 1:
         return analytic.otto_tau(spec.hot.big_gamma, spec.cold.big_gamma, g)
     constants = analytic.rate_constants(
         spec.hot.gamma_plus,
@@ -497,8 +494,9 @@ def build_row(
     couplings = {pair.g for pair in spec.swaps}
     row["g"] = couplings.pop() if len(couplings) == 1 else None
 
-    if engine_token in FAMILY_KINDS:
-        breakdown = _family_breakdown(engine_token, spec)
+    built_in = engine_token in FAMILIES
+    if built_in:
+        breakdown = _family_breakdown(spec)
         row["zeta"] = breakdown.zeta
         row["kappa"] = breakdown.kappa
 
@@ -533,20 +531,22 @@ def build_row(
             abs(x) for x in report.catalysis_residuals
         )
         row["regime_continuous"] = report.regime
-        if engine_token in FAMILY_KINDS and eta is not None:
-            if report.efficiency is None or abs(report.efficiency - eta) > ETA_WIRING_TOL:
-                raise CheckFailure(
-                    f"emitted steady-state efficiency {report.efficiency} does "
-                    f"not match the design efficiency {eta!r} of {engine_token}"
-                )
 
+    point = f"{engine_token} at eta = {eta}, g = {row['g']}"
     if mode == "both":
         try:
             bridge = equivalence_from_parts(spec, cycle, report)
         except ValueError as exc:  # no characteristic time, as at the Carnot efficiency
-            raise CheckFailure(f"{engine_token} at eta = {eta}, g = {row['g']}: {exc}") from None
+            raise CheckFailure(f"{point}: {exc}") from None
         row["tau"] = bridge.tau
         row["tau_spread"] = bridge.tau_uniform_residual
+
+    if mode != "discrete" and built_in and eta is not None:
+        if report.efficiency is None or abs(report.efficiency - eta) > ETA_WIRING_TOL:
+            raise CheckFailure(
+                f"{point}: emitted steady-state efficiency {report.efficiency} does "
+                f"not match the design efficiency {eta!r} of {engine_token}"
+            )
 
     return row
 
@@ -590,7 +590,7 @@ def _rows(points: list[tuple[str, EngineSpec, float | None]], mode: str) -> list
 def _point_rows(config: RunConfig, mode: str) -> list[dict[str, object]]:
     points = []
     for token in config.engines:
-        if token in FAMILY_KINDS:
+        if token in FAMILIES:
             fixed = config.fixed
             family = _family(token, fixed, fixed.g_tau_eq)
             points.append((token, family.spec_at(fixed.eta), fixed.eta))
@@ -643,8 +643,10 @@ def cmd_verify(seed: int, n_points: int, output: str | None = None) -> int:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     if n_points < 1:
         raise ConfigError(f"--points must be >= 1, got {n_points}")
-    results = verify_mod.run_suite(seed=seed, n_points=n_points)
-    text = verify_mod.format_report(results, seed, n_points)
+    from . import verify  # loaded only here: no other subcommand needs the suite
+
+    results = verify.run_suite(seed=seed, n_points=n_points)
+    text = verify.format_report(results, seed, n_points)
     if output is None:
         print(text)
     else:

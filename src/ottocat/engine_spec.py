@@ -2,13 +2,17 @@
 
 An :class:`EngineSpec` is the single source of truth from which both the
 discrete two-stroke permutation and the continuous resonant interaction are
-generated.  Two concrete machines ship as constructors:
+generated.  The shipped machines form one family, the catalytic ladder
+of :func:`ladder_spec`, indexed by the catalyst dimension d:
 
-* :func:`otto_spec_from_baths` — no catalyst, one swap |10> <-> |01> on
-  hot (x) cold;
-* :func:`qubit_catalyst_spec_from_baths` — a qubit catalyst with the two
-  swaps |200> <-> |110> and |101> <-> |210| (catalyst levels written 1, 2
-  in ket labels, stored as indices 0, 1).
+* d - 1 swaps |k+1,0,0> <-> |k,1,0> climb the catalyst with hot quanta,
+  and |0,0,1> <-> |d-1,1,0> closes the cycle against the cold qubit;
+* d = 1 is the catalyst-free Otto engine, one swap |0,1,0> <-> |0,0,1>,
+  kept in Otto's orientation (u = |0,1,0>, the hot qubit excited);
+* d = 2 is the qubit-catalyst engine, |1,0,0> <-> |0,1,0> and
+  |0,0,1> <-> |1,1,0>.
+
+:data:`FAMILIES` names the ones the command line offers.
 
 Basis convention: kets |s h c> with the catalyst index slowest; flat
 indices are row-major over (catalyst, hot, cold), see
@@ -38,8 +42,8 @@ __all__ = [
     "PairEnergetics",
     "LevelTable",
     "PairTable",
-    "otto_spec_from_baths",
-    "qubit_catalyst_spec_from_baths",
+    "FAMILIES",
+    "ladder_spec",
     "energy_differences",
     "hamiltonians",
     "level_table",
@@ -50,6 +54,10 @@ __all__ = [
 
 #: Allowed deviation of gamma_plus/gamma_minus from exp(-beta*omega).
 DETAILED_BALANCE_TOL = 1e-12
+
+#: Each built-in engine kind, as the command line names it, by its
+#: catalyst dimension d in :func:`ladder_spec`.
+FAMILIES = {"otto": 1, "qubit_catalyst": 2}
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,10 @@ class SwapPair:
 class EngineSpec:
     """Full machine description on the space catalyst (x) hot (x) cold.
 
-    ``catalyst_dim = 1`` encodes "no catalyst" so that both shipped
-    engines flow through the same code paths.  Cross-pair consistency
-    (index ranges, disjointness) is judged by :func:`pair_table` and
-    reported by :func:`validate` rather than enforced here, so that
+    ``catalyst_dim = 1`` encodes "no catalyst" so that the Otto engine and
+    the catalytic ones flow through the same code paths.  Cross-pair
+    consistency (index ranges, disjointness) is judged by :func:`pair_table`
+    and reported by :func:`validate` rather than enforced here, so that
     malformed specs can be diagnosed.
     """
 
@@ -188,26 +196,22 @@ class PairEnergetics:
         return self.d_eps_h + self.d_eps_c
 
 
-def otto_spec_from_baths(hot: BathParams, cold: BathParams, g: float) -> EngineSpec:
-    """Catalyst-free engine: single swap |10> <-> |01> on hot (x) cold."""
-    layout = HilbertLayout((1, 2, 2))
-    u = layout.flat_index(0, 1, 0)
-    d = layout.flat_index(0, 0, 1)
-    return EngineSpec(catalyst_dim=1, hot=hot, cold=cold, swaps=(SwapPair(u, d, g),))
+def ladder_spec(d: int, hot: BathParams, cold: BathParams, g: float) -> EngineSpec:
+    """The catalytic ladder with a d-level catalyst, every swap at coupling g.
 
-
-def qubit_catalyst_spec_from_baths(hot: BathParams, cold: BathParams, g: float) -> EngineSpec:
-    """Qubit-catalyst engine: swaps |200> <-> |110> and |101> <-> |210>.
-
-    Catalyst levels are labeled 1 and 2 in ket notation and map to
-    indices 0 and 1.
+    d - 1 swaps |k+1,0,0> <-> |k,1,0> climb the catalyst with hot quanta,
+    and |0,0,1> <-> |d-1,1,0> closes the cycle against the cold qubit.  At
+    d = 1 that one swap is Otto's, and keeps Otto's orientation
+    u = |0,1,0>, d = |0,0,1>.
     """
-    layout = HilbertLayout((2, 2, 2))
-    pairs = (
-        SwapPair(layout.flat_index(1, 0, 0), layout.flat_index(0, 1, 0), g),  # |200> <-> |110>
-        SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(1, 1, 0), g),  # |101> <-> |210>
-    )
-    return EngineSpec(catalyst_dim=2, hot=hot, cold=cold, swaps=pairs)
+    layout = HilbertLayout((d, 2, 2))
+    pairs = [
+        (layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0)) for k in range(d - 1)
+    ]
+    closing = (layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0))
+    pairs.append(closing if d > 1 else closing[::-1])
+    swaps = tuple(SwapPair(u, lower, g) for u, lower in pairs)
+    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=swaps)
 
 
 class LevelTable(NamedTuple):

@@ -26,12 +26,12 @@ import numpy as np
 
 from . import continuous, discrete
 from .engine_spec import (
+    FAMILIES,
     BathParams,
     EngineSpec,
     energy_differences,
-    otto_spec_from_baths,
+    ladder_spec,
     pair_sums,
-    qubit_catalyst_spec_from_baths,
 )
 
 __all__ = [
@@ -102,10 +102,11 @@ class EquivalenceReport:
 class EngineFamily:
     """One engine design with the cold frequency left open.
 
-    Fixing (beta_h, beta_c, omega_h, tau_eq, g) and steering omega_c
-    parameterizes the machine by its efficiency: the catalyst-free
-    engine runs at eta iff omega_c = omega_h (1 - eta), the
-    qubit-catalyst engine at eta iff omega_c = 2 omega_h (1 - eta).
+    ``kind`` names a ladder of :data:`~ottocat.engine_spec.FAMILIES`, with
+    catalyst dimension d.  Fixing (beta_h, beta_c, omega_h, tau_eq, g) and
+    steering omega_c parameterizes the machine by its efficiency: it runs
+    at eta iff omega_c = d omega_h (1 - eta), so omega_h (1 - eta) for the
+    catalyst-free engine and 2 omega_h (1 - eta) with a qubit catalyst.
     Both baths share the relaxation time ``tau_eq``.
     """
 
@@ -117,8 +118,8 @@ class EngineFamily:
     g: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("otto", "qubit_catalyst"):
-            raise ValueError(f"kind must be 'otto' or 'qubit_catalyst', got {self.kind!r}")
+        if self.kind not in FAMILIES:
+            raise ValueError(f"kind must be {' or '.join(map(repr, FAMILIES))}, got {self.kind!r}")
         for name in ("beta_h", "beta_c", "omega_h", "tau_eq", "g"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -129,16 +130,12 @@ class EngineFamily:
     def omega_c_at(self, eta: float) -> float:
         if not 0.0 < eta < 1.0:
             raise ValueError(f"efficiency must lie in (0, 1), got {eta}")
-        if self.kind == "otto":
-            return self.omega_h * (1.0 - eta)
-        return 2.0 * self.omega_h * (1.0 - eta)
+        return FAMILIES[self.kind] * self.omega_h * (1.0 - eta)
 
     def spec_at(self, eta: float) -> EngineSpec:
         hot = BathParams.from_relaxation_time(self.beta_h, self.omega_h, self.tau_eq)
         cold = BathParams.from_relaxation_time(self.beta_c, self.omega_c_at(eta), self.tau_eq)
-        if self.kind == "otto":
-            return otto_spec_from_baths(hot, cold, self.g)
-        return qubit_catalyst_spec_from_baths(hot, cold, self.g)
+        return ladder_spec(FAMILIES[self.kind], hot, cold, self.g)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, continuous, discrete, mapping
-from .engine_spec import (
-    BathParams,
-    EngineSpec,
-    hamiltonians,
-    otto_spec_from_baths,
-    pair_sums,
-    qubit_catalyst_spec_from_baths,
-)
+from .engine_spec import FAMILIES, BathParams, EngineSpec, hamiltonians, ladder_spec, pair_sums
 from .qstate import DensityMatrix, Operator, expectation, partial_trace
 
 __all__ = [
@@ -77,10 +70,11 @@ class GridPoint:
     working point whose slowest mode is so far below the fastest rate
     that double precision cannot resolve the 1e-9 comparisons being made.
 
-    The baths, each engine's spec and its steady state are built on
-    first use and kept, so every check that reads them shares one solve
-    per point; :func:`run_suite` solves every point's two steady states
-    up front, in one stacked call.
+    The baths, the spec of each engine of
+    :data:`~ottocat.engine_spec.FAMILIES` (in that order) and their steady
+    states are built on first use and kept, so every check that reads
+    them shares one solve per spec; :func:`run_suite` solves every point's
+    steady states up front, in one stacked call.
     """
 
     a_h: float
@@ -101,20 +95,12 @@ class GridPoint:
         )
 
     @functools.cached_property
-    def otto(self) -> EngineSpec:
-        return otto_spec_from_baths(*self.baths, self.g)
+    def specs(self) -> tuple[EngineSpec, ...]:
+        return tuple(ladder_spec(d, *self.baths, self.g) for d in FAMILIES.values())
 
     @functools.cached_property
-    def catalytic(self) -> EngineSpec:
-        return qubit_catalyst_spec_from_baths(*self.baths, self.g)
-
-    @functools.cached_property
-    def otto_report(self) -> continuous.SteadyStateReport:
-        return continuous.steady_state_report(self.otto)
-
-    @functools.cached_property
-    def catalytic_report(self) -> continuous.SteadyStateReport:
-        return continuous.steady_state_report(self.catalytic)
+    def reports(self) -> tuple[continuous.SteadyStateReport, ...]:
+        return tuple(map(continuous.steady_state_report, self.specs))
 
 
 def _naming_worst(detail: str, passed: bool, grid: list[GridPoint], index: int) -> str:
@@ -149,18 +135,15 @@ def sample_grid(rng: np.random.Generator, n_points: int) -> list[GridPoint]:
 
 
 def check_efficiency_design_match(grid: list[GridPoint]) -> CheckResult:
-    """Steady-state efficiency equals the design value on every point:
-    1 - omega_c/omega_h (catalyst-free), 1 - omega_c/(2 omega_h)
-    (qubit catalyst), to 1e-9 absolute."""
+    """Steady-state efficiency equals the design value
+    1 - omega_c/(d omega_h) of each engine, d its catalyst dimension, on
+    every point, to 1e-9 absolute."""
     tol = 1e-9
     worst = 0.0
     worst_at = 0
     for index, pt in enumerate(grid):
-        eta_otto, eta_cat = analytic.design_efficiencies(pt.omega_h, pt.omega_c)
-        for report, expected in (
-            (pt.otto_report, eta_otto),
-            (pt.catalytic_report, eta_cat),
-        ):
+        for spec, report in zip(pt.specs, pt.reports):
+            expected = analytic.design_efficiency(pt.omega_h, pt.omega_c, spec.catalyst_dim)
             if report.efficiency is None:
                 return CheckResult(
                     name="efficiency_design_match",
@@ -179,7 +162,7 @@ def check_efficiency_design_match(grid: list[GridPoint]) -> CheckResult:
         worst=worst,
         tol=tol,
         detail=_naming_worst(
-            f"|eta_ness - eta_design| over {len(grid)} points x 2 engines",
+            f"|eta_ness - eta_design| over {len(grid)} points x {len(FAMILIES)} engines",
             passed, grid, worst_at,
         ),
     )
@@ -192,30 +175,23 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
     worst = 0.0
     worst_at = 0
     for index, pt in enumerate(grid):
-        otto = pt.otto
-        otto_expected = analytic.otto_current(
-            otto.hot.big_gamma,
-            otto.cold.big_gamma,
-            pt.g,
-            analytic.otto_delta_p(pt.a_h, pt.a_c),
-        )
-
-        cat = pt.catalytic
-        constants = analytic.rate_constants(
-            cat.hot.gamma_plus,
-            cat.hot.gamma_minus,
-            cat.cold.gamma_plus,
-            cat.cold.gamma_minus,
-        )
-        cat_expected = analytic.cat_current(
-            constants, pt.g, analytic.cat_delta_p(pt.a_h, pt.a_c).value
-        )
-        pairs = [(pt.otto_report.currents[0], otto_expected)]
-        pairs += [(current, cat_expected) for current in pt.catalytic_report.currents]
-        for current, expected in pairs:
-            error = abs(current - expected) / abs(expected)
-            if error > worst:
-                worst, worst_at = error, index
+        for spec, report in zip(pt.specs, pt.reports):
+            hot, cold = spec.hot, spec.cold
+            if spec.catalyst_dim == 1:
+                expected = analytic.otto_current(
+                    hot.big_gamma, cold.big_gamma, pt.g, analytic.otto_delta_p(pt.a_h, pt.a_c)
+                )
+            else:
+                constants = analytic.rate_constants(
+                    hot.gamma_plus, hot.gamma_minus, cold.gamma_plus, cold.gamma_minus
+                )
+                expected = analytic.cat_current(
+                    constants, pt.g, analytic.cat_delta_p(pt.a_h, pt.a_c).value
+                )
+            for current in report.currents:
+                error = abs(current - expected) / abs(expected)
+                if error > worst:
+                    worst, worst_at = error, index
     passed = worst <= tol
     return CheckResult(
         name="current_closed_form",
@@ -223,7 +199,7 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
         worst=worst,
         tol=tol,
         detail=_naming_worst(
-            f"relative current error over {len(grid)} points x 2 engines",
+            f"relative current error over {len(grid)} points x {len(FAMILIES)} engines",
             passed, grid, worst_at,
         ),
     )
@@ -242,10 +218,7 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
     worst_pair_gap = 0.0
     worst_at = pair_gap_at = 0
     for index, pt in enumerate(grid):
-        for engine, spec, ss in (
-            ("otto", pt.otto, pt.otto_report),
-            ("qubit_catalyst", pt.catalytic, pt.catalytic_report),
-        ):
+        for engine, spec, ss in zip(FAMILIES, pt.specs, pt.reports):
             cycle = discrete.run_cycle(spec)
             try:
                 report = mapping.equivalence_from_parts(spec, cycle, ss)
@@ -271,7 +244,7 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
         worst=max(worst, worst_pair_gap),
         tol=tol,
         detail=_naming_worst(
-            f"worst bridge row {worst_row} over {len(grid)} points x 2 engines; "
+            f"worst bridge row {worst_row} over {len(grid)} points x {len(FAMILIES)} engines; "
             f"pair-current gap {worst_pair_gap:.3e} (tol {current_tol:.0e})",
             passed, grid, worst_at if worst > tol else pair_gap_at,
         ),
@@ -390,7 +363,7 @@ def check_thermo_consistency(grid: list[GridPoint]) -> CheckResult:
     worst_int = 0.0
     margin_at = int_at = 0
     for index, pt in enumerate(grid):
-        for report in (pt.otto_report, pt.catalytic_report):
+        for report in pt.reports:
             for margin in (report.clausius_margin, report.entropy_production):
                 if margin < worst_margin:
                     worst_margin, margin_at = margin, index
@@ -476,7 +449,7 @@ def check_stationary_relations(rng: np.random.Generator, n_sets: int = 20) -> Ch
         cold = BathParams.from_damping(
             -math.log(a_c) / omega_c, omega_c, 10.0 ** rng.uniform(-0.5, 0.5)
         )
-        specs.append(qubit_catalyst_spec_from_baths(hot, cold, 10.0 ** rng.uniform(-0.5, 0.5)))
+        specs.append(ladder_spec(2, hot, cold, 10.0 ** rng.uniform(-0.5, 0.5)))
     worst = 0.0
     n_relations = 0
     for spec, report in zip(specs, continuous.steady_state_reports(specs)):
@@ -508,10 +481,7 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         omega_c = rng.uniform(0.5, 2.0)
         hot = BathParams.from_relaxation_time(-math.log(a_h) / omega_h, omega_h, 1.0)
         cold = BathParams.from_relaxation_time(-math.log(a_c) / omega_c, omega_c, 1.0)
-        for spec in (
-            otto_spec_from_baths(hot, cold, 1.0),
-            qubit_catalyst_spec_from_baths(hot, cold, 1.0),
-        ):
+        for spec in (ladder_spec(d, hot, cold, 1.0) for d in FAMILIES.values()):
             catalyst = (
                 discrete.solve_catalyst(spec)
                 if spec.catalyst_dim > 1
@@ -554,15 +524,13 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
     )
 
 
-def reference_families() -> tuple[mapping.EngineFamily, mapping.EngineFamily]:
-    """The matched pair of engine families at the reference working point
-    beta_h omega_h = 0.1, beta_c/beta_h = 10, g tau_eq = 10 (with
-    omega_h = tau_eq = 1 setting the scale)."""
+def reference_families() -> tuple[mapping.EngineFamily, ...]:
+    """The engine families of :data:`~ottocat.engine_spec.FAMILIES`, in
+    that order, at the reference working point beta_h omega_h = 0.1,
+    beta_c/beta_h = 10, g tau_eq = 10 (with omega_h = tau_eq = 1 setting
+    the scale)."""
     common = dict(beta_h=0.1, beta_c=1.0, omega_h=1.0, tau_eq=1.0, g=10.0)
-    return (
-        mapping.EngineFamily(kind="otto", **common),
-        mapping.EngineFamily(kind="qubit_catalyst", **common),
-    )
+    return tuple(mapping.EngineFamily(kind=kind, **common) for kind in FAMILIES)
 
 
 def run_suite(seed: int, n_points: int = 100) -> list[CheckResult]:
@@ -571,9 +539,9 @@ def run_suite(seed: int, n_points: int = 100) -> list[CheckResult]:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.Generator(np.random.PCG64(seed))
     grid = sample_grid(rng, n_points)
-    reports = continuous.steady_state_reports([s for pt in grid for s in (pt.otto, pt.catalytic)])
-    for pt in grid:  # fills the cached properties
-        vars(pt).update(otto_report=next(reports), catalytic_report=next(reports))
+    reports = continuous.steady_state_reports([s for pt in grid for s in pt.specs])
+    for pt in grid:  # fills the cached property
+        vars(pt)["reports"] = tuple(next(reports) for _ in pt.specs)
     return [
         check_efficiency_design_match(grid),
         check_current_closed_form(grid),

@@ -17,7 +17,7 @@ from ottocat.analytic import (
     cat_delta_p,
     cat_population,
     cat_tau,
-    design_efficiencies,
+    design_efficiency,
     one_minus_kappa,
     one_minus_zeta,
     otto_current,
@@ -263,7 +263,7 @@ class TestCatalyticDenominator:
 
 class TestEfficiencies:
     def test_design_values_are_frequency_ratios(self):
-        eta_otto, eta_cat = design_efficiencies(1.0, 0.6)
+        eta_otto, eta_cat = (design_efficiency(1.0, 0.6, d) for d in (1, 2))
         assert eta_otto == pytest.approx(0.4, rel=1e-15)
         assert eta_cat == pytest.approx(0.7, rel=1e-15)
 
@@ -272,7 +272,7 @@ class TestEfficiencies:
         ratio=st.floats(min_value=0.05, max_value=0.95),
     )
     def test_catalytic_design_always_beats_otto_design(self, omega_h, ratio):
-        eta_otto, eta_cat = design_efficiencies(omega_h, ratio * omega_h)
+        eta_otto, eta_cat = (design_efficiency(omega_h, ratio * omega_h, d) for d in (1, 2))
         assert eta_cat > eta_otto
 
 

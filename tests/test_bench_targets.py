@@ -38,7 +38,5 @@ def test_every_traced_name_resolves_on_the_package():
 
 
 def test_a_deleted_traced_function_is_named(monkeypatch):
-    monkeypatch.delattr(continuous, "entropy_production_rate")
-    assert unresolved_targets(load_tracer()) == [
-        "ottocat.continuous.entropy_production_rate"
-    ]
+    monkeypatch.delattr(continuous, "currents_and_power")
+    assert unresolved_targets(load_tracer()) == ["ottocat.continuous.currents_and_power"]

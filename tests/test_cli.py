@@ -372,22 +372,26 @@ class TestWiringGuard:
         assert cli.main(["continuous", "--config", config]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(
-            r"check failed: emitted steady-state efficiency 0\.\d+ does not match the "
-            r"design efficiency 0\.4 of otto\n",
+            r"check failed: otto at eta = 0\.4, g = 10\.0: emitted steady-state "
+            r"efficiency 0\.\d+ does not match the design efficiency 0\.4 of otto\n",
             err,
         ), err
 
     def test_a_sweep_ending_at_the_carnot_efficiency_fails_by_point(self, tmp_path, capsys):
         text = GOLDEN_CONFIG.read_text(encoding="utf-8")
         text = text.replace("stop = 0.89", "stop = 0.9").replace("points = 100", "points = 5")
-        config = write(tmp_path / "carnot.ini", text)
-        out = tmp_path / "rows.csv"
-        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "check failed: otto at eta = 0.9, g = 10.0: mapping singular at "
-            "equilibrium boundary: all pair flows vanish\n"
-        )
-        assert not out.exists()
+        for engines in ("otto, qubit_catalyst", "qubit_catalyst"):
+            config = write(
+                tmp_path / "carnot.ini",
+                text.replace("engine = otto, qubit_catalyst", f"engine = {engines}"),
+            )
+            out = tmp_path / "rows.csv"
+            assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"check failed: {engines.split(',')[0]} at eta = 0.9, g = 10.0: mapping "
+                "singular at equilibrium boundary: all pair flows vanish\n"
+            )
+            assert not out.exists()
 
 
 class TestVerifySubcommand:
@@ -472,7 +476,7 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         "caches = {f'{f.__module__}.{f.__qualname__}': f.cache_info().currsize\n"
         "          for name, module in list(sys.modules.items()) if name.startswith('ottocat')\n"
         "          for f in vars(module).values() if hasattr(f, 'cache_info')}\n"
-        "print(sorted(caches.items()), 'scipy' in sys.modules)\n"
+        "print(sorted(caches.items()), 'scipy' in sys.modules, 'ottocat.verify' in sys.modules)\n"
     )
     src = str(Path(ottocat.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -490,4 +494,4 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         "ottocat.engine_spec.level_table",
         "ottocat.engine_spec.pair_table",
     )
-    assert done.stdout.split("\n")[0] == f"{[(name, 0) for name in names]} False"
+    assert done.stdout.split("\n")[0] == f"{[(name, 0) for name in names]} False False"

@@ -29,10 +29,9 @@ from ottocat.engine_spec import (
     SwapPair,
     energy_differences,
     hamiltonians,
+    ladder_spec,
     level_table,
-    otto_spec_from_baths,
     pair_table,
-    qubit_catalyst_spec_from_baths,
 )
 from ottocat.qstate import (
     DensityMatrix,
@@ -43,20 +42,20 @@ from ottocat.qstate import (
     tensor_all,
 )
 from ottocat.verify import sample_grid
-from spec_helpers import GOLDEN_CONFIG, bath_from_factor, golden_specs, ladder_spec
+from spec_helpers import GOLDEN_CONFIG, bath_from_factor, golden_specs
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
 
 
 def otto_from_factors(a_h: float, a_c: float, omega_c: float = 0.6, g: float = 1.0):
-    return otto_spec_from_baths(
-        bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=g
+    return ladder_spec(
+        1, bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=g
     )
 
 
 def catalyst_from_factors(a_h: float, a_c: float, omega_c: float = 1.2, g: float = 1.0):
-    return qubit_catalyst_spec_from_baths(
-        bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=g
+    return ladder_spec(
+        2, bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=g
     )
 
 
@@ -191,7 +190,8 @@ class TestCurrentsAndPower:
         values = []
         for g in (0.3, 1.0, 3.0):
             for tau in (0.5, 2.0):
-                spec = qubit_catalyst_spec_from_baths(
+                spec = ladder_spec(
+                    2,
                     bath_from_factor(0.9, tau_eq=tau),
                     bath_from_factor(0.2, omega=1.2, tau_eq=2.0 * tau),
                     g=g,
@@ -290,7 +290,7 @@ ASSEMBLY_FAMILIES = {
     "golden": lambda: golden_specs(),
     "verify-grids": lambda: certificate_specs(),
     "ladder-4": lambda: [
-        ladder_spec(4, bath_from_factor(a), bath_from_factor(b, omega=2.0))
+        ladder_spec(4, bath_from_factor(a), bath_from_factor(b, omega=2.0), 1.0)
         for a, b in ((0.7, 0.3), (0.3, 0.7))
     ],
 }
@@ -417,13 +417,13 @@ def certificate_specs() -> list[EngineSpec]:
     specs = []
     for seed in (1, 2, 3):
         for point in sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
-            specs += [point.otto, point.catalytic]
+            specs += point.specs
     hot = BathParams.from_relaxation_time(0.2, 1.0, 1.0)
     for g_tau in np.logspace(-2, 3, 21):
         cold = BathParams.from_relaxation_time(2.0, 0.45, 1.0)
-        specs.append(otto_spec_from_baths(hot, cold, g=g_tau))
+        specs.append(ladder_spec(1, hot, cold, g=g_tau))
         cold = BathParams.from_relaxation_time(2.0, 0.9, 1.0)
-        specs.append(qubit_catalyst_spec_from_baths(hot, cold, g=g_tau))
+        specs.append(ladder_spec(2, hot, cold, g=g_tau))
     return specs
 
 
@@ -553,8 +553,8 @@ class TestBlockRefinement:
         return [
             *certificate_specs(),
             *golden_specs(),
-            ladder_spec(3, hot, cold),
-            ladder_spec(3, cold, hot),
+            ladder_spec(3, hot, cold, 1.0),
+            ladder_spec(3, cold, hot, 1.0),
         ]
 
     @staticmethod
@@ -747,7 +747,7 @@ class TestCurrentOracle:
         specs = [
             *certificate_specs(),
             *golden_specs(),
-            *(ladder_spec(d, a, b) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
+            *(ladder_spec(d, a, b, 1.0) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
         ]
         rng = np.random.Generator(np.random.PCG64(11))
         for spec in specs:
@@ -765,10 +765,10 @@ def stack_spec(kind: str, a_h: float, a_c: float, g: float) -> EngineSpec:
     """One spec of each structure the stacked solve may meet in one call."""
     hot, cold = bath_from_factor(a_h), bath_from_factor(a_c, omega=2.0)
     if kind == "otto":
-        return otto_spec_from_baths(hot, bath_from_factor(a_c, omega=0.6), g)
+        return ladder_spec(1, hot, bath_from_factor(a_c, omega=0.6), g)
     if kind == "qubit_catalyst":
-        return qubit_catalyst_spec_from_baths(hot, bath_from_factor(a_c, omega=1.2), g)
-    return ladder_spec(int(kind[-1]), hot, cold)
+        return ladder_spec(2, hot, bath_from_factor(a_c, omega=1.2), g)
+    return ladder_spec(int(kind[-1]), hot, cold, 1.0)
 
 
 def decoupled_level_spec() -> EngineSpec:

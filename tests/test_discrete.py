@@ -25,24 +25,23 @@ from ottocat.engine_spec import (
     EngineSpec,
     SwapPair,
     hamiltonians,
-    otto_spec_from_baths,
-    qubit_catalyst_spec_from_baths,
+    ladder_spec,
 )
 from ottocat.qstate import DensityMatrix, Operator, partial_trace
-from spec_helpers import bath_from_factor, golden_specs, ladder_spec
+from spec_helpers import bath_from_factor, golden_specs
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
 
 
 def otto_from_factors(a_h: float, a_c: float, omega_c: float = 0.6) -> EngineSpec:
-    return otto_spec_from_baths(
-        bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=1.0
+    return ladder_spec(
+        1, bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=1.0
     )
 
 
 def catalyst_from_factors(a_h: float, a_c: float, omega_c: float = 1.2) -> EngineSpec:
-    return qubit_catalyst_spec_from_baths(
-        bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=1.0
+    return ladder_spec(
+        2, bath_from_factor(a_h), bath_from_factor(a_c, omega=omega_c), g=1.0
     )
 
 
@@ -99,7 +98,7 @@ class TestOttoCycle:
         # equal beta * omega on both sides: the swap connects equal populations
         hot = BathParams.from_relaxation_time(0.5, 1.0, 1.0)
         cold = BathParams.from_relaxation_time(1.0, 0.5, 1.0)
-        report = run_cycle(otto_spec_from_baths(hot, cold, g=1.0))
+        report = run_cycle(ladder_spec(1, hot, cold, g=1.0))
         assert report.q_hot == pytest.approx(0.0, abs=1e-15)
         assert report.work == pytest.approx(0.0, abs=1e-15)
         assert report.efficiency is None
@@ -151,7 +150,7 @@ class TestHandOff:
         hot, cold = bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0)
         return [
             *(spec for spec in golden_specs() if spec.catalyst_dim == 2),
-            *(ladder_spec(d, a, b) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
+            *(ladder_spec(d, a, b, 1.0) for d in (3, 4) for a, b in ((hot, cold), (cold, hot))),
         ]
 
     def test_cycle_equals_the_cycle_on_the_solved_catalyst(self):
@@ -281,9 +280,9 @@ class TestPopulationRoute:
             hot = bath_from_factor(a_h, omega=omega_h, tau_eq=rng.uniform(0.5, 2.0))
             cold = bath_from_factor(a_c, omega=omega_c, tau_eq=rng.uniform(0.5, 2.0))
             specs += [
-                otto_spec_from_baths(hot, cold, g=1.0),
-                qubit_catalyst_spec_from_baths(hot, cold, g=1.0),
-                ladder_spec(3, hot, cold),
+                ladder_spec(1, hot, cold, g=1.0),
+                ladder_spec(2, hot, cold, g=1.0),
+                ladder_spec(3, hot, cold, 1.0),
             ]
         return specs
 
@@ -307,7 +306,7 @@ class TestPopulationRoute:
         assert n_reports > 300 and n_negative > 0 and n_raised == 0
 
     def test_three_pair_ladder_catalyst_closes_the_cycle(self):
-        spec = ladder_spec(3, bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0))
+        spec = ladder_spec(3, bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0), 1.0)
         report = run_cycle(spec)
         assert len(report.delta_p) == 3
         assert report.delta_p == pytest.approx((report.delta_p[0],) * 3, rel=1e-12)

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 
 from ottocat import discrete
 from ottocat.engine_spec import (
+    FAMILIES,
     BathParams,
     EngineSpec,
     PairEnergetics,
     SwapPair,
     energy_differences,
     hamiltonians,
+    ladder_spec,
     level_table,
-    otto_spec_from_baths,
     pair_sums,
     pair_table,
-    qubit_catalyst_spec_from_baths,
     validate,
 )
 from ottocat.qstate import HilbertLayout
@@ -32,16 +32,16 @@ rates = st.floats(min_value=0.01, max_value=10.0)
 
 
 def otto_example(g: float = 1.0) -> EngineSpec:
-    return otto_spec_from_baths(
-        BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
+    return ladder_spec(
+        1, BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
         BathParams(beta=1.0, omega=0.6, gamma_plus=math.exp(-0.6), gamma_minus=1.0),
         g=g,
     )
 
 
 def catalyst_example(g: float = 1.0) -> EngineSpec:
-    return qubit_catalyst_spec_from_baths(
-        BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
+    return ladder_spec(
+        2, BathParams(beta=0.2, omega=1.0, gamma_plus=math.exp(-0.2), gamma_minus=1.0),
         BathParams(beta=1.0, omega=1.2, gamma_plus=math.exp(-1.2), gamma_minus=1.0),
         g=g,
     )
@@ -106,6 +106,26 @@ class TestEngineShapes:
     def test_validate_accepts_the_built_in_engines(self):
         assert validate(otto_example()) == []
         assert validate(catalyst_example()) == []
+
+    @pytest.mark.parametrize(
+        "d, pairs",
+        [
+            (1, ((2, 1),)),
+            (2, ((4, 2), (1, 6))),
+            (3, ((4, 2), (8, 6), (1, 10))),
+            (4, ((4, 2), (8, 6), (12, 10), (1, 14))),
+        ],
+    )
+    def test_ladder_pairs_climb_the_catalyst_and_close_on_the_cold_qubit(self, d, pairs):
+        hot, cold = otto_example().hot, otto_example().cold
+        spec = ladder_spec(d, hot, cold, 0.7)
+        assert spec.catalyst_dim == d and spec.layout.factor_dims == (d, 2, 2)
+        assert tuple((pair.u, pair.d) for pair in spec.swaps) == pairs
+        assert {pair.g for pair in spec.swaps} == {0.7}
+        assert validate(spec) == []
+
+    def test_the_built_in_kinds_are_the_first_two_ladders(self):
+        assert FAMILIES == {"otto": 1, "qubit_catalyst": 2}
 
     def test_validate_flags_out_of_range_swap_levels(self):
         spec = otto_example()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ottocat import analytic, continuous, discrete, verify
 from ottocat.discrete import CatalystState
-from ottocat.engine_spec import BathParams, otto_spec_from_baths
+from ottocat.engine_spec import FAMILIES, BathParams, ladder_spec
 from ottocat.mapping import (
     EngineFamily,
     compare_at_efficiency,
@@ -42,13 +42,36 @@ class TestEngineFamily:
         assert spec.cold.omega == pytest.approx(1.2, rel=1e-15)
         assert spec.swaps[0].g == 10.0
 
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_spec_at_is_the_ladder_of_the_catalyst_dimension(self, kind):
+        family = otto_family(kind=kind)
+        hot = BathParams.from_relaxation_time(0.1, 1.0, 1.0)
+        for eta in (0.1, 0.4, 0.85):
+            cold = BathParams.from_relaxation_time(1.0, FAMILIES[kind] * (1.0 - eta), 1.0)
+            assert family.spec_at(eta) == ladder_spec(FAMILIES[kind], hot, cold, 10.0)
+
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kind must be 'otto' or 'qubit_catalyst', got"):
             otto_family(kind="stirling")
         with pytest.raises(ValueError):
             otto_family(beta_h=1.0, beta_c=0.5)
         with pytest.raises(ValueError):
             otto_family().omega_c_at(1.0)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_longer_ladders_run_at_their_design_efficiency_in_both_pictures(d):
+    # Check 1's tolerance; a scan of this grid measured at worst 1.2e-13.
+    hot = BathParams.from_relaxation_time(0.1, 1.0, 1.0)
+    specs = [
+        ladder_spec(d, hot, BathParams.from_relaxation_time(1.0, d * (1.0 - eta), 1.0), g)
+        for eta in (0.1 + 0.05 * k for k in range(16))
+        for g in (0.1, 1.0, 10.0)
+    ]
+    for spec, ss in zip(specs, continuous.steady_state_reports(specs)):
+        expected = analytic.design_efficiency(hot.omega, spec.cold.omega, d)
+        assert abs(ss.efficiency - expected) <= 1e-9
+        assert abs(discrete.run_cycle(spec).efficiency - expected) <= 1e-9
 
 
 class TestEquivalence:
@@ -99,7 +122,7 @@ class TestEquivalence:
         # beta_h omega_h = beta_c omega_c makes every pair flow vanish
         hot = BathParams.from_relaxation_time(0.5, 1.0, 1.0)
         cold = BathParams.from_relaxation_time(1.0, 0.5, 1.0)
-        spec = otto_spec_from_baths(hot, cold, g=1.0)
+        spec = ladder_spec(1, hot, cold, g=1.0)
         with pytest.raises(ValueError, match="equilibrium boundary"):
             verify_equivalence(spec)
 
@@ -109,9 +132,9 @@ class TestEquivalence:
         worst = 0.0
         for seed in (1, 16, 27):
             for pt in verify.sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
-                spec = pt.otto
+                spec = pt.specs[0]
                 cycle = discrete.run_cycle(spec)
-                report = equivalence_from_parts(spec, cycle, pt.otto_report)
+                report = equivalence_from_parts(spec, cycle, pt.reports[0])
                 worst = max(worst, report.work_power_scale / abs(cycle.work) - 1.0)
         assert 0.0 <= worst <= 1e-11
 

@@ -14,29 +14,26 @@ from hypothesis import strategies as st
 
 from ottocat import analytic, cli, discrete, mapping, verify
 from ottocat.continuous import steady_state_report
-from ottocat.engine_spec import (
-    BathParams,
-    EngineSpec,
-    SwapPair,
-    otto_spec_from_baths,
-    qubit_catalyst_spec_from_baths,
-)
+from ottocat.engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair, ladder_spec
 
 
 @pytest.fixture(scope="module")
 def solved_grid():
-    """Three grid points with both steady states solved once."""
+    """Three grid points with every engine's steady state solved once."""
     grid = verify.sample_grid(np.random.Generator(np.random.PCG64(3)), 3)
     for pt in grid:
-        pt.otto_report, pt.catalytic_report
+        pt.reports
     return grid
 
 
-def perturb_report(monkeypatch, pt, name, **changes):
-    """Replace one cached steady-state report of ``pt`` for this test."""
-    report = getattr(pt, name)
-    changes = {key: change(report) for key, change in changes.items()}
-    monkeypatch.setitem(pt.__dict__, name, dataclasses.replace(report, **changes))
+def perturb_report(monkeypatch, pt, engine, **changes):
+    """Replace the cached steady-state report of ``pt``'s ``engine`` (a
+    key of ``FAMILIES``) for this test."""
+    reports = list(pt.reports)
+    i = list(FAMILIES).index(engine)
+    changes = {key: change(reports[i]) for key, change in changes.items()}
+    reports[i] = dataclasses.replace(reports[i], **changes)
+    monkeypatch.setitem(pt.__dict__, "reports", tuple(reports))
 
 
 def names_point(result, grid, index):
@@ -58,7 +55,7 @@ def test_passing_checks_name_no_point(solved_grid):
 
 def test_efficiency_check_names_its_worst_point(solved_grid, monkeypatch):
     perturb_report(
-        monkeypatch, solved_grid[1], "catalytic_report",
+        monkeypatch, solved_grid[1], "qubit_catalyst",
         efficiency=lambda r: r.efficiency + 1e-7,
     )
     result = verify.check_efficiency_design_match(solved_grid)
@@ -67,7 +64,7 @@ def test_efficiency_check_names_its_worst_point(solved_grid, monkeypatch):
 
 def test_current_check_names_its_worst_point(solved_grid, monkeypatch):
     perturb_report(
-        monkeypatch, solved_grid[2], "otto_report",
+        monkeypatch, solved_grid[2], "otto",
         currents=lambda r: (r.currents[0] * (1.0 + 1e-7),),
     )
     result = verify.check_current_closed_form(solved_grid)
@@ -76,7 +73,7 @@ def test_current_check_names_its_worst_point(solved_grid, monkeypatch):
 
 def test_bridge_check_names_its_worst_point(solved_grid, monkeypatch):
     audit = verify.mapping.equivalence_from_parts
-    broken = solved_grid[1].catalytic_report
+    broken = solved_grid[1].reports[1]
 
     def off_at_one_point(spec, cycle, ss):
         report = audit(spec, cycle, ss)
@@ -95,7 +92,7 @@ def test_bridge_check_names_its_worst_point(solved_grid, monkeypatch):
 
 def test_a_heat_current_off_by_1e_7_fails_the_bridge_naming_its_row(solved_grid, monkeypatch):
     perturb_report(
-        monkeypatch, solved_grid[2], "catalytic_report",
+        monkeypatch, solved_grid[2], "qubit_catalyst",
         j_hot=lambda r: r.j_hot * (1.0 + 1e-7),
     )
     result = verify.check_time_bridge(solved_grid)
@@ -120,23 +117,25 @@ def test_seed_27_passes_every_check(capsys):
 
 
 def test_the_bridge_scale_at_seed_27_point_70_is_the_pair_terms(seed_27_grid):
-    spec = seed_27_grid[70].catalytic
+    spec = seed_27_grid[70].specs[1]
     cycle = discrete.run_cycle(spec)
-    report = mapping.equivalence_from_parts(spec, cycle, seed_27_grid[70].catalytic_report)
+    report = mapping.equivalence_from_parts(spec, cycle, seed_27_grid[70].reports[1])
     assert 400.0 < report.work_power_scale / abs(cycle.work) < 500.0
     gap = abs(report.power * report.tau - cycle.work)
     assert gap > 1e-9 * abs(cycle.work)
     assert gap <= 1e-9 * report.work_power_scale
 
 
-@pytest.mark.parametrize("engine", ["otto", "catalytic"])
+@pytest.mark.parametrize(
+    "engine", [pytest.param(0, id="otto"), pytest.param(1, id="catalytic")]
+)
 def test_every_bridge_row_at_seed_27_point_70_is_within_its_tolerance(seed_27_grid, engine):
     # The relative work row of the old from-scratch table read 3.7e-9 here.
     pt = seed_27_grid[70]
-    spec = getattr(pt, engine)
+    spec = pt.specs[engine]
     report = mapping.verify_equivalence(spec)
     assert report.residuals == mapping.equivalence_from_parts(
-        spec, discrete.run_cycle(spec), getattr(pt, f"{engine}_report")
+        spec, discrete.run_cycle(spec), pt.reports[engine]
     ).residuals
     for row, value in report.residuals.items():
         if row.startswith("catalyst_balance_"):
@@ -147,7 +146,7 @@ def test_every_bridge_row_at_seed_27_point_70_is_within_its_tolerance(seed_27_gr
 
 def test_a_pair_current_off_by_1e_7_at_seed_27_point_70_fails(seed_27_grid, monkeypatch):
     perturb_report(
-        monkeypatch, seed_27_grid[70], "catalytic_report",
+        monkeypatch, seed_27_grid[70], "qubit_catalyst",
         currents=lambda r: (r.currents[0] * (1.0 + 1e-7), r.currents[1]),
     )
     result = verify.check_time_bridge(seed_27_grid)
@@ -164,7 +163,7 @@ def test_a_pair_current_off_by_1e_7_at_seed_27_point_70_fails(seed_27_grid, monk
     ids=["entropy-production", "interaction-residual"],
 )
 def test_thermo_check_names_its_worst_point(solved_grid, monkeypatch, index, changes):
-    perturb_report(monkeypatch, solved_grid[index], "otto_report", **changes)
+    perturb_report(monkeypatch, solved_grid[index], "otto", **changes)
     result = verify.check_thermo_consistency(solved_grid)
     assert names_point(result, solved_grid, index)
 
@@ -241,7 +240,7 @@ def test_stationary_relations_vanish_on_every_rate_set_check_7_draws(
 ):
     hot = damped_bath(a_h, omega_h, log_gamma_h)
     cold = damped_bath(a_c, omega_c, log_gamma_c)
-    spec = qubit_catalyst_spec_from_baths(hot, cold, 10.0**log_g)
+    spec = ladder_spec(2, hot, cold, 10.0**log_g)
     residuals = verify.stationary_relation_residuals(spec, steady_state_report(spec))
     assert len(residuals) == 12
     assert max(abs(r) for r in residuals) <= 1e-9
@@ -257,7 +256,7 @@ def qutrit_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
 @pytest.mark.parametrize(
     "make",
     [
-        pytest.param(lambda hot, cold: otto_spec_from_baths(hot, cold, 1.0), id="otto"),
+        pytest.param(lambda hot, cold: ladder_spec(1, hot, cold, 1.0), id="otto"),
         pytest.param(qutrit_catalyst_spec, id="qutrit_catalyst"),
     ],
 )
