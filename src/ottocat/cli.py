@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import analytic, continuous, discrete
 from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
 from .engine_spec import validate as validate_spec
-from .mapping import EngineFamily, equivalence_from_parts
+from .mapping import BRIDGE_ERRORS, EngineFamily, equivalence_from_parts
 
 __all__ = [
     "COLUMNS",
@@ -536,7 +536,7 @@ def build_row(
     if mode == "both":
         try:
             bridge = equivalence_from_parts(spec, cycle, report)
-        except ValueError as exc:  # no characteristic time, as at the Carnot efficiency
+        except BRIDGE_ERRORS as exc:  # a row over its tolerance, or no tau at the Carnot point
             raise CheckFailure(f"{point}: {exc}") from None
         row["tau"] = bridge.tau
         row["tau_spread"] = bridge.tau_uniform_residual
@@ -580,10 +580,23 @@ def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: 
 # subcommands
 
 
+def _spec_file_report(path: str, spec: EngineSpec) -> continuous.SteadyStateReport:
+    try:
+        return continuous.steady_state_report(spec)
+    except ValueError as exc:  # a machine with no unique steady state, say
+        raise ConfigError(f"spec file {path}: {exc}") from None
+
+
 def _rows(points: list[tuple[str, EngineSpec, float | None]], mode: str) -> list[dict[str, object]]:
-    """One row per (engine token, spec, eta); one call solves every steady state."""
+    """One row per (engine token, spec, eta); one call solves every steady state,
+    or one per spec file, so that a file with no unique one is named."""
     specs = [spec for _, spec, _ in points]
-    reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
+    if mode == "discrete":
+        reports = [None] * len(specs)
+    elif points[0][0] in FAMILIES:  # a run never mixes built-ins with spec files
+        reports = continuous.steady_state_reports(specs)
+    else:
+        reports = [_spec_file_report(path, spec) for path, spec, _ in points]
     return [build_row(*point, mode, report) for point, report in zip(points, reports)]
 
 

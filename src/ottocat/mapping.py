@@ -38,6 +38,7 @@ __all__ = [
     "FLOW_EXCLUSION_TOL",
     "TAU_UNIFORM_TOL",
     "WORK_POWER_TOL",
+    "BRIDGE_ERRORS",
     "EquivalenceReport",
     "EngineFamily",
     "EfficiencyComparison",
@@ -55,6 +56,10 @@ TAU_UNIFORM_TOL = 1e-9
 
 #: Allowed gap of the heat, work-power, second-law and efficiency rows.
 WORK_POWER_TOL = 1e-9
+
+#: What :func:`equivalence_from_parts` raises: a row over its tolerance, or
+#: no characteristic time; a caller that fails by point catches this pair.
+BRIDGE_ERRORS = (AssertionError, ValueError)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,13 +50,15 @@ _TRADEOFF_BLOCK = 1000
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check with its worst observed residual and tolerance."""
+    """One named check with its worst observed residual and tolerance;
+    ``worst_at`` indexes the grid point a failed grid check names."""
 
     name: str
     passed: bool
     worst: float
     tol: float
     detail: str
+    worst_at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,37 @@ class GridPoint:
         return tuple(map(continuous.steady_state_report, self.specs))
 
 
-def _naming_worst(detail: str, passed: bool, grid: list[GridPoint], index: int) -> str:
-    """``detail``, and for a failed check the index and fields of the grid
-    point that set its worst value."""
-    return detail if passed else f"{detail}; worst at grid point {index}, {grid[index]!r}"
+def _scan(grid: list[GridPoint], value: Callable, pick: Callable = max) -> tuple[float, int]:
+    """The worst, by ``pick``, of ``value(pt, spec, report)`` over every
+    engine of every grid point, and its point's index (the first on a tie)."""
+    return pick(
+        ((value(pt, spec, report), index)
+         for index, pt in enumerate(grid) for spec, report in zip(pt.specs, pt.reports)),
+        key=itemgetter(0),
+    )
+
+
+def _grid_result(
+    name: str, passed: bool, worst: float, tol: float, detail: str,
+    grid: list[GridPoint], worst_at: int,
+) -> CheckResult:
+    """A grid check's result; a failed one names grid point ``worst_at``
+    at the end of its detail, by index and fields, and as a field."""
+    if passed:
+        return CheckResult(name, True, worst, tol, detail)
+    detail = f"{detail}; worst at grid point {worst_at}, {grid[worst_at]!r}"
+    return CheckResult(name, False, worst, tol, detail, worst_at)
+
+
+def _bridge(
+    engine: str, spec: EngineSpec, ss: continuous.SteadyStateReport, where: Callable[[], str]
+) -> mapping.EquivalenceReport | str:
+    """The bridge audit of ``spec``'s cycle against its steady state ``ss``,
+    or the failed check's detail if it raises."""
+    try:
+        return mapping.equivalence_from_parts(spec, discrete.run_cycle(spec), ss)
+    except mapping.BRIDGE_ERRORS as exc:
+        return f"{engine} bridge failed at {where()}: {exc}"
 
 
 def sample_grid(rng: np.random.Generator, n_points: int) -> list[GridPoint]:
@@ -139,32 +170,18 @@ def check_efficiency_design_match(grid: list[GridPoint]) -> CheckResult:
     1 - omega_c/(d omega_h) of each engine, d its catalyst dimension, on
     every point, to 1e-9 absolute."""
     tol = 1e-9
-    worst = 0.0
-    worst_at = 0
-    for index, pt in enumerate(grid):
-        for spec, report in zip(pt.specs, pt.reports):
-            expected = analytic.design_efficiency(pt.omega_h, pt.omega_c, spec.catalyst_dim)
-            if report.efficiency is None:
-                return CheckResult(
-                    name="efficiency_design_match",
-                    passed=False,
-                    worst=math.inf,
-                    tol=tol,
-                    detail="hit a point with undefined efficiency (J_h = 0)",
-                )
-            gap = abs(report.efficiency - expected)
-            if gap > worst:
-                worst, worst_at = gap, index
-    passed = worst <= tol
-    return CheckResult(
-        name="efficiency_design_match",
-        passed=passed,
-        worst=worst,
-        tol=tol,
-        detail=_naming_worst(
-            f"|eta_ness - eta_design| over {len(grid)} points x {len(FAMILIES)} engines",
-            passed, grid, worst_at,
-        ),
+
+    def gap(pt: GridPoint, spec: EngineSpec, report: continuous.SteadyStateReport) -> float:
+        expected = analytic.design_efficiency(pt.omega_h, pt.omega_c, spec.catalyst_dim)
+        return math.inf if report.efficiency is None else abs(report.efficiency - expected)
+
+    worst, worst_at = _scan(grid, gap)
+    if any(report.efficiency is None for report in grid[worst_at].reports):
+        detail = "hit a point with undefined efficiency (J_h = 0)"
+    else:
+        detail = f"|eta_ness - eta_design| over {len(grid)} points x {len(FAMILIES)} engines"
+    return _grid_result(
+        "efficiency_design_match", worst <= tol, worst, tol, detail, grid, worst_at
     )
 
 
@@ -172,36 +189,27 @@ def check_current_closed_form(grid: list[GridPoint]) -> CheckResult:
     """Numerical stationary transfer rates match the closed forms to 1e-9
     relative, for both engines on every grid point."""
     tol = 1e-9
-    worst = 0.0
-    worst_at = 0
-    for index, pt in enumerate(grid):
-        for spec, report in zip(pt.specs, pt.reports):
-            hot, cold = spec.hot, spec.cold
-            if spec.catalyst_dim == 1:
-                expected = analytic.otto_current(
-                    hot.big_gamma, cold.big_gamma, pt.g, analytic.otto_delta_p(pt.a_h, pt.a_c)
-                )
-            else:
-                constants = analytic.rate_constants(
-                    hot.gamma_plus, hot.gamma_minus, cold.gamma_plus, cold.gamma_minus
-                )
-                expected = analytic.cat_current(
-                    constants, pt.g, analytic.cat_delta_p(pt.a_h, pt.a_c).value
-                )
-            for current in report.currents:
-                error = abs(current - expected) / abs(expected)
-                if error > worst:
-                    worst, worst_at = error, index
-    passed = worst <= tol
-    return CheckResult(
-        name="current_closed_form",
-        passed=passed,
-        worst=worst,
-        tol=tol,
-        detail=_naming_worst(
-            f"relative current error over {len(grid)} points x {len(FAMILIES)} engines",
-            passed, grid, worst_at,
-        ),
+
+    def error(pt: GridPoint, spec: EngineSpec, report: continuous.SteadyStateReport) -> float:
+        hot, cold = spec.hot, spec.cold
+        if spec.catalyst_dim == 1:
+            expected = analytic.otto_current(
+                hot.big_gamma, cold.big_gamma, pt.g, analytic.otto_delta_p(pt.a_h, pt.a_c)
+            )
+        else:
+            constants = analytic.rate_constants(
+                hot.gamma_plus, hot.gamma_minus, cold.gamma_plus, cold.gamma_minus
+            )
+            expected = analytic.cat_current(
+                constants, pt.g, analytic.cat_delta_p(pt.a_h, pt.a_c).value
+            )
+        return max(abs(current - expected) / abs(expected) for current in report.currents)
+
+    worst, worst_at = _scan(grid, error)
+    return _grid_result(
+        "current_closed_form", worst <= tol, worst, tol,
+        f"relative current error over {len(grid)} points x {len(FAMILIES)} engines",
+        grid, worst_at,
     )
 
 
@@ -209,45 +217,25 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
     """The two pictures describe one machine: every row of the bridge's
     dictionary (:attr:`~ottocat.mapping.EquivalenceReport.residuals`) is
     within 1e-9 on every point for both engines, and the line names the
-    worst; the catalytic engine's two pair currents agree to 1e-10
-    absolute.  A point where the bridge audit raises (a row over its own
+    worst; each engine's pair currents agree to 1e-10 absolute.  A point where the bridge audit raises (a row over its own
     tolerance, say) fails the check, naming the engine and the point."""
     tol = 1e-9
     current_tol = 1e-10
-    worst, worst_row = 0.0, ""
-    worst_pair_gap = 0.0
-    worst_at = pair_gap_at = 0
+    worst, worst_row, worst_at = 0.0, "", 0
     for index, pt in enumerate(grid):
         for engine, spec, ss in zip(FAMILIES, pt.specs, pt.reports):
-            cycle = discrete.run_cycle(spec)
-            try:
-                report = mapping.equivalence_from_parts(spec, cycle, ss)
-            except (AssertionError, ValueError) as exc:
-                return CheckResult(
-                    name="time_bridge",
-                    passed=False,
-                    worst=math.inf,
-                    tol=tol,
-                    detail=f"{engine} bridge failed at grid point {index}, {pt!r}: {exc}",
-                )
+            report = _bridge(engine, spec, ss, lambda: f"grid point {index}, {pt!r}")
+            if isinstance(report, str):
+                return CheckResult("time_bridge", False, math.inf, tol, report, index)
             for row, gap in report.residuals.items():
-                if gap >= worst:
+                if gap >= worst:  # the last row of a tie is the one the line names
                     worst, worst_row, worst_at = gap, f"{engine} {row}", index
-            if len(spec.swaps) == 2:
-                pair_gap = abs(ss.currents[0] - ss.currents[1])
-                if pair_gap > worst_pair_gap:
-                    worst_pair_gap, pair_gap_at = pair_gap, index
-    passed = worst <= tol and worst_pair_gap <= current_tol
-    return CheckResult(
-        name="time_bridge",
-        passed=passed,
-        worst=max(worst, worst_pair_gap),
-        tol=tol,
-        detail=_naming_worst(
-            f"worst bridge row {worst_row} over {len(grid)} points x {len(FAMILIES)} engines; "
-            f"pair-current gap {worst_pair_gap:.3e} (tol {current_tol:.0e})",
-            passed, grid, worst_at if worst > tol else pair_gap_at,
-        ),
+    pair_gap, pair_gap_at = _scan(grid, lambda pt, spec, ss: max(ss.currents) - min(ss.currents))
+    return _grid_result(
+        "time_bridge", worst <= tol and pair_gap <= current_tol, max(worst, pair_gap), tol,
+        f"worst bridge row {worst_row} over {len(grid)} points x {len(FAMILIES)} engines; "
+        f"pair-current gap {pair_gap:.3e} (tol {current_tol:.0e})",
+        grid, worst_at if worst > tol else pair_gap_at,
     )
 
 
@@ -329,11 +317,15 @@ def check_power_advantage(n_points: int = 100) -> CheckResult:
     # the steady state alone: flows there are too small for the two-picture
     # bridge asserts, but the power itself is perfectly well-defined.
     etas = [*map(float, np.linspace(0.01, 0.89, n_points)), 0.9 - 1e-5]
-    specs = [family.spec_at(eta) for eta in etas for family in reference_families()]
+    families = reference_families()
+    points = [(family.kind, eta, family.spec_at(eta)) for eta in etas for family in families]
+    specs = [spec for _, _, spec in points]
     powers = []
-    for spec, ss in zip(specs, continuous.steady_state_reports(specs)):
-        if len(powers) < 2 * n_points:  # the bridge audit raises on a bad row
-            mapping.equivalence_from_parts(spec, discrete.run_cycle(spec), ss)
+    for (engine, eta, spec), ss in zip(points, continuous.steady_state_reports(specs)):
+        if len(powers) < 2 * n_points:
+            report = _bridge(engine, spec, ss, lambda: f"eta = {eta}")
+            if isinstance(report, str):
+                return CheckResult("power_advantage", False, math.inf, tol, report)
         powers.append(ss.power)
     p_otto, p_cat = powers[0:-2:2], powers[1:-2:2]
     engines = [cat - otto for otto, cat in zip(p_otto, p_cat) if otto > 0.0 and cat > 0.0]
@@ -359,29 +351,17 @@ def check_thermo_consistency(grid: list[GridPoint]) -> CheckResult:
     to 1e-10."""
     margin_tol = 1e-8
     int_tol = 1e-10
-    worst_margin = math.inf
-    worst_int = 0.0
-    margin_at = int_at = 0
-    for index, pt in enumerate(grid):
-        for report in pt.reports:
-            for margin in (report.clausius_margin, report.entropy_production):
-                if margin < worst_margin:
-                    worst_margin, margin_at = margin, index
-            for residual in report.int_vanish_residuals:
-                if residual > worst_int:
-                    worst_int, int_at = residual, index
+    worst_margin, margin_at = _scan(
+        grid, lambda pt, spec, r: min(r.clausius_margin, r.entropy_production), min
+    )
+    worst_int, int_at = _scan(grid, lambda pt, spec, r: max(r.int_vanish_residuals))
     margin_ok = worst_margin >= -margin_tol
-    passed = margin_ok and worst_int <= int_tol
-    return CheckResult(
-        name="thermo_consistency",
-        passed=passed,
-        worst=max(-worst_margin, 0.0) + worst_int,
-        tol=margin_tol,
-        detail=_naming_worst(
-            f"min(Clausius, sigma) = {worst_margin:.3e} (tol -{margin_tol:.0e}); "
-            f"max interaction residual {worst_int:.3e} (tol {int_tol:.0e})",
-            passed, grid, int_at if margin_ok else margin_at,
-        ),
+    return _grid_result(
+        "thermo_consistency", margin_ok and worst_int <= int_tol,
+        max(-worst_margin, 0.0) + worst_int, margin_tol,
+        f"min(Clausius, sigma) = {worst_margin:.3e} (tol -{margin_tol:.0e}); "
+        f"max interaction residual {worst_int:.3e} (tol {int_tol:.0e})",
+        grid, int_at if margin_ok else margin_at,
     )
 
 

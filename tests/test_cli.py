@@ -257,6 +257,18 @@ class TestPointCommands:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_cycle(bad)
 
+    def test_a_non_ergodic_spec_file_is_a_config_error(self, tmp_path, capsys):
+        # Two swaps on a qutrit catalyst never reach its level 2.
+        text = CUSTOM_SPEC.replace("catalyst_dim = 2", "catalyst_dim = 3")
+        spec_file = write(tmp_path / "engine.ini", text)
+        config = write(tmp_path / "run.ini", f"[run]\nengine = {spec_file}\n")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["continuous", "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file {spec_file}: non-ergodic Liouvillian: steady state not unique\n"
+        )
+        assert not out.exists()
+
     def test_column_selection_is_respected(self, tmp_path):
         config = write(
             tmp_path / "run.ini", BASE_CONFIG + "\n[output]\ncolumns = engine, eta, work\n"
@@ -393,6 +405,19 @@ class TestWiringGuard:
             )
             assert not out.exists()
 
+    def test_a_sweep_row_over_its_bridge_tolerance_fails_by_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(verify.mapping, "WORK_POWER_TOL", 1e-16)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(GOLDEN_CONFIG), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "check failed: otto at eta = 0.01, g = 10.0: bridge rows over their tolerance: "
+        )
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
 
 class TestVerifySubcommand:
     def test_passing_suite_exits_zero_and_reports_every_check(self, tmp_path):
@@ -446,6 +471,19 @@ class TestVerifySubcommand:
         assert ": bridge rows over their tolerance: heat_cold 8.5" in failed
         assert ", work_power 8.5" in failed and failed.endswith(" > 5.0e-12")
         assert lines[-1] == "RESULT: FAIL (7/8 checks)"
+
+    def test_a_bridge_row_over_its_tolerance_fails_checks_3_and_5_by_point(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(verify.mapping, "WORK_POWER_TOL", 1e-16)
+        assert cli.main(["verify", "--seed", "3", "--points", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = [line for line in captured.out.splitlines() if line.startswith("FAIL  ")]
+        assert [line.split()[1] for line in failed] == ["time_bridge", "power_advantage"]
+        assert "otto bridge failed at grid point 0, GridPoint(" in failed[0]
+        assert failed[1].endswith(" > 1.0e-16")
+        assert "  otto bridge failed at eta = 0.01: bridge rows over their tolerance: " in failed[1]
 
     def test_a_singular_bridge_fails_the_check_naming_its_point(self, monkeypatch):
         def singular(spec, cycle, ss):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ def perturb_report(monkeypatch, pt, engine, **changes):
 
 
 def names_point(result, grid, index):
-    return not result.passed and result.detail.endswith(
-        f"; worst at grid point {index}, {grid[index]!r}"
+    return (
+        not result.passed
+        and result.worst_at == index
+        and result.detail.endswith(f"; worst at grid point {index}, {grid[index]!r}")
     )
 
 
@@ -51,15 +54,23 @@ def test_passing_checks_name_no_point(solved_grid):
     ):
         result = check(solved_grid)
         assert result.passed and "worst at grid point" not in result.detail
+        assert result.worst_at is None
 
 
-def test_efficiency_check_names_its_worst_point(solved_grid, monkeypatch):
-    perturb_report(
-        monkeypatch, solved_grid[1], "qubit_catalyst",
-        efficiency=lambda r: r.efficiency + 1e-7,
-    )
+@pytest.mark.parametrize(
+    "index, engine, efficiency, detail",
+    [
+        (1, "qubit_catalyst", lambda r: r.efficiency + 1e-7, "|eta_ness - eta_design| over 3"),
+        (2, "otto", lambda r: None, "hit a point with undefined efficiency (J_h = 0); "),
+    ],
+    ids=["off-by-1e-7", "undefined"],
+)
+def test_efficiency_check_names_its_worst_point(
+    solved_grid, monkeypatch, index, engine, efficiency, detail
+):
+    perturb_report(monkeypatch, solved_grid[index], engine, efficiency=efficiency)
     result = verify.check_efficiency_design_match(solved_grid)
-    assert names_point(result, solved_grid, 1)
+    assert names_point(result, solved_grid, index) and result.detail.startswith(detail)
 
 
 def test_current_check_names_its_worst_point(solved_grid, monkeypatch):
@@ -96,7 +107,7 @@ def test_a_heat_current_off_by_1e_7_fails_the_bridge_naming_its_row(solved_grid,
         j_hot=lambda r: r.j_hot * (1.0 + 1e-7),
     )
     result = verify.check_time_bridge(solved_grid)
-    assert not result.passed and result.worst == math.inf
+    assert not result.passed and result.worst == math.inf and result.worst_at == 2
     assert result.detail.startswith(
         f"qubit_catalyst bridge failed at grid point 2, {solved_grid[2]!r}: "
         "bridge rows over their tolerance: heat_hot "
@@ -108,6 +119,13 @@ def seed_27_grid():
     """The first 71 points of seed 27's grid; point 70 has W = 1.7e-5 and
     pair terms Omega_i delta_p_i of opposite sign, 437 times larger."""
     return verify.sample_grid(np.random.Generator(np.random.PCG64(27)), 71)
+
+
+def test_the_default_report_regenerates_byte_for_byte(capsys):
+    # Committed once and never regenerated to absorb a change, like the golden CSV.
+    assert cli.main(["verify"]) == 0
+    pinned = Path(__file__).parent / "data" / "verify_seed1234.txt"
+    assert capsys.readouterr().out.encode("utf-8") == pinned.read_bytes()
 
 
 def test_seed_27_passes_every_check(capsys):
