@@ -111,43 +111,30 @@ class CheckFailure(Exception):
 
 
 @dataclass(frozen=True)
-class FixedParams:
-    """The dimensionless working point shared by all family engines."""
-
-    beta_h_omega_h: float
-    beta_c_over_beta_h: float
-    g_tau_eq: float | None
-    tau_eq: float
-    omega_h: float
-    eta: float | None
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    parameter: str
-    start: float
-    stop: float
-    points: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    engines: tuple[str, ...]
-    fixed: FixedParams | None
-    sweep: SweepAxis | None
+    """A run config as the rows it emits: one (engine token, eta, g_tau_eq)
+    point per row, in emission order, a spec file's being (path, None, None),
+    and the ``[fixed]`` values (``None`` for spec files)."""
+
+    points: tuple[tuple[str, float | None, float | None], ...]
+    fixed: dict[str, float] | None
     columns: tuple[str, ...]
 
 
+#: The [fixed] keys: (key, open interval of accepted values, the rejection
+#: message's end, default).  A key with no default is required unless swept.
+_FIXED_KEYS = (
+    ("beta_h_omega_h", (0.0, math.inf), "be positive", None),
+    ("beta_c_over_beta_h", (0.0, math.inf), "be positive", None),
+    ("g_tau_eq", (0.0, math.inf), "be positive", None),
+    ("tau_eq", (0.0, math.inf), "be positive", None),
+    ("omega_h", (0.0, math.inf), "be positive", 1.0),
+    ("eta", (0.0, 1.0), "lie in (0, 1)", None),
+)
+
 _ALLOWED_KEYS = {
     "run": {"engine"},
-    "fixed": {
-        "beta_h_omega_h",
-        "beta_c_over_beta_h",
-        "g_tau_eq",
-        "tau_eq",
-        "omega_h",
-        "eta",
-    },
+    "fixed": {key for key, *_ in _FIXED_KEYS},
     "sweep": {"parameter", "start", "stop", "points"},
     "output": {"columns"},
 }
@@ -193,8 +180,62 @@ def _require(section: configparser.SectionProxy, key: str) -> None:
         raise ConfigError(f"missing key '{key}' in section [{section.name}]")
 
 
+def _sweep(parser: configparser.ConfigParser) -> tuple[str, list[float]]:
+    """The swept key of ``[sweep]`` and its values, evenly spaced from start to stop."""
+    if "sweep" not in parser:
+        raise ConfigError("missing section [sweep]")
+    section = parser["sweep"]
+    for key in ("parameter", "start", "stop", "points"):
+        _require(section, key)
+    parameter = section["parameter"].strip()
+    if parameter not in ("eta", "g_tau_eq"):
+        raise ConfigError(
+            f"sweep parameter must be 'eta' or 'g_tau_eq', got {parameter!r}"
+        )
+    start = _get_float(section, "start")
+    stop = _get_float(section, "stop")
+    try:
+        points = int(section["points"])
+    except ValueError:
+        raise ConfigError("key 'points' in section [sweep] is not an integer") from None
+    if points < 1:
+        raise ConfigError(f"sweep needs at least one point, got {points}")
+    if not start <= stop:
+        raise ConfigError(f"sweep range is empty: start {start} > stop {stop}")
+    if parameter == "eta" and not (0.0 < start and stop < 1.0):
+        raise ConfigError("eta sweep range must lie inside (0, 1)")
+    if parameter == "g_tau_eq" and not 0.0 < start:
+        raise ConfigError("g_tau_eq sweep range must be positive")
+    step = (stop - start) / max(points - 1, 1)
+    return parameter, [start + i * step for i in range(points)]
+
+
+def _fixed(section: configparser.SectionProxy, swept: str | None) -> dict[str, float]:
+    fixed = {}
+    for key, (low, high), must, default in _FIXED_KEYS:
+        if key == swept:
+            if key in section:
+                raise ConfigError(f"{key} is being swept; remove it from section [fixed]")
+            continue
+        if default is None:
+            _require(section, key)
+        value = _get_float(section, key) if key in section else default
+        if not low < value < high:
+            raise ConfigError(f"key '{key}' must {must}, got {value}")
+        fixed[key] = value
+    if fixed["beta_c_over_beta_h"] <= 1.0:
+        raise ConfigError(
+            "beta_c_over_beta_h must exceed 1 (the cold bath must be colder)"
+        )
+    return fixed
+
+
 def load_config(path: str, command: str) -> RunConfig:
-    """Parse and validate a run config for one of the data subcommands."""
+    """Parse and validate a run config for one of the data subcommands.
+
+    Builds no spec: a point whose bath leaves double range is named when
+    its row is made.
+    """
     parser = _read_ini(path)
     _check_known_keys(parser, _ALLOWED_KEYS)
 
@@ -215,38 +256,14 @@ def load_config(path: str, command: str) -> RunConfig:
         )
     custom = not all(is_family)
 
-    sweep = None
+    swept = None
     if command == "sweep":
         if custom:
             raise ConfigError(
                 f"sweep requires built-in engines ({', '.join(FAMILIES)}); "
                 "custom spec files run via the discrete/continuous subcommands"
             )
-        if "sweep" not in parser:
-            raise ConfigError("missing section [sweep]")
-        section = parser["sweep"]
-        for key in ("parameter", "start", "stop", "points"):
-            _require(section, key)
-        parameter = section["parameter"].strip()
-        if parameter not in ("eta", "g_tau_eq"):
-            raise ConfigError(
-                f"sweep parameter must be 'eta' or 'g_tau_eq', got {parameter!r}"
-            )
-        start = _get_float(section, "start")
-        stop = _get_float(section, "stop")
-        try:
-            points = int(section["points"])
-        except ValueError:
-            raise ConfigError("key 'points' in section [sweep] is not an integer") from None
-        if points < 1:
-            raise ConfigError(f"sweep needs at least one point, got {points}")
-        if not start <= stop:
-            raise ConfigError(f"sweep range is empty: start {start} > stop {stop}")
-        if parameter == "eta" and not (0.0 < start and stop < 1.0):
-            raise ConfigError("eta sweep range must lie inside (0, 1)")
-        if parameter == "g_tau_eq" and not 0.0 < start:
-            raise ConfigError("g_tau_eq sweep range must be positive")
-        sweep = SweepAxis(parameter=parameter, start=start, stop=stop, points=points)
+        swept, values = _sweep(parser)
     elif "sweep" in parser:
         raise ConfigError(
             f"section [sweep] is only valid for the sweep subcommand, not {command}"
@@ -259,72 +276,19 @@ def load_config(path: str, command: str) -> RunConfig:
                 "section [fixed] does not apply to custom spec files; "
                 "the spec file carries all parameters"
             )
+        points = tuple((token, None, None) for token in engines)
+    elif "fixed" not in parser:
+        raise ConfigError("missing section [fixed]")
     else:
-        if "fixed" not in parser:
-            raise ConfigError("missing section [fixed]")
-        section = parser["fixed"]
-        for key in ("beta_h_omega_h", "beta_c_over_beta_h", "tau_eq"):
-            _require(section, key)
-        beta_h_omega_h = _get_float(section, "beta_h_omega_h")
-        beta_c_over_beta_h = _get_float(section, "beta_c_over_beta_h")
-        tau_eq = _get_float(section, "tau_eq")
-        omega_h = _get_float(section, "omega_h") if "omega_h" in section else 1.0
-        for name, value in (
-            ("beta_h_omega_h", beta_h_omega_h),
-            ("beta_c_over_beta_h", beta_c_over_beta_h),
-            ("tau_eq", tau_eq),
-            ("omega_h", omega_h),
-        ):
-            if value <= 0.0:
-                raise ConfigError(f"key '{name}' must be positive, got {value}")
-        if beta_c_over_beta_h <= 1.0:
-            raise ConfigError(
-                "beta_c_over_beta_h must exceed 1 (the cold bath must be colder)"
+        fixed = _fixed(parser["fixed"], swept)
+        if swept is None:
+            points = tuple((token, fixed["eta"], fixed["g_tau_eq"]) for token in engines)
+        else:
+            points = tuple(
+                (token, value, fixed["g_tau_eq"]) if swept == "eta"
+                else (token, fixed["eta"], value)
+                for value, token in sorted((v, t) for v in values for t in engines)
             )
-
-        sweeping_g = sweep is not None and sweep.parameter == "g_tau_eq"
-        g_tau_eq = None
-        if sweeping_g:
-            if "g_tau_eq" in section:
-                raise ConfigError(
-                    "g_tau_eq is being swept; remove it from section [fixed]"
-                )
-        else:
-            _require(section, "g_tau_eq")
-            g_tau_eq = _get_float(section, "g_tau_eq")
-            if g_tau_eq <= 0.0:
-                raise ConfigError(f"key 'g_tau_eq' must be positive, got {g_tau_eq}")
-
-        sweeping_eta = sweep is not None and sweep.parameter == "eta"
-        eta = None
-        if sweeping_eta:
-            if "eta" in section:
-                raise ConfigError("eta is being swept; remove it from section [fixed]")
-        else:
-            _require(section, "eta")
-            eta = _get_float(section, "eta")
-            if not 0.0 < eta < 1.0:
-                raise ConfigError(f"key 'eta' must lie in (0, 1), got {eta}")
-
-        fixed = FixedParams(
-            beta_h_omega_h=beta_h_omega_h,
-            beta_c_over_beta_h=beta_c_over_beta_h,
-            g_tau_eq=g_tau_eq,
-            tau_eq=tau_eq,
-            omega_h=omega_h,
-            eta=eta,
-        )
-        # exp(-beta*omega) is 0 in doubles once beta*omega passes about 745.  The
-        # cold bath's beta*omega falls as eta rises, so the lowest eta is the test.
-        lowest_eta = sweep.start if sweeping_eta else eta
-        for token in engines:
-            try:
-                _family(token, fixed, 1.0).spec_at(lowest_eta)  # g does not enter the baths
-            except ValueError as exc:
-                raise ConfigError(
-                    f"keys 'beta_h_omega_h' and 'beta_c_over_beta_h' put a bath of "
-                    f"{token} out of double range at eta = {lowest_eta!r} ({exc})"
-                ) from None
 
     columns = COLUMNS
     if "output" in parser and "columns" in parser["output"]:
@@ -340,9 +304,7 @@ def load_config(path: str, command: str) -> RunConfig:
                 raise ConfigError(f"unknown column '{name}' in section [output]")
         columns = requested
 
-    return RunConfig(
-        engines=engines, fixed=fixed, sweep=sweep, columns=columns
-    )
+    return RunConfig(points=points, fixed=fixed, columns=columns)
 
 
 _CUSTOM_BATH_KEYS = {"beta", "omega", "tau_eq", "gamma_minus"}
@@ -442,16 +404,26 @@ def load_custom_spec(path: str) -> EngineSpec:
 # row assembly
 
 
-def _family(kind: str, fixed: FixedParams, g_tau_eq: float) -> EngineFamily:
-    beta_h = fixed.beta_h_omega_h / fixed.omega_h
-    return EngineFamily(
-        kind=kind,
-        beta_h=beta_h,
-        beta_c=beta_h * fixed.beta_c_over_beta_h,
-        omega_h=fixed.omega_h,
-        tau_eq=fixed.tau_eq,
-        g=g_tau_eq / fixed.tau_eq,
-    )
+def _spec(fixed: dict[str, float] | None, token: str, eta: float | None,
+          g_tau_eq: float | None) -> EngineSpec:
+    """One point's spec: a spec file's, or a family engine's at (eta, g_tau_eq)."""
+    if fixed is None:
+        return load_custom_spec(token)
+    beta_h = fixed["beta_h_omega_h"] / fixed["omega_h"]
+    try:
+        return EngineFamily(
+            kind=token,
+            beta_h=beta_h,
+            beta_c=beta_h * fixed["beta_c_over_beta_h"],
+            omega_h=fixed["omega_h"],
+            tau_eq=fixed["tau_eq"],
+            g=g_tau_eq / fixed["tau_eq"],
+        ).spec_at(eta)
+    except ValueError as exc:  # exp(-beta*omega) is 0 in doubles once beta*omega passes ~745
+        raise ConfigError(
+            f"keys 'beta_h_omega_h' and 'beta_c_over_beta_h' put a bath of "
+            f"{token} out of double range at eta = {eta!r} ({exc})"
+        ) from None
 
 
 def _family_breakdown(spec: EngineSpec) -> analytic.TauBreakdown:
@@ -580,74 +552,46 @@ def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: 
 # subcommands
 
 
-def _spec_file_report(path: str, spec: EngineSpec) -> continuous.SteadyStateReport:
+def _spec_file_row(path: str, spec: EngineSpec, mode: str) -> dict[str, object]:
     try:
-        return continuous.steady_state_report(spec)
-    except ValueError as exc:  # a machine with no unique steady state, say
+        report = None if mode == "discrete" else continuous.steady_state_report(spec)
+        return build_row(path, spec, None, mode, report)
+    except ValueError as exc:  # no unique steady state or catalyst, say
         raise ConfigError(f"spec file {path}: {exc}") from None
 
 
-def _rows(points: list[tuple[str, EngineSpec, float | None]], mode: str) -> list[dict[str, object]]:
-    """One row per (engine token, spec, eta); one call solves every steady state,
-    or one per spec file, so that a file with no unique one is named."""
-    specs = [spec for _, spec, _ in points]
-    if mode == "discrete":
-        reports = [None] * len(specs)
-    elif points[0][0] in FAMILIES:  # a run never mixes built-ins with spec files
-        reports = continuous.steady_state_reports(specs)
+def _emit(config: RunConfig, mode: str, output: str | None) -> int:
+    """Write one row per point of ``config``, ``mode`` as for :func:`build_row`.
+
+    One call solves every family steady state; spec files are solved one
+    at a time, so that a file with no unique steady state is named.
+    """
+    specs = [_spec(config.fixed, *point) for point in config.points]
+    if config.fixed is None:
+        rows = [_spec_file_row(path, spec, mode) for (path, *_), spec in zip(config.points, specs)]
     else:
-        reports = [_spec_file_report(path, spec) for path, spec, _ in points]
-    return [build_row(*point, mode, report) for point, report in zip(points, reports)]
-
-
-def _point_rows(config: RunConfig, mode: str) -> list[dict[str, object]]:
-    points = []
-    for token in config.engines:
-        if token in FAMILIES:
-            fixed = config.fixed
-            family = _family(token, fixed, fixed.g_tau_eq)
-            points.append((token, family.spec_at(fixed.eta), fixed.eta))
-        else:
-            points.append((token, load_custom_spec(token), None))
-    return _rows(points, mode)
+        reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
+        rows = [
+            build_row(token, spec, eta, mode, report)
+            for (token, eta, _), spec, report in zip(config.points, specs, reports)
+        ]
+    _write_csv(rows, config.columns, output)
+    return 0
 
 
 def cmd_discrete(config: RunConfig, output: str | None = None) -> int:
     """One two-stroke cycle per configured engine."""
-    _write_csv(_point_rows(config, "discrete"), config.columns, output)
-    return 0
+    return _emit(config, "discrete", output)
 
 
 def cmd_continuous(config: RunConfig, output: str | None = None) -> int:
     """One steady-state solve per configured engine."""
-    _write_csv(_point_rows(config, "continuous"), config.columns, output)
-    return 0
-
-
-def _sweep_values(axis: SweepAxis) -> list[float]:
-    if axis.points == 1:
-        return [axis.start]
-    step = (axis.stop - axis.start) / (axis.points - 1)
-    return [axis.start + i * step for i in range(axis.points)]
+    return _emit(config, "continuous", output)
 
 
 def cmd_sweep(config: RunConfig, output: str | None = None) -> int:
     """Both-picture rows over the swept parameter, sorted by (value, engine)."""
-    axis = config.sweep
-    fixed = config.fixed
-    points = []
-    for value, token in sorted(
-        (value, token) for value in _sweep_values(axis) for token in config.engines
-    ):
-        if axis.parameter == "eta":
-            family = _family(token, fixed, fixed.g_tau_eq)
-            eta = value
-        else:
-            family = _family(token, fixed, value)
-            eta = fixed.eta
-        points.append((token, family.spec_at(eta), eta))
-    _write_csv(_rows(points, "both"), config.columns, output)
-    return 0
+    return _emit(config, "both", output)
 
 
 def cmd_verify(seed: int, n_points: int, output: str | None = None) -> int:

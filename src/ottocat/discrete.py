@@ -213,12 +213,17 @@ def _solved_catalyst(spec: EngineSpec) -> tuple[CatalystState, tuple]:
     a_mat = np.array([*equal, *balance, [1.0] * d_s])
     b_vec = np.zeros(len(a_mat))
     b_vec[-1] = 1.0
-    q, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    q, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(abs(a_mat @ q - b_vec).max())
     if residual > CATALYST_SOLVE_TOL:
         raise ValueError(
             "no simple-permutation catalyst exists for this spec "
             f"(linear system residual {residual:.3e})"
+        )
+    if rank < d_s:
+        raise ValueError(
+            "the simple-permutation catalyst of this spec is not unique "
+            f"(linear system rank {rank} < catalyst dimension {d_s})"
         )
     if float(q.min()) < -CATALYST_SOLVE_TOL:
         raise ValueError(
@@ -248,9 +253,8 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
     harmless; if the system is inconsistent, the solution has negative
     populations, or the work stroke still fails to restore the catalyst
     marginal, ``ValueError`` is raised: no simple-permutation catalyst
-    exists for this spec.
-
-    For degenerate systems the minimum-norm solution is returned.
+    exists for this spec.  ``ValueError`` is also raised when the system
+    has rank below the catalyst dimension: the catalyst is not unique.
     """
     return _solved_catalyst(spec)[0]
 

@@ -19,8 +19,4 @@ def bath_from_factor(a: float, omega: float = 1.0, tau_eq: float = 1.0) -> BathP
 def golden_specs() -> list[EngineSpec]:
     """Every spec of the golden sweep."""
     config = cli.load_config(str(GOLDEN_CONFIG), "sweep")
-    return [
-        cli._family(token, config.fixed, config.fixed.g_tau_eq).spec_at(eta)
-        for eta in cli._sweep_values(config.sweep)
-        for token in config.engines
-    ]
+    return [cli._spec(config.fixed, *point) for point in config.points]

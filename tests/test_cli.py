@@ -235,38 +235,49 @@ class TestPointCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "swap_2, message",
+        "swap_2, message, structural",
         [
-            ((2, 6), "swap 1: index 2 appears in more than one pair"),
-            ((1, 8), "swap 1: index 8 out of range for dimension 8"),
+            ((2, 6), "swap 1: index 2 appears in more than one pair", True),
+            ((1, 8), "swap 1: index 8 out of range for dimension 8", True),
+            # A valid swap set whose flows no catalyst can balance.
+            ((6, 0), "no simple-permutation catalyst exists for this spec "
+             "(linear system residual 3.834e-02)", False),
         ],
-        ids=["overlapping", "out-of-range"],
+        ids=["overlapping", "out-of-range", "no-catalyst"],
     )
     def test_a_bad_swap_set_reads_the_same_on_every_path(
-        self, tmp_path, capsys, swap_2, message
+        self, tmp_path, capsys, swap_2, message, structural
     ):
         text = CUSTOM_SPEC.replace("u = 1\nd = 6", "u = {}\nd = {}".format(*swap_2))
         spec_file = write(tmp_path / "engine.ini", text)
         config = write(tmp_path / "run.ini", f"[run]\nengine = {spec_file}\n")
-        assert cli.main(["discrete", "--config", config]) == 2
+        out = tmp_path / "rows.csv"
+        assert cli.main(["discrete", "--config", config, "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
+        assert not out.exists()
         good = cli.load_custom_spec(write(tmp_path / "good.ini", CUSTOM_SPEC))
         swaps = (good.swaps[0], SwapPair(*swap_2, 10.0))
         bad = EngineSpec(catalyst_dim=2, hot=good.hot, cold=good.cold, swaps=swaps)
-        assert validate(bad) == [message]
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        assert validate(bad) == ([message] if structural else [])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_cycle(bad)
 
-    def test_a_non_ergodic_spec_file_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("continuous", "non-ergodic Liouvillian: steady state not unique"),
+            ("discrete", "the simple-permutation catalyst of this spec is not unique "
+             "(linear system rank 2 < catalyst dimension 3)"),
+        ],
+    )
+    def test_a_non_ergodic_spec_file_is_a_config_error(self, tmp_path, capsys, command, message):
         # Two swaps on a qutrit catalyst never reach its level 2.
         text = CUSTOM_SPEC.replace("catalyst_dim = 2", "catalyst_dim = 3")
         spec_file = write(tmp_path / "engine.ini", text)
         config = write(tmp_path / "run.ini", f"[run]\nengine = {spec_file}\n")
         out = tmp_path / "rows.csv"
-        assert cli.main(["continuous", "--config", config, "--output", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: spec file {spec_file}: non-ergodic Liouvillian: steady state not unique\n"
-        )
+        assert cli.main([command, "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
         assert not out.exists()
 
     def test_column_selection_is_respected(self, tmp_path):
@@ -365,6 +376,13 @@ class TestSweep:
         assert [float(r["g"]) for r in rows if r["engine"] == "otto"] == [
             0.5, 2.375, 4.25, 6.125, 8.0,
         ]
+
+    def test_the_golden_coupling_sweep_regenerates_byte_for_byte(self, tmp_path):
+        # Made once; like the golden eta sweep it is never regenerated to absorb a change.
+        config = GOLDEN_CONFIG.with_name("golden_g_sweep.ini")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
+        assert out.read_bytes() == config.with_suffix(".csv").read_bytes()
 
     def test_line_endings_are_bare_line_feeds(self, tmp_path):
         config = write(tmp_path / "run.ini", SWEEP_CONFIG)

@@ -1,0 +1,168 @@
+"""Every single-fault run config keeps its exit code and its error line.
+
+``tests/data/config_errors.txt`` holds, for each case below, the command,
+the case name, the exit code and the standard error of ``ottocat`` with
+the working directory masked.  The table was made once and is never
+regenerated to absorb a change: a refactor of the config reader must
+leave every line as it is.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+from ottocat import cli
+
+TABLE = Path(__file__).parent / "data" / "config_errors.txt"
+
+FIXED = {
+    "beta_h_omega_h": "0.1",
+    "beta_c_over_beta_h": "10.0",
+    "g_tau_eq": "10.0",
+    "tau_eq": "1.0",
+    "eta": "0.4",
+}
+
+#: The three valid configs the faults start from: (name, command, sections).
+BASES = (
+    ("point", ("discrete", "continuous"), {
+        "run": {"engine": "otto, qubit_catalyst"},
+        "fixed": dict(FIXED),
+    }),
+    ("eta-sweep", ("sweep",), {
+        "run": {"engine": "otto, qubit_catalyst"},
+        "fixed": {k: v for k, v in FIXED.items() if k != "eta"},
+        "sweep": {"parameter": "eta", "start": "0.05", "stop": "0.85", "points": "5"},
+    }),
+    ("g-sweep", ("sweep",), {
+        "run": {"engine": "otto, qubit_catalyst"},
+        "fixed": {k: v for k, v in FIXED.items() if k != "g_tau_eq"},
+        "sweep": {"parameter": "g_tau_eq", "start": "0.5", "stop": "8.0", "points": "5"},
+    }),
+)
+
+SPEC_FILE = """\
+[engine]
+catalyst_dim = 2
+
+[hot]
+beta = 0.1
+omega = 1.0
+tau_eq = 1.0
+
+[cold]
+beta = 1.0
+omega = 1.2
+tau_eq = 1.0
+
+[swap_1]
+u = 4
+d = 2
+g = 10.0
+
+[swap_2]
+u = 1
+d = 6
+g = 10.0
+"""
+
+#: Values that break any key of [fixed], and the range faults of two keys.
+BAD_NUMBERS = ("abc", "", "inf", "nan", "0", "-1")
+OUT_OF_RANGE = {"beta_c_over_beta_h": ("1.0", "0.5"), "eta": ("1.0", "1.5")}
+
+
+def _edit(sections: dict, section: str, key: str | None, value: str | None) -> dict:
+    """A copy of ``sections`` with one key set to ``value``, or removed when
+    ``value`` is ``None``; ``key=None`` removes the whole section."""
+    edited = {name: dict(keys) for name, keys in sections.items()}
+    if key is None:
+        edited.pop(section)
+    elif value is None:
+        edited[section].pop(key)
+    else:
+        edited.setdefault(section, {})[key] = value
+    return edited
+
+
+def _faults(sections: dict, spec_file: str):
+    """(case name, sections) for the clean base and each single fault."""
+    yield "clean", sections
+    fixed = sections["fixed"]
+    swept = sections.get("sweep", {}).get("parameter")
+    for key in (*FIXED, "omega_h"):
+        if key == swept:
+            yield f"fixed.{key} left in while swept", _edit(sections, "fixed", key, FIXED[key])
+            continue
+        if key in fixed:
+            yield f"fixed.{key} missing", _edit(sections, "fixed", key, None)
+        for value in (*BAD_NUMBERS, *OUT_OF_RANGE.get(key, ())):
+            yield f"fixed.{key} = {value!r}", _edit(sections, "fixed", key, value)
+    yield "fixed.omega_h = '2.0'", _edit(sections, "fixed", "omega_h", "2.0")
+    yield "no [fixed]", _edit(sections, "fixed", None, None)
+    yield "no [run]", _edit(sections, "run", None, None)
+    yield "run.engine missing", _edit(sections, "run", "engine", None)
+    for engines in ("", " , ", "otto, otto", "stirling", f"otto, {spec_file}"):
+        yield f"run.engine = {engines!r}", _edit(sections, "run", "engine", engines)
+    yield "unknown section", _edit(sections, "extra", "x", "1")
+    for section in sections:
+        yield f"unknown key in [{section}]", _edit(sections, section, "gama", "3.0")
+    for columns in ("engine, wattage", " , ", "engine, eta, work"):
+        yield f"output.columns = {columns!r}", _edit(sections, "output", "columns", columns)
+    spec_only = {"run": {"engine": spec_file}}
+    yield "spec file with [fixed]", {**spec_only, "fixed": dict(FIXED)}
+    if swept is None:
+        yield "[sweep] outside sweep", _edit(sections, "sweep", "parameter", "eta")
+        yield "spec file", spec_only
+        # beta_c omega_c = 700 * 1.01 * 1.4: only the catalyst's cold bath underflows.
+        cold = _edit(sections, "fixed", "beta_h_omega_h", "700")
+        cold = _edit(cold, "fixed", "beta_c_over_beta_h", "1.01")
+        yield "cold bath underflows", _edit(cold, "fixed", "eta", "0.3")
+        yield "hot baths underflow", _edit(sections, "fixed", "beta_h_omega_h", "800")
+        return
+    yield "spec file", {**spec_only, "sweep": sections["sweep"]}
+    yield "no [sweep]", _edit(sections, "sweep", None, None)
+    for key in ("parameter", "start", "stop", "points"):
+        yield f"sweep.{key} missing", _edit(sections, "sweep", key, None)
+    low, high = ("0", "1.0") if swept == "eta" else ("0", "-1")
+    for key, values in (
+        ("parameter", ("omega_h", "", "g")),
+        ("start", ("abc", "inf", low, "-0.5", "9")),
+        ("stop", ("abc", "nan", high, "0.01")),
+        ("points", ("2.5", "abc", "0", "-1", "1")),
+    ):
+        for value in values:
+            yield f"sweep.{key} = {value!r}", _edit(sections, "sweep", key, value)
+    cold = _edit(sections, "fixed", "beta_h_omega_h", "700")
+    yield "cold bath underflows", _edit(cold, "fixed", "beta_c_over_beta_h", "1.01")
+    yield "hot baths underflow", _edit(sections, "fixed", "beta_h_omega_h", "800")
+
+
+def _render(sections: dict) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def outcome_table(workdir: Path) -> str:
+    """One line per (command, case): exit code and standard error."""
+    spec_file = workdir / "engine.ini"
+    spec_file.write_text(SPEC_FILE, encoding="utf-8")
+    config = workdir / "run.ini"
+    lines = []
+    for base, commands, sections in BASES:
+        for case, faulty in _faults(sections, str(spec_file)):
+            config.write_text(_render(faulty), encoding="utf-8")
+            for command in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--config", str(config)])
+                line = f"{command} | {base}: {case} | {code} | {err.getvalue()!r}"
+                lines.append(line.replace(str(workdir), "<dir>"))
+    return "\n".join(lines) + "\n"
+
+
+def test_every_single_fault_config_keeps_its_pinned_outcome(tmp_path):
+    assert outcome_table(tmp_path) == TABLE.read_text(encoding="utf-8")
