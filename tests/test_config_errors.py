@@ -1,10 +1,12 @@
-"""Every single-fault run config keeps its exit code and its error line.
+"""Every single-fault run config and spec file keeps its exit code and its
+error line.
 
-``tests/data/config_errors.txt`` holds, for each case below, the command,
-the case name, the exit code and the standard error of ``ottocat`` with
-the working directory masked.  The table was made once and is never
-regenerated to absorb a change: a refactor of the config reader must
-leave every line as it is.
+``tests/data/config_errors.txt`` (run configs) and
+``tests/data/spec_errors.txt`` (spec files) hold, for each case below, the
+command, the case name, the exit code and the standard error of
+``ottocat`` with the working directory masked.  The tables are never
+regenerated to absorb a change: a refactor of a reader must leave every
+line as it is, and a change of wording is made in the table by hand.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from ottocat import cli
 
-TABLE = Path(__file__).parent / "data" / "config_errors.txt"
+DATA = Path(__file__).parent / "data"
 
 FIXED = {
     "beta_h_omega_h": "0.1",
@@ -43,30 +45,14 @@ BASES = (
     }),
 )
 
-SPEC_FILE = """\
-[engine]
-catalyst_dim = 2
-
-[hot]
-beta = 0.1
-omega = 1.0
-tau_eq = 1.0
-
-[cold]
-beta = 1.0
-omega = 1.2
-tau_eq = 1.0
-
-[swap_1]
-u = 4
-d = 2
-g = 10.0
-
-[swap_2]
-u = 1
-d = 6
-g = 10.0
-"""
+#: A valid spec file (a qubit catalyst), by section.
+SPEC = {
+    "engine": {"catalyst_dim": "2"},
+    "hot": {"beta": "0.1", "omega": "1.0", "tau_eq": "1.0"},
+    "cold": {"beta": "1.0", "omega": "1.2", "tau_eq": "1.0"},
+    "swap_1": {"u": "4", "d": "2", "g": "10.0"},
+    "swap_2": {"u": "1", "d": "6", "g": "10.0"},
+}
 
 #: Values that break any key of [fixed], and the range faults of two keys.
 BAD_NUMBERS = ("abc", "", "inf", "nan", "0", "-1")
@@ -139,6 +125,41 @@ def _faults(sections: dict, spec_file: str):
     yield "hot baths underflow", _edit(sections, "fixed", "beta_h_omega_h", "800")
 
 
+def _spec_faults():
+    """(case name, spec files) for the clean spec file and each single fault;
+    a file is its sections, its raw text, or ``None`` when it is missing."""
+    yield "clean", [SPEC]
+    yield "file missing", [None]
+    yield "file unparsable", ["catalyst_dim = 2\n"]
+    for section in ("engine", "hot", "cold"):
+        yield f"no [{section}]", [_edit(SPEC, section, None, None)]
+    yield "no [swap_1]", [_edit(_edit(SPEC, "swap_1", None, None), "swap_2", None, None)]
+    yield "[swap_3]", [{**SPEC, "swap_3": {"u": "8", "d": "7", "g": "10.0"}}]
+    yield "unknown section", [_edit(SPEC, "extra", "x", "1")]
+    for section in ("engine", "hot", "cold", "swap_1"):
+        yield f"unknown key in [{section}]", [_edit(SPEC, section, "gama", "3.0")]
+    for value in ("2.5", "0"):
+        yield f"engine.catalyst_dim = {value!r}", [_edit(SPEC, "engine", "catalyst_dim", value)]
+    for section in ("hot", "cold"):
+        for key in ("beta", "omega"):
+            yield f"{section}.{key} missing", [_edit(SPEC, section, key, None)]
+            for value in ("abc", "inf", "-1"):
+                yield f"{section}.{key} = {value!r}", [_edit(SPEC, section, key, value)]
+    yield "hot.tau_eq and hot.gamma_minus", [_edit(SPEC, "hot", "gamma_minus", "1.0")]
+    yield "hot.tau_eq missing", [_edit(SPEC, "hot", "tau_eq", None)]
+    yield "hot.tau_eq = '0'", [_edit(SPEC, "hot", "tau_eq", "0")]
+    for key, overlap in (("u", "2"), ("d", "4")):
+        yield f"swap_2.{key} missing", [_edit(SPEC, "swap_2", key, None)]
+        for value in ("x", "8", overlap):
+            yield f"swap_2.{key} = {value!r}", [_edit(SPEC, "swap_2", key, value)]
+    for value in ("0", "abc"):
+        yield f"swap_1.g = {value!r}", [_edit(SPEC, "swap_1", "g", value)]
+    yield "qutrit catalyst never reaches level 2", [_edit(SPEC, "engine", "catalyst_dim", "3")]
+    no_catalyst = _edit(_edit(SPEC, "swap_2", "u", "6"), "swap_2", "d", "0")
+    yield "swap set no catalyst balances", [no_catalyst]
+    yield "second of two files lacks hot.beta", [SPEC, _edit(SPEC, "hot", "beta", None)]
+
+
 def _render(sections: dict) -> str:
     return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
@@ -146,23 +167,47 @@ def _render(sections: dict) -> str:
     )
 
 
+def _outcome(workdir: Path, command: str, config: Path, case: str) -> str:
+    """One table line: ``ottocat <command>`` on ``config``, its exit code and
+    standard error, with ``workdir`` masked."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(config)])
+    return f"{command} | {case} | {code} | {err.getvalue()!r}".replace(str(workdir), "<dir>")
+
+
 def outcome_table(workdir: Path) -> str:
-    """One line per (command, case): exit code and standard error."""
+    """One line per (command, run config case): exit code and standard error."""
     spec_file = workdir / "engine.ini"
-    spec_file.write_text(SPEC_FILE, encoding="utf-8")
+    spec_file.write_text(_render(SPEC), encoding="utf-8")
     config = workdir / "run.ini"
     lines = []
     for base, commands, sections in BASES:
         for case, faulty in _faults(sections, str(spec_file)):
             config.write_text(_render(faulty), encoding="utf-8")
-            for command in commands:
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = cli.main([command, "--config", str(config)])
-                line = f"{command} | {base}: {case} | {code} | {err.getvalue()!r}"
-                lines.append(line.replace(str(workdir), "<dir>"))
+            lines += [_outcome(workdir, command, config, f"{base}: {case}") for command in commands]
+    return "\n".join(lines) + "\n"
+
+
+def spec_outcome_table(workdir: Path) -> str:
+    """One line per (command, spec file case): exit code and standard error."""
+    config = workdir / "run.ini"
+    lines = []
+    for case, files in _spec_faults():
+        paths = [workdir / f"engine{i}.ini" for i in range(1, len(files) + 1)]
+        for path, sections in zip(paths, files):
+            path.unlink(missing_ok=True)
+            if sections is not None:
+                text = sections if isinstance(sections, str) else _render(sections)
+                path.write_text(text, encoding="utf-8")
+        config.write_text(f"[run]\nengine = {', '.join(map(str, paths))}\n", encoding="utf-8")
+        lines += [_outcome(workdir, command, config, case) for command in ("discrete", "continuous")]
     return "\n".join(lines) + "\n"
 
 
 def test_every_single_fault_config_keeps_its_pinned_outcome(tmp_path):
-    assert outcome_table(tmp_path) == TABLE.read_text(encoding="utf-8")
+    assert outcome_table(tmp_path) == (DATA / "config_errors.txt").read_text(encoding="utf-8")
+
+
+def test_every_single_fault_spec_file_keeps_its_pinned_outcome(tmp_path):
+    assert spec_outcome_table(tmp_path) == (DATA / "spec_errors.txt").read_text(encoding="utf-8")
