@@ -14,9 +14,9 @@ are hard errors: a config that does not parse cleanly never half-runs.
 Every data subcommand emits the same CSV column contract (header row,
 comma separated, floats with 17 significant digits, LF line endings,
 ``NA`` for fields that are undefined or not computed by that
-subcommand).  Sweep rows are computed one after another in (sweep value,
-engine) order.  ``--threads`` is still accepted, for old scripts, and has
-no effect.
+subcommand).  A sweep's steady states are solved in stacks, then its rows
+are assembled in (sweep value, engine) order.  ``--threads`` is still
+accepted, for old scripts, and has no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
 error.
@@ -141,15 +141,16 @@ _ALLOWED_KEYS = {
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
+    """The parsed file; a failure names its fault, and the caller the file."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys as written; the schema is lowercase
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError("not found") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        raise ConfigError(f"cannot parse: {exc}") from None
     return parser
 
 
@@ -175,6 +176,13 @@ def _get_float(section: configparser.SectionProxy, key: str) -> float:
     return value
 
 
+def _get_int(section: configparser.SectionProxy, key: str) -> int:
+    try:
+        return int(section[key])
+    except ValueError:
+        raise ConfigError(f"key '{key}' in section [{section.name}] is not an integer") from None
+
+
 def _require(section: configparser.SectionProxy, key: str) -> None:
     if key not in section:
         raise ConfigError(f"missing key '{key}' in section [{section.name}]")
@@ -194,10 +202,7 @@ def _sweep(parser: configparser.ConfigParser) -> tuple[str, list[float]]:
         )
     start = _get_float(section, "start")
     stop = _get_float(section, "stop")
-    try:
-        points = int(section["points"])
-    except ValueError:
-        raise ConfigError("key 'points' in section [sweep] is not an integer") from None
+    points = _get_int(section, "points")
     if points < 1:
         raise ConfigError(f"sweep needs at least one point, got {points}")
     if not start <= stop:
@@ -236,7 +241,10 @@ def load_config(path: str, command: str) -> RunConfig:
     Builds no spec: a point whose bath leaves double range is named when
     its row is made.
     """
-    parser = _read_ini(path)
+    try:
+        parser = _read_ini(path)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     _check_known_keys(parser, _ALLOWED_KEYS)
 
     if "run" not in parser or "engine" not in parser["run"]:
@@ -307,7 +315,33 @@ def load_config(path: str, command: str) -> RunConfig:
     return RunConfig(points=points, fixed=fixed, columns=columns)
 
 
-_CUSTOM_BATH_KEYS = {"beta", "omega", "tau_eq", "gamma_minus"}
+def _bath(section: configparser.SectionProxy) -> BathParams:
+    """A spec file's ``[hot]`` or ``[cold]`` bath."""
+    for key in ("beta", "omega"):
+        _require(section, key)
+    beta = _get_float(section, "beta")
+    omega = _get_float(section, "omega")
+    if ("tau_eq" in section) == ("gamma_minus" in section):
+        raise ConfigError(
+            f"section [{section.name}] needs exactly one of 'tau_eq' or 'gamma_minus'"
+        )
+    try:
+        if "tau_eq" in section:
+            return BathParams.from_relaxation_time(beta, omega, _get_float(section, "tau_eq"))
+        return BathParams.from_damping(beta, omega, _get_float(section, "gamma_minus"))
+    except ValueError as exc:
+        raise ConfigError(f"section [{section.name}]: {exc}") from None
+
+
+def _swap(section: configparser.SectionProxy) -> SwapPair:
+    """A spec file's ``[swap_N]`` pair."""
+    for key in ("u", "d", "g"):
+        _require(section, key)
+    u, d = _get_int(section, "u"), _get_int(section, "d")
+    try:
+        return SwapPair(u=u, d=d, g=_get_float(section, "g"))
+    except ValueError as exc:
+        raise ConfigError(f"section [{section.name}]: {exc}") from None
 
 
 def load_custom_spec(path: str) -> EngineSpec:
@@ -318,85 +352,36 @@ def load_custom_spec(path: str) -> EngineSpec:
     ``gamma_minus``; one ``[swap_N]`` per pair (numbered from 1) with
     flat level indices ``u``, ``d`` and coupling ``g``.  The CSV has
     per-pair columns for two pairs, so a third pair is an error.
+    A fault raises ``ConfigError`` or ``ValueError`` that names it, not the file.
     """
     parser = _read_ini(path)
-    sections = set(parser.sections())
-    n_swaps = 0
-    while f"swap_{n_swaps + 1}" in sections:
-        n_swaps += 1
-    if n_swaps > _CSV_PAIRS:
-        raise ConfigError(
-            f"spec file {path} defines {n_swaps} swap pairs, but the CSV "
-            f"contract has per-pair columns (delta_p_N, current_N) for at most "
-            f"{_CSV_PAIRS}"
-        )
-    allowed = {
-        "engine": {"catalyst_dim"},
-        "hot": _CUSTOM_BATH_KEYS,
-        "cold": _CUSTOM_BATH_KEYS,
-    }
-    for i in range(1, n_swaps + 1):
-        allowed[f"swap_{i}"] = {"u", "d", "g"}
-    _check_known_keys(parser, allowed)
-    for name in ("engine", "hot", "cold"):
-        if name not in sections:
-            raise ConfigError(f"missing section [{name}] in spec file {path}")
-    if n_swaps == 0:
-        raise ConfigError(f"spec file {path} defines no [swap_1] section")
-
-    try:
-        catalyst_dim = int(parser["engine"].get("catalyst_dim", "1"))
-    except ValueError:
-        raise ConfigError("key 'catalyst_dim' is not an integer") from None
-
-    def bath(section_name: str) -> BathParams:
-        section = parser[section_name]
-        for key in ("beta", "omega"):
-            _require(section, key)
-        beta = _get_float(section, "beta")
-        omega = _get_float(section, "omega")
-        has_tau = "tau_eq" in section
-        has_gamma = "gamma_minus" in section
-        if has_tau == has_gamma:
-            raise ConfigError(
-                f"section [{section_name}] needs exactly one of 'tau_eq' or "
-                f"'gamma_minus'"
-            )
-        try:
-            if has_tau:
-                return BathParams.from_relaxation_time(
-                    beta, omega, _get_float(section, "tau_eq")
-                )
-            return BathParams.from_damping(
-                beta, omega, _get_float(section, "gamma_minus")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"section [{section_name}]: {exc}") from None
-
-    hot = bath("hot")
-    cold = bath("cold")
     swaps = []
-    for i in range(1, n_swaps + 1):
-        section = parser[f"swap_{i}"]
-        for key in ("u", "d", "g"):
-            _require(section, key)
-        try:
-            u = int(section["u"])
-            d = int(section["d"])
-        except ValueError:
-            raise ConfigError(f"section [swap_{i}]: 'u' and 'd' must be integers") from None
-        try:
-            swaps.append(SwapPair(u=u, d=d, g=_get_float(section, "g")))
-        except ValueError as exc:
-            raise ConfigError(f"section [swap_{i}]: {exc}") from None
+    while f"swap_{len(swaps) + 1}" in parser:
+        swaps.append(f"swap_{len(swaps) + 1}")
+    if len(swaps) > _CSV_PAIRS:
+        raise ConfigError(
+            f"defines {len(swaps)} swap pairs, but the CSV contract has per-pair "
+            f"columns (delta_p_N, current_N) for at most {_CSV_PAIRS}"
+        )
+    bath_keys = {"beta", "omega", "tau_eq", "gamma_minus"}
+    allowed = {"engine": {"catalyst_dim"}, "hot": bath_keys, "cold": bath_keys}
+    _check_known_keys(parser, {**allowed, **dict.fromkeys(swaps, {"u", "d", "g"})})
+    for name in allowed:
+        if name not in parser:
+            raise ConfigError(f"missing section [{name}]")
+    if not swaps:
+        raise ConfigError("defines no [swap_1] section")
 
-    try:
-        spec = EngineSpec(catalyst_dim=catalyst_dim, hot=hot, cold=cold, swaps=tuple(swaps))
-    except ValueError as exc:
-        raise ConfigError(f"spec file {path}: {exc}") from None
+    engine = parser["engine"]
+    spec = EngineSpec(
+        catalyst_dim=_get_int(engine, "catalyst_dim") if "catalyst_dim" in engine else 1,
+        hot=_bath(parser["hot"]),
+        cold=_bath(parser["cold"]),
+        swaps=tuple(_swap(parser[name]) for name in swaps),
+    )
     problems = validate_spec(spec)
     if problems:
-        raise ConfigError(f"spec file {path}: " + "; ".join(problems))
+        raise ConfigError("; ".join(problems))
     return spec
 
 
@@ -404,12 +389,10 @@ def load_custom_spec(path: str) -> EngineSpec:
 # row assembly
 
 
-def _spec(fixed: dict[str, float] | None, token: str, eta: float | None,
-          g_tau_eq: float | None) -> EngineSpec:
-    """One point's spec: a spec file's, or a family engine's at (eta, g_tau_eq)."""
-    if fixed is None:
-        return load_custom_spec(token)
+def _spec(fixed: dict[str, float], token: str, eta: float, g_tau_eq: float) -> EngineSpec:
+    """A family engine's spec at (eta, g_tau_eq)."""
     beta_h = fixed["beta_h_omega_h"] / fixed["omega_h"]
+    g = g_tau_eq / fixed["tau_eq"]
     try:
         return EngineFamily(
             kind=token,
@@ -417,12 +400,17 @@ def _spec(fixed: dict[str, float] | None, token: str, eta: float | None,
             beta_c=beta_h * fixed["beta_c_over_beta_h"],
             omega_h=fixed["omega_h"],
             tau_eq=fixed["tau_eq"],
-            g=g_tau_eq / fixed["tau_eq"],
+            g=g,
         ).spec_at(eta)
-    except ValueError as exc:  # exp(-beta*omega) is 0 in doubles once beta*omega passes ~745
+    except ValueError as exc:  # g or beta_h left double range, or exp(-beta*omega) is 0 past ~745
+        keys, what = (
+            ("'beta_h_omega_h' and 'omega_h'", "the hot inverse temperature")
+            if not 0.0 < beta_h < math.inf
+            else ("'g_tau_eq' and 'tau_eq'", "the coupling") if not 0.0 < g < math.inf
+            else ("'beta_h_omega_h' and 'beta_c_over_beta_h'", "a bath")
+        )
         raise ConfigError(
-            f"keys 'beta_h_omega_h' and 'beta_c_over_beta_h' put a bath of "
-            f"{token} out of double range at eta = {eta!r} ({exc})"
+            f"keys {keys} put {what} of {token} out of double range at eta = {eta!r} ({exc})"
         ) from None
 
 
@@ -552,24 +540,26 @@ def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: 
 # subcommands
 
 
-def _spec_file_row(path: str, spec: EngineSpec, mode: str) -> dict[str, object]:
+def _spec_file_row(path: str, mode: str) -> dict[str, object]:
+    """A spec file's row; every failure, from reading to solving, names the file."""
     try:
+        spec = load_custom_spec(path)
         report = None if mode == "discrete" else continuous.steady_state_report(spec)
         return build_row(path, spec, None, mode, report)
-    except ValueError as exc:  # no unique steady state or catalyst, say
+    except (ConfigError, ValueError) as exc:  # a bad file, or no unique steady state, say
         raise ConfigError(f"spec file {path}: {exc}") from None
 
 
 def _emit(config: RunConfig, mode: str, output: str | None) -> int:
     """Write one row per point of ``config``, ``mode`` as for :func:`build_row`.
 
-    One call solves every family steady state; spec files are solved one
-    at a time, so that a file with no unique steady state is named.
+    One call solves every family steady state; spec files are read and
+    solved one at a time, so that a failure names its file.
     """
-    specs = [_spec(config.fixed, *point) for point in config.points]
     if config.fixed is None:
-        rows = [_spec_file_row(path, spec, mode) for (path, *_), spec in zip(config.points, specs)]
+        rows = [_spec_file_row(path, mode) for path, *_ in config.points]
     else:
+        specs = [_spec(config.fixed, *point) for point in config.points]
         reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
         rows = [
             build_row(token, spec, eta, mode, report)
@@ -658,10 +648,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "continuous":
             return cmd_continuous(config, args.output)
         return cmd_sweep(config, args.output)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

@@ -47,6 +47,11 @@ __all__ = [
 #: resident memory of a default ``verify`` run by about 5 %.
 _TRADEOFF_BLOCK = 1000
 
+#: Matched efficiencies in :func:`check_power_advantage`, and random rate
+#: sets in :func:`check_stationary_relations`.
+_POWER_POINTS = 100
+_RATE_SETS = 20
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -306,7 +311,7 @@ def check_tradeoff_bounds(rng: np.random.Generator, n_samples: int = 10_000) -> 
     )
 
 
-def check_power_advantage(n_points: int = 100) -> CheckResult:
+def check_power_advantage() -> CheckResult:
     """At the reference working point (beta_h omega_h = 0.1,
     beta_c/beta_h = 10, g tau_eq = 10), the qubit-catalyst engine beats
     the catalyst-free one in power at every matched efficiency where both
@@ -316,13 +321,13 @@ def check_power_advantage(n_points: int = 100) -> CheckResult:
     # Probe the collapse just short of the shared efficiency limit through
     # the steady state alone: flows there are too small for the two-picture
     # bridge asserts, but the power itself is perfectly well-defined.
-    etas = [*map(float, np.linspace(0.01, 0.89, n_points)), 0.9 - 1e-5]
+    etas = [*map(float, np.linspace(0.01, 0.89, _POWER_POINTS)), 0.9 - 1e-5]
     families = reference_families()
     points = [(family.kind, eta, family.spec_at(eta)) for eta in etas for family in families]
     specs = [spec for _, _, spec in points]
     powers = []
     for (engine, eta, spec), ss in zip(points, continuous.steady_state_reports(specs)):
-        if len(powers) < 2 * n_points:
+        if len(powers) < 2 * _POWER_POINTS:
             report = _bridge(engine, spec, ss, lambda: f"eta = {eta}")
             if isinstance(report, str):
                 return CheckResult("power_advantage", False, math.inf, tol, report)
@@ -339,7 +344,7 @@ def check_power_advantage(n_points: int = 100) -> CheckResult:
         worst=-worst_margin,
         tol=tol,
         detail=(
-            f"min power margin {worst_margin:.3e} over {n_points} matched "
+            f"min power margin {worst_margin:.3e} over {_POWER_POINTS} matched "
             f"efficiencies; near-limit power ratios {decay_otto:.1e}/{decay_cat:.1e}"
         ),
     )
@@ -413,12 +418,12 @@ def stationary_relation_residuals(
     ]
 
 
-def check_stationary_relations(rng: np.random.Generator, n_sets: int = 20) -> CheckResult:
+def check_stationary_relations(rng: np.random.Generator) -> CheckResult:
     """The full stationary relation set holds on the numerical steady
     state to 1e-9 for random rate sets."""
     tol = 1e-9
     specs = []
-    for _ in range(n_sets):
+    for _ in range(_RATE_SETS):
         a_h = rng.uniform(0.05, 0.95)
         a_c = rng.uniform(0.05, 0.95)
         omega_h = rng.uniform(0.5, 2.0)
@@ -441,7 +446,7 @@ def check_stationary_relations(rng: np.random.Generator, n_sets: int = 20) -> Ch
         passed=worst <= tol,
         worst=worst,
         tol=tol,
-        detail=f"{n_relations} relations x {n_sets} rate sets",
+        detail=f"{n_relations} relations x {_RATE_SETS} rate sets",
     )
 
 

@@ -106,6 +106,13 @@ def _faults(sections: dict, spec_file: str):
         cold = _edit(cold, "fixed", "beta_c_over_beta_h", "1.01")
         yield "cold bath underflows", _edit(cold, "fixed", "eta", "0.3")
         yield "hot baths underflow", _edit(sections, "fixed", "beta_h_omega_h", "800")
+        # A value derived from two keys leaves double range: the two keys are named.
+        for case, (key, value), (over, by) in (
+            ("coupling overflows", ("g_tau_eq", "1e300"), ("tau_eq", "1e-10")),
+            ("coupling underflows", ("g_tau_eq", "1e-300"), ("tau_eq", "1e300")),
+            ("beta_h underflows", ("beta_h_omega_h", "1e-300"), ("omega_h", "1e300")),
+        ):
+            yield case, _edit(_edit(sections, "fixed", key, value), "fixed", over, by)
         return
     yield "spec file", {**spec_only, "sweep": sections["sweep"]}
     yield "no [sweep]", _edit(sections, "sweep", None, None)
@@ -210,4 +217,5 @@ def test_every_single_fault_config_keeps_its_pinned_outcome(tmp_path):
 
 
 def test_every_single_fault_spec_file_keeps_its_pinned_outcome(tmp_path):
-    assert spec_outcome_table(tmp_path) == (DATA / "spec_errors.txt").read_text(encoding="utf-8")
+    pinned = (DATA / "spec_errors.txt").read_text(encoding="utf-8")
+    assert spec_outcome_table(tmp_path) == pinned
