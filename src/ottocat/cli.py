@@ -14,8 +14,8 @@ are hard errors: a config that does not parse cleanly never half-runs.
 Every data subcommand emits the same CSV column contract (header row,
 comma separated, floats with 17 significant digits, LF line endings,
 ``NA`` for fields that are undefined or not computed by that
-subcommand).  A sweep's steady states are solved in stacks, then its rows
-are assembled in (sweep value, engine) order.  ``--threads`` is still
+subcommand).  A run's steady states, spec files' too, are solved in one
+stacked call, and a failure names its point.  ``--threads`` is still
 accepted, for old scripts, and has no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
@@ -141,7 +141,7 @@ _ALLOWED_KEYS = {
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
-    """The parsed file; a failure names its fault, and the caller the file."""
+    """The parsed file; a failure names its line and fault, and the caller the file."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys as written; the schema is lowercase
     try:
@@ -149,8 +149,14 @@ def _read_ini(path: str) -> configparser.ConfigParser:
             parser.read_file(handle, source=path)
     except FileNotFoundError:
         raise ConfigError("not found") from None
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot parse: {exc}") from None
+    except configparser.MissingSectionHeaderError as exc:  # the reason, then the file and line
+        raise ConfigError(f"cannot parse line {exc.lineno}: {str(exc).splitlines()[0]}") from None
+    except configparser.ParsingError as exc:  # the first line not "key = value", as its repr
+        raise ConfigError("cannot parse line {}: {}".format(*exc.errors[0])) from None
+    except configparser.Error as exc:  # a duplicate, its message made again without the file
+        raise ConfigError(f"cannot parse line {exc.lineno}: {type(exc)(*exc.args[:-2])}") from None
     return parser
 
 
@@ -463,9 +469,8 @@ def build_row(
     cycle = None
     if mode in ("discrete", "both"):
         cycle = discrete.run_cycle(spec)
-        row["delta_p_1"] = cycle.delta_p[0]
-        if len(cycle.delta_p) > 1:
-            row["delta_p_2"] = cycle.delta_p[1]
+        for i, flow in enumerate(cycle.delta_p, start=1):
+            row[f"delta_p_{i}"] = flow
         row["q_hot"] = cycle.q_hot
         row["q_cold"] = cycle.q_cold
         row["work"] = cycle.work
@@ -475,9 +480,8 @@ def build_row(
         row["regime_discrete"] = cycle.regime
 
     if mode in ("continuous", "both"):
-        row["current_1"] = report.currents[0]
-        if len(report.currents) > 1:
-            row["current_2"] = report.currents[1]
+        for i, current in enumerate(report.currents, start=1):
+            row[f"current_{i}"] = current
         row["j_hot"] = report.j_hot
         row["j_cold"] = report.j_cold
         row["power"] = report.power
@@ -492,19 +496,15 @@ def build_row(
         )
         row["regime_continuous"] = report.regime
 
-    point = f"{engine_token} at eta = {eta}, g = {row['g']}"
     if mode == "both":
-        try:
-            bridge = equivalence_from_parts(spec, cycle, report)
-        except BRIDGE_ERRORS as exc:  # a row over its tolerance, or no tau at the Carnot point
-            raise CheckFailure(f"{point}: {exc}") from None
+        bridge = equivalence_from_parts(spec, cycle, report)  # raises at the Carnot point, say
         row["tau"] = bridge.tau
         row["tau_spread"] = bridge.tau_uniform_residual
 
-    if mode != "discrete" and built_in and eta is not None:
+    if mode != "discrete" and built_in:
         if report.efficiency is None or abs(report.efficiency - eta) > ETA_WIRING_TOL:
             raise CheckFailure(
-                f"{point}: emitted steady-state efficiency {report.efficiency} does "
+                f"emitted steady-state efficiency {report.efficiency} does "
                 f"not match the design efficiency {eta!r} of {engine_token}"
             )
 
@@ -540,31 +540,39 @@ def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: 
 # subcommands
 
 
-def _spec_file_row(path: str, mode: str) -> dict[str, object]:
-    """A spec file's row; every failure, from reading to solving, names the file."""
-    try:
-        spec = load_custom_spec(path)
-        report = None if mode == "discrete" else continuous.steady_state_report(spec)
-        return build_row(path, spec, None, mode, report)
-    except (ConfigError, ValueError) as exc:  # a bad file, or no unique steady state, say
-        raise ConfigError(f"spec file {path}: {exc}") from None
+def _failure_at(point: tuple, spec: EngineSpec | None, exc: Exception) -> Exception:
+    """``exc`` as the error that names ``point``: a failed check, or at a spec
+    file a config error if it is a ``ConfigError`` or ``ValueError``."""
+    token, eta, _ = point
+    if eta is not None:
+        return CheckFailure(f"{token} at eta = {eta}, g = {spec.swaps[0].g}: {exc}")
+    error = ConfigError if isinstance(exc, (ConfigError, ValueError)) else CheckFailure
+    return error(f"spec file {token}: {exc}")
 
 
 def _emit(config: RunConfig, mode: str, output: str | None) -> int:
     """Write one row per point of ``config``, ``mode`` as for :func:`build_row`.
 
-    One call solves every family steady state; spec files are read and
-    solved one at a time, so that a failure names its file.
+    Every point's spec is built first, then one call solves every steady
+    state; a failure at a point names it (:func:`_failure_at`).
     """
     if config.fixed is None:
-        rows = [_spec_file_row(path, mode) for path, *_ in config.points]
+        specs = []
+        for point in config.points:
+            try:
+                specs.append(load_custom_spec(point[0]))
+            except (ConfigError, ValueError) as exc:
+                raise _failure_at(point, None, exc) from None
     else:
         specs = [_spec(config.fixed, *point) for point in config.points]
-        reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
-        rows = [
-            build_row(token, spec, eta, mode, report)
-            for (token, eta, _), spec, report in zip(config.points, specs, reports)
-        ]
+    reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
+    rows = []
+    try:
+        for (token, eta, _), spec, report in zip(config.points, specs, reports):
+            rows.append(build_row(token, spec, eta, mode, report))
+    except (CheckFailure, *BRIDGE_ERRORS) as exc:
+        at = getattr(exc, "index", len(rows))  # a failed solve's position, or the row's
+        raise _failure_at(config.points[at], specs[at], exc) from None
     _write_csv(rows, config.columns, output)
     return 0
 

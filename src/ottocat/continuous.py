@@ -31,9 +31,10 @@ its spectrum is the union of theirs.  They come in mirror pairs (|i><j|
 against |j><i|), exact complex conjugates, certified entry by entry.  The
 component of the |0><0| population gets a real eigendecomposition and
 yields the kernel vector; one of each other pair only its eigenvalues.
-The components are found once per pattern.  Specs of one structure are
+The components are found once per structure.  Specs of one structure are
 solved in stacks that share each eigen-solve, the refinement and the
-checks; only the LU of the full generator stays one per spec.
+checks; only the LU of the full generator stays one per spec.  A failure
+carries its spec's position as ``index``, and no spec's name.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -255,7 +256,7 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
     pattern = np.logical_or.reduce([piece.ravel() != 0 for piece in pieces])
     gathered = np.stack([piece.ravel()[pattern] for piece in pieces])
     gathered.setflags(write=False)
-    return gathered, _kernel_blocks(dim * dim, np.packbits(pattern).tobytes())
+    return gathered, _kernel_blocks(pattern.reshape(dim * dim, -1))
 
 
 def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.ndarray:
@@ -284,29 +285,29 @@ def build_liouvillian(spec: EngineSpec) -> Superoperator:
     return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
 
 
-def _fail(bad, where: Sequence[str] | None, error: type, message) -> None:
-    """Raise ``error`` for the first flagged row of a stack, named by
-    ``where`` if given; ``message`` is a string or a function of the row."""
+def _fail(bad, error: type, message) -> None:
+    """Raise ``error`` for the first flagged row of a stack, that row its
+    ``index``; ``message`` is a string or a function of the row."""
     if np.any(bad):
         row = int(np.argmax(bad))
-        text = message(row) if callable(message) else message
-        raise error(text if where is None else f"{where[row]}: {text}")
+        exc = error(message(row) if callable(message) else message)
+        exc.index = row
+        raise exc
 
 
-def _normalize_state(mat: np.ndarray, where: Sequence[str] | None = None) -> np.ndarray:
+def _normalize_state(mat: np.ndarray) -> np.ndarray:
     """Rotate away any global phase, hermitize, and scale to unit trace;
     on a stack of matrices, each one."""
     tr = np.trace(mat, axis1=-2, axis2=-1)
     bound = 1e-14 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    traceless = "candidate steady state is traceless; cannot normalize"
-    _fail(np.abs(tr) < bound, where, ValueError, traceless)
+    _fail(np.abs(tr) < bound, ValueError, "candidate steady state is traceless; cannot normalize")
     mat = mat / tr[..., None, None]
     herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     return herm / np.trace(herm, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _refined_bordered_solve(
-    dim: int, values: np.ndarray, sub: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
+    dim: int, values: np.ndarray, sub: np.ndarray, blocks: tuple
 ) -> np.ndarray:
     """Solve the bordered systems (row 0 the trace row, right-hand side
     e_0) of a stack of generators with ``values`` on ``blocks``' pattern.
@@ -333,10 +334,10 @@ def _refined_bordered_solve(
         try:
             solution[row] = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError:
-            _fail(np.arange(len(values)) == row, where, ValueError, _NON_ERGODIC)
+            _fail(np.arange(len(values)) == row, ValueError, _NON_ERGODIC)
     block = solution[:, main]
     outside = np.count_nonzero(block, axis=1) != np.count_nonzero(solution, axis=1)
-    _fail(outside, where, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
+    _fail(outside, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
     sub_ld = sub.astype(np.clongdouble)
     rhs_ld = rhs[main].astype(np.clongdouble)
     for _ in range(2):
@@ -346,27 +347,24 @@ def _refined_bordered_solve(
     return solution
 
 
-@functools.lru_cache(maxsize=64)
-def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
-    """Independent blocks of an n x n generator with the given sparsity.
+def _kernel_blocks(mask: np.ndarray) -> tuple:
+    """Independent blocks of an n x n generator whose nonzero entries are ``mask``.
 
-    The blocks are the connected components of ``mask | mask.T`` where
-    ``mask`` (packed row-major by ``np.packbits``) marks the nonzero
-    entries; no entry couples two blocks, so the spectrum is the union of
-    the blocks' spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <->
-    |j><i|) of a Hermiticity-preserving generator maps blocks onto blocks;
-    a pattern where it does not raises ``ValueError``.  Returns
+    The blocks are the connected components of ``mask | mask.T``; no entry
+    couples two blocks, so the spectrum is the union of the blocks'
+    spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <-> |j><i|) of a
+    Hermiticity-preserving generator maps blocks onto blocks; a pattern
+    where it does not raises ``ValueError``.  Returns
     ``(positions, main, (T, T^-1), others, gather, mirrored)``: the flat
     positions of the nonzero entries; the block of vec index 0 and its real
     basis (row k of T reads x_k on a population, x_k + x_k' on the first of
     a coherence pair k < k', i(x_k' - x_k) on the second); ``(members,
     paired)`` per block size for one block of every other mirror pair; and
     where, among the nonzero entries (-1: a zero), to read those blocks
-    row-major, and each entry's mirror image.  Built once per pattern.
+    row-major, and each entry's mirror image.
     """
-    bits = np.unpackbits(np.frombuffer(packed_pattern, dtype=np.uint8), count=n * n)
-    linked = bits.reshape(n, n).astype(bool)
-    linked |= linked.T
+    n = len(mask)
+    linked = mask | mask.T
     label = np.arange(n)
     while True:  # every index takes the least label around it, until none changes
         least = np.minimum(label, np.where(linked, label, n).min(axis=1))
@@ -395,8 +393,8 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
     kept = [main, *(block for members, _ in others for block in members)]
     grids = [np.meshgrid(block, block, indexing="ij") for block in kept]
     rows, cols = (np.concatenate([grid[i].ravel() for grid in grids]) for i in (0, 1))
-    positions = np.flatnonzero(bits)
-    entry_of = np.where(bits, np.cumsum(bits, dtype=np.intp) - 1, -1)
+    positions = np.flatnonzero(mask)
+    entry_of = np.where(mask.ravel(), np.cumsum(mask, dtype=np.intp) - 1, -1)
     gather = entry_of[rows * n + cols]
     mirrored = entry_of[mirror[positions // n] * n + mirror[positions % n]]
     real_basis = (to_real, np.linalg.inv(to_real))
@@ -405,9 +403,7 @@ def _kernel_blocks(n: int, packed_pattern: bytes) -> tuple:
     return positions, main, real_basis, others, gather, mirrored
 
 
-def _block_spectrum(
-    padded: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
     """``(eigvals, main_vecs)`` of a stack of generators on ``blocks``
     (:func:`_kernel_blocks`), one row of nonzero entries each, then a zero.
 
@@ -420,7 +416,7 @@ def _block_spectrum(
     """
     _, main, (to_real, from_real), others, gather, mirrored = blocks
     broken = (padded[:, mirrored] != padded[:, :-1].conj()).any(axis=1)
-    _fail(broken, where, ValueError, "generator does not preserve Hermiticity")
+    _fail(broken, ValueError, "generator does not preserve Hermiticity")
     entries = padded[:, gather]
     start = len(main) ** 2
     # Real in exact arithmetic by the certificate; the rest is round-off.
@@ -438,41 +434,40 @@ def _block_spectrum(
 
 
 def _stationary_stack(
-    layout: HilbertLayout, values: np.ndarray, blocks: tuple, where: Sequence[str] | None = None
+    layout: HilbertLayout, values: np.ndarray, blocks: tuple
 ) -> list[tuple[DensityMatrix, float]]:
     """:func:`stationary_state` of a stack of generators on one pattern,
     ``values[k]`` the nonzero entries of the k-th, ``blocks`` the pattern's
-    :func:`_kernel_blocks`; a failure names its generator by ``where``."""
+    :func:`_kernel_blocks`; a failure's ``index`` is its generator's row."""
     dim = layout.total_dim
     count, main = len(values), blocks[1]
     padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
-    eigvals, main_vecs = _block_spectrum(padded, blocks, where)
+    eigvals, main_vecs = _block_spectrum(padded, blocks)
     scale = np.abs(eigvals).max(axis=1)
-    _fail(scale == 0.0, where, ValueError, "generator is identically zero; every state is "
-          "stationary")
+    _fail(scale == 0.0, ValueError, "generator is identically zero; every state is stationary")
     zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale[:, None]
     n_zero = np.count_nonzero(zero_mask, axis=1)
-    _fail(n_zero == 0, where, ValueError, "no stationary state found (kernel is numerically empty)")
-    _fail(n_zero > 1, where, ValueError, _NON_ERGODIC)
+    _fail(n_zero == 0, ValueError, "no stationary state found (kernel is numerically empty)")
+    _fail(n_zero > 1, ValueError, _NON_ERGODIC)
     main_zero = zero_mask[:, : len(main)]
-    _fail(~main_zero.any(axis=1), where, ValueError, "stationary kernel lies outside the block "
+    _fail(~main_zero.any(axis=1), ValueError, "stationary kernel lies outside the block "
           "of |0><0|; generator is not trace preserving")
     kernel_vecs = np.zeros((count, dim * dim), dtype=complex)
     kernel_vecs[:, main] = main_vecs[np.arange(count), :, main_zero.argmax(axis=1)]
-    rho_eig = _normalize_state(_unvec(kernel_vecs, dim), where)
+    rho_eig = _normalize_state(_unvec(kernel_vecs, dim))
 
     # Primary route: bordered linear solve with the trace constraint.  The
     # block of |0><0| starts at vec index 0, so its row 0 is the trace row.
     sub = padded[:, blocks[4][: len(main) ** 2]].reshape(count, len(main), len(main))
     sub[:, 0, :] = main % (dim + 1) == 0
-    solved = _refined_bordered_solve(dim, values, sub, blocks, where)
-    rho_lin = _normalize_state(_unvec(solved, dim), where)
+    solved = _refined_bordered_solve(dim, values, sub, blocks)
+    rho_lin = _normalize_state(_unvec(solved, dim))
 
     apart = np.abs(rho_eig - rho_lin).max(axis=(1, 2))
-    _fail(apart > SOLVER_CROSS_TOL, where, AssertionError, lambda k: "steady-state routes "
+    _fail(apart > SOLVER_CROSS_TOL, AssertionError, lambda k: "steady-state routes "
           f"disagree by {apart[k]:.3e} (> {SOLVER_CROSS_TOL:.1e})")
     bad, why = state_defects(rho_lin)
-    _fail(bad, where, ValueError, why)
+    _fail(bad, ValueError, why)
     decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
     return [(DensityMatrix(Operator(layout, rho)), float(d)) for rho, d in zip(rho_lin, decay)]
 
@@ -501,7 +496,7 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     rate -Re(lambda) over the nonstationary spectrum; a stack of one.
     """
     mat = liouvillian.matrix
-    blocks = _kernel_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+    blocks = _kernel_blocks(mat != 0)
     [state] = _stationary_stack(liouvillian.layout, mat[mat != 0][None], blocks)
     return state
 
@@ -701,8 +696,8 @@ def steady_state_reports(specs: Sequence[EngineSpec]) -> Iterator[SteadyStateRep
     """:func:`steady_state_report` of every spec, yielded in input order, bit for bit.
 
     Each window of ``2 * _STACK`` consecutive specs is grouped by structure
-    and solved in stacks of up to ``_STACK``, one window at a time; with
-    more than one spec, a failing solve names its position, "spec <i>: ..."."""
+    and solved in stacks of up to ``_STACK``, one window at a time; a failed
+    solve or audit raises with its spec's position in ``specs`` as ``index``."""
     for first in range(0, len(specs), 2 * _STACK):
         window = range(first, min(first + 2 * _STACK, len(specs)))
         reports = {}
@@ -712,8 +707,13 @@ def steady_state_reports(specs: Sequence[EngineSpec]) -> Iterator[SteadyStateRep
             for start in range(0, len(indices), _STACK):
                 stack = indices[start : start + _STACK]
                 values = _generator_values([specs[i] for i in stack], pieces)
-                where = [f"spec {i}" for i in stack] if len(specs) > 1 else None
-                states = _stationary_stack(specs[stack[0]].layout, values, blocks, where)
-                for i, (rho_ss, gap) in zip(stack, states):
-                    reports[i] = currents_and_power(specs[i], rho_ss, spectral_gap=gap)
+                i = None  # the spec being audited, once its stack is solved
+                try:
+                    states = _stationary_stack(specs[stack[0]].layout, values, blocks)
+                    for i, (rho_ss, gap) in zip(stack, states):
+                        reports[i] = currents_and_power(specs[i], rho_ss, spectral_gap=gap)
+                except (ValueError, AssertionError) as exc:
+                    if hasattr(exc, "index") or i is not None:  # a stack row, or the audit's spec
+                        exc.index = stack[exc.index] if hasattr(exc, "index") else i
+                    raise
         yield from (reports[i] for i in window)

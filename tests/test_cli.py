@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ottocat
-from ottocat import analytic, cli, verify
+from ottocat import analytic, cli, continuous, verify
 from ottocat.discrete import run_cycle
 from ottocat.engine_spec import EngineSpec, SwapPair, validate
 from spec_helpers import GOLDEN_CONFIG
@@ -108,6 +108,23 @@ class TestConfigParsing:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["discrete", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("eta = 0.4\n", "line 1: File contains no section headers."),
+            (BASE_CONFIG + "[run]\n", "line 10: Section 'run' already exists"),
+            (BASE_CONFIG + "eta = 0.5\n",
+             "line 10: Option 'eta' in section 'fixed' already exists"),
+            (BASE_CONFIG + "eta\n", "line 10: 'eta\\n'"),
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-key", "not-key-value"],
+    )
+    def test_an_unparsable_config_is_named_once_with_its_line(self, tmp_path, capsys, text, fault):
+        # tests/data/spec_errors.txt pins the same four faults in a spec file.
+        path = write(tmp_path / "run.ini", text)
+        assert cli.main(["discrete", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: config file {path}: cannot parse {fault}\n"
 
     def test_sweep_section_is_rejected_outside_sweep(self, tmp_path):
         config = write(tmp_path / "run.ini", BASE_CONFIG + "\n[sweep]\nparameter = eta\nstart = 0.1\nstop = 0.2\npoints = 2\n")
@@ -278,6 +295,29 @@ class TestPointCommands:
         out = tmp_path / "rows.csv"
         assert cli.main([command, "--config", config, "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
+        assert not out.exists()
+
+    def test_spec_files_are_solved_in_one_call_and_a_failure_names_its_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        good = write(tmp_path / "engine1.ini", CUSTOM_SPEC)
+        qutrit = CUSTOM_SPEC.replace("catalyst_dim = 2", "catalyst_dim = 3")
+        bad = write(tmp_path / "engine2.ini", qutrit)
+        config = write(tmp_path / "run.ini", f"[run]\nengine = {good}, {bad}\n")
+        calls = []
+        solve = continuous.steady_state_reports
+
+        def counted(specs):
+            calls.append(len(specs))
+            return solve(specs)
+
+        monkeypatch.setattr(continuous, "steady_state_reports", counted)
+        out = tmp_path / "rows.csv"
+        assert cli.main(["continuous", "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spec file {bad}: non-ergodic Liouvillian: steady state not unique\n"
+        )
+        assert calls == [2]
         assert not out.exists()
 
     def test_column_selection_is_respected(self, tmp_path):
@@ -546,7 +586,6 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
     names = (
         "ottocat.continuous._bath_jumps",
         "ottocat.continuous._generator_plan",
-        "ottocat.continuous._kernel_blocks",
         "ottocat.engine_spec.level_table",
         "ottocat.engine_spec.pair_table",
     )

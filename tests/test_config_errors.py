@@ -54,6 +54,15 @@ SPEC = {
     "swap_2": {"u": "1", "d": "6", "g": "10.0"},
 }
 
+#: Single edits, by swept key, that leave a point the solver cannot
+#: resolve: too weak a coupling hides a slow mode below the kernel
+#: tolerance, too strong a one pulls the two steady-state routes apart.
+UNRESOLVABLE = {
+    None: (("fixed", "g_tau_eq", "1e-6"),),
+    "eta": (("fixed", "g_tau_eq", "1e-6"), ("fixed", "g_tau_eq", "1e8")),
+    "g_tau_eq": (("sweep", "start", "1e-6"),),
+}
+
 #: Values that break any key of [fixed], and the range faults of two keys.
 BAD_NUMBERS = ("abc", "", "inf", "nan", "0", "-1")
 OUT_OF_RANGE = {"beta_c_over_beta_h": ("1.0", "0.5"), "eta": ("1.0", "1.5")}
@@ -77,6 +86,8 @@ def _faults(sections: dict, spec_file: str):
     yield "clean", sections
     fixed = sections["fixed"]
     swept = sections.get("sweep", {}).get("parameter")
+    for section, key, value in UNRESOLVABLE[swept]:
+        yield f"unresolvable: {section}.{key} = {value!r}", _edit(sections, section, key, value)
     for key in (*FIXED, "omega_h"):
         if key == swept:
             yield f"fixed.{key} left in while swept", _edit(sections, "fixed", key, FIXED[key])
@@ -138,6 +149,9 @@ def _spec_faults():
     yield "clean", [SPEC]
     yield "file missing", [None]
     yield "file unparsable", ["catalyst_dim = 2\n"]
+    yield "duplicate section", ["[engine]\ncatalyst_dim = 2\n[engine]\n"]
+    yield "duplicate key", ["[engine]\ncatalyst_dim = 2\ncatalyst_dim = 3\n"]
+    yield "line not key = value", ["[engine]\ncatalyst_dim 2\n"]
     for section in ("engine", "hot", "cold"):
         yield f"no [{section}]", [_edit(SPEC, section, None, None)]
     yield "no [swap_1]", [_edit(_edit(SPEC, "swap_1", None, None), "swap_2", None, None)]

@@ -390,7 +390,14 @@ def dense_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray
 
 def pattern_blocks(mat: np.ndarray) -> tuple:
     """The :func:`continuous._kernel_blocks` of a generator's own pattern."""
-    return continuous._kernel_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+    return continuous._kernel_blocks(mat != 0)
+
+
+def same_arrays(a, b) -> bool:
+    """Whether two nests of tuples hold equal arrays at equal places."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_arrays, a, b))
+    return np.array_equal(a, b)
 
 
 def block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -450,7 +457,7 @@ class TestBlockCertificate:
         spec = make(0.5, 0.2)
         mat = build_liouvillian(spec).matrix
         blocks = continuous._generator_plan(*spec.structure)[1]
-        assert blocks is pattern_blocks(mat)
+        assert same_arrays(blocks, pattern_blocks(mat))
         _, main, _, others, _, _ = blocks
         dim = math.isqrt(mat.shape[0])
         found = [len(main)]
@@ -592,15 +599,17 @@ class TestBlockRefinement:
     def test_a_solve_that_leaves_the_block_raises(self):
         # Next to the trace row x_0 + x_5 + x_10 + x_15 = 1, the row
         # x_5 - x_0 = 0 puts one entry of the solution outside ``main``,
-        # which must trip the check, naming the failing generator.
+        # which must trip the check, with the failing row as its index.
         mat = np.eye(16, dtype=complex)
         mat[5, 0] = -1.0
         positions = np.flatnonzero(mat)
         values = np.stack([np.eye(16).ravel()[positions], mat.ravel()[positions]])
         blocks = (positions, np.array([0]))
         sub = np.ones((2, 1, 1), dtype=complex)
-        with pytest.raises(AssertionError, match="^spec 7: bordered solve is nonzero outside"):
-            continuous._refined_bordered_solve(4, values, sub, blocks, ["spec 3", "spec 7"])
+        message = "^bordered solve is nonzero outside the block of \\|0><0\\|$"
+        with pytest.raises(AssertionError, match=message) as caught:
+            continuous._refined_bordered_solve(4, values, sub, blocks)
+        assert caught.value.index == 1
 
 
 def exact_agreement_specs() -> dict[str, EngineSpec]:
@@ -817,10 +826,26 @@ class TestStackedSolves:
     def test_a_non_ergodic_spec_in_mid_stack_is_named_by_position(self):
         specs = [catalyst_from_factors(0.5, 0.2, g=1.0 + i) for i in range(continuous._STACK)]
         specs[7] = decoupled_level_spec()
-        with pytest.raises(ValueError, match="^spec 7: non-ergodic Liouvillian"):
+        message = "^non-ergodic Liouvillian: steady state not unique$"
+        with pytest.raises(ValueError, match=message) as caught:
             list(continuous.steady_state_reports(specs))
+        assert caught.value.index == 7
         with pytest.raises(ValueError, match="^non-ergodic Liouvillian"):
             steady_state_report(specs[7])
+
+    def test_a_failed_audit_is_named_by_position(self, monkeypatch):
+        specs = [catalyst_from_factors(0.5, 0.2, g=1.0 + i) for i in range(3)]
+        audit = continuous.currents_and_power
+
+        def failing(spec, rho_ss, spectral_gap):
+            if spec is specs[2]:
+                raise AssertionError("first-law residual 1.000e-09 exceeds 1.0e-10")
+            return audit(spec, rho_ss, spectral_gap)
+
+        monkeypatch.setattr(continuous, "currents_and_power", failing)
+        with pytest.raises(AssertionError, match="^first-law residual") as caught:
+            list(continuous.steady_state_reports(specs))
+        assert caught.value.index == 2
 
     def test_the_golden_sweep_runs_one_eig_per_stack_and_one_full_lu_per_spec(
         self, monkeypatch, tmp_path
@@ -872,7 +897,6 @@ def test_per_structure_caches_keep_at_most_64_entries():
     caches = (
         continuous._bath_jumps,
         continuous._generator_plan,
-        continuous._kernel_blocks,
         level_table,
         pair_table,
     )
