@@ -14,9 +14,11 @@ are hard errors: a config that does not parse cleanly never half-runs.
 Every data subcommand emits the same CSV column contract (header row,
 comma separated, floats with 17 significant digits, LF line endings,
 ``NA`` for fields that are undefined or not computed by that
-subcommand).  A run's steady states, spec files' too, are solved in one
-stacked call, and a failure names its point.  ``--threads`` is still
-accepted, for old scripts, and has no effect.
+subcommand).  A run's records come from one :func:`~ottocat.mapping.rows`
+call, which solves the steady states, spec files' too, runs the cycles and
+bridges the two pictures in stacks of one structure; the CSV is then
+assembled and formatted column by column, and a failure names its point.
+``--threads`` is still accepted, for old scripts, and has no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
 error.
@@ -30,11 +32,12 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
-from . import analytic, continuous, discrete
+from . import analytic, continuous
 from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
 from .engine_spec import validate as validate_spec
-from .mapping import BRIDGE_ERRORS, EngineFamily, equivalence_from_parts
+from .mapping import BRIDGE_ERRORS, EngineFamily, rows
 
 __all__ = [
     "COLUMNS",
@@ -435,6 +438,57 @@ def _family_breakdown(spec: EngineSpec) -> analytic.TauBreakdown:
     )
 
 
+def _pair(values: tuple, i: int) -> object:
+    """Pair i's value, ``None`` past the spec's last pair."""
+    return values[i] if i < len(values) else None
+
+
+def _fields(objects: list, **columns: str) -> dict[str, list]:
+    """Each column's list of one (dotted) attribute of ``objects``."""
+    return {name: list(map(attrgetter(attr), objects)) for name, attr in columns.items()}
+
+
+def _columns(points: tuple, specs: list, mode: str, records: list) -> dict[str, list]:
+    """Every column of :data:`COLUMNS` over the points: echoed inputs plus
+    whatever ``mode`` computes, ``None`` (``NA``) elsewhere."""
+    reports, cycles, bridges, breakdowns = zip(*records)
+    columns = dict.fromkeys(COLUMNS, [None] * len(points))
+    columns["engine"], columns["eta"] = ([point[i] for point in points] for i in (0, 1))
+    columns.update(_fields(
+        specs, beta_h="hot.beta", beta_c="cold.beta", omega_h="hot.omega",
+        omega_c="cold.omega", tau_eq_h="hot.tau_eq", tau_eq_c="cold.tau_eq",
+    ))
+    couplings = [{pair.g for pair in spec.swaps} for spec in specs]
+    columns["g"] = [g.pop() if len(g) == 1 else None for g in couplings]
+    for name in ("zeta", "kappa"):
+        columns[name] = [None if b is None else getattr(b, name) for b in breakdowns]
+    if mode in ("discrete", "both"):
+        for i in range(_CSV_PAIRS):
+            columns[f"delta_p_{i + 1}"] = [_pair(c.delta_p, i) for c in cycles]
+        columns.update(_fields(
+            cycles, q_hot="q_hot", q_cold="q_cold", work="work", eta_discrete="efficiency",
+            clausius_discrete="clausius_margin", catalyst_residual="catalyst_residual",
+            regime_discrete="regime",
+        ))
+    if mode in ("continuous", "both"):
+        for i in range(_CSV_PAIRS):
+            columns[f"current_{i + 1}"] = [_pair(r.currents, i) for r in reports]
+        columns.update(_fields(
+            reports, j_hot="j_hot", j_cold="j_cold", power="power",
+            eta_continuous="efficiency", clausius_continuous="clausius_margin",
+            entropy_production="entropy_production", first_law_residual="first_law_residual",
+            regime_continuous="regime",
+        ))
+        for i, side in enumerate(("hot", "cold")):
+            columns[f"int_vanish_{side}"] = [r.int_vanish_residuals[i] for r in reports]
+        columns["catalysis_residual_max"] = [
+            max(abs(x) for x in r.catalysis_residuals) for r in reports
+        ]
+    if mode == "both":
+        columns.update(_fields(bridges, tau="tau", tau_spread="tau_uniform_residual"))
+    return columns
+
+
 def build_row(
     engine_token: str,
     spec: EngineSpec,
@@ -442,92 +496,31 @@ def build_row(
     mode: str,
     report: continuous.SteadyStateReport | None,
 ) -> dict[str, object]:
-    """One ResultRow: echoed inputs plus whatever ``mode`` computes.
-
-    ``mode`` is ``"discrete"``, ``"continuous"``, or ``"both"``; fields
-    the mode does not compute stay ``None`` and serialize as ``NA``.
-    ``report`` is the spec's steady state (``None`` in discrete mode).
-    """
-    row: dict[str, object] = dict.fromkeys(COLUMNS)
-    row["engine"] = engine_token
-    row["eta"] = eta
-    row["beta_h"] = spec.hot.beta
-    row["beta_c"] = spec.cold.beta
-    row["omega_h"] = spec.hot.omega
-    row["omega_c"] = spec.cold.omega
-    row["tau_eq_h"] = spec.hot.tau_eq
-    row["tau_eq_c"] = spec.cold.tau_eq
-    couplings = {pair.g for pair in spec.swaps}
-    row["g"] = couplings.pop() if len(couplings) == 1 else None
-
-    built_in = engine_token in FAMILIES
-    if built_in:
-        breakdown = _family_breakdown(spec)
-        row["zeta"] = breakdown.zeta
-        row["kappa"] = breakdown.kappa
-
-    cycle = None
-    if mode in ("discrete", "both"):
-        cycle = discrete.run_cycle(spec)
-        for i, flow in enumerate(cycle.delta_p, start=1):
-            row[f"delta_p_{i}"] = flow
-        row["q_hot"] = cycle.q_hot
-        row["q_cold"] = cycle.q_cold
-        row["work"] = cycle.work
-        row["eta_discrete"] = cycle.efficiency
-        row["clausius_discrete"] = cycle.clausius_margin
-        row["catalyst_residual"] = cycle.catalyst_residual
-        row["regime_discrete"] = cycle.regime
-
-    if mode in ("continuous", "both"):
-        for i, current in enumerate(report.currents, start=1):
-            row[f"current_{i}"] = current
-        row["j_hot"] = report.j_hot
-        row["j_cold"] = report.j_cold
-        row["power"] = report.power
-        row["eta_continuous"] = report.efficiency
-        row["clausius_continuous"] = report.clausius_margin
-        row["entropy_production"] = report.entropy_production
-        row["first_law_residual"] = report.first_law_residual
-        row["int_vanish_hot"] = report.int_vanish_residuals[0]
-        row["int_vanish_cold"] = report.int_vanish_residuals[1]
-        row["catalysis_residual_max"] = max(
-            abs(x) for x in report.catalysis_residuals
-        )
-        row["regime_continuous"] = report.regime
-
-    if mode == "both":
-        bridge = equivalence_from_parts(spec, cycle, report)  # raises at the Carnot point, say
-        row["tau"] = bridge.tau
-        row["tau_spread"] = bridge.tau_uniform_residual
-
-    if mode != "discrete" and built_in:
-        if report.efficiency is None or abs(report.efficiency - eta) > ETA_WIRING_TOL:
-            raise CheckFailure(
-                f"emitted steady-state efficiency {report.efficiency} does "
-                f"not match the design efficiency {eta!r} of {engine_token}"
-            )
-
-    return row
+    """One ResultRow, a run of one point: echoed inputs plus whatever
+    ``mode`` (``"discrete"``, ``"continuous"``, or ``"both"``) computes, and
+    ``None`` (``NA``) elsewhere.  ``report`` is the spec's steady state
+    (``None`` in discrete mode)."""
+    point = (engine_token, eta, None)
+    records = _records((point,), [spec], mode, None if report is None else [report])
+    return {name: values[0] for name, values in _columns((point,), [spec], mode, records).items()}
 
 
-def _format_cell(value: object) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, str):
-        return value
-    number = float(value)
-    if math.isnan(number):
+def _format_column(values: list) -> list[str]:
+    """Each cell of a column: ``NA`` for ``None``, text as it is, a number
+    with 17 significant digits; a NaN refuses the whole run."""
+    cells = ["NA" if v is None else v if isinstance(v, str) else f"{float(v):.17g}" for v in values]
+    if "nan" in cells and any(v != v for v in values if not isinstance(v, str)):
         raise CheckFailure("refusing to emit NaN; a computed quantity is invalid")
-    return f"{number:.17g}"
+    return cells
 
 
-def _write_csv(rows: list[dict[str, object]], columns: tuple[str, ...], output: str | None) -> None:
+def _write_csv(columns: dict[str, list], names: tuple[str, ...], output: str | None) -> None:
+    cells = [_format_column(columns[name]) for name in names]
+
     def emit(handle) -> None:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[name]) for name in columns])
+        writer.writerow(names)
+        writer.writerows(zip(*cells))
 
     if output is None:
         emit(sys.stdout)
@@ -553,8 +546,9 @@ def _failure_at(point: tuple, spec: EngineSpec | None, exc: Exception) -> Except
 def _emit(config: RunConfig, mode: str, output: str | None) -> int:
     """Write one row per point of ``config``, ``mode`` as for :func:`build_row`.
 
-    Every point's spec is built first, then one call solves every steady
-    state; a failure at a point names it (:func:`_failure_at`).
+    Every point's spec is built first, then every record
+    (:func:`_records`), then the columns; a failure at a point names it
+    (:func:`_failure_at`).
     """
     if config.fixed is None:
         specs = []
@@ -565,16 +559,30 @@ def _emit(config: RunConfig, mode: str, output: str | None) -> int:
                 raise _failure_at(point, None, exc) from None
     else:
         specs = [_spec(config.fixed, *point) for point in config.points]
-    reports = [None] * len(specs) if mode == "discrete" else continuous.steady_state_reports(specs)
-    rows = []
-    try:
-        for (token, eta, _), spec, report in zip(config.points, specs, reports):
-            rows.append(build_row(token, spec, eta, mode, report))
-    except (CheckFailure, *BRIDGE_ERRORS) as exc:
-        at = getattr(exc, "index", len(rows))  # a failed solve's position, or the row's
-        raise _failure_at(config.points[at], specs[at], exc) from None
-    _write_csv(rows, config.columns, output)
+    columns = _columns(config.points, specs, mode, _records(config.points, specs, mode))
+    _write_csv(columns, config.columns, output)
     return 0
+
+
+def _records(points: tuple, specs: list, mode: str, reports: list | None = None) -> list[tuple]:
+    """Every point's :func:`~ottocat.mapping.rows` record, with the closed-form
+    time breakdown of a built-in engine once its emitted steady-state
+    efficiency matches its design value; a failure names its point."""
+    records = []
+    try:
+        for (token, eta, _), spec, record in zip(points, specs, rows(specs, mode, reports)):
+            breakdown, efficiency = None, record[0] and record[0].efficiency
+            if token in FAMILIES:
+                breakdown = _family_breakdown(spec)
+                off = efficiency is None or abs(efficiency - eta) > ETA_WIRING_TOL
+                if mode != "discrete" and off:
+                    raise CheckFailure(f"emitted steady-state efficiency {efficiency} does not "
+                                       f"match the design efficiency {eta!r} of {token}")
+            records.append((*record, breakdown))
+    except (CheckFailure, *BRIDGE_ERRORS) as exc:
+        at = getattr(exc, "index", len(records))  # a failed stage's position, or the record's
+        raise _failure_at(points[at], specs[at], exc) from None
+    return records
 
 
 def cmd_discrete(config: RunConfig, output: str | None = None) -> int:
@@ -600,7 +608,10 @@ def cmd_verify(seed: int, n_points: int, output: str | None = None) -> int:
         raise ConfigError(f"--points must be >= 1, got {n_points}")
     from . import verify  # loaded only here: no other subcommand needs the suite
 
-    results = verify.run_suite(seed=seed, n_points=n_points)
+    try:
+        results = verify.run_suite(seed=seed, n_points=n_points)
+    except (ValueError, AssertionError) as exc:  # a grid point the solver cannot resolve, named
+        raise CheckFailure(str(exc)) from None
     text = verify.format_report(results, seed, n_points)
     if output is None:
         print(text)

@@ -31,10 +31,15 @@ its spectrum is the union of theirs.  They come in mirror pairs (|i><j|
 against |j><i|), exact complex conjugates, certified entry by entry.  The
 component of the |0><0| population gets a real eigendecomposition and
 yields the kernel vector; one of each other pair only its eigenvalues.
-The components are found once per structure.  Specs of one structure are
-solved in stacks that share each eigen-solve, the refinement and the
-checks; only the LU of the full generator stays one per spec.  A failure
-carries its spec's position as ``index``, and no spec's name.
+The components are found once per structure.
+
+Specs of one structure are solved and audited in stacks
+(:func:`~ottocat.engine_spec.stacked`): each eigen-solve, the refinement,
+the checks, the pair currents and both baths' adjoint dissipators, formed
+from the cached jump positions and applied in one stacked product, are
+shared by the stack; only the LU of the full generator stays one per
+spec.  Every result equals the one of a stack of one bit for bit, and a
+failure carries its spec's position as ``index``, and no spec's name.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -50,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine_spec import BathParams, EngineSpec, level_table, pair_sums
+from .engine_spec import BathParams, EngineSpec, fail, level_table, pair_sums, pair_table, stacked
 from .qstate import DensityMatrix, HilbertLayout, Operator, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
@@ -94,6 +99,10 @@ CURRENT_CROSS_TOL = 1e-9
 #: and 50 ms (96 ms one spec at a time) and raised a default ``verify``'s
 #: peak RSS by 0.5, 0.7, 0.9, 1.4 and 3.9 MB over 41.5 MB (one BLAS thread).
 _STACK = 16
+
+#: Specs per stacked product of the audit's dense dim^2 x dim^2 adjoints,
+#: so the audit of a stack holds a quarter of its 16 adjoints at a time.
+_ADJOINT_STACK = 4
 
 _NON_ERGODIC = "non-ergodic Liouvillian: steady state not unique"
 
@@ -171,14 +180,20 @@ class SteadyStateReport:
     regime: str
 
 
+def _interactions(specs: Sequence[EngineSpec]) -> np.ndarray:
+    """vec(V0) of each spec of a stack of one structure."""
+    dim = specs[0].dim
+    v0 = np.zeros((len(specs), dim * dim), dtype=complex)
+    for i, pair in enumerate(specs[0].swaps):
+        g = np.array([spec.swaps[i].g for spec in specs])
+        v0[:, pair.u + pair.d * dim] += g
+        v0[:, pair.d + pair.u * dim] += g
+    return v0
+
+
 def build_interaction(spec: EngineSpec) -> Operator:
-    """V0 = sum_i g_i (|u_i><d_i| + |d_i><u_i|)."""
-    dim = spec.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for pair in spec.swaps:
-        mat[pair.u, pair.d] += pair.g
-        mat[pair.d, pair.u] += pair.g
-    return Operator(spec.layout, mat)
+    """V0 = sum_i g_i (|u_i><d_i| + |d_i><u_i|); a stack of one."""
+    return Operator(spec.layout, _unvec(_interactions([spec])[0], spec.dim))
 
 
 @functools.lru_cache(maxsize=64)
@@ -285,22 +300,12 @@ def build_liouvillian(spec: EngineSpec) -> Superoperator:
     return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
 
 
-def _fail(bad, error: type, message) -> None:
-    """Raise ``error`` for the first flagged row of a stack, that row its
-    ``index``; ``message`` is a string or a function of the row."""
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        exc = error(message(row) if callable(message) else message)
-        exc.index = row
-        raise exc
-
-
 def _normalize_state(mat: np.ndarray) -> np.ndarray:
     """Rotate away any global phase, hermitize, and scale to unit trace;
     on a stack of matrices, each one."""
     tr = np.trace(mat, axis1=-2, axis2=-1)
     bound = 1e-14 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    _fail(np.abs(tr) < bound, ValueError, "candidate steady state is traceless; cannot normalize")
+    fail(np.abs(tr) < bound, ValueError, "candidate steady state is traceless; cannot normalize")
     mat = mat / tr[..., None, None]
     herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
     return herm / np.trace(herm, axis1=-2, axis2=-1).real[..., None, None]
@@ -334,10 +339,10 @@ def _refined_bordered_solve(
         try:
             solution[row] = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError:
-            _fail(np.arange(len(values)) == row, ValueError, _NON_ERGODIC)
+            fail(np.arange(len(values)) == row, ValueError, _NON_ERGODIC)
     block = solution[:, main]
     outside = np.count_nonzero(block, axis=1) != np.count_nonzero(solution, axis=1)
-    _fail(outside, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
+    fail(outside, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
     sub_ld = sub.astype(np.clongdouble)
     rhs_ld = rhs[main].astype(np.clongdouble)
     for _ in range(2):
@@ -416,7 +421,7 @@ def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.n
     """
     _, main, (to_real, from_real), others, gather, mirrored = blocks
     broken = (padded[:, mirrored] != padded[:, :-1].conj()).any(axis=1)
-    _fail(broken, ValueError, "generator does not preserve Hermiticity")
+    fail(broken, ValueError, "generator does not preserve Hermiticity")
     entries = padded[:, gather]
     start = len(main) ** 2
     # Real in exact arithmetic by the certificate; the rest is round-off.
@@ -444,13 +449,13 @@ def _stationary_stack(
     padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
     eigvals, main_vecs = _block_spectrum(padded, blocks)
     scale = np.abs(eigvals).max(axis=1)
-    _fail(scale == 0.0, ValueError, "generator is identically zero; every state is stationary")
+    fail(scale == 0.0, ValueError, "generator is identically zero; every state is stationary")
     zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale[:, None]
     n_zero = np.count_nonzero(zero_mask, axis=1)
-    _fail(n_zero == 0, ValueError, "no stationary state found (kernel is numerically empty)")
-    _fail(n_zero > 1, ValueError, _NON_ERGODIC)
+    fail(n_zero == 0, ValueError, "no stationary state found (kernel is numerically empty)")
+    fail(n_zero > 1, ValueError, _NON_ERGODIC)
     main_zero = zero_mask[:, : len(main)]
-    _fail(~main_zero.any(axis=1), ValueError, "stationary kernel lies outside the block "
+    fail(~main_zero.any(axis=1), ValueError, "stationary kernel lies outside the block "
           "of |0><0|; generator is not trace preserving")
     kernel_vecs = np.zeros((count, dim * dim), dtype=complex)
     kernel_vecs[:, main] = main_vecs[np.arange(count), :, main_zero.argmax(axis=1)]
@@ -464,10 +469,10 @@ def _stationary_stack(
     rho_lin = _normalize_state(_unvec(solved, dim))
 
     apart = np.abs(rho_eig - rho_lin).max(axis=(1, 2))
-    _fail(apart > SOLVER_CROSS_TOL, AssertionError, lambda k: "steady-state routes "
+    fail(apart > SOLVER_CROSS_TOL, AssertionError, lambda k: "steady-state routes "
           f"disagree by {apart[k]:.3e} (> {SOLVER_CROSS_TOL:.1e})")
     bad, why = state_defects(rho_lin)
-    _fail(bad, ValueError, why)
+    fail(bad, ValueError, why)
     decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
     return [(DensityMatrix(Operator(layout, rho)), float(d)) for rho, d in zip(rho_lin, decay)]
 
@@ -501,96 +506,126 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     return state
 
 
+def _currents(specs: Sequence[EngineSpec], rho: np.ndarray) -> np.ndarray:
+    """:func:`probability_currents` of a stack of one structure, one row each."""
+    table = pair_table(*specs[0].structure)
+    g = np.array([[pair.g for pair in spec.swaps] for spec in specs])
+    val = (1j * g) * rho[:, table.d, table.u] + (-1j * g) * rho[:, table.u, table.d]
+    bad = np.abs(val.imag) > CURRENT_IMAG_TOL
+    fail(bad.any(axis=1), AssertionError, lambda k: f"transfer rate of pair {np.argmax(bad[k])} "
+         f"has imaginary part {val[k, np.argmax(bad[k])].imag:.3e}")
+    return val.real
+
+
 def probability_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
     """Stationary transfer rate of each swap pair.
 
     Measured as the expectation of i g_i (|u_i><d_i| - |d_i><u_i|), read
     off its only two nonzero terms, i g_i rho[d_i, u_i] and
     -i g_i rho[u_i, d_i]; the observable is Hermitian, so an imaginary part
-    beyond ``CURRENT_IMAG_TOL`` raises.
+    beyond ``CURRENT_IMAG_TOL`` raises.  A stack of one.
     """
     if rho_ss.layout.factor_dims != spec.layout.factor_dims:
         raise ValueError(
             f"state layout {rho_ss.layout.factor_dims} does not match "
             f"spec layout {spec.layout.factor_dims}"
         )
-    rho = rho_ss.matrix
-    out = np.zeros(len(spec.swaps))
-    for i, pair in enumerate(spec.swaps):
-        u, d, g = pair.u, pair.d, pair.g
-        val = complex((1j * g) * rho[d, u] + (-1j * g) * rho[u, d])
-        if abs(val.imag) > CURRENT_IMAG_TOL:
-            raise AssertionError(
-                f"transfer rate of pair {i} has imaginary part {val.imag:.3e}"
-            )
-        out[i] = val.real
-    return out
+    return _currents([spec], rho_ss.matrix[None])[0]
 
 
 class _Exchange(NamedTuple):
-    """Everything the audits read off one state, each computed once."""
+    """Everything the audits read off a stack of states, one array each."""
 
     currents: np.ndarray
-    j_hot: float
-    j_cold: float
-    power: float
-    adjoint_heat: tuple[complex, complex]  # <D_k^+[H_0k + V0]>
-    int_vanish: tuple[float, float]  # |<D_k^+[V0]>|
-    clausius_margin: float
-    entropy_production: float
-    catalyst_flow: tuple[float, ...]
+    j_hot: np.ndarray
+    j_cold: np.ndarray
+    power: np.ndarray
+    adjoint_heat: np.ndarray  # <D_k^+[H_0k + V0]>, hot then cold
+    int_vanish: np.ndarray  # |<D_k^+[V0]>|, hot then cold
+    clausius_margin: np.ndarray
+    entropy_production: np.ndarray
+    catalyst_flow: tuple[np.ndarray, ...]
 
 
-def _exchange(spec: EngineSpec, rho_ss: DensityMatrix) -> _Exchange:
-    """Measure the pair currents once and derive every bath exchange.
-
-    Heat currents, power and catalyst flow are the pair transfer rates
-    through :func:`~ottocat.engine_spec.pair_sums`: J_k = sum_i d_eps_i^k
-    <n_i>, P = sum_i Omega_i <n_i>, and for level m the signed net rate
-    sum_i (indicator_m(u_i) - indicator_m(d_i)) <n_i>.  Each bath's
-    adjoint dissipator D_k^+ is formed once, as a matrix, and applied to
-    vec(H_0k + V0) and vec(V0): the first gives the independent heat
-    route <D_k^+[H_0k + V0]>, the second the interaction term
-    <D_k^+[V0]>, which enters the entropy production
-    sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>).
-    """
-    currents = probability_currents(spec, rho_ss)
-    j_hot, j_cold, power, cat_flow = pair_sums(spec, currents)
-
-    dims = spec.layout.factor_dims
-    dim = spec.dim
-    levels = level_table(dims)
-    v0 = _vec(build_interaction(spec).entries)
-    rho_t = rho_ss.matrix.T
-    adjoint_heat = []
-    int_vanish = []
-    sigma = 0.0
-    for label, bath, excitation, j_k in (
-        ("hot", spec.hot, levels.hot, j_hot),
-        ("cold", spec.cold, levels.cold, j_cold),
-    ):
+def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
+    """Measure the pair currents of a stack of states once and derive every
+    bath exchange: J_k, P and the catalyst flow through
+    :func:`~ottocat.engine_spec.pair_sums`, and, from each bath's adjoint
+    dissipator D_k^+ formed on the cached jump positions for
+    ``_ADJOINT_STACK`` specs at a time, <D_k^+[H_0k + V0]> and <D_k^+[V0]>
+    by stacked products; sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>)."""
+    spec = specs[0]
+    dims, dim, n = spec.layout.factor_dims, spec.dim, len(specs)
+    currents = _currents(specs, rho)
+    j_hot, j_cold, power, cat_flow = pair_sums(specs, currents.T)
+    v0 = _interactions(specs)
+    adjoints = np.zeros((min(n, _ADJOINT_STACK), dim**4), dtype=complex)  # one bath's, in turn
+    heat, interaction, sigma = [], [], 0.0
+    for label, excitation, j_k in (("hot", level_table(dims).hot, j_hot),
+                                   ("cold", level_table(dims).cold, j_cold)):
         positions, raising, lowering = _bath_jumps(dims, label)[2:]
-        adjoint = np.zeros((dim * dim, dim * dim), dtype=complex)
-        adjoint.put(positions, bath.gamma_plus * raising + bath.gamma_minus * lowering)
+        baths = [getattr(s, label) for s in specs]
+        gamma_plus, gamma_minus, omega, beta = np.array(
+            [(b.gamma_plus, b.gamma_minus, b.omega, b.beta) for b in baths]
+        ).T[..., None]
+        values = gamma_plus * raising + gamma_minus * lowering
         target = v0.copy()
-        target[:: dim + 1] += bath.omega * excitation  # the diagonal of H_0k
+        target[:, :: dim + 1] += omega * excitation  # the diagonal of H_0k
+        applied = np.empty((2, n, dim * dim), dtype=complex)
+        for first in range(0, n, len(adjoints)):
+            rows = slice(first, first + len(adjoints))
+            chunk = adjoints[: len(values[rows])]
+            chunk[:, positions] = values[rows]
+            stack = chunk.reshape(len(chunk), dim * dim, -1)
+            for out, operand in zip(applied, (target, v0)):
+                out[rows] = np.matmul(stack, operand[rows, :, None])[..., 0]
+        adjoints[:, positions] = 0.0
         # Tr[A rho] summed as expectation() sums it, without an Operator.
-        adjoint_heat.append(complex((_unvec(adjoint @ target, dim) * rho_t).sum()))
-        int_term = complex((_unvec(adjoint @ v0, dim) * rho_t).sum())
-        int_vanish.append(float(abs(int_term)))
-        sigma -= bath.beta * (j_k - int_term.real)
+        heat_k, int_k = (applied * rho.reshape(n, -1)).sum(axis=-1)
+        heat.append(heat_k)
+        interaction.append([abs(z) for z in int_k.tolist()])  # Python's complex abs
+        sigma = sigma - beta[:, 0] * (j_k - int_k.real)
+    betas = np.array([(s.hot.beta, s.cold.beta) for s in specs]).T
+    return _Exchange(currents, j_hot, j_cold, power, np.array(heat), np.array(interaction),
+                     -(betas[0] * j_hot + betas[1] * j_cold), sigma, cat_flow)
 
-    return _Exchange(
-        currents=currents,
-        j_hot=j_hot,
-        j_cold=j_cold,
-        power=power,
-        adjoint_heat=tuple(adjoint_heat),
-        int_vanish=tuple(int_vanish),
-        clausius_margin=-(spec.hot.beta * j_hot + spec.cold.beta * j_cold),
-        entropy_production=sigma,
-        catalyst_flow=tuple(map(float, cat_flow)),
-    )
+
+def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]:
+    """:func:`currents_and_power` of a stack of one structure, ``states`` its
+    ``(rho_ss, spectral_gap)`` pairs; a failure's ``index`` is its row."""
+    ex = _exchanges(specs, np.stack([rho_ss.matrix for rho_ss, _ in states]))
+    for label, direct, val in zip(("hot", "cold"), (ex.j_hot, ex.j_cold), ex.adjoint_heat):
+        fail(np.abs(val.imag) > CURRENT_IMAG_TOL, AssertionError, lambda k:
+             f"adjoint-route {label} current has imaginary part {val[k].imag:.3e}")
+        fail(np.abs(direct - val.real) > CURRENT_CROSS_TOL * np.maximum(1.0, np.abs(direct)),
+             AssertionError, lambda k: f"{label} heat current routes disagree: pairwise "
+             f"{direct[k]!r} vs adjoint {float(val[k].real)!r}")
+    first_law = np.abs(ex.power - (ex.j_hot + ex.j_cold))
+    fail(first_law > FIRST_LAW_TOL * np.maximum(1.0, np.abs(ex.power)), AssertionError,
+         lambda k: f"first-law residual {first_law[k]:.3e} exceeds {FIRST_LAW_TOL:.1e}")
+    currents, int_vanish = ex.currents.tolist(), ex.int_vanish.T.tolist()
+    catalyst_flow = list(zip(*(level.tolist() for level in ex.catalyst_flow)))
+    return [
+        SteadyStateReport(
+            rho_ss=rho_ss,
+            currents=tuple(currents[k]),
+            j_hot=j_hot,
+            j_cold=j_cold,
+            power=power,
+            efficiency=None if j_hot == 0.0 else power / j_hot,
+            spectral_gap=float(gap),
+            clausius_margin=margin,
+            entropy_production=sigma,
+            int_vanish_residuals=tuple(int_vanish[k]),
+            catalysis_residuals=catalyst_flow[k],
+            first_law_residual=residual,
+            regime="engine" if (power > 0.0 and j_hot > 0.0) else "non_engine",
+        )
+        for k, ((rho_ss, gap), j_hot, j_cold, power, margin, sigma, residual) in enumerate(zip(
+            states, ex.j_hot, ex.j_cold, ex.power, ex.clausius_margin, ex.entropy_production,
+            first_law,
+        ))
+    ]
 
 
 def currents_and_power(
@@ -605,45 +640,10 @@ def currents_and_power(
     over the pair resonance frequencies, P = sum_i Omega_i <n_i>, and
     ``first_law_residual`` = |P - J_h - J_c| is required to stay below
     ``FIRST_LAW_TOL``.  ``spectral_gap`` is the gap the solve of
-    ``rho_ss`` found; it is passed through to the report.
+    ``rho_ss`` found; it is passed through to the report.  A stack of one.
     """
-    ex = _exchange(spec, rho_ss)
-    for label, direct, val in (
-        ("hot", ex.j_hot, ex.adjoint_heat[0]),
-        ("cold", ex.j_cold, ex.adjoint_heat[1]),
-    ):
-        if abs(val.imag) > CURRENT_IMAG_TOL:
-            raise AssertionError(
-                f"adjoint-route {label} current has imaginary part {val.imag:.3e}"
-            )
-        scale = max(1.0, abs(direct))
-        if abs(direct - val.real) > CURRENT_CROSS_TOL * scale:
-            raise AssertionError(
-                f"{label} heat current routes disagree: pairwise {direct!r} vs "
-                f"adjoint {val.real!r}"
-            )
-
-    first_law_residual = abs(ex.power - (ex.j_hot + ex.j_cold))
-    if first_law_residual > FIRST_LAW_TOL * max(1.0, abs(ex.power)):
-        raise AssertionError(
-            f"first-law residual {first_law_residual:.3e} exceeds {FIRST_LAW_TOL:.1e}"
-        )
-
-    return SteadyStateReport(
-        rho_ss=rho_ss,
-        currents=tuple(float(x) for x in ex.currents),
-        j_hot=ex.j_hot,
-        j_cold=ex.j_cold,
-        power=ex.power,
-        efficiency=None if ex.j_hot == 0.0 else ex.power / ex.j_hot,
-        spectral_gap=float(spectral_gap),
-        clausius_margin=ex.clausius_margin,
-        entropy_production=ex.entropy_production,
-        int_vanish_residuals=ex.int_vanish,
-        catalysis_residuals=ex.catalyst_flow,
-        first_law_residual=first_law_residual,
-        regime="engine" if (ex.power > 0.0 and ex.j_hot > 0.0) else "non_engine",
-    )
+    [report] = _audit([spec], [(rho_ss, spectral_gap)])
+    return report
 
 
 def ness_condition_checks(spec: EngineSpec, rho_ss: DensityMatrix) -> dict:
@@ -663,12 +663,12 @@ def ness_condition_checks(spec: EngineSpec, rho_ss: DensityMatrix) -> dict:
     All but the first are the values :func:`steady_state_report` reports.
     """
     l_rho = build_liouvillian(spec).apply(Operator(spec.layout, rho_ss.matrix))
-    ex = _exchange(spec, rho_ss)
+    ex = _exchanges([spec], rho_ss.matrix[None])
     return {
         "liouvillian_residual": float(np.max(np.abs(l_rho.entries))),
-        "int_vanish": ex.int_vanish,
-        "catalyst_flow": ex.catalyst_flow,
-        "clausius_margin": ex.clausius_margin,
+        "int_vanish": tuple(ex.int_vanish[:, 0].tolist()),
+        "catalyst_flow": tuple(float(level[0]) for level in ex.catalyst_flow),
+        "clausius_margin": ex.clausius_margin[0],
     }
 
 
@@ -682,7 +682,7 @@ def entropy_production_rate(spec: EngineSpec, rho_ss: DensityMatrix) -> float:
     the interaction terms <D_k^+[V0]> vanish.  At the steady state it is
     the report's ``entropy_production``.
     """
-    return _exchange(spec, rho_ss).entropy_production
+    return _exchanges([spec], rho_ss.matrix[None]).entropy_production[0]
 
 
 def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
@@ -692,28 +692,23 @@ def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
     return report
 
 
+def _reports(specs: Sequence[EngineSpec]) -> list[SteadyStateReport]:
+    """Solve and audit a stack of specs of one structure."""
+    pieces, blocks = _generator_plan(*specs[0].structure)
+    values = _generator_values(specs, pieces)
+    return _audit(specs, _stationary_stack(specs[0].layout, values, blocks))
+
+
 def steady_state_reports(specs: Sequence[EngineSpec]) -> Iterator[SteadyStateReport]:
     """:func:`steady_state_report` of every spec, yielded in input order, bit for bit.
 
-    Each window of ``2 * _STACK`` consecutive specs is grouped by structure
-    and solved in stacks of up to ``_STACK``, one window at a time; a failed
-    solve or audit raises with its spec's position in ``specs`` as ``index``."""
+    Each window of ``2 * _STACK`` consecutive specs is solved and audited
+    in stacks of one structure of up to ``_STACK``, one window at a time; a
+    failure raises for the first spec of its window that fails, with its
+    position in ``specs`` as ``index``."""
     for first in range(0, len(specs), 2 * _STACK):
-        window = range(first, min(first + 2 * _STACK, len(specs)))
-        reports = {}
-        for structure in dict.fromkeys(specs[i].structure for i in window):
-            indices = [i for i in window if specs[i].structure == structure]
-            pieces, blocks = _generator_plan(*structure)
-            for start in range(0, len(indices), _STACK):
-                stack = indices[start : start + _STACK]
-                values = _generator_values([specs[i] for i in stack], pieces)
-                i = None  # the spec being audited, once its stack is solved
-                try:
-                    states = _stationary_stack(specs[stack[0]].layout, values, blocks)
-                    for i, (rho_ss, gap) in zip(stack, states):
-                        reports[i] = currents_and_power(specs[i], rho_ss, spectral_gap=gap)
-                except (ValueError, AssertionError) as exc:
-                    if hasattr(exc, "index") or i is not None:  # a stack row, or the audit's spec
-                        exc.index = stack[exc.index] if hasattr(exc, "index") else i
-                    raise
-        yield from (reports[i] for i in window)
+        reports, fault = stacked(_reports, specs[first : first + 2 * _STACK], size=_STACK)
+        if fault is not None:
+            fault.index += first
+            raise fault
+        yield from reports

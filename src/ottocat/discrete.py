@@ -8,12 +8,16 @@ One cycle acts on the product state sigma_s (x) tau_h (x) tau_c:
    by fresh Gibbs states, while the catalyst (never bath-coupled) keeps
    whatever marginal the work stroke left it.
 
-Every state in the cycle is diagonal, so :func:`run_cycle` and
+Every state in the cycle is diagonal, so :func:`run_cycles` and
 :func:`solve_catalyst` move population vectors: p0 = q (x) w_h (x) w_c, the
 work stroke is the index swap p1 = p0[perm], and Q_k = sum_n eps_n^k
 (p0 - p1)_n over the bare level energies, cross-checked against the
 pairwise form sum_i d_eps_i^k * delta_p_i of
-:func:`~ottocat.engine_spec.pair_sums` on every run.  Positive Q_k means
+:func:`~ottocat.engine_spec.pair_sums` on every run.  Specs of one
+structure run as one stack of population arrays from the
+:func:`~ottocat.engine_spec.pair_table` index maps; only the catalyst's
+least-squares solve stays one per spec.  :func:`run_cycle` and
+:func:`solve_catalyst` are stacks of one, bit for bit.  Positive Q_k means
 energy drawn *from* bath k into the machine; positive work means work
 extracted.  The operator route (:func:`permutation_matrix`,
 :func:`build_initial_state`, :func:`heat_stroke`, operator traces) is the
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine_spec import EngineSpec, level_table, pair_sums, pair_table
+from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table, stacked
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
@@ -55,6 +59,7 @@ __all__ = [
     "heat_stroke",
     "solve_catalyst",
     "run_cycle",
+    "run_cycles",
     "clausius_check",
 ]
 
@@ -166,81 +171,70 @@ def _gibbs_weights(a: float) -> tuple[float, float]:
     return 1.0 / (1.0 + a), a / (1.0 + a)
 
 
-def _work_stroke(spec: EngineSpec, catalyst: CatalystState) -> tuple:
-    """``(p0, p1, flows, marginals)``: the level populations and catalyst
-    marginals before and after one work stroke, delta_p_i = p0(u_i) - p0(d_i)."""
-    _require_catalyst_dim(spec, catalyst)
-    q = np.clip(np.asarray(catalyst.populations, dtype=float), 0.0, None)
-    w_h = _gibbs_weights(spec.hot.gibbs_factor)
-    w_c = _gibbs_weights(spec.cold.gibbs_factor)
-    # q (x) w_h (x) w_c in np.kron's element order and arithmetic, without
-    # its per-call overhead.
-    p0 = np.outer(np.outer(q, w_h), w_c).ravel()
-    p1 = p0[_swap_permutation(spec)]
-    table = pair_table(*spec.structure)
-    # Marginals sum out hot then cold, as :func:`~ottocat.qstate.partial_trace` does.
-    shape = spec.layout.factor_dims
-    marginals = tuple(p.reshape(shape).sum(axis=1).sum(axis=1) for p in (p0, p1))
-    return p0, p1, p0[table.u] - p0[table.d], marginals
-
-
-def _max_gap(before: np.ndarray, after: np.ndarray) -> float:
-    return float(abs(after - before).max())
-
-
-def _solved_catalyst(spec: EngineSpec) -> tuple[CatalystState, tuple]:
-    """:func:`solve_catalyst`'s catalyst and the work stroke that checked it."""
-    d_s = spec.catalyst_dim
-    table = pair_table(*spec.structure)
-    w_h = _gibbs_weights(spec.hot.gibbs_factor)
-    w_c = _gibbs_weights(spec.cold.gibbs_factor)
-
-    # delta_p_i = row_i . q, rows from the bath Gibbs weights (Python lists).
-    n_pairs = len(spec.swaps)
-    flow_rows = [[0.0] * d_s for _ in range(n_pairs)]
-    for row, (s_u, h_u, c_u), (s_d, h_d, c_d) in zip(flow_rows, table.levels_u, table.levels_d):
-        row[s_u] += w_h[h_u] * w_c[c_u]
-        row[s_d] -= w_h[h_d] * w_c[c_d]
-
-    # (i) equal flows across consecutive pairs.
-    equal = [[a - b for a, b in zip(*rows)] for rows in zip(flow_rows, flow_rows[1:])]
-    # (ii) zero net flow through each catalyst level.
-    balance = [[0.0] * d_s for _ in range(d_s)]
-    for row, level_u, level_d in zip(flow_rows, table.levels_u, table.levels_d):
-        balance[level_d[0]] = [b + f for b, f in zip(balance[level_d[0]], row)]
-        balance[level_u[0]] = [b - f for b, f in zip(balance[level_u[0]], row)]
-    # (iii) normalization.
-    a_mat = np.array([*equal, *balance, [1.0] * d_s])
+def _catalyst_q(spec: EngineSpec, a_mat: np.ndarray) -> np.ndarray:
+    """The normalized least-squares solution q of one spec's catalyst system
+    (the last row the normalization), checked as :func:`solve_catalyst` says."""
     b_vec = np.zeros(len(a_mat))
     b_vec[-1] = 1.0
     q, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
     residual = float(abs(a_mat @ q - b_vec).max())
+    absent = "no simple-permutation catalyst exists for this spec"
     if residual > CATALYST_SOLVE_TOL:
-        raise ValueError(
-            "no simple-permutation catalyst exists for this spec "
-            f"(linear system residual {residual:.3e})"
-        )
-    if rank < d_s:
-        raise ValueError(
-            "the simple-permutation catalyst of this spec is not unique "
-            f"(linear system rank {rank} < catalyst dimension {d_s})"
-        )
+        raise ValueError(f"{absent} (linear system residual {residual:.3e})")
+    if rank < spec.catalyst_dim:
+        raise ValueError("the simple-permutation catalyst of this spec is not unique "
+                         f"(linear system rank {rank} < catalyst dimension {spec.catalyst_dim})")
     if float(q.min()) < -CATALYST_SOLVE_TOL:
-        raise ValueError(
-            "no simple-permutation catalyst exists for this spec "
-            f"(solution has negative population {q.min():.3e})"
-        )
+        raise ValueError(f"{absent} (solution has negative population {q.min():.3e})")
     q = np.clip(q, 0.0, None)
-    catalyst = CatalystState(tuple(q / q.sum()))
+    return q / q.sum()
 
-    # Post-check on the actual cycle: equal flows and a restored marginal.
-    stroke = _work_stroke(spec, catalyst)
-    flows, marginals = stroke[2:]
-    if n_pairs > 1 and float(abs(flows - flows[0]).max()) > CATALYST_SOLVE_TOL:
-        raise ValueError("catalyst solve left unequal pair flows; spec is inconsistent")
-    if _max_gap(*marginals) > CATALYST_SOLVE_TOL:
-        raise ValueError("catalyst solve failed to restore the catalyst marginal")
-    return catalyst, stroke
+
+def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
+    """``(q, p0 - p1, delta_p, catalyst marginals before and after)`` of one
+    work stroke per spec of a stack of one structure, on ``catalysts[k]`` or,
+    where ``None``, on the one :func:`solve_catalyst` finds, checked here."""
+    spec, n = specs[0], len(specs)
+    d_s, table = spec.catalyst_dim, pair_table(*spec.structure)
+    w_h, w_c = np.array([[_gibbs_weights(s.hot.gibbs_factor), _gibbs_weights(s.cold.gibbs_factor)]
+                         for s in specs]).swapaxes(0, 1)
+    # delta_p_i = row_i . q; (i) equal flows across consecutive pairs, (ii)
+    # zero net flow through each catalyst level, (iii) normalization.
+    flow_rows = np.zeros((n, len(specs[0].swaps), d_s))
+    balance = np.zeros((n, d_s, d_s))
+    for i, ((s_u, h_u, c_u), (s_d, h_d, c_d)) in enumerate(zip(table.levels_u, table.levels_d)):
+        flow_rows[:, i, s_u] += w_h[:, h_u] * w_c[:, c_u]
+        flow_rows[:, i, s_d] -= w_h[:, h_d] * w_c[:, c_d]
+    for row, level_u, level_d in zip(flow_rows.swapaxes(0, 1), table.levels_u, table.levels_d):
+        balance[:, level_d[0]] += row
+        balance[:, level_u[0]] -= row
+    equal = flow_rows[:, :-1] - flow_rows[:, 1:]
+    systems = np.concatenate([equal, balance, np.ones((n, 1, d_s))], axis=1)
+    solved = np.array([catalyst is None for catalyst in catalysts])
+    q = np.empty((n, d_s))
+    for k, (s, catalyst) in enumerate(zip(specs, catalysts)):
+        try:
+            if catalyst is not None:
+                _require_catalyst_dim(s, catalyst)
+            q[k] = _catalyst_q(s, systems[k]) if catalyst is None else catalyst.populations
+        except ValueError as exc:
+            exc.index = k
+            raise
+    q = np.clip(q, 0.0, None)
+    fail(table.overlap is not None, ValueError, table.overlap)
+    # q (x) w_h (x) w_c in np.kron's element order and arithmetic.
+    p0 = ((q[:, :, None] * w_h[:, None, :])[..., None] * w_c[:, None, None, :]).reshape(n, -1)
+    p1 = p0[:, table.perm]
+    flows = p0[:, table.u] - p0[:, table.d]
+    # Marginals sum out hot then cold, as :func:`~ottocat.qstate.partial_trace` does.
+    shape = (n, *spec.layout.factor_dims)
+    marginals = tuple(p.reshape(shape).sum(axis=2).sum(axis=2) for p in (p0, p1))
+    unequal = np.abs(flows - flows[:, :1]).max(axis=1) > CATALYST_SOLVE_TOL
+    fail(solved & unequal, ValueError, "catalyst solve left unequal pair flows; "
+         "spec is inconsistent")
+    moved = np.abs(marginals[1] - marginals[0]).max(axis=1) > CATALYST_SOLVE_TOL
+    fail(solved & moved, ValueError, "catalyst solve failed to restore the catalyst marginal")
+    return q, p0 - p1, flows, marginals
 
 
 def solve_catalyst(spec: EngineSpec) -> CatalystState:
@@ -256,7 +250,63 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
     exists for this spec.  ``ValueError`` is also raised when the system
     has rank below the catalyst dimension: the catalyst is not unique.
     """
-    return _solved_catalyst(spec)[0]
+    return CatalystState(tuple(_strokes([spec], [None])[0][0]))
+
+
+def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
+    """:func:`run_cycle` of a stack of one structure, a ``None`` catalyst
+    solved; a failure's ``index`` is its row."""
+    _, diff, flows, marginals = _strokes(specs, catalysts)
+    levels = level_table(specs[0].layout.factor_dims)
+    # Level energies times population changes, summed in complex like the
+    # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes, and
+    # cross-checked against the pairwise energy-difference form.
+    heats, omegas = [], np.array([(s.hot.omega, s.cold.omega) for s in specs]).T[..., None]
+    pair_heats = pair_sums(specs, flows.T)[:2]
+    for label, omega, excitation, pairwise in zip(
+        ("hot", "cold"), omegas, (levels.hot, levels.cold), pair_heats
+    ):
+        level_sum = ((omega * excitation).astype(complex) * diff).sum(axis=-1).real
+        scale = np.maximum(1.0, np.abs(level_sum))
+        fail(np.abs(level_sum - pairwise) > HEAT_CROSS_CHECK_TOL * scale, AssertionError, lambda k:
+             f"{label} heat mismatch: level-energy sum {float(level_sum[k])!r} vs "
+             f"pairwise form {pairwise[k]!r}")
+        heats.append(level_sum.tolist())
+    residuals = np.abs(marginals[1] - marginals[0]).max(axis=1).tolist()
+    reports = []
+    for k, (s, flow, q_h, q_c) in enumerate(zip(specs, flows.tolist(), *heats)):
+        try:
+            margin = clausius_check(s, q_h, q_c, (marginals[0][k], marginals[1][k]))
+        except AssertionError as exc:
+            exc.index = k
+            raise
+        work = q_h + q_c
+        reports.append(CycleReport(
+            delta_p=tuple(flow),
+            q_hot=q_h,
+            q_cold=q_c,
+            work=work,
+            efficiency=None if q_h == 0.0 else work / q_h,
+            clausius_margin=margin,
+            catalyst_residual=residuals[k],
+            regime="engine" if (work > 0.0 and q_h > 0.0) else "non_engine",
+        ))
+    return reports
+
+
+def run_cycles(specs, catalysts=None) -> list[CycleReport]:
+    """:func:`run_cycle` of every spec, in input order, bit for bit, with
+    ``catalysts`` (default: all ``None``) matched to ``specs``; specs of one
+    structure run as one stack, and a failure raises for the first spec that
+    fails, with its position as ``index``."""
+    catalysts = [
+        CatalystState((1.0,)) if c is None and s.catalyst_dim == 1 else c
+        for s, c in zip(specs, catalysts or [None] * len(specs))
+    ]
+    cycles, fault = stacked(_cycles, specs, catalysts)
+    if fault is not None:
+        raise fault
+    return cycles
 
 
 def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleReport:
@@ -264,45 +314,10 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
 
     When ``catalyst`` is omitted it is the trivial single-level state for
     catalyst-free specs and the :func:`solve_catalyst` solution otherwise.
+    A stack of one.
     """
-    if catalyst is None and spec.catalyst_dim > 1:
-        _, stroke = _solved_catalyst(spec)
-    else:
-        stroke = _work_stroke(spec, CatalystState((1.0,)) if catalyst is None else catalyst)
-    p0, p1, flows, marginals = stroke
-
-    # Level energies times population changes, summed in complex like the
-    # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes.
-    levels = level_table(spec.layout.factor_dims)
-    diff = p0 - p1
-    q_hot = float(((spec.hot.omega * levels.hot).astype(complex) * diff).sum().real)
-    q_cold = float(((spec.cold.omega * levels.cold).astype(complex) * diff).sum().real)
-
-    # Cross-check against the pairwise energy-difference form.
-    pair_heats = pair_sums(spec, flows)[:2]
-    for label, level_val, pair_val in zip(("hot", "cold"), (q_hot, q_cold), pair_heats):
-        scale = max(1.0, abs(level_val))
-        if abs(level_val - pair_val) > HEAT_CROSS_CHECK_TOL * scale:
-            raise AssertionError(
-                f"{label} heat mismatch: level-energy sum {level_val!r} vs "
-                f"pairwise form {pair_val!r}"
-            )
-
-    work = q_hot + q_cold
-    efficiency = None if q_hot == 0.0 else work / q_hot
-    regime = "engine" if (work > 0.0 and q_hot > 0.0) else "non_engine"
-
-    margin = clausius_check(spec, q_hot, q_cold, catalyst_marginals=marginals)
-    return CycleReport(
-        delta_p=tuple(float(x) for x in flows),
-        q_hot=q_hot,
-        q_cold=q_cold,
-        work=work,
-        efficiency=efficiency,
-        clausius_margin=margin,
-        catalyst_residual=_max_gap(*marginals),
-        regime=regime,
-    )
+    [cycle] = run_cycles([spec], [catalyst])
+    return cycle
 
 
 def _shannon_entropy(p: np.ndarray) -> float:

@@ -20,7 +20,7 @@ indices are row-major over (catalyst, hot, cold), see
 alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
-catalyst balance.
+catalyst balance, for one spec or a stack of one structure (:func:`stacked`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ __all__ = [
     "hamiltonians",
     "level_table",
     "pair_table",
+    "stack_energetics",
     "pair_sums",
+    "fail",
+    "stacked",
     "validate",
 ]
 
@@ -173,11 +176,8 @@ class EngineSpec:
 
     @functools.cached_property
     def _energetics(self) -> tuple:  # every pair's PairEnergetics, for energy_differences
-        table, hot, cold = pair_table(*self.structure), self.hot.omega, self.cold.omega
-        return tuple(
-            PairEnergetics(d_eps_h=hot * h_u - hot * h_d, d_eps_c=cold * c_u - cold * c_d)
-            for (_, h_u, c_u), (_, h_d, c_d) in zip(table.levels_u, table.levels_d)
-        )
+        stack = stack_energetics([self])
+        return tuple(PairEnergetics(float(en.d_eps_h[0]), float(en.d_eps_c[0])) for en in stack)
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,16 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     return PairTable(*levels, weights, u, d, perm, overlap)
 
 
+def stack_energetics(specs) -> tuple[PairEnergetics, ...]:
+    """:func:`energy_differences` of each pair, an array over a stack of one structure."""
+    table = pair_table(*specs[0].structure)
+    hot, cold = np.array([(spec.hot.omega, spec.cold.omega) for spec in specs]).T
+    return tuple(
+        PairEnergetics(d_eps_h=hot * h_u - hot * h_d, d_eps_c=cold * c_u - cold * c_d)
+        for (_, h_u, c_u), (_, h_d, c_d) in zip(table.levels_u, table.levels_d)
+    )
+
+
 def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
     """Bare Hamiltonians (H_0h, H_0c), both diagonal.
 
@@ -312,25 +322,68 @@ def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
     return spec._energetics[pair_index]
 
 
-def pair_sums(spec: EngineSpec, transfers) -> tuple:
+def pair_sums(spec, transfers) -> tuple:
     """``(hot, cold, omega, catalyst)``: sum_i d_eps_i^h x_i, sum_i d_eps_i^c x_i,
     sum_i Omega_i x_i and, per catalyst level m, sum_i w_m,i x_i over the
     :class:`PairTable` weights, for one transfer x_i per swap pair (an
-    ndarray or a tuple).
+    ndarray or a tuple); for a stack of specs of one structure, each x_i is
+    an array over it.
 
     Flows delta_p_i give Q_h, Q_c, W and the catalyst balance per cycle;
     currents <n_i> give J_h, J_c, P and the catalyst flow.  Each sum starts
     at 0.0 and adds the pairs in order, so its type is the transfers'."""
-    weights = pair_table(*spec.structure).catalyst_weights
+    one = isinstance(spec, EngineSpec)
+    energetics = spec._energetics if one else stack_energetics(spec)
+    weights = pair_table(*(spec if one else spec[0]).structure).catalyst_weights
     hot = cold = omega = 0.0
     catalyst = [0.0] * len(weights)
-    for i, (en, x) in enumerate(zip(spec._energetics, transfers)):
+    for i, (en, x) in enumerate(zip(energetics, transfers)):
         hot += en.d_eps_h * x
         cold += en.d_eps_c * x
         omega += en.omega_i * x
         for m, row in enumerate(weights):
             catalyst[m] += row[i] * x
     return hot, cold, omega, tuple(catalyst)
+
+
+def fail(bad, error: type, message) -> None:
+    """Raise ``error`` for the first flagged row of a stack, that row its
+    ``index``; ``message`` is a string or a function of the row."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        exc = error(message(row) if callable(message) else message)
+        exc.index = row
+        raise exc
+
+
+def stacked(stage, specs, *per_spec, size: int | None = None) -> tuple[list, Exception | None]:
+    """``(results, fault)`` of ``stage(stack, *items)`` on ``specs`` in stacks of
+    one structure (of at most ``size``), with the matching items of each
+    ``per_spec`` sequence: the results in input order up to the first spec
+    that fails, and its ``ValueError`` or ``AssertionError``, whose ``index``
+    (the failing stack row; without one, the first) becomes its position.
+    No outcome depends on its stack, so a failed stack runs again on the rows
+    before its fault: the spec named is the one a run of one spec at a time
+    would fail on first, with the same message."""
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.structure, []).append(i)
+    results, fault = {}, None
+    for group in groups.values():
+        step = size or len(group)
+        for rows in (group[start : start + step] for start in range(0, len(group), step)):
+            while rows:
+                try:
+                    done = stage(*([s[i] for i in rows] for s in (specs, *per_spec)))
+                except (ValueError, AssertionError) as exc:
+                    row = getattr(exc, "index", 0)
+                    exc.index = rows[row]
+                    fault = exc if fault is None or exc.index < fault.index else fault
+                    rows = rows[:row]
+                else:
+                    results.update(zip(rows, done))
+                    break
+    return [results[i] for i in range(len(specs) if fault is None else fault.index)], fault
 
 
 def validate(spec: EngineSpec) -> list[str]:

@@ -9,9 +9,10 @@ collapse to a single characteristic time tau, and the heats, work and
 power, second law, efficiency and catalyst balance follow, both sides
 summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
-:func:`equivalence_from_parts` audits that dictionary, row by row, from
-one cycle run and one steady state; :func:`verify_equivalence` runs a
-spec through both pictures first.  :func:`compare_at_efficiency` pits the
+:func:`rows` runs specs through both pictures and audits that dictionary
+in stacks of one structure; :func:`equivalence_from_parts` (from one
+cycle run and one steady state) and :func:`verify_equivalence` (from a
+spec) are stacks of one.  :func:`compare_at_efficiency` pits the
 catalyst-free and qubit-catalyst machines against each other at matched
 efficiency, which is where the catalytic advantage in work, time, and
 power lives.
@@ -20,6 +21,7 @@ power lives.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,11 @@ from .engine_spec import (
     FAMILIES,
     BathParams,
     EngineSpec,
-    energy_differences,
+    fail,
     ladder_spec,
     pair_sums,
+    stack_energetics,
+    stacked,
 )
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "EfficiencyComparison",
     "verify_equivalence",
     "equivalence_from_parts",
+    "rows",
     "compare_at_efficiency",
 ]
 
@@ -58,7 +63,7 @@ TAU_UNIFORM_TOL = 1e-9
 WORK_POWER_TOL = 1e-9
 
 #: What :func:`equivalence_from_parts` raises: a row over its tolerance, or
-#: no characteristic time; a caller that fails by point catches this pair.
+#: no characteristic time; a caller of :func:`rows` that fails by point catches this pair.
 BRIDGE_ERRORS = (AssertionError, ValueError)
 
 
@@ -158,18 +163,18 @@ class EfficiencyComparison:
 
 
 def verify_equivalence(spec: EngineSpec) -> EquivalenceReport:
-    """Run one spec through both pictures and audit the correspondence
-    with :func:`equivalence_from_parts`."""
-    return equivalence_from_parts(
-        spec, discrete.run_cycle(spec), continuous.steady_state_report(spec)
-    )
+    """Run one spec through both pictures and audit the correspondence: its
+    :func:`rows` bridge."""
+    return next(rows([spec]))[2]
 
 
-def _gap(a: float, b: float, scale: float | None = None) -> float:
-    """|a - b| of ``scale`` (max(|a|, |b|)), absolute if the scale < 1e-30."""
-    scale = max(abs(a), abs(b)) if scale is None else scale
-    diff = abs(a - b)
-    return diff if scale < 1e-30 else diff / scale
+def _gap(a, b, scale=None):
+    """|a - b| of ``scale`` (max(|a|, |b|)), absolute where the scale < 1e-30;
+    elementwise over arrays."""
+    scale = np.maximum(np.abs(a), np.abs(b)) if scale is None else scale
+    diff = np.abs(a - b)
+    tiny = scale < 1e-30
+    return np.where(tiny, diff, diff / np.where(tiny, 1.0, scale))
 
 
 def _row_tolerance(row: str) -> float:
@@ -178,13 +183,98 @@ def _row_tolerance(row: str) -> float:
     return TAU_UNIFORM_TOL if row.startswith(("tau_spread", "flow_pair_")) else WORK_POWER_TOL
 
 
+#: Rows that read a steady-state field: NumPy floats where that field is one.
+_STEADY_ROWS = ("heat_hot", "heat_cold", "work_power", "second_law", "efficiency")
+
+
+def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[EquivalenceReport]:
+    """:func:`equivalence_from_parts` of a stack of one structure, as array
+    arithmetic in its operation order; a failure's ``index`` is its row."""
+    def field(reports, name):
+        return np.array([getattr(report, name) for report in reports])
+
+    flows, currents = field(cycles, "delta_p"), field(states, "currents")
+    included = ~(np.abs(flows) < FLOW_EXCLUSION_TOL)
+    singular = included & (currents == 0.0)
+    fail(singular.any(axis=1), ValueError, lambda k: "mapping singular at equilibrium boundary: "
+         f"pair {np.argmax(singular[k])} has flow {flows[k, np.argmax(singular[k])].item()!r} "
+         "but zero stationary current")
+    fail(~included.any(axis=1), ValueError,
+         "mapping singular at equilibrium boundary: all pair flows vanish")
+    eta_d, eta_c = [c.efficiency for c in cycles], [ss.efficiency for ss in states]
+    fail([(d is None) != (c is None) for d, c in zip(eta_d, eta_c)], AssertionError, lambda k:
+         f"efficiency defined in only one picture: discrete {eta_d[k]!r} "
+         f"vs continuous {eta_c[k]!r}")
+
+    tau_i = np.divide(flows, currents, out=np.zeros_like(flows), where=included)
+    tau = 0.0
+    for column in tau_i.T:  # in pair order; an excluded pair adds 0.0
+        tau = tau + column
+    tau = tau / included.sum(axis=1)
+    spread = np.where(included, tau_i, -np.inf).max(axis=1)
+    spread -= np.where(included, tau_i, np.inf).min(axis=1)
+    flows_gap = np.abs(flows - flows[:, :1]).max(axis=1)
+    simple = (flows_gap <= 1e-12 * np.maximum(1.0, np.abs(flows).max(axis=1))) & (
+        field(cycles, "catalyst_residual") <= discrete.CATALYST_SOLVE_TOL)
+    work, q_hot, q_cold = field(cycles, "work"), field(cycles, "q_hot"), field(cycles, "q_cold")
+    pair_work = 0
+    for en, dp in zip(stack_energetics(specs), flows.T):
+        pair_work = pair_work + np.abs(en.omega_i * dp)
+    work_power_scale = np.maximum(np.abs(work), pair_work)
+    betas = np.array([(s.hot.beta, s.cold.beta) for s in specs]).T
+    entropy_scale = betas[0] * np.abs(q_hot) + betas[1] * np.abs(q_cold)
+
+    residuals = {"tau_spread": _gap(spread, 0.0, np.abs(tau))}
+    for i, (dp, current) in enumerate(zip(flows.T, currents.T)):
+        residuals[f"flow_pair_{i}"] = _gap(dp, current * tau)
+    residuals["heat_hot"] = _gap(q_hot, field(states, "j_hot") * tau)
+    residuals["heat_cold"] = _gap(q_cold, field(states, "j_cold") * tau)
+    residuals["work_power"] = _gap(field(states, "power") * tau, work, work_power_scale)
+    margins = field(cycles, "clausius_margin"), field(states, "clausius_margin") * tau
+    residuals["second_law"] = _gap(*margins, entropy_scale)
+    residuals["efficiency"] = [0.0 if d is None else abs(d - c) for d, c in zip(eta_d, eta_c)]
+    net_rates = field(states, "catalysis_residuals").T
+    for level, (net_c, net_d) in enumerate(zip(net_rates, pair_sums(specs, flows.T)[3])):
+        residuals[f"catalyst_balance_discrete_{level}"] = np.abs(net_d)
+        residuals[f"catalyst_balance_continuous_{level}"] = np.abs(net_c) * tau
+
+    tolerances = [_row_tolerance(row) for row in residuals]
+    values = np.array([np.asarray(value, float) for value in residuals.values()]).T
+    over = simple[:, None] & ~(values <= tolerances)
+    columns = {  # each row in the type a one-spec audit gives it
+        row: value.tolist() if row not in _STEADY_ROWS else list(value)
+        for row, value in residuals.items()
+    }
+    fail(over.any(axis=1), AssertionError, lambda k: "bridge rows over their tolerance: "
+         + ", ".join(f"{row} {columns[row][k]:.3e} > {tol:.1e}"
+                     for row, tol, o in zip(columns, tolerances, over[k]) if o))
+    tau_i, included = tau_i.tolist(), included.tolist()
+    return [
+        EquivalenceReport(
+            tau_i=tuple(t if inc else None for t, inc in zip(tau_i[k], included[k])),
+            tau=tau_k,
+            eta_discrete=eta_d[k],
+            eta_continuous=eta_c[k],
+            work_per_cycle=cycle.work,
+            power=ss.power,
+            work_power_scale=scale,
+            simple_permutation=is_simple,
+            tau_uniform_residual=spread_k,
+            residuals={row: column[k] for row, column in columns.items()},
+        )
+        for k, (cycle, ss, tau_k, scale, is_simple, spread_k) in enumerate(zip(cycles, states, *(
+            value.tolist() for value in (tau, work_power_scale, simple, spread)
+        )))
+    ]
+
+
 def equivalence_from_parts(
     spec: EngineSpec,
     cycle: "discrete.CycleReport",
     ss: "continuous.SteadyStateReport",
 ) -> EquivalenceReport:
     """Audit the dictionary of one spec from its per-picture reports, one
-    cycle run and one steady state.
+    cycle run and one steady state; a stack of one.
 
     Computes tau_i = delta_p_i / <n_i> per pair and every row of
     :attr:`EquivalenceReport.residuals`.  For simple engines each row
@@ -195,74 +285,33 @@ def equivalence_from_parts(
     when a finite flow meets a vanished current, or when every pair sits
     on the boundary and no characteristic time exists.
     """
-    tau_list: list[float | None] = []
-    included: list[float] = []
-    for i, (dp, current) in enumerate(zip(cycle.delta_p, ss.currents)):
-        if abs(dp) < FLOW_EXCLUSION_TOL:
-            tau_list.append(None)
-            continue
-        if current == 0.0:
-            raise ValueError(
-                f"mapping singular at equilibrium boundary: pair {i} has "
-                f"flow {dp!r} but zero stationary current"
-            )
-        tau_i = dp / current
-        tau_list.append(tau_i)
-        included.append(tau_i)
-    if not included:
-        raise ValueError("mapping singular at equilibrium boundary: all pair flows vanish")
-    tau = float(np.mean(included))
-    tau_uniform_residual = max(included) - min(included)
+    [report] = _bridges([spec], [cycle], [ss])
+    return report
 
-    eta_d, eta_c = cycle.efficiency, ss.efficiency
-    if (eta_d is None) != (eta_c is None):
-        raise AssertionError(
-            f"efficiency defined in only one picture: discrete {eta_d!r} "
-            f"vs continuous {eta_c!r}"
-        )
 
-    flows = cycle.delta_p
-    flows_equal = max(abs(dp - flows[0]) for dp in flows) <= 1e-12 * max(1.0, *map(abs, flows))
-    simple = flows_equal and cycle.catalyst_residual <= discrete.CATALYST_SOLVE_TOL
+def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Iterator[tuple]:
+    """``(report, cycle, bridge)`` of every spec, in input order, ``None`` where
+    ``mode`` (``"discrete"``, ``"continuous"`` or ``"both"``) skips it.
 
-    pair_work = (energy_differences(spec, i).omega_i * dp for i, dp in enumerate(flows))
-    work_power_scale = max(abs(cycle.work), sum(map(abs, pair_work)))
-    entropy_scale = spec.hot.beta * abs(cycle.q_hot) + spec.cold.beta * abs(cycle.q_cold)
-
-    residuals = {"tau_spread": _gap(tau_uniform_residual, 0.0, abs(tau))}
-    for i, (dp, current) in enumerate(zip(flows, ss.currents)):
-        residuals[f"flow_pair_{i}"] = _gap(dp, current * tau)
-    residuals["heat_hot"] = _gap(cycle.q_hot, ss.j_hot * tau)
-    residuals["heat_cold"] = _gap(cycle.q_cold, ss.j_cold * tau)
-    residuals["work_power"] = _gap(ss.power * tau, cycle.work, work_power_scale)
-    residuals["second_law"] = _gap(cycle.clausius_margin, ss.clausius_margin * tau, entropy_scale)
-    residuals["efficiency"] = 0.0 if eta_d is None else abs(eta_d - eta_c)
-    net_flows = pair_sums(spec, flows)[3]
-    for level, (net_c, net_d) in enumerate(zip(ss.catalysis_residuals, net_flows)):
-        residuals[f"catalyst_balance_discrete_{level}"] = abs(net_d)
-        residuals[f"catalyst_balance_continuous_{level}"] = abs(net_c) * tau
-
-    if simple:
-        over = [
-            f"{row} {value:.3e} > {_row_tolerance(row):.1e}"
-            for row, value in residuals.items()
-            if not value <= _row_tolerance(row)
-        ]
-        if over:
-            raise AssertionError("bridge rows over their tolerance: " + ", ".join(over))
-
-    return EquivalenceReport(
-        tau_i=tuple(tau_list),
-        tau=tau,
-        eta_discrete=eta_d,
-        eta_continuous=eta_c,
-        work_per_cycle=cycle.work,
-        power=ss.power,
-        work_power_scale=work_power_scale,
-        simple_permutation=simple,
-        tau_uniform_residual=tau_uniform_residual,
-        residuals=residuals,
-    )
+    The steady states (``reports``, if solved already) come from one
+    :func:`~ottocat.continuous.steady_state_reports` call, which raises as
+    it does; then the cycles and bridges run in stacks of one structure.
+    A failed cycle or bridge raises after the records before it, for the
+    first spec that fails, with its position as ``index``.
+    """
+    if reports is None and mode != "discrete":
+        reports = continuous.steady_state_reports(specs)
+    reports = [None] * len(specs) if reports is None else list(reports)
+    cycles, fault = [None] * len(specs), None
+    if mode != "continuous":
+        cycles, fault = stacked(discrete.run_cycles, specs)
+    bridges = [None] * len(cycles)
+    if mode == "both":
+        bridges, late = stacked(_bridges, specs[: len(cycles)], cycles, reports)
+        fault = late or fault
+    yield from zip(reports, cycles, bridges)
+    if fault is not None:
+        raise fault
 
 
 def compare_at_efficiency(

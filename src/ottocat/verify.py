@@ -134,17 +134,6 @@ def _grid_result(
     return CheckResult(name, False, worst, tol, detail, worst_at)
 
 
-def _bridge(
-    engine: str, spec: EngineSpec, ss: continuous.SteadyStateReport, where: Callable[[], str]
-) -> mapping.EquivalenceReport | str:
-    """The bridge audit of ``spec``'s cycle against its steady state ``ss``,
-    or the failed check's detail if it raises."""
-    try:
-        return mapping.equivalence_from_parts(spec, discrete.run_cycle(spec), ss)
-    except mapping.BRIDGE_ERRORS as exc:
-        return f"{engine} bridge failed at {where()}: {exc}"
-
-
 def sample_grid(rng: np.random.Generator, n_points: int) -> list[GridPoint]:
     """Draw ``n_points`` working points for the grid-based checks."""
     points = []
@@ -227,14 +216,19 @@ def check_time_bridge(grid: list[GridPoint]) -> CheckResult:
     tol = 1e-9
     current_tol = 1e-10
     worst, worst_row, worst_at = 0.0, "", 0
-    for index, pt in enumerate(grid):
-        for engine, spec, ss in zip(FAMILIES, pt.specs, pt.reports):
-            report = _bridge(engine, spec, ss, lambda: f"grid point {index}, {pt!r}")
-            if isinstance(report, str):
-                return CheckResult("time_bridge", False, math.inf, tol, report, index)
+    engines = list(FAMILIES)
+    specs = [spec for pt in grid for spec in pt.specs]
+    try:
+        records = mapping.rows(specs, reports=[report for pt in grid for report in pt.reports])
+        for k, (_, _, report) in enumerate(records):
+            index, engine = divmod(k, len(engines))
             for row, gap in report.residuals.items():
                 if gap >= worst:  # the last row of a tie is the one the line names
-                    worst, worst_row, worst_at = gap, f"{engine} {row}", index
+                    worst, worst_row, worst_at = gap, f"{engines[engine]} {row}", index
+    except mapping.BRIDGE_ERRORS as exc:
+        index, engine = divmod(exc.index, len(engines))
+        detail = f"{engines[engine]} bridge failed at grid point {index}, {grid[index]!r}: {exc}"
+        return CheckResult("time_bridge", False, math.inf, tol, detail, index)
     pair_gap, pair_gap_at = _scan(grid, lambda pt, spec, ss: max(ss.currents) - min(ss.currents))
     return _grid_result(
         "time_bridge", worst <= tol and pair_gap <= current_tol, max(worst, pair_gap), tol,
@@ -323,15 +317,17 @@ def check_power_advantage() -> CheckResult:
     # bridge asserts, but the power itself is perfectly well-defined.
     etas = [*map(float, np.linspace(0.01, 0.89, _POWER_POINTS)), 0.9 - 1e-5]
     families = reference_families()
-    points = [(family.kind, eta, family.spec_at(eta)) for eta in etas for family in families]
-    specs = [spec for _, _, spec in points]
-    powers = []
-    for (engine, eta, spec), ss in zip(points, continuous.steady_state_reports(specs)):
-        if len(powers) < 2 * _POWER_POINTS:
-            report = _bridge(engine, spec, ss, lambda: f"eta = {eta}")
-            if isinstance(report, str):
-                return CheckResult("power_advantage", False, math.inf, tol, report)
-        powers.append(ss.power)
+    specs = [family.spec_at(eta) for eta in etas for family in families]
+    reports = list(continuous.steady_state_reports(specs))
+    bridged = len(families) * _POWER_POINTS
+    try:
+        for _ in mapping.rows(specs[:bridged], reports=reports[:bridged]):
+            pass
+    except mapping.BRIDGE_ERRORS as exc:
+        eta, family = divmod(exc.index, len(families))
+        detail = f"{families[family].kind} bridge failed at eta = {etas[eta]}: {exc}"
+        return CheckResult("power_advantage", False, math.inf, tol, detail)
+    powers = [report.power for report in reports]
     p_otto, p_cat = powers[0:-2:2], powers[1:-2:2]
     engines = [cat - otto for otto, cat in zip(p_otto, p_cat) if otto > 0.0 and cat > 0.0]
     worst_margin = min(engines, default=math.inf)
@@ -524,7 +520,12 @@ def run_suite(seed: int, n_points: int = 100) -> list[CheckResult]:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.Generator(np.random.PCG64(seed))
     grid = sample_grid(rng, n_points)
-    reports = continuous.steady_state_reports([s for pt in grid for s in pt.specs])
+    try:  # a failure names the grid point and the engine
+        reports = iter(list(continuous.steady_state_reports([s for pt in grid for s in pt.specs])))
+    except (ValueError, AssertionError) as exc:
+        index, engine = divmod(exc.index, len(FAMILIES))
+        point = f"{list(FAMILIES)[engine]} at grid point {index}, {grid[index]!r}"
+        raise type(exc)(f"{point}: {exc}") from None
     for pt in grid:  # fills the cached property
         vars(pt)["reports"] = tuple(next(reports) for _ in pt.specs)
     return [

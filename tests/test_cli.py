@@ -544,16 +544,37 @@ class TestVerifySubcommand:
         assert "  otto bridge failed at eta = 0.01: bridge rows over their tolerance: " in failed[1]
 
     def test_a_singular_bridge_fails_the_check_naming_its_point(self, monkeypatch):
-        def singular(spec, cycle, ss):
+        def singular(specs, cycles, reports):
             raise ValueError("mapping singular at equilibrium boundary")
 
-        monkeypatch.setattr(verify.mapping, "equivalence_from_parts", singular)
+        monkeypatch.setattr(verify.mapping, "_bridges", singular)
         grid = verify.sample_grid(np.random.Generator(np.random.PCG64(3)), 1)
         result = verify.check_time_bridge(grid)
         assert not result.passed and result.worst == math.inf
         assert result.detail == (
             f"otto bridge failed at grid point 0, {grid[0]!r}: "
             "mapping singular at equilibrium boundary"
+        )
+
+    def test_a_grid_point_the_solver_cannot_resolve_fails_by_name(self, capsys, monkeypatch):
+        grid = verify.sample_grid(np.random.Generator(np.random.PCG64(3)), 2)
+        chosen = grid[1].specs[1]  # flattened grid position 3
+        solve = continuous._reports
+
+        def failing(specs):
+            if chosen in specs:
+                exc = ValueError("non-ergodic Liouvillian: steady state not unique")
+                exc.index = specs.index(chosen)
+                raise exc
+            return solve(specs)
+
+        monkeypatch.setattr(continuous, "_reports", failing)
+        assert cli.main(["verify", "--seed", "3", "--points", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"check failed: qubit_catalyst at grid point 1, {grid[1]!r}: "
+            "non-ergodic Liouvillian: steady state not unique\n"
         )
 
     def test_zero_points_is_a_usage_error(self, capsys):

@@ -581,9 +581,9 @@ class TestBlockRefinement:
             assert np.array_equal(report.rho_ss.matrix, full.rho_ss.matrix)
             assert report_fields(full) == report_fields(report)
             heat, interaction = operator_route_audit(spec, report.rho_ss)
-            exchange = continuous._exchange(spec, report.rho_ss)
-            assert exchange.adjoint_heat == heat
-            assert exchange.int_vanish == interaction
+            exchange = continuous._exchanges([spec], report.rho_ss.matrix[None])
+            assert tuple(exchange.adjoint_heat[:, 0].tolist()) == heat
+            assert tuple(exchange.int_vanish[:, 0].tolist()) == interaction
 
     def test_round_off_coherences_may_move_in_their_last_bit(self):
         # The third pair of this qutrit spec carries no current; its
@@ -671,7 +671,7 @@ class TestSolveOnce:
     def test_report_solves_a_stack_of_one_and_measures_once(self, monkeypatch):
         values = count_calls(monkeypatch, "_generator_values")
         stacks = count_calls(monkeypatch, "_stationary_stack")
-        measures = count_calls(monkeypatch, "probability_currents")
+        measures = count_calls(monkeypatch, "_currents")
         dissipators = count_calls(monkeypatch, "build_dissipator")
         spec = catalyst_from_factors(0.5, 0.2)
         steady_state_report(spec)
@@ -835,14 +835,16 @@ class TestStackedSolves:
 
     def test_a_failed_audit_is_named_by_position(self, monkeypatch):
         specs = [catalyst_from_factors(0.5, 0.2, g=1.0 + i) for i in range(3)]
-        audit = continuous.currents_and_power
+        audit = continuous._audit
 
-        def failing(spec, rho_ss, spectral_gap):
-            if spec is specs[2]:
-                raise AssertionError("first-law residual 1.000e-09 exceeds 1.0e-10")
-            return audit(spec, rho_ss, spectral_gap)
+        def failing(stack, states):
+            if specs[2] in stack:
+                exc = AssertionError("first-law residual 1.000e-09 exceeds 1.0e-10")
+                exc.index = stack.index(specs[2])
+                raise exc
+            return audit(stack, states)
 
-        monkeypatch.setattr(continuous, "currents_and_power", failing)
+        monkeypatch.setattr(continuous, "_audit", failing)
         with pytest.raises(AssertionError, match="^first-law residual") as caught:
             list(continuous.steady_state_reports(specs))
         assert caught.value.index == 2
