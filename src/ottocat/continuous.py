@@ -39,7 +39,7 @@ the checks, the pair currents and both baths' adjoint dissipators, formed
 from the cached jump positions and applied in one stacked product, are
 shared by the stack; only the LU of the full generator stays one per
 spec.  Every result equals the one of a stack of one bit for bit, and a
-failure carries its spec's position as ``index``, and no spec's name.
+failure raises the bare message, with no spec's name or position.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -339,7 +339,7 @@ def _refined_bordered_solve(
         try:
             solution[row] = np.linalg.solve(bordered, rhs)
         except np.linalg.LinAlgError:
-            fail(np.arange(len(values)) == row, ValueError, _NON_ERGODIC)
+            raise ValueError(_NON_ERGODIC) from None
     block = solution[:, main]
     outside = np.count_nonzero(block, axis=1) != np.count_nonzero(solution, axis=1)
     fail(outside, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
@@ -443,7 +443,7 @@ def _stationary_stack(
 ) -> list[tuple[DensityMatrix, float]]:
     """:func:`stationary_state` of a stack of generators on one pattern,
     ``values[k]`` the nonzero entries of the k-th, ``blocks`` the pattern's
-    :func:`_kernel_blocks`; a failure's ``index`` is its generator's row."""
+    :func:`_kernel_blocks`."""
     dim = layout.total_dim
     count, main = len(values), blocks[1]
     padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
@@ -592,7 +592,7 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
 
 def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]:
     """:func:`currents_and_power` of a stack of one structure, ``states`` its
-    ``(rho_ss, spectral_gap)`` pairs; a failure's ``index`` is its row."""
+    ``(rho_ss, spectral_gap)`` pairs."""
     ex = _exchanges(specs, np.stack([rho_ss.matrix for rho_ss, _ in states]))
     for label, direct, val in zip(("hot", "cold"), (ex.j_hot, ex.j_cold), ex.adjoint_heat):
         fail(np.abs(val.imag) > CURRENT_IMAG_TOL, AssertionError, lambda k:
@@ -688,7 +688,7 @@ def entropy_production_rate(spec: EngineSpec, rho_ss: DensityMatrix) -> float:
 def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
     """Solve for the steady state and return its audited energetics: one
     solve, as a stack of one, and one measurement of the currents."""
-    [report] = steady_state_reports([spec])
+    [report] = _reports([spec])
     return report
 
 
@@ -699,16 +699,12 @@ def _reports(specs: Sequence[EngineSpec]) -> list[SteadyStateReport]:
     return _audit(specs, _stationary_stack(specs[0].layout, values, blocks))
 
 
-def steady_state_reports(specs: Sequence[EngineSpec]) -> Iterator[SteadyStateReport]:
-    """:func:`steady_state_report` of every spec, yielded in input order, bit for bit.
-
-    Each window of ``2 * _STACK`` consecutive specs is solved and audited
-    in stacks of one structure of up to ``_STACK``, one window at a time; a
-    failure raises for the first spec of its window that fails, with its
-    position in ``specs`` as ``index``."""
-    for first in range(0, len(specs), 2 * _STACK):
-        reports, fault = stacked(_reports, specs[first : first + 2 * _STACK], size=_STACK)
-        if fault is not None:
-            fault.index += first
-            raise fault
-        yield from reports
+def steady_state_reports(specs: Sequence[EngineSpec]) -> list[SteadyStateReport]:
+    """:func:`steady_state_report` of every spec, in input order, bit for bit,
+    solved and audited in stacks of one structure of up to ``_STACK``; a
+    failure raises for the first spec that fails, with its position as
+    ``index``."""
+    reports, fault = stacked(_reports, specs, size=_STACK)
+    if fault is not None:
+        raise fault
+    return reports

@@ -8,7 +8,7 @@ One cycle acts on the product state sigma_s (x) tau_h (x) tau_c:
    by fresh Gibbs states, while the catalyst (never bath-coupled) keeps
    whatever marginal the work stroke left it.
 
-Every state in the cycle is diagonal, so :func:`run_cycles` and
+Every state in the cycle is diagonal, so :func:`run_cycle` and
 :func:`solve_catalyst` move population vectors: p0 = q (x) w_h (x) w_c, the
 work stroke is the index swap p1 = p0[perm], and Q_k = sum_n eps_n^k
 (p0 - p1)_n over the bare level energies, cross-checked against the
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table, stacked
+from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
@@ -59,7 +59,6 @@ __all__ = [
     "heat_stroke",
     "solve_catalyst",
     "run_cycle",
-    "run_cycles",
     "clausius_check",
 ]
 
@@ -193,9 +192,11 @@ def _catalyst_q(spec: EngineSpec, a_mat: np.ndarray) -> np.ndarray:
 def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
     """``(q, p0 - p1, delta_p, catalyst marginals before and after)`` of one
     work stroke per spec of a stack of one structure, on ``catalysts[k]`` or,
-    where ``None``, on the one :func:`solve_catalyst` finds, checked here."""
+    where ``None``, on (1.0,) or the one :func:`solve_catalyst` finds, checked."""
     spec, n = specs[0], len(specs)
     d_s, table = spec.catalyst_dim, pair_table(*spec.structure)
+    if d_s == 1:
+        catalysts = [CatalystState((1.0,)) if c is None else c for c in catalysts]
     w_h, w_c = np.array([[_gibbs_weights(s.hot.gibbs_factor), _gibbs_weights(s.cold.gibbs_factor)]
                          for s in specs]).swapaxes(0, 1)
     # delta_p_i = row_i . q; (i) equal flows across consecutive pairs, (ii)
@@ -213,13 +214,9 @@ def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
     solved = np.array([catalyst is None for catalyst in catalysts])
     q = np.empty((n, d_s))
     for k, (s, catalyst) in enumerate(zip(specs, catalysts)):
-        try:
-            if catalyst is not None:
-                _require_catalyst_dim(s, catalyst)
-            q[k] = _catalyst_q(s, systems[k]) if catalyst is None else catalyst.populations
-        except ValueError as exc:
-            exc.index = k
-            raise
+        if catalyst is not None:
+            _require_catalyst_dim(s, catalyst)
+        q[k] = _catalyst_q(s, systems[k]) if catalyst is None else catalyst.populations
     q = np.clip(q, 0.0, None)
     fail(table.overlap is not None, ValueError, table.overlap)
     # q (x) w_h (x) w_c in np.kron's element order and arithmetic.
@@ -254,8 +251,8 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
 
 
 def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
-    """:func:`run_cycle` of a stack of one structure, a ``None`` catalyst
-    solved; a failure's ``index`` is its row."""
+    """:func:`run_cycle` of a stack of one structure, as :func:`_strokes`
+    reads ``catalysts``; a failure raises the bare message."""
     _, diff, flows, marginals = _strokes(specs, catalysts)
     levels = level_table(specs[0].layout.factor_dims)
     # Level energies times population changes, summed in complex like the
@@ -275,11 +272,7 @@ def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
     residuals = np.abs(marginals[1] - marginals[0]).max(axis=1).tolist()
     reports = []
     for k, (s, flow, q_h, q_c) in enumerate(zip(specs, flows.tolist(), *heats)):
-        try:
-            margin = clausius_check(s, q_h, q_c, (marginals[0][k], marginals[1][k]))
-        except AssertionError as exc:
-            exc.index = k
-            raise
+        margin = clausius_check(s, q_h, q_c, (marginals[0][k], marginals[1][k]))
         work = q_h + q_c
         reports.append(CycleReport(
             delta_p=tuple(flow),
@@ -294,21 +287,6 @@ def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
     return reports
 
 
-def run_cycles(specs, catalysts=None) -> list[CycleReport]:
-    """:func:`run_cycle` of every spec, in input order, bit for bit, with
-    ``catalysts`` (default: all ``None``) matched to ``specs``; specs of one
-    structure run as one stack, and a failure raises for the first spec that
-    fails, with its position as ``index``."""
-    catalysts = [
-        CatalystState((1.0,)) if c is None and s.catalyst_dim == 1 else c
-        for s, c in zip(specs, catalysts or [None] * len(specs))
-    ]
-    cycles, fault = stacked(_cycles, specs, catalysts)
-    if fault is not None:
-        raise fault
-    return cycles
-
-
 def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleReport:
     """Execute one two-stroke cycle and account for its energy flows.
 
@@ -316,7 +294,7 @@ def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleR
     catalyst-free specs and the :func:`solve_catalyst` solution otherwise.
     A stack of one.
     """
-    [cycle] = run_cycles([spec], [catalyst])
+    [cycle] = _cycles([spec], [catalyst])
     return cycle
 
 

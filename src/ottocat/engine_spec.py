@@ -20,7 +20,8 @@ indices are row-major over (catalyst, hot, cold), see
 alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
-catalyst balance, for one spec or a stack of one structure (:func:`stacked`).
+catalyst balance, for one spec or a stack of one structure; :func:`stacked`
+runs stages on such stacks and alone names a failing spec by its position.
 """
 
 from __future__ import annotations
@@ -347,23 +348,20 @@ def pair_sums(spec, transfers) -> tuple:
 
 
 def fail(bad, error: type, message) -> None:
-    """Raise ``error`` for the first flagged row of a stack, that row its
-    ``index``; ``message`` is a string or a function of the row."""
+    """Raise ``error`` for the first flagged row of a stack; ``message`` is a
+    string or a function of the row."""
     if np.any(bad):
         row = int(np.argmax(bad))
-        exc = error(message(row) if callable(message) else message)
-        exc.index = row
-        raise exc
+        raise error(message(row) if callable(message) else message)
 
 
 def stacked(stage, specs, *per_spec, size: int | None = None) -> tuple[list, Exception | None]:
     """``(results, fault)`` of ``stage(stack, *items)`` on ``specs`` in stacks of
     one structure (of at most ``size``), with the matching items of each
     ``per_spec`` sequence: the results in input order up to the first spec
-    that fails, and its ``ValueError`` or ``AssertionError``, whose ``index``
-    (the failing stack row; without one, the first) becomes its position.
-    No outcome depends on its stack, so a failed stack runs again on the rows
-    before its fault: the spec named is the one a run of one spec at a time
+    that fails, and its ``ValueError`` or ``AssertionError``, its position
+    stored as ``index``.  A failed stack runs again one spec at a time, in
+    input order, so the spec named is the one a run of one spec at a time
     would fail on first, with the same message."""
     groups: dict = {}
     for i, spec in enumerate(specs):
@@ -372,17 +370,18 @@ def stacked(stage, specs, *per_spec, size: int | None = None) -> tuple[list, Exc
     for group in groups.values():
         step = size or len(group)
         for rows in (group[start : start + step] for start in range(0, len(group), step)):
-            while rows:
-                try:
-                    done = stage(*([s[i] for i in rows] for s in (specs, *per_spec)))
-                except (ValueError, AssertionError) as exc:
-                    row = getattr(exc, "index", 0)
-                    exc.index = rows[row]
-                    fault = exc if fault is None or exc.index < fault.index else fault
-                    rows = rows[:row]
-                else:
-                    results.update(zip(rows, done))
-                    break
+            try:
+                done = stage(*([s[i] for i in rows] for s in (specs, *per_spec)))
+            except (ValueError, AssertionError):
+                done = []
+                for i in rows:
+                    try:
+                        done += stage(*([s[i]] for s in (specs, *per_spec)))
+                    except (ValueError, AssertionError) as exc:
+                        exc.index = i
+                        fault = exc if fault is None or i < fault.index else fault
+                        break
+            results.update(zip(rows, done))
     return [results[i] for i in range(len(specs) if fault is None else fault.index)], fault
 
 

@@ -10,12 +10,12 @@ power, second law, efficiency and catalyst balance follow, both sides
 summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
 :func:`rows` runs specs through both pictures and audits that dictionary
-in stacks of one structure; :func:`equivalence_from_parts` (from one
-cycle run and one steady state) and :func:`verify_equivalence` (from a
-spec) are stacks of one.  :func:`compare_at_efficiency` pits the
-catalyst-free and qubit-catalyst machines against each other at matched
-efficiency, which is where the catalytic advantage in work, time, and
-power lives.
+in stacks of one structure, one :func:`~ottocat.engine_spec.stacked` call
+per stage; :func:`equivalence_from_parts` (from one cycle run and one
+steady state) and :func:`verify_equivalence` (from a spec) are stacks of
+one.  :func:`compare_at_efficiency` pits the catalyst-free and
+qubit-catalyst machines against each other at matched efficiency, which
+is where the catalytic advantage in work, time, and power lives.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class EquivalenceReport:
     ``tau`` is their mean over included pairs, and
     ``tau_uniform_residual`` the largest gap between two of them.
 
-    ``residuals`` holds the dictionary, one row per quantity, each a gap
-    |a - b| of a scale, by default max(|a|, |b|):
+    ``residuals`` holds the dictionary, one row per quantity, each a float
+    gap |a - b| of a scale, by default max(|a|, |b|):
 
     * ``tau_spread``: ``tau_uniform_residual`` of |tau|;
     * ``flow_pair_<i>``: delta_p_i vs <n_i> tau;
@@ -183,13 +183,9 @@ def _row_tolerance(row: str) -> float:
     return TAU_UNIFORM_TOL if row.startswith(("tau_spread", "flow_pair_")) else WORK_POWER_TOL
 
 
-#: Rows that read a steady-state field: NumPy floats where that field is one.
-_STEADY_ROWS = ("heat_hot", "heat_cold", "work_power", "second_law", "efficiency")
-
-
 def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[EquivalenceReport]:
     """:func:`equivalence_from_parts` of a stack of one structure, as array
-    arithmetic in its operation order; a failure's ``index`` is its row."""
+    arithmetic in its operation order."""
     def field(reports, name):
         return np.array([getattr(report, name) for report in reports])
 
@@ -241,10 +237,7 @@ def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[Eq
     tolerances = [_row_tolerance(row) for row in residuals]
     values = np.array([np.asarray(value, float) for value in residuals.values()]).T
     over = simple[:, None] & ~(values <= tolerances)
-    columns = {  # each row in the type a one-spec audit gives it
-        row: value.tolist() if row not in _STEADY_ROWS else list(value)
-        for row, value in residuals.items()
-    }
+    columns = dict(zip(residuals, values.T.tolist()))
     fail(over.any(axis=1), AssertionError, lambda k: "bridge rows over their tolerance: "
          + ", ".join(f"{row} {columns[row][k]:.3e} > {tol:.1e}"
                      for row, tol, o in zip(columns, tolerances, over[k]) if o))
@@ -304,7 +297,7 @@ def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Itera
     reports = [None] * len(specs) if reports is None else list(reports)
     cycles, fault = [None] * len(specs), None
     if mode != "continuous":
-        cycles, fault = stacked(discrete.run_cycles, specs)
+        cycles, fault = stacked(discrete._cycles, specs, [None] * len(specs))
     bridges = [None] * len(cycles)
     if mode == "both":
         bridges, late = stacked(_bridges, specs[: len(cycles)], cycles, reports)

@@ -318,7 +318,7 @@ def check_power_advantage() -> CheckResult:
     etas = [*map(float, np.linspace(0.01, 0.89, _POWER_POINTS)), 0.9 - 1e-5]
     families = reference_families()
     specs = [family.spec_at(eta) for eta in etas for family in families]
-    reports = list(continuous.steady_state_reports(specs))
+    reports = continuous.steady_state_reports(specs)
     bridged = len(families) * _POWER_POINTS
     try:
         for _ in mapping.rows(specs[:bridged], reports=reports[:bridged]):
@@ -521,7 +521,7 @@ def run_suite(seed: int, n_points: int = 100) -> list[CheckResult]:
     rng = np.random.Generator(np.random.PCG64(seed))
     grid = sample_grid(rng, n_points)
     try:  # a failure names the grid point and the engine
-        reports = iter(list(continuous.steady_state_reports([s for pt in grid for s in pt.specs])))
+        reports = iter(continuous.steady_state_reports([s for pt in grid for s in pt.specs]))
     except (ValueError, AssertionError) as exc:
         index, engine = divmod(exc.index, len(FAMILIES))
         point = f"{list(FAMILIES)[engine]} at grid point {index}, {grid[index]!r}"

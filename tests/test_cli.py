@@ -476,6 +476,28 @@ class TestWiringGuard:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
+    def test_a_stack_that_fails_without_naming_a_row_is_named_by_its_point(self, tmp_path):
+        # At g = 9e307 the stack's eigen-solve raises NumPy's own ValueError,
+        # which names no row; one spec at a time, g = 4.5e307 fails first.
+        config = write(tmp_path / "run.ini", (
+            "[run]\nengine = otto\n\n"
+            "[fixed]\nbeta_h_omega_h = 0.1\nbeta_c_over_beta_h = 10.0\ntau_eq = 1.0\neta = 0.4\n\n"
+            "[sweep]\nparameter = g_tau_eq\nstart = 1.0\nstop = 9e307\npoints = 3\n"
+        ))
+        loaded = cli.load_config(config, "sweep")
+        with pytest.raises(ValueError) as alone:
+            continuous.steady_state_report(cli._spec(loaded.fixed, *loaded.points[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ottocat.cli", "sweep", "--config", config],
+            env={**os.environ, "PYTHONPATH": str(Path(ottocat.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        last = done.stderr.splitlines()[-1]
+        assert last == f"check failed: otto at eta = 0.4, g = 4.5e+307: {alone.value}"
+
 
 class TestVerifySubcommand:
     def test_passing_suite_exits_zero_and_reports_every_check(self, tmp_path):

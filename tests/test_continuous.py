@@ -599,7 +599,7 @@ class TestBlockRefinement:
     def test_a_solve_that_leaves_the_block_raises(self):
         # Next to the trace row x_0 + x_5 + x_10 + x_15 = 1, the row
         # x_5 - x_0 = 0 puts one entry of the solution outside ``main``,
-        # which must trip the check, with the failing row as its index.
+        # which must trip the check.
         mat = np.eye(16, dtype=complex)
         mat[5, 0] = -1.0
         positions = np.flatnonzero(mat)
@@ -607,9 +607,8 @@ class TestBlockRefinement:
         blocks = (positions, np.array([0]))
         sub = np.ones((2, 1, 1), dtype=complex)
         message = "^bordered solve is nonzero outside the block of \\|0><0\\|$"
-        with pytest.raises(AssertionError, match=message) as caught:
+        with pytest.raises(AssertionError, match=message):
             continuous._refined_bordered_solve(4, values, sub, blocks)
-        assert caught.value.index == 1
 
 
 def exact_agreement_specs() -> dict[str, EngineSpec]:
@@ -815,7 +814,7 @@ class TestStackedSolves:
             assert stacked.rho_ss.matrix.tobytes() == alone.rho_ss.matrix.tobytes()
             assert report_fields(stacked) == report_fields(alone)
 
-    def test_windows_of_two_stacks_keep_the_input_order(self):
+    def test_interleaved_structures_keep_the_input_order(self):
         kinds = ["otto", "qubit_catalyst", "ladder-3"] * continuous._STACK
         specs = [stack_spec(kind, 0.7, 0.2, 1.0 + i) for i, kind in enumerate(kinds)]
         reports = list(continuous.steady_state_reports(specs))
@@ -848,6 +847,40 @@ class TestStackedSolves:
         with pytest.raises(AssertionError, match="^first-law residual") as caught:
             list(continuous.steady_state_reports(specs))
         assert caught.value.index == 2
+
+    def test_an_earlier_audit_fault_is_named_before_a_later_solve_fault(self, monkeypatch):
+        # The stack fails in the solve, at row 7, before its audit runs; one
+        # spec at a time, row 2 fails first, in the audit.
+        specs = [catalyst_from_factors(0.5, 0.2, g=1.0 + i) for i in range(continuous._STACK)]
+        specs[7] = catalyst_from_factors(0.5, 0.2, g=1e-9)
+        audit = continuous._audit
+
+        def failing(stack, states):
+            if specs[2] in stack:
+                exc = AssertionError("first-law residual 1.000e-09 exceeds 1.0e-10")
+                exc.index = stack.index(specs[2])
+                raise exc
+            return audit(stack, states)
+
+        monkeypatch.setattr(continuous, "_audit", failing)
+        with pytest.raises(AssertionError, match="^first-law residual") as caught:
+            list(continuous.steady_state_reports(specs))
+        assert caught.value.index == 2
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in matmul:RuntimeWarning",
+        "ignore:invalid value encountered in matmul:RuntimeWarning",
+    )
+    def test_an_error_no_check_raised_is_named_by_the_spec_that_fails_alone(self):
+        # At g = 9e307 the stack's eigen-solve meets infs and raises NumPy's
+        # own ValueError, which names no row; alone, g = 4.5e307 fails first.
+        specs = [otto_from_factors(0.5, 0.2, g=g) for g in (1.0, 4.5e307, 9e307)]
+        with pytest.raises(ValueError) as alone:
+            steady_state_report(specs[1])
+        with pytest.raises(ValueError) as caught:
+            list(continuous.steady_state_reports(specs))
+        assert caught.value.index == 1
+        assert str(caught.value) == str(alone.value)
 
     def test_the_golden_sweep_runs_one_eig_per_stack_and_one_full_lu_per_spec(
         self, monkeypatch, tmp_path

@@ -65,9 +65,6 @@ def no_catalyst_spec() -> EngineSpec:
 def test_a_failed_cycle_carries_its_position_after_the_records_before_it():
     specs = golden_specs()[:6]
     specs.insert(4, no_catalyst_spec())
-    with pytest.raises(ValueError, match="^no simple-permutation catalyst exists") as caught:
-        discrete.run_cycles(specs)
-    assert caught.value.index == 4
     records = mapping.rows(specs, "discrete")
     before = [next(records) for _ in range(4)]
     with pytest.raises(ValueError, match="^no simple-permutation catalyst exists") as caught:
