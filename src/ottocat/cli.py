@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -398,19 +399,21 @@ def load_custom_spec(path: str) -> EngineSpec:
 # row assembly
 
 
+@functools.lru_cache(maxsize=64)
+def _family(*fields) -> EngineFamily:
+    """The :class:`EngineFamily` of ``fields``, built once for all the points
+    of one engine and coupling, which share it and its hot bath."""
+    return EngineFamily(*fields)
+
+
 def _spec(fixed: dict[str, float], token: str, eta: float, g_tau_eq: float) -> EngineSpec:
     """A family engine's spec at (eta, g_tau_eq)."""
     beta_h = fixed["beta_h_omega_h"] / fixed["omega_h"]
     g = g_tau_eq / fixed["tau_eq"]
     try:
-        return EngineFamily(
-            kind=token,
-            beta_h=beta_h,
-            beta_c=beta_h * fixed["beta_c_over_beta_h"],
-            omega_h=fixed["omega_h"],
-            tau_eq=fixed["tau_eq"],
-            g=g,
-        ).spec_at(eta)
+        family = _family(token, beta_h, beta_h * fixed["beta_c_over_beta_h"],
+                         fixed["omega_h"], fixed["tau_eq"], g)
+        return family.spec_at(eta)
     except ValueError as exc:  # g or beta_h left double range, or exp(-beta*omega) is 0 past ~745
         keys, what = (
             ("'beta_h_omega_h' and 'omega_h'", "the hot inverse temperature")

@@ -30,16 +30,20 @@ generator couples two connected components of its sparsity pattern, so
 its spectrum is the union of theirs.  They come in mirror pairs (|i><j|
 against |j><i|), exact complex conjugates, certified entry by entry.  The
 component of the |0><0| population gets a real eigendecomposition and
-yields the kernel vector; one of each other pair only its eigenvalues.
-The components are found once per structure.
+yields the kernel vector; one of each other pair only its eigenvalues,
+in real arithmetic too: the commutator's entries are purely imaginary and
+the jumps' real, so a diagonal similarity by powers of i, exact in
+floating point, makes such a block real.  The components and their
+gauges are found once per structure.
 
 Specs of one structure are solved and audited in stacks
 (:func:`~ottocat.engine_spec.stacked`): each eigen-solve, the refinement,
 the checks, the pair currents and both baths' adjoint dissipators, formed
 from the cached jump positions and applied in one stacked product, are
 shared by the stack; only the LU of the full generator stays one per
-spec.  Every result equals the one of a stack of one bit for bit, and a
-failure raises the bare message, with no spec's name or position.
+spec, to hold one dense generator at a time.  Every result equals the
+one of a stack of one bit for bit, and a failure raises the bare
+message, with no spec's name or position.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
 from bath k, power > 0 is extracted.
@@ -94,11 +98,13 @@ CURRENT_IMAG_TOL = 1e-10
 #: Relative agreement required between the two heat-current routes.
 CURRENT_CROSS_TOL = 1e-9
 
-#: Specs per stack in :func:`steady_state_reports`, chosen from peak RSS.
-#: Stacks of 1, 8, 16, 32 and 100 ran the golden sweep in 117, 62, 56, 54
-#: and 50 ms (96 ms one spec at a time) and raised a default ``verify``'s
-#: peak RSS by 0.5, 0.7, 0.9, 1.4 and 3.9 MB over 41.5 MB (one BLAS thread).
-_STACK = 16
+#: Specs per stack in :func:`steady_state_reports`, chosen from memory.
+#: Stacks of 16, 32 and 64 ran the golden sweep in 59, 54 and 49 ms (best
+#: of 60, interleaved, on 2 vCPUs with one BLAS thread), a default
+#: ``verify`` peaked at 41.8, 42.1 and 42.6 MB RSS, and the golden specs'
+#: solve at 0.81, 1.10 and 1.78 MB traced, of the 1.35 MB that
+#: ``tests/test_rows.py`` allows.
+_STACK = 32
 
 #: Specs per stacked product of the audit's dense dim^2 x dim^2 adjoints,
 #: so the audit of a stack holds a quarter of its 16 adjoints at a time.
@@ -259,7 +265,8 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
     """``(pieces, blocks)``: -i[|u><d| + |d><u|, .] of each swap pair (u, d),
     then the raising and lowering jumps of the hot and of the cold qubit, on
     the flat positions where any is nonzero, and the :func:`_kernel_blocks`
-    of that pattern.  Built once per structure."""
+    of that pattern, the commutators' entries imaginary and the jumps' real.
+    Built once per structure."""
     dim = math.prod(factor_dims)
     eye = np.eye(dim, dtype=complex)
     pieces = []
@@ -268,10 +275,12 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
         swap[u, d] = swap[d, u] = 1.0
         pieces.append(-1j * (np.kron(eye, swap) - np.kron(swap.T, eye)))
     pieces += [*_bath_jumps(factor_dims, "hot")[:2], *_bath_jumps(factor_dims, "cold")[:2]]
-    pattern = np.logical_or.reduce([piece.ravel() != 0 for piece in pieces])
-    gathered = np.stack([piece.ravel()[pattern] for piece in pieces])
+    real, imaginary = (np.logical_or.reduce([part(piece) != 0 for piece in pieces])
+                       for part in (np.real, np.imag))
+    blocks = _kernel_blocks(real, imaginary)
+    gathered = np.stack([piece.ravel()[blocks[0]] for piece in pieces])
     gathered.setflags(write=False)
-    return gathered, _kernel_blocks(pattern.reshape(dim * dim, -1))
+    return gathered, blocks
 
 
 def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.ndarray:
@@ -317,8 +326,9 @@ def _refined_bordered_solve(
     """Solve the bordered systems (row 0 the trace row, right-hand side
     e_0) of a stack of generators with ``values`` on ``blocks``' pattern.
 
-    One LU solve of each full matrix, assembled one at a time since its
-    bits depend on the full embedding, then two steps of iterative
+    One LU solve of each full matrix, assembled one at a time to hold one
+    dense matrix (a stacked solve gives the same bits: they depend on the
+    matrix size, not the stack), then two steps of iterative
     refinement with residuals in extended precision, so stiff generators
     (fast rates next to a slow transfer mode) still yield currents
     accurate near machine level.  Partial pivoting never mixes blocks
@@ -352,41 +362,57 @@ def _refined_bordered_solve(
     return solution
 
 
-def _kernel_blocks(mask: np.ndarray) -> tuple:
-    """Independent blocks of an n x n generator whose nonzero entries are ``mask``.
+def _kernel_blocks(real: np.ndarray, imaginary: np.ndarray) -> tuple:
+    """Independent blocks of an n x n generator whose entries have nonzero
+    real parts on ``real`` and nonzero imaginary parts on ``imaginary``.
 
-    The blocks are the connected components of ``mask | mask.T``; no entry
-    couples two blocks, so the spectrum is the union of the blocks'
-    spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <-> |j><i|) of a
-    Hermiticity-preserving generator maps blocks onto blocks; a pattern
-    where it does not raises ``ValueError``.  Returns
-    ``(positions, main, (T, T^-1), others, gather, mirrored)``: the flat
-    positions of the nonzero entries; the block of vec index 0 and its real
-    basis (row k of T reads x_k on a population, x_k + x_k' on the first of
-    a coherence pair k < k', i(x_k' - x_k) on the second); ``(members,
-    paired)`` per block size for one block of every other mirror pair; and
+    The blocks are the connected components of the pattern and its
+    transpose; no entry couples two blocks, so the spectrum is the union
+    of the blocks' spectra.  The mirror i + j*dim <-> j + i*dim (|i><j| <->
+    |j><i|) of a Hermiticity-preserving generator maps blocks onto blocks;
+    a pattern where it does not raises ``ValueError``.
+
+    A block has a real gauge when each index k takes a parity p_k that
+    stays across every real entry and flips across every imaginary one:
+    then i^(p_l - p_k), one of 1, i and -i, times entry (k, l) rounds
+    nothing and is real, a diagonal similarity, so the spectrum is kept.
+    The parities are the components of the double cover, index k + n*p
+    standing for k at parity p; a block where k and k + n meet (an entry
+    with both parts, or an odd cycle of imaginary ones) has no gauge.
+
+    Returns ``(positions, main, (T, T^-1), others, gather, mirrored)``: the
+    flat positions of the nonzero entries; the block of vec index 0 and its
+    real basis (row k of T reads x_k on a population, x_k + x_k' on the
+    first of a coherence pair k < k', i(x_k' - x_k) on the second);
+    ``(members, paired, gauge)`` per block size, pairing and whether a
+    gauge exists, for one block of every other mirror pair, ``gauge`` the
+    factor of each entry of ``members`` read row-major, or ``None``; and
     where, among the nonzero entries (-1: a zero), to read those blocks
     row-major, and each entry's mirror image.
     """
-    n = len(mask)
-    linked = mask | mask.T
-    label = np.arange(n)
+    n = len(real)
+    same, flip = real | real.T, imaginary | imaginary.T
+    # k + n*p is k at parity p: a real entry links like parities, an imaginary one unlike.
+    linked = np.block([[same, flip], [flip, same]])
+    cover = np.arange(2 * n)
     while True:  # every index takes the least label around it, until none changes
-        least = np.minimum(label, np.where(linked, label, n).min(axis=1))
-        if np.array_equal(least, label):
+        least = np.minimum(cover, np.where(linked, cover, 2 * n).min(axis=1))
+        if np.array_equal(least, cover):
             break
-        label = least
+        cover = least
+    label = np.minimum(cover[:n], cover[n:])
+    gauged, parity = cover[:n] != cover[n:], (cover[:n] != label).astype(np.intp)
     roots, block_of = np.unique(label, return_inverse=True)
     blocks = [np.flatnonzero(label == root) for root in roots]
     dim = math.isqrt(n)
     mirror = (np.arange(n) % dim) * dim + np.arange(n) // dim
-    by_size = {}  # (size, whether a partner block shares the spectrum) -> blocks
+    by_kind = {}  # (size, whether a partner block shares the spectrum, gauged) -> blocks
     for b, block in enumerate(blocks):
         partner = int(block_of[mirror[block[0]]])
         if not np.array_equal(np.sort(mirror[block]), blocks[partner]):
             raise ValueError("generator does not preserve Hermiticity")
         if 0 < b <= partner:
-            by_size.setdefault((len(block), partner != b), []).append(block)
+            by_kind.setdefault((len(block), partner != b, gauged[block[0]]), []).append(block)
     main = blocks[0]
     k = np.arange(len(main))
     mk = np.searchsorted(main, mirror[main])
@@ -394,18 +420,25 @@ def _kernel_blocks(mask: np.ndarray) -> tuple:
         np.where(k > mk, -1j, 1.0)[:, None] * np.eye(len(main))
         + np.where(k < mk, 1.0, 1j * (k > mk))[:, None] * np.eye(len(main))[mk]
     )
-    others = tuple((np.array(members), paired) for (_, paired), members in by_size.items())
-    kept = [main, *(block for members, _ in others for block in members)]
+    kept = [main, *(block for members in by_kind.values() for block in members)]
     grids = [np.meshgrid(block, block, indexing="ij") for block in kept]
     rows, cols = (np.concatenate([grid[i].ravel() for grid in grids]) for i in (0, 1))
+    factors = np.array([1.0, 1j, -1.0, -1j])[(parity[cols] - parity[rows]) % 4]
+    others, start = [], len(main) ** 2
+    for (size, paired, has_gauge), members in by_kind.items():
+        stop = start + len(members) * size**2
+        others.append((np.array(members), paired, factors[start:stop] if has_gauge else None))
+        start = stop
+    mask = real | imaginary
     positions = np.flatnonzero(mask)
     entry_of = np.where(mask.ravel(), np.cumsum(mask, dtype=np.intp) - 1, -1)
     gather = entry_of[rows * n + cols]
     mirrored = entry_of[mirror[positions // n] * n + mirror[positions % n]]
     real_basis = (to_real, np.linalg.inv(to_real))
-    for array in (positions, main, *real_basis, *(m for m, _ in others), gather, mirrored):
+    groups = [a for members, _, gauge in others for a in (members, gauge) if a is not None]
+    for array in (positions, main, *real_basis, *groups, gather, mirrored):
         array.setflags(write=False)
-    return positions, main, real_basis, others, gather, mirrored
+    return positions, main, real_basis, tuple(others), gather, mirrored
 
 
 def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +449,9 @@ def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.n
     of the columns of its right eigenvectors ``main_vecs``.  One exact
     comparison certifies every entry as the conjugate of its mirror image,
     or raises ``ValueError``; then one real ``eig`` per stack runs on the
-    block of |0><0| in its real basis, one ``eigvals`` per block size on
-    one block of every other mirror pair.
+    block of |0><0| in its real basis, refusing a row that leaves double
+    range there, and one ``eigvals`` per group of ``others`` on one block
+    of every other mirror pair, real in its gauge where it has one.
     """
     _, main, (to_real, from_real), others, gather, mirrored = blocks
     broken = (padded[:, mirrored] != padded[:, :-1].conj()).any(axis=1)
@@ -425,14 +459,19 @@ def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.n
     entries = padded[:, gather]
     start = len(main) ** 2
     # Real in exact arithmetic by the certificate; the rest is round-off.
-    real = (to_real @ entries[:, :start].reshape(-1, len(main), len(main)) @ from_real).real
+    with np.errstate(over="ignore", invalid="ignore"):  # a row out of range is refused below
+        real = (to_real @ entries[:, :start].reshape(-1, len(main), len(main)) @ from_real).real
+    fail(~np.isfinite(real).all(axis=(1, 2)), ValueError,
+         "generator leaves double range in the real basis of |0><0|")
     main_vals, real_vecs = np.linalg.eig(real)
     parts = [main_vals]
-    for members, paired in others:
+    for members, paired, gauge in others:
         count, size = members.shape
         stop = start + count * size**2
-        vals = np.linalg.eigvals(entries[:, start:stop].reshape(-1, size, size))
-        vals = vals.reshape(len(padded), -1)
+        block = entries[:, start:stop]
+        if gauge is not None:  # every factor is 1, i or -i: exact, and real
+            block = (block * gauge).real
+        vals = np.linalg.eigvals(block.reshape(-1, size, size)).reshape(len(padded), -1)
         parts += [vals, vals.conj()] if paired else [vals]
         start = stop
     return np.concatenate(parts, axis=1), from_real @ real_vecs
@@ -501,7 +540,7 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     rate -Re(lambda) over the nonstationary spectrum; a stack of one.
     """
     mat = liouvillian.matrix
-    blocks = _kernel_blocks(mat != 0)
+    blocks = _kernel_blocks(mat.real != 0, mat.imag != 0)
     [state] = _stationary_stack(liouvillian.layout, mat[mat != 0][None], blocks)
     return state
 

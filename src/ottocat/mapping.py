@@ -20,6 +20,7 @@ is where the catalytic advantage in work, time, and power lives.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -142,10 +143,14 @@ class EngineFamily:
             raise ValueError(f"efficiency must lie in (0, 1), got {eta}")
         return FAMILIES[self.kind] * self.omega_h * (1.0 - eta)
 
+    @functools.cached_property
+    def hot(self) -> BathParams:
+        """The hot bath, the same at every efficiency: built once."""
+        return BathParams.from_relaxation_time(self.beta_h, self.omega_h, self.tau_eq)
+
     def spec_at(self, eta: float) -> EngineSpec:
-        hot = BathParams.from_relaxation_time(self.beta_h, self.omega_h, self.tau_eq)
         cold = BathParams.from_relaxation_time(self.beta_c, self.omega_c_at(eta), self.tau_eq)
-        return ladder_spec(FAMILIES[self.kind], hot, cold, self.g)
+        return ladder_spec(FAMILIES[self.kind], self.hot, cold, self.g)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import ottocat
 from ottocat import analytic, cli, continuous, verify
 from ottocat.discrete import run_cycle
 from ottocat.engine_spec import EngineSpec, SwapPair, validate
-from spec_helpers import GOLDEN_CONFIG
+from spec_helpers import GOLDEN_CONFIG, golden_specs
 
 BASE_CONFIG = """\
 [run]
@@ -477,8 +477,8 @@ class TestWiringGuard:
         assert not out.exists()
 
     def test_a_stack_that_fails_without_naming_a_row_is_named_by_its_point(self, tmp_path):
-        # At g = 9e307 the stack's eigen-solve raises NumPy's own ValueError,
-        # which names no row; one spec at a time, g = 4.5e307 fails first.
+        # At g = 9e307 the stack is refused for leaving double range, with no
+        # NumPy warning; one spec at a time, g = 4.5e307 fails first.
         config = write(tmp_path / "run.ini", (
             "[run]\nengine = otto\n\n"
             "[fixed]\nbeta_h_omega_h = 0.1\nbeta_c_over_beta_h = 10.0\ntau_eq = 1.0\neta = 0.4\n\n"
@@ -495,8 +495,7 @@ class TestWiringGuard:
             timeout=60,
         )
         assert done.returncode == 1
-        last = done.stderr.splitlines()[-1]
-        assert last == f"check failed: otto at eta = 0.4, g = 4.5e+307: {alone.value}"
+        assert done.stderr == f"check failed: otto at eta = 0.4, g = 4.5e+307: {alone.value}\n"
 
 
 class TestVerifySubcommand:
@@ -608,6 +607,12 @@ class TestVerifySubcommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
+def test_the_points_of_one_engine_and_coupling_share_one_hot_bath():
+    specs = golden_specs()
+    hot = {spec.catalyst_dim: spec.hot for spec in specs}
+    assert all(spec.hot is hot[spec.catalyst_dim] for spec in specs)
+
+
 def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
     # Every cached function of every ottocat module, by qualified name.
     probe = (
@@ -627,6 +632,7 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         check=True,
     )
     names = (
+        "ottocat.cli._family",
         "ottocat.continuous._bath_jumps",
         "ottocat.continuous._generator_plan",
         "ottocat.engine_spec.level_table",

@@ -333,7 +333,8 @@ class TestCachedGeneratorPieces:
             positions,
             main,
             *real_basis,
-            *(members for members, _ in others),
+            *(members for members, *_ in others),
+            *(gauge for *_, gauge in others),
             gather,
             mirrored,
         ]
@@ -390,7 +391,7 @@ def dense_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray
 
 def pattern_blocks(mat: np.ndarray) -> tuple:
     """The :func:`continuous._kernel_blocks` of a generator's own pattern."""
-    return continuous._kernel_blocks(mat != 0)
+    return continuous._kernel_blocks(mat.real != 0, mat.imag != 0)
 
 
 def same_arrays(a, b) -> bool:
@@ -462,7 +463,7 @@ class TestBlockCertificate:
         dim = math.isqrt(mat.shape[0])
         found = [len(main)]
         covered = [main]
-        for members, paired in others:
+        for members, paired, _ in others:
             assert paired
             for block in members:  # one group per block size
                 assert len(block) == members.shape[1]
@@ -867,13 +868,10 @@ class TestStackedSolves:
             list(continuous.steady_state_reports(specs))
         assert caught.value.index == 2
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow encountered in matmul:RuntimeWarning",
-        "ignore:invalid value encountered in matmul:RuntimeWarning",
-    )
     def test_an_error_no_check_raised_is_named_by_the_spec_that_fails_alone(self):
-        # At g = 9e307 the stack's eigen-solve meets infs and raises NumPy's
-        # own ValueError, which names no row; alone, g = 4.5e307 fails first.
+        # At g = 9e307 the block of |0><0| leaves double range in its real
+        # basis, and the stack is refused there with no NumPy warning; one
+        # spec at a time, g = 4.5e307 fails first.
         specs = [otto_from_factors(0.5, 0.2, g=g) for g in (1.0, 4.5e307, 9e307)]
         with pytest.raises(ValueError) as alone:
             steady_state_report(specs[1])
@@ -886,11 +884,14 @@ class TestStackedSolves:
         self, monkeypatch, tmp_path
     ):
         calls = {"eig": [], "eigvals": [], "solve": []}
+        complex_inputs = set()
         for name, shapes in calls.items():
             original = getattr(np.linalg, name)
 
-            def counted(a, *args, _original=original, _shapes=shapes):
+            def counted(a, *args, _original=original, _shapes=shapes, _name=name):
                 _shapes.append(a.shape)
+                if np.iscomplexobj(a):
+                    complex_inputs.add(_name)
                 return _original(a, *args)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -911,6 +912,73 @@ class TestStackedSolves:
             for kind, make in (("otto", otto_from_factors), ("cat", catalyst_from_factors))
         }
         assert len(calls["eigvals"]) == stacks * (sizes["otto"] + sizes["cat"])
+        # Each block of |0><0| in its real basis, each other block in its gauge.
+        assert complex_inputs == {"solve"}
+
+
+def gauge_specs(g: float) -> dict[str, EngineSpec]:
+    """Ladders d = 1...4 and the other structures the tests' spec files take."""
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+    specs = {f"ladder-{d}": ladder_spec(d, hot, cold, g) for d in range(1, 5)}
+    swaps = (SwapPair(4, 2, g), SwapPair(6, 0, g))  # a swap set no catalyst balances
+    specs["no-catalyst"] = EngineSpec(2, hot, cold, swaps)
+    specs["qutrit"] = spec_with_catalyst(3)
+    specs["decoupled-level"] = decoupled_level_spec()
+    return specs
+
+
+def assert_same_multiset(found: np.ndarray, expected: np.ndarray, tol: float) -> None:
+    """Each value of ``found`` within ``tol`` of its own value of ``expected``
+    (sorting would misorder conjugate pairs)."""
+    left = list(expected)
+    for z in found:
+        nearest = int(np.argmin(np.abs(np.array(left) - z)))
+        assert abs(left.pop(nearest) - z) <= tol
+    assert not left
+
+
+class TestRealGauge:
+    @pytest.mark.parametrize("g", [0.05, 1.0, 40.0])
+    @pytest.mark.parametrize("name", list(gauge_specs(1.0)))
+    def test_every_coherence_block_is_real_in_its_gauge(self, name, g):
+        spec = gauge_specs(g)[name]
+        pieces, blocks = continuous._generator_plan(*spec.structure)
+        _, main, _, others, gather, _ = blocks
+        padded = np.append(continuous._generator_values([spec], pieces)[0], 0.0)
+        start = len(main) ** 2
+        for members, _, gauge in others:
+            count, size = members.shape
+            stop = start + count * size**2
+            entries = padded[gather[start:stop]]
+            assert gauge is not None
+            gauged = entries * gauge
+            assert np.all(gauged.imag == 0.0)
+            assert np.array_equal(np.abs(gauged), np.abs(entries))
+            for real, plain in zip(gauged.real.reshape(-1, size, size),
+                                   entries.reshape(-1, size, size)):
+                expected = np.linalg.eigvals(plain)
+                scale = np.abs(expected).max()
+                assert_same_multiset(np.linalg.eigvals(real), expected, 1e-12 * scale)
+            start = stop
+
+    def test_a_block_with_an_odd_imaginary_cycle_keeps_complex_arithmetic(self):
+        # |1><0|, |2><0|, |3><0| (vec 1, 2, 3) form a triangle of imaginary
+        # entries, so no parity flips across all three; their mirrors hold
+        # the conjugates.  Every other index decays at rate 1, |0><0| not.
+        mat = -np.eye(16, dtype=complex)
+        mat[0, 0] = 0.0
+        for k, l in ((1, 2), (2, 3), (3, 1)):
+            mat[k, l], mat[4 * k, 4 * l] = -0.5j, 0.5j
+        blocks = pattern_blocks(mat)
+        gauges = {tuple(members[0]): gauge for members, _, gauge in blocks[3]}
+        assert gauges.pop((1, 2, 3)) is None
+        assert all(gauge is not None for gauge in gauges.values())
+        eigvals, _, _ = block_spectrum(mat)
+        assert_same_multiset(eigvals, np.linalg.eigvals(mat), 1e-14)
+        # The triangle's eigenvalues -1 - 0.5i w, w^3 = 1, hold no conjugate pair.
+        rho, gap = stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+        assert rho.matrix[0, 0] == 1.0
+        assert gap == pytest.approx(1.0 - math.sqrt(3.0) / 4.0, rel=1e-14)
 
 
 def test_per_structure_caches_keep_at_most_64_entries():
