@@ -38,10 +38,10 @@ gauges are found once per structure.
 
 Specs of one structure are solved and audited in stacks
 (:func:`~ottocat.engine_spec.stacked`): each eigen-solve, the refinement,
-the checks, the pair currents and both baths' adjoint dissipators, formed
-from the cached jump positions and applied in one stacked product, are
-shared by the stack; only the LU of the full generator stays one per
-spec, to hold one dense generator at a time.  Every result equals the
+the checks, the pair currents and both baths' adjoint dissipators, applied
+from their cached two-term rows (no row has more), are shared by the
+stack; only the LU of the full generator stays one per spec, the one
+dense dim^2 x dim^2 matrix a solve holds.  Every result equals the
 one of a stack of one bit for bit, and a failure raises the bare
 message, with no spec's name or position.
 
@@ -105,10 +105,6 @@ CURRENT_CROSS_TOL = 1e-9
 #: solve at 0.81, 1.10 and 1.78 MB traced, of the 1.35 MB that
 #: ``tests/test_rows.py`` allows.
 _STACK = 32
-
-#: Specs per stacked product of the audit's dense dim^2 x dim^2 adjoints,
-#: so the audit of a stack holds a quarter of its 16 adjoints at a time.
-_ADJOINT_STACK = 4
 
 _NON_ERGODIC = "non-ergodic Liouvillian: steady state not unique"
 
@@ -203,39 +199,40 @@ def build_interaction(spec: EngineSpec) -> Operator:
 
 
 @functools.lru_cache(maxsize=64)
-def _bath_jumps(
-    factor_dims: tuple[int, ...], which_qubit: str
-) -> tuple[np.ndarray, ...]:
-    """(raising, lowering) jumps of one bath qubit, the flat positions where
-    either adjoint is nonzero, and both adjoints there.
+def _bath_jumps(factor_dims: tuple[int, ...], which_qubit: str) -> tuple:
+    """``(raising, lowering, terms)``: the jumps of one bath qubit and the
+    two-term table of their adjoints R^+ and L^+.
 
     Raising |0> -> |1> is the gamma_plus jump; lowering |1> -> |0> the
-    gamma_minus jump.  The layout is (catalyst, hot, cold).  None depends
-    on the rates, so each is built once per layout and bath qubit and
-    handed out read-only.  The jumps are real, so a(R^+) + b(L^+) equals
-    (aR + bL)^+ bit for bit.
+    gamma_minus jump.  The layout is (catalyst, hot, cold).  Each jump acts
+    on one qubit, so a row of the adjoints holds the anticommutator term
+    and at most one jump term; a third raises ``ValueError``.  ``terms``
+    holds ``(rows, cols, up, down)`` for the first nonzero of each row and
+    for the second: the rows, the columns read, and R^+ and L^+ there.
+    None depends on the rates, so all is built once per layout and bath
+    qubit and handed out read-only.  The jumps are real, so
+    a(R^+) + b(L^+) equals (aR + bL)^+ bit for bit.
     """
     if len(factor_dims) != 3 or factor_dims[1:] != (2, 2):
         raise ValueError(f"expected a (catalyst, 2, 2) layout, got {factor_dims}")
-    raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-    lower_2 = raise_2.conj().T  # |0><1|
-    eye_cat = np.eye(factor_dims[0], dtype=complex)
-    eye_2 = np.eye(2, dtype=complex)
-    if which_qubit == "hot":
-        raising = np.kron(np.kron(eye_cat, raise_2), eye_2)
-        lowering = np.kron(np.kron(eye_cat, lower_2), eye_2)
-    elif which_qubit == "cold":
-        raising = np.kron(np.kron(eye_cat, eye_2), raise_2)
-        lowering = np.kron(np.kron(eye_cat, eye_2), lower_2)
-    else:
+    if which_qubit not in ("hot", "cold"):
         raise ValueError(f"bath selector must be 'hot' or 'cold', got {which_qubit!r}")
-    jumps = (_jump_superoperator(raising), _jump_superoperator(lowering))
-    adjoints = [jump.conj().T.ravel() for jump in jumps]
-    positions = np.flatnonzero((adjoints[0] != 0) | (adjoints[1] != 0))
-    jumps += (positions, *(adjoint[positions] for adjoint in adjoints))
-    for array in jumps:
+    eye_cat, eye_2 = np.eye(factor_dims[0], dtype=complex), np.eye(2, dtype=complex)
+    raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
+    jumps = []
+    for op in (raise_2, raise_2.conj().T):  # raising, then lowering |0><1|
+        hot, cold = (op, eye_2) if which_qubit == "hot" else (eye_2, op)
+        jumps.append(_jump_superoperator(np.kron(np.kron(eye_cat, hot), cold)))
+    adjoints = [jump.conj().T for jump in jumps]
+    rows, cols = np.nonzero((adjoints[0] != 0) | (adjoints[1] != 0))
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # k-th nonzero of its row
+    if slot.max() > 1:
+        raise ValueError(f"a row of the {which_qubit} adjoint holds more than two nonzeros")
+    picked = [(rows[slot == k], cols[slot == k]) for k in (0, 1)]
+    terms = tuple((r, c, adjoints[0][r, c], adjoints[1][r, c]) for r, c in picked)
+    for array in (*jumps, *(a for term in terms for a in term)):
         array.setflags(write=False)
-    return jumps
+    return (*jumps, terms)
 
 
 def _jump_superoperator(lindblad_op: np.ndarray) -> np.ndarray:
@@ -589,36 +586,28 @@ class _Exchange(NamedTuple):
 def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
     """Measure the pair currents of a stack of states once and derive every
     bath exchange: J_k, P and the catalyst flow through
-    :func:`~ottocat.engine_spec.pair_sums`, and, from each bath's adjoint
-    dissipator D_k^+ formed on the cached jump positions for
-    ``_ADJOINT_STACK`` specs at a time, <D_k^+[H_0k + V0]> and <D_k^+[V0]>
-    by stacked products; sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>)."""
+    :func:`~ottocat.engine_spec.pair_sums`, and <D_k^+[H_0k + V0]> and
+    <D_k^+[V0]> from each bath's adjoint dissipator D_k^+, applied by the
+    two-term rows of :func:`_bath_jumps`: the nonzero products of a dense
+    product, one gathered product per term over the whole stack, and one
+    add per row; sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>)."""
     spec = specs[0]
     dims, dim, n = spec.layout.factor_dims, spec.dim, len(specs)
     currents = _currents(specs, rho)
     j_hot, j_cold, power, cat_flow = pair_sums(specs, currents.T)
     v0 = _interactions(specs)
-    adjoints = np.zeros((min(n, _ADJOINT_STACK), dim**4), dtype=complex)  # one bath's, in turn
     heat, interaction, sigma = [], [], 0.0
     for label, excitation, j_k in (("hot", level_table(dims).hot, j_hot),
                                    ("cold", level_table(dims).cold, j_cold)):
-        positions, raising, lowering = _bath_jumps(dims, label)[2:]
         baths = [getattr(s, label) for s in specs]
         gamma_plus, gamma_minus, omega, beta = np.array(
             [(b.gamma_plus, b.gamma_minus, b.omega, b.beta) for b in baths]
         ).T[..., None]
-        values = gamma_plus * raising + gamma_minus * lowering
-        target = v0.copy()
-        target[:, :: dim + 1] += omega * excitation  # the diagonal of H_0k
-        applied = np.empty((2, n, dim * dim), dtype=complex)
-        for first in range(0, n, len(adjoints)):
-            rows = slice(first, first + len(adjoints))
-            chunk = adjoints[: len(values[rows])]
-            chunk[:, positions] = values[rows]
-            stack = chunk.reshape(len(chunk), dim * dim, -1)
-            for out, operand in zip(applied, (target, v0)):
-                out[rows] = np.matmul(stack, operand[rows, :, None])[..., 0]
-        adjoints[:, positions] = 0.0
+        operands = np.stack([v0, v0])  # H_0k + V0, then V0
+        operands[0, :, :: dim + 1] += omega * excitation  # the diagonal of H_0k
+        applied = np.zeros_like(operands)
+        for rows, cols, up, down in _bath_jumps(dims, label)[2]:
+            applied[..., rows] += (gamma_plus * up + gamma_minus * down) * operands[..., cols]
         # Tr[A rho] summed as expectation() sums it, without an Operator.
         heat_k, int_k = (applied * rho.reshape(n, -1)).sum(axis=-1)
         heat.append(heat_k)

@@ -205,14 +205,21 @@ def ladder_spec(d: int, hot: BathParams, cold: BathParams, g: float) -> EngineSp
     d = 1 that one swap is Otto's, and keeps Otto's orientation
     u = |0,1,0>, d = |0,0,1>.
     """
+    swaps = tuple(SwapPair(u, lower, g) for u, lower in _ladder_pairs(d))
+    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=swaps)
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The flat (u, d) indices of :func:`ladder_spec`'s swaps, which depend
+    on d alone: built once per d (the 64 most recent are kept)."""
     layout = HilbertLayout((d, 2, 2))
     pairs = [
         (layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0)) for k in range(d - 1)
     ]
     closing = (layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0))
     pairs.append(closing if d > 1 else closing[::-1])
-    swaps = tuple(SwapPair(u, lower, g) for u, lower in pairs)
-    return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=swaps)
+    return tuple(pairs)
 
 
 class LevelTable(NamedTuple):

@@ -635,6 +635,7 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         "ottocat.cli._family",
         "ottocat.continuous._bath_jumps",
         "ottocat.continuous._generator_plan",
+        "ottocat.engine_spec._ladder_pairs",
         "ottocat.engine_spec.level_table",
         "ottocat.engine_spec.pair_table",
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, cli, continuous, verify
+from ottocat import analytic, cli, continuous, engine_spec, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
@@ -31,6 +31,7 @@ from ottocat.engine_spec import (
     hamiltonians,
     ladder_spec,
     level_table,
+    pair_sums,
     pair_table,
 )
 from ottocat.qstate import (
@@ -326,9 +327,10 @@ class TestCachedGeneratorPieces:
         pieces, (positions, main, real_basis, others, gather, mirrored) = (
             continuous._generator_plan(*spec.structure)
         )
+        jumps = [continuous._bath_jumps(dims, label) for label in ("hot", "cold")]
         cached = [
-            *continuous._bath_jumps(dims, "hot"),
-            *continuous._bath_jumps(dims, "cold"),
+            *(jump for raising, lowering, _ in jumps for jump in (raising, lowering)),
+            *(array for *_, terms in jumps for term in terms for array in term),
             pieces,
             positions,
             main,
@@ -981,6 +983,94 @@ class TestRealGauge:
         assert gap == pytest.approx(1.0 - math.sqrt(3.0) / 4.0, rel=1e-14)
 
 
+def audit_specs(g: float) -> dict[str, EngineSpec]:
+    """:func:`gauge_specs` and the d = 5 ladder."""
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+    return {**gauge_specs(g), "ladder-5": ladder_spec(5, hot, cold, g)}
+
+
+def random_states(dim: int, count: int, seed: int) -> np.ndarray:
+    """Hermitian unit-trace matrices, exactly Hermitian (not positive: the
+    audit reads any state)."""
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    herm = (mats + mats.conj().swapaxes(1, 2)) / 2.0
+    return herm / np.trace(herm, axis1=1, axis2=2).real[:, None, None]
+
+
+def dense_adjoint_audit(specs: list[EngineSpec], rho: np.ndarray):
+    """(adjoint_heat, int_vanish, entropy_production) of a stack of one
+    structure through each bath's dense adjoint gamma_+ R^+ + gamma_- L^+,
+    four specs per ``np.matmul``."""
+    dims, dim, n = specs[0].layout.factor_dims, specs[0].dim, len(specs)
+    j_hot, j_cold = pair_sums(specs, continuous._currents(specs, rho).T)[:2]
+    v0 = continuous._interactions(specs)
+    heat, interaction, sigma = [], [], 0.0
+    for label, excitation, j_k in (("hot", level_table(dims).hot, j_hot),
+                                   ("cold", level_table(dims).cold, j_cold)):
+        raising, lowering = (jump.conj().T for jump in continuous._bath_jumps(dims, label)[:2])
+        baths = [getattr(spec, label) for spec in specs]
+        omega, beta = (np.array([getattr(b, name) for b in baths]) for name in ("omega", "beta"))
+        target = v0.copy()
+        target[:, :: dim + 1] += omega[:, None] * excitation
+        applied = np.empty((2, n, dim * dim), dtype=complex)
+        for first in range(0, n, 4):
+            rows = slice(first, first + 4)
+            stack = np.stack([b.gamma_plus * raising + b.gamma_minus * lowering
+                              for b in baths[rows]])
+            for out, operand in zip(applied, (target, v0)):
+                out[rows] = np.matmul(stack, operand[rows, :, None])[..., 0]
+        heat_k, int_k = (applied * rho.reshape(n, -1)).sum(axis=-1)
+        heat.append(heat_k)
+        interaction.append([abs(z) for z in int_k.tolist()])
+        sigma = sigma - beta * (j_k - int_k.real)
+    return np.array(heat), np.array(interaction), sigma
+
+
+def assert_audit_is_dense_audit(specs: list[EngineSpec], rho: np.ndarray) -> None:
+    ex = continuous._exchanges(specs, rho)
+    heat, interaction, sigma = dense_adjoint_audit(specs, rho)
+    assert ex.adjoint_heat.tolist() == heat.tolist()
+    assert ex.int_vanish.tolist() == interaction.tolist()
+    assert ex.entropy_production.tolist() == sigma.tolist()
+
+
+class TestTwoTermAdjoints:
+    @pytest.mark.parametrize("name", list(audit_specs(1.0)))
+    def test_the_table_holds_every_adjoint_nonzero_at_most_two_a_row(self, name):
+        dims = audit_specs(1.0)[name].layout.factor_dims
+        for label in ("hot", "cold"):
+            raising, lowering, terms = continuous._bath_jumps(dims, label)
+            adjoints = raising.conj().T, lowering.conj().T
+            nonzero = (adjoints[0] != 0) | (adjoints[1] != 0)
+            assert nonzero.sum(axis=1).max() <= 2
+            found = np.zeros_like(nonzero)
+            for rows, cols, up, down in terms:
+                assert not found[rows, cols].any()
+                found[rows, cols] = True
+                assert np.array_equal(up, adjoints[0][rows, cols])
+                assert np.array_equal(down, adjoints[1][rows, cols])
+            assert np.array_equal(found, nonzero)
+            assert set(terms[1][0]) <= set(terms[0][0])  # a second term only after a first
+
+    def test_a_row_with_a_third_nonzero_is_refused(self, monkeypatch):
+        monkeypatch.setattr(continuous, "_jump_superoperator", lambda op: np.ones((64, 64)))
+        with pytest.raises(ValueError, match="^a row of the hot adjoint holds more than two"):
+            continuous._bath_jumps.__wrapped__((2, 2, 2), "hot")
+
+    @pytest.mark.parametrize("name", list(audit_specs(1.0)))
+    def test_the_audit_equals_the_dense_adjoints_exactly(self, name):
+        specs = [audit_specs(g)[name] for g in (0.05, 1.0, 40.0)]
+        assert_audit_is_dense_audit(specs, random_states(specs[0].dim, len(specs), len(name)))
+
+    def test_the_golden_audit_equals_the_dense_adjoints_exactly(self):
+        specs = golden_specs()
+        for structure in {spec.structure for spec in specs}:
+            stack = [spec for spec in specs if spec.structure == structure]
+            rho = np.stack([r.rho_ss.matrix for r in continuous.steady_state_reports(stack)])
+            assert_audit_is_dense_audit(stack, rho)
+
+
 def test_per_structure_caches_keep_at_most_64_entries():
     spec = catalyst_from_factors(0.5, 0.2)
     report = steady_state_report(spec)
@@ -997,9 +1087,11 @@ def test_per_structure_caches_keep_at_most_64_entries():
         pair_table(dims, pairs)
     for d in range(1, 101):
         level_table((d, 2, 2))
+        engine_spec._ladder_pairs(d)
     caches = (
         continuous._bath_jumps,
         continuous._generator_plan,
+        engine_spec._ladder_pairs,
         level_table,
         pair_table,
     )

@@ -114,11 +114,14 @@ class TestEngineShapes:
             (2, ((4, 2), (1, 6))),
             (3, ((4, 2), (8, 6), (1, 10))),
             (4, ((4, 2), (8, 6), (12, 10), (1, 14))),
+            (5, ((4, 2), (8, 6), (12, 10), (16, 14), (1, 18))),
+            (6, ((4, 2), (8, 6), (12, 10), (16, 14), (20, 18), (1, 22))),
         ],
     )
     def test_ladder_pairs_climb_the_catalyst_and_close_on_the_cold_qubit(self, d, pairs):
         hot, cold = otto_example().hot, otto_example().cold
         spec = ladder_spec(d, hot, cold, 0.7)
+        assert spec == EngineSpec(d, hot, cold, tuple(SwapPair(u, v, 0.7) for u, v in pairs))
         assert spec.catalyst_dim == d and spec.layout.factor_dims == (d, 2, 2)
         assert tuple((pair.u, pair.d) for pair in spec.swaps) == pairs
         assert {pair.g for pair in spec.swaps} == {0.7}

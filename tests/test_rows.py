@@ -117,8 +117,8 @@ def test_a_two_fault_sweep_names_its_failed_solve_first(tmp_path, capsys):
 
 #: Peak traced memory of one golden-specs ``steady_state_reports`` call,
 #: measured before the audit was stacked: 0.85 MB.  The bound adds 0.5 MB.
-#: Both baths' dense adjoints of all 200 golden specs held at once would add
-#: about 13 MB; one bath's 16 adjoints of a solve stack measured 1.60 MB.
+#: The audit applies each bath's adjoint from its two-term rows, so it holds
+#: no dim^2 x dim^2 matrix; the solve's bordered LU holds one per spec.
 AUDIT_PEAK_BOUND_MB = 1.35
 
 
@@ -134,3 +134,25 @@ def test_the_stacked_audit_holds_a_few_adjoints_at_a_time():
         tracemalloc.stop()
     assert len(reports) == len(specs)
     assert peak <= AUDIT_PEAK_BOUND_MB * 1e6
+
+
+#: Peak traced memory of ``continuous._audit`` on a stack of 32 d = 4
+#: ladder specs: 1.85 MB from the two-term rows, 5.71 MB when each bath's
+#: dense 256 x 256 adjoint was formed four specs at a time.
+LADDER_AUDIT_PEAK_BOUND_MB = 2.5
+
+
+def test_the_audit_of_a_d4_stack_holds_no_dense_adjoint():
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+    specs = [ladder_spec(4, hot, cold, 0.05 * 1.25**k) for k in range(32)]
+    states = [(r.rho_ss, r.spectral_gap) for r in continuous.steady_state_reports(specs)]
+    continuous._audit(specs, states)  # builds the per-layout caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = continuous._audit(specs, states)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(specs)
+    assert peak <= LADDER_AUDIT_PEAK_BOUND_MB * 1e6
