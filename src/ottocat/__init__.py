@@ -42,12 +42,10 @@ from .continuous import (
     SteadyStateReport,
     Superoperator,
     build_dissipator,
-    build_interaction,
     build_liouvillian,
     currents_and_power,
     entropy_production_rate,
     ness_condition_checks,
-    probability_currents,
     stationary_state,
     steady_state_report,
 )
@@ -125,11 +123,9 @@ __all__ = [
     # autonomous picture
     "Superoperator",
     "SteadyStateReport",
-    "build_interaction",
     "build_dissipator",
     "build_liouvillian",
     "stationary_state",
-    "probability_currents",
     "currents_and_power",
     "ness_condition_checks",
     "entropy_production_rate",

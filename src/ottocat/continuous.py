@@ -10,11 +10,12 @@ balance, gamma_plus / gamma_minus = exp(-beta*omega), with gamma_plus
 pumping |0> -> |1>.  Everything lives in the interaction picture where
 V0 is time-independent; lab-frame transients are out of scope.
 
-Superoperators are stored as dim^2 x dim^2 matrices acting on
-column-stacked operators, vec(A X B) = (B^T (x) A) vec(X), so the
-commutator part of the generator is -i (I (x) V0 - V0^T (x) I) and the
-Hilbert-Schmidt adjoint (Heisenberg picture) is the plain conjugate
-transpose.
+Superoperators act on column-stacked operators, vec(A X B) =
+(B^T (x) A) vec(X): the commutator part of the generator is
+-i (I (x) V0 - V0^T (x) I), the Hilbert-Schmidt adjoint (Heisenberg
+picture) the conjugate transpose.  Only the public :class:`Superoperator`
+holds one as a dense dim^2 x dim^2 matrix; the solver keeps the flat
+positions and values of the nonzero entries, written from index rules.
 
 The stationary state is found twice — by a trace-normalized bordered
 solve of the full generator, and as a kernel eigenvector — and the two
@@ -73,11 +74,9 @@ __all__ = [
     "FIRST_LAW_TOL",
     "Superoperator",
     "SteadyStateReport",
-    "build_interaction",
     "build_dissipator",
     "build_liouvillian",
     "stationary_state",
-    "probability_currents",
     "currents_and_power",
     "ness_condition_checks",
     "entropy_production_rate",
@@ -113,13 +112,9 @@ _NON_ERGODIC = "non-ergodic Liouvillian: steady state not unique"
 FIRST_LAW_TOL = 1e-10
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
 def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`_vec`; on a stack of vectors, of each."""
+    """Inverse of column stacking, X.reshape(-1, order="F"); on a stack of
+    vectors, of each."""
     return np.asarray(v).reshape(*np.shape(v)[:-1], dim, dim).swapaxes(-1, -2)
 
 
@@ -146,7 +141,8 @@ class Superoperator:
     def apply(self, op: Operator) -> Operator:
         if op.layout.factor_dims != self.layout.factor_dims:
             raise ValueError("layout mismatch between superoperator and operand")
-        return Operator(self.layout, _unvec(self.matrix @ _vec(op.entries), self.dim))
+        vec = op.entries.reshape(-1, order="F")  # column stacking
+        return Operator(self.layout, _unvec(self.matrix @ vec, self.dim))
 
     def adjoint(self) -> "Superoperator":
         """Hilbert-Schmidt adjoint: the Heisenberg-picture generator."""
@@ -193,58 +189,65 @@ def _interactions(specs: Sequence[EngineSpec]) -> np.ndarray:
     return v0
 
 
-def build_interaction(spec: EngineSpec) -> Operator:
-    """V0 = sum_i g_i (|u_i><d_i| + |d_i><u_i|); a stack of one."""
-    return Operator(spec.layout, _unvec(_interactions([spec])[0], spec.dim))
+def _union(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the flat positions of ``(positions, values)``
+    parts, and each part's values there, zero where it has none, a row each."""
+    positions, where = np.unique(np.concatenate([p for p, _ in parts]), return_inverse=True)
+    rows = np.zeros((len(parts), len(positions)))
+    part = np.repeat(np.arange(len(parts)), [len(p) for p, _ in parts])
+    rows[part, where] = np.concatenate([v for _, v in parts])
+    return positions, rows
+
+
+def _jump_entries(factor_dims: tuple[int, ...], which_qubit: str) -> list:
+    """``(positions, values)`` of the nonzero entries of L . L^+ - (1/2){L^+ L, .}
+    for the raising, then the lowering, jump L of one bath qubit, by index
+    rule.  L moves |a> to |a + shift>, shift = +-stride, from each a whose
+    qubit reads 0 (1), so L . L^+ moves |a><a'| to |a + shift><a' + shift|
+    with value 1, and the anticommutator puts -(P_kk + P_ii)/2 on |k><i|,
+    P = L^+ L; no value is rounded, here or in the dense sum."""
+    dim = math.prod(factor_dims)
+    stride, level, entries = 2 if which_qubit == "hot" else 1, np.arange(dim), []
+    for reads, shift in ((0, stride), (1, -stride)):
+        p = (level // stride % 2 == reads).astype(float)  # the diagonal of P
+        moved = (level[p == 1, None] + level[p == 1] * dim).ravel()  # vec of |a><a'|
+        half = -(p[:, None] + p).ravel() / 2
+        diagonal = np.flatnonzero(half)
+        entries.append((np.append((moved + shift * (dim + 1)) * dim**2 + moved,
+                                  diagonal * (dim**2 + 1)),
+                        np.append(np.ones(len(moved)), half[diagonal])))
+    return entries
 
 
 @functools.lru_cache(maxsize=64)
 def _bath_jumps(factor_dims: tuple[int, ...], which_qubit: str) -> tuple:
-    """``(raising, lowering, terms)``: the jumps of one bath qubit and the
-    two-term table of their adjoints R^+ and L^+.
+    """``(positions, jumps, terms)``: the :func:`_union` of the raising and
+    the lowering jump of one bath qubit (:func:`_jump_entries`) on a
+    (catalyst, hot, cold) layout, and the two-term table of their adjoints.
 
-    Raising |0> -> |1> is the gamma_plus jump; lowering |1> -> |0> the
-    gamma_minus jump.  The layout is (catalyst, hot, cold).  Each jump acts
-    on one qubit, so a row of the adjoints holds the anticommutator term
-    and at most one jump term; a third raises ``ValueError``.  ``terms``
-    holds ``(rows, cols, up, down)`` for the first nonzero of each row and
-    for the second: the rows, the columns read, and R^+ and L^+ there.
-    None depends on the rates, so all is built once per layout and bath
-    qubit and handed out read-only.  The jumps are real, so
-    a(R^+) + b(L^+) equals (aR + bL)^+ bit for bit.
-    """
+    A row of the adjoints R^+ and L^+ holds the anticommutator term and at
+    most one jump term; a third raises ``ValueError``.  ``terms`` holds
+    ``(rows, cols, up, down)`` for the first nonzero of each row, then for
+    the second: the rows, the columns read, and R^+ and L^+ there.  All is
+    built once per layout and bath qubit and handed out read-only.  The
+    jumps are real, so a(R^+) + b(L^+) equals (aR + bL)^+ bit for bit."""
     if len(factor_dims) != 3 or factor_dims[1:] != (2, 2):
         raise ValueError(f"expected a (catalyst, 2, 2) layout, got {factor_dims}")
     if which_qubit not in ("hot", "cold"):
         raise ValueError(f"bath selector must be 'hot' or 'cold', got {which_qubit!r}")
-    eye_cat, eye_2 = np.eye(factor_dims[0], dtype=complex), np.eye(2, dtype=complex)
-    raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-    jumps = []
-    for op in (raise_2, raise_2.conj().T):  # raising, then lowering |0><1|
-        hot, cold = (op, eye_2) if which_qubit == "hot" else (eye_2, op)
-        jumps.append(_jump_superoperator(np.kron(np.kron(eye_cat, hot), cold)))
-    adjoints = [jump.conj().T for jump in jumps]
-    rows, cols = np.nonzero((adjoints[0] != 0) | (adjoints[1] != 0))
+    n = math.prod(factor_dims) ** 2
+    positions, jumps = _union(_jump_entries(factor_dims, which_qubit))
+    transposed = positions % n * n + positions // n  # (r, c) of a jump is (c, r) of its adjoint
+    order = np.argsort(transposed)
+    rows, cols = np.divmod(transposed[order], n)
+    adjoints = jumps[:, order].astype(complex).conj()
     slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # k-th nonzero of its row
     if slot.max() > 1:
         raise ValueError(f"a row of the {which_qubit} adjoint holds more than two nonzeros")
-    picked = [(rows[slot == k], cols[slot == k]) for k in (0, 1)]
-    terms = tuple((r, c, adjoints[0][r, c], adjoints[1][r, c]) for r, c in picked)
-    for array in (*jumps, *(a for term in terms for a in term)):
+    terms = tuple((rows[slot == k], cols[slot == k], *adjoints[:, slot == k]) for k in (0, 1))
+    for array in (positions, jumps, *(a for term in terms for a in term)):
         array.setflags(write=False)
-    return (*jumps, terms)
-
-
-def _jump_superoperator(lindblad_op: np.ndarray) -> np.ndarray:
-    """L . L^+ - (1/2){L^+ L, .} in column-stacking form."""
-    dim = lindblad_op.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    ldl = lindblad_op.conj().T @ lindblad_op
-    return (
-        np.kron(lindblad_op.conj(), lindblad_op)
-        - 0.5 * np.kron(eye, ldl)
-        - 0.5 * np.kron(ldl.T, eye)
-    )
+    return positions, jumps, terms
 
 
 def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) -> Superoperator:
@@ -253,31 +256,37 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     gamma_plus drives the raising jump |0> -> |1> and gamma_minus the
     lowering jump, so the bath's own Gibbs qubit is an exact fixed point.
     """
-    raising, lowering = _bath_jumps(layout.factor_dims, which_qubit)[:2]
-    return Superoperator(layout, bath.gamma_plus * raising + bath.gamma_minus * lowering)
+    positions, jumps, _ = _bath_jumps(layout.factor_dims, which_qubit)
+    matrix = np.zeros(layout.total_dim**4, dtype=complex)
+    matrix[positions] = bath.gamma_plus * jumps[0] + bath.gamma_minus * jumps[1]
+    return Superoperator(layout, matrix.reshape(layout.total_dim**2, -1))
 
 
 @functools.lru_cache(maxsize=64)
 def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndarray, tuple]:
     """``(pieces, blocks)``: -i[|u><d| + |d><u|, .] of each swap pair (u, d),
-    then the raising and lowering jumps of the hot and of the cold qubit, on
-    the flat positions where any is nonzero, and the :func:`_kernel_blocks`
-    of that pattern, the commutators' entries imaginary and the jumps' real.
-    Built once per structure."""
+    then the raising and lowering jumps of the hot and of the cold qubit, at
+    their :func:`_union`, and the :func:`_kernel_blocks` of that pattern,
+    the commutators' entries imaginary and the jumps' real.  A commutator
+    is -i times 1 between u + k*dim and d + k*dim (V X) and -1 between
+    k + u*dim and k + d*dim (X V), both ways, for each k, rounded as a dense
+    construction rounds it.  Built once per structure."""
     dim = math.prod(factor_dims)
-    eye = np.eye(dim, dtype=complex)
-    pieces = []
+    k, parts = np.arange(dim), []
     for u, d in pairs:
-        swap = np.zeros((dim, dim), dtype=complex)
-        swap[u, d] = swap[d, u] = 1.0
-        pieces.append(-1j * (np.kron(eye, swap) - np.kron(swap.T, eye)))
-    pieces += [*_bath_jumps(factor_dims, "hot")[:2], *_bath_jumps(factor_dims, "cold")[:2]]
-    real, imaginary = (np.logical_or.reduce([part(piece) != 0 for piece in pieces])
-                       for part in (np.real, np.imag))
-    blocks = _kernel_blocks(real, imaginary)
-    gathered = np.stack([piece.ravel()[blocks[0]] for piece in pieces])
-    gathered.setflags(write=False)
-    return gathered, blocks
+        rows = np.concatenate([u + k * dim, d + k * dim, k + u * dim, k + d * dim])
+        cols = np.concatenate([d + k * dim, u + k * dim, k + d * dim, k + u * dim])
+        parts.append((rows * dim**2 + cols, np.repeat([1.0, -1.0], 2 * dim)))
+    for label in ("hot", "cold"):
+        positions, jumps, _ = _bath_jumps(factor_dims, label)
+        parts += [(positions, jump) for jump in jumps]
+    positions, coefficients = _union(parts)
+    imaginary, real = (part.any(axis=0) for part in np.split(coefficients, [len(pairs)]))
+    blocks = _kernel_blocks(dim**2, positions, real, imaginary)
+    pieces = coefficients.astype(complex)
+    pieces[: len(pairs)] *= -1j
+    pieces.setflags(write=False)
+    return pieces, blocks
 
 
 def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.ndarray:
@@ -323,8 +332,8 @@ def _refined_bordered_solve(
     """Solve the bordered systems (row 0 the trace row, right-hand side
     e_0) of a stack of generators with ``values`` on ``blocks``' pattern.
 
-    One LU solve of each full matrix, assembled one at a time to hold one
-    dense matrix (a stacked solve gives the same bits: they depend on the
+    One LU solve of each full matrix, assembled one at a time in one dense
+    buffer (a stacked solve gives the same bits: they depend on the
     matrix size, not the stack), then two steps of iterative
     refinement with residuals in extended precision, so stiff generators
     (fast rates next to a slow transfer mode) still yield currents
@@ -338,8 +347,8 @@ def _refined_bordered_solve(
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
     solution = np.empty((len(values), n), dtype=complex)
+    bordered = np.zeros((n, n), dtype=complex)  # every spec writes the same positions
     for row, entries in enumerate(values):
-        bordered = np.zeros((n, n), dtype=complex)
         bordered.flat[positions] = entries
         bordered[0, :] = 0.0
         bordered[0, :: dim + 1] = 1.0  # the diagonal (j, j) in column stacking
@@ -359,9 +368,10 @@ def _refined_bordered_solve(
     return solution
 
 
-def _kernel_blocks(real: np.ndarray, imaginary: np.ndarray) -> tuple:
-    """Independent blocks of an n x n generator whose entries have nonzero
-    real parts on ``real`` and nonzero imaginary parts on ``imaginary``.
+def _kernel_blocks(n: int, positions: np.ndarray, real: np.ndarray, imaginary: np.ndarray) -> tuple:
+    """Independent blocks of an n x n generator whose nonzero entries sit at
+    the sorted flat ``positions``, with nonzero real parts where ``real``
+    and nonzero imaginary parts where ``imaginary``.
 
     The blocks are the connected components of the pattern and its
     transpose; no entry couples two blocks, so the spectrum is the union
@@ -376,9 +386,10 @@ def _kernel_blocks(real: np.ndarray, imaginary: np.ndarray) -> tuple:
     The parities are the components of the double cover, index k + n*p
     standing for k at parity p; a block where k and k + n meet (an entry
     with both parts, or an odd cycle of imaginary ones) has no gauge.
+    Labels run along the nonzero entries both ways; no n x n array is formed.
 
-    Returns ``(positions, main, (T, T^-1), others, gather, mirrored)``: the
-    flat positions of the nonzero entries; the block of vec index 0 and its
+    Returns ``(positions, main, (T, T^-1), others, gather, mirrored)``:
+    ``positions``, read-only; the block of vec index 0 and its
     real basis (row k of T reads x_k on a population, x_k + x_k' on the
     first of a coherence pair k < k', i(x_k' - x_k) on the second);
     ``(members, paired, gauge)`` per block size, pairing and whether a
@@ -387,16 +398,16 @@ def _kernel_blocks(real: np.ndarray, imaginary: np.ndarray) -> tuple:
     where, among the nonzero entries (-1: a zero), to read those blocks
     row-major, and each entry's mirror image.
     """
-    n = len(real)
-    same, flip = real | real.T, imaginary | imaginary.T
+    row, col = np.divmod(positions, n)
     # k + n*p is k at parity p: a real entry links like parities, an imaginary one unlike.
-    linked = np.block([[same, flip], [flip, same]])
-    cover = np.arange(2 * n)
-    while True:  # every index takes the least label around it, until none changes
-        least = np.minimum(cover, np.where(linked, cover, 2 * n).min(axis=1))
-        if np.array_equal(least, cover):
-            break
-        cover = least
+    head = np.concatenate([row[real], row[real] + n, row[imaginary], row[imaginary] + n])
+    tail = np.concatenate([col[real], col[real] + n, col[imaginary] + n, col[imaginary]])
+    cover, before = np.arange(2 * n), None
+    while not np.array_equal(cover, before):  # a label: an index of the component, at most its own
+        before = cover.copy()
+        np.minimum.at(cover, head, cover[tail])
+        np.minimum.at(cover, tail, cover[head])
+        cover = cover[cover]
     label = np.minimum(cover[:n], cover[n:])
     gauged, parity = cover[:n] != cover[n:], (cover[:n] != label).astype(np.intp)
     roots, block_of = np.unique(label, return_inverse=True)
@@ -426,11 +437,12 @@ def _kernel_blocks(real: np.ndarray, imaginary: np.ndarray) -> tuple:
         stop = start + len(members) * size**2
         others.append((np.array(members), paired, factors[start:stop] if has_gauge else None))
         start = stop
-    mask = real | imaginary
-    positions = np.flatnonzero(mask)
-    entry_of = np.where(mask.ravel(), np.cumsum(mask, dtype=np.intp) - 1, -1)
-    gather = entry_of[rows * n + cols]
-    mirrored = entry_of[mirror[positions // n] * n + mirror[positions % n]]
+
+    def entry_of(flat: np.ndarray) -> np.ndarray:  # its place among the nonzeros, or -1
+        found = np.searchsorted(positions, flat)
+        return np.where(np.append(positions, -1)[found] == flat, found, -1)
+
+    gather, mirrored = entry_of(rows * n + cols), entry_of(mirror[row] * n + mirror[col])
     real_basis = (to_real, np.linalg.inv(to_real))
     groups = [a for members, _, gauge in others for a in (members, gauge) if a is not None]
     for array in (positions, main, *real_basis, *groups, gather, mirrored):
@@ -537,13 +549,18 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     rate -Re(lambda) over the nonstationary spectrum; a stack of one.
     """
     mat = liouvillian.matrix
-    blocks = _kernel_blocks(mat.real != 0, mat.imag != 0)
-    [state] = _stationary_stack(liouvillian.layout, mat[mat != 0][None], blocks)
+    positions = np.flatnonzero(mat)
+    values = mat.ravel()[positions]
+    blocks = _kernel_blocks(len(mat), positions, values.real != 0, values.imag != 0)
+    [state] = _stationary_stack(liouvillian.layout, values[None], blocks)
     return state
 
 
 def _currents(specs: Sequence[EngineSpec], rho: np.ndarray) -> np.ndarray:
-    """:func:`probability_currents` of a stack of one structure, one row each."""
+    """Stationary transfer rate of each swap pair, a row per spec of a stack
+    of one structure: <i g_i (|u_i><d_i| - |d_i><u_i|)>, read off its only
+    two nonzero terms, i g_i rho[d_i, u_i] and -i g_i rho[u_i, d_i]; the
+    observable is Hermitian, so an imaginary part beyond ``CURRENT_IMAG_TOL`` raises."""
     table = pair_table(*specs[0].structure)
     g = np.array([[pair.g for pair in spec.swaps] for spec in specs])
     val = (1j * g) * rho[:, table.d, table.u] + (-1j * g) * rho[:, table.u, table.d]
@@ -551,22 +568,6 @@ def _currents(specs: Sequence[EngineSpec], rho: np.ndarray) -> np.ndarray:
     fail(bad.any(axis=1), AssertionError, lambda k: f"transfer rate of pair {np.argmax(bad[k])} "
          f"has imaginary part {val[k, np.argmax(bad[k])].imag:.3e}")
     return val.real
-
-
-def probability_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
-    """Stationary transfer rate of each swap pair.
-
-    Measured as the expectation of i g_i (|u_i><d_i| - |d_i><u_i|), read
-    off its only two nonzero terms, i g_i rho[d_i, u_i] and
-    -i g_i rho[u_i, d_i]; the observable is Hermitian, so an imaginary part
-    beyond ``CURRENT_IMAG_TOL`` raises.  A stack of one.
-    """
-    if rho_ss.layout.factor_dims != spec.layout.factor_dims:
-        raise ValueError(
-            f"state layout {rho_ss.layout.factor_dims} does not match "
-            f"spec layout {spec.layout.factor_dims}"
-        )
-    return _currents([spec], rho_ss.matrix[None])[0]
 
 
 class _Exchange(NamedTuple):

@@ -219,7 +219,7 @@ def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
         q[k] = _catalyst_q(s, systems[k]) if catalyst is None else catalyst.populations
     q = np.clip(q, 0.0, None)
     fail(table.overlap is not None, ValueError, table.overlap)
-    # q (x) w_h (x) w_c in np.kron's element order and arithmetic.
+    # q (x) w_h (x) w_c in the Kronecker product's element order and arithmetic.
     p0 = ((q[:, :, None] * w_h[:, None, :])[..., None] * w_c[:, None, None, :]).reshape(n, -1)
     p1 = p0[:, table.perm]
     flows = p0[:, table.u] - p0[:, table.d]

@@ -189,7 +189,8 @@ def gibbs_qubit(beta: float, omega: float) -> DensityMatrix:
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product; layouts concatenate."""
     layout = HilbertLayout(a.layout.factor_dims + b.layout.factor_dims)
-    return Operator(layout, np.kron(a.entries, b.entries))
+    outer = np.multiply.outer(a.entries, b.entries).swapaxes(1, 2)
+    return Operator(layout, outer.reshape(layout.total_dim, layout.total_dim))
 
 
 def tensor_all(ops: list[Operator] | tuple[Operator, ...]) -> Operator:

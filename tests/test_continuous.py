@@ -14,12 +14,10 @@ from ottocat import analytic, cli, continuous, engine_spec, verify
 from ottocat.continuous import (
     Superoperator,
     build_dissipator,
-    build_interaction,
     build_liouvillian,
     currents_and_power,
     entropy_production_rate,
     ness_condition_checks,
-    probability_currents,
     stationary_state,
     steady_state_report,
 )
@@ -67,6 +65,16 @@ def random_operator(layout: HilbertLayout, seed: int) -> Operator:
     return Operator(layout, raw)
 
 
+def interaction_operator(spec: EngineSpec) -> Operator:
+    """V0 = sum_i g_i (|u_i><d_i| + |d_i><u_i|) of one spec, a stack of one."""
+    return Operator(spec.layout, continuous._unvec(continuous._interactions([spec])[0], spec.dim))
+
+
+def pair_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
+    """The stationary transfer rate of each swap pair, a stack of one."""
+    return continuous._currents([spec], rho_ss.matrix[None])[0]
+
+
 def dissipators_only(spec) -> Superoperator:
     """D_h + D_c with the coherent swap switched off."""
     hot = build_dissipator(spec.hot, "hot", spec.layout)
@@ -77,7 +85,7 @@ def dissipators_only(spec) -> Superoperator:
 class TestGeneratorStructure:
     def test_interaction_couples_exactly_the_swap_levels(self):
         spec = catalyst_from_factors(0.5, 0.2, g=1.3)
-        v = build_interaction(spec).entries
+        v = interaction_operator(spec).entries
         assert np.allclose(v, v.conj().T)
         nonzero = {(i, j) for i, j in zip(*np.nonzero(v))}
         expected = set()
@@ -203,7 +211,7 @@ class TestCurrentsAndPower:
     def test_currents_are_real_at_the_steady_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
         rho_ss, _ = stationary_state(build_liouvillian(spec))
-        flows = probability_currents(spec, rho_ss)
+        flows = pair_currents(spec, rho_ss)
         assert flows.dtype == np.float64
 
     def test_reversed_bias_is_not_an_engine(self):
@@ -264,8 +272,9 @@ def spec_with_catalyst(catalyst_dim: int) -> EngineSpec:
     )
 
 
-def kron_dissipator(bath: BathParams, which: str, catalyst_dim: int) -> np.ndarray:
-    """The local dissipator built from scratch with np.kron."""
+def kron_jumps(which: str, catalyst_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raising and the lowering jump L . L^+ - (1/2){L^+ L, .} of one
+    bath qubit, built from scratch with np.kron."""
     eye_2 = np.eye(2, dtype=complex)
     eye_cat = np.eye(catalyst_dim, dtype=complex)
     raise_2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -279,9 +288,53 @@ def kron_dissipator(bath: BathParams, which: str, catalyst_dim: int) -> np.ndarr
         ldl = op.conj().T @ op
         return np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
 
-    return bath.gamma_plus * jump(lifted(raise_2)) + bath.gamma_minus * jump(
-        lifted(raise_2.conj().T)
-    )
+    return jump(lifted(raise_2)), jump(lifted(raise_2.conj().T))
+
+
+def kron_dissipator(bath: BathParams, which: str, catalyst_dim: int) -> np.ndarray:
+    """The local dissipator built from scratch with np.kron."""
+    raising, lowering = kron_jumps(which, catalyst_dim)
+    return bath.gamma_plus * raising + bath.gamma_minus * lowering
+
+
+def kron_commutator(dim: int, u: int, d: int) -> np.ndarray:
+    """-i[|u><d| + |d><u|, .] built from scratch with np.kron."""
+    eye = np.eye(dim, dtype=complex)
+    swap = np.zeros((dim, dim), dtype=complex)
+    swap[u, d] = swap[d, u] = 1.0
+    return -1j * (np.kron(eye, swap) - np.kron(swap.T, eye))
+
+
+def dense_terms(adjoints: list[np.ndarray]) -> tuple:
+    """The two-term table of two dense adjoints: ``(rows, cols, up, down)``
+    for the first nonzero of each row, then for the second."""
+    rows, cols = np.nonzero((adjoints[0] != 0) | (adjoints[1] != 0))
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)  # k-th nonzero of its row
+    assert slot.max() <= 1
+    picked = [(rows[slot == k], cols[slot == k]) for k in (0, 1)]
+    return tuple((r, c, adjoints[0][r, c], adjoints[1][r, c]) for r, c in picked)
+
+
+def same_arrays(a, b) -> bool:
+    """Whether two nests of tuples hold equal arrays of one dtype at equal places."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_arrays, a, b))
+    return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+def dense_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple:
+    """``(pieces, blocks, terms)`` of :func:`continuous._generator_plan` and
+    of both baths' :func:`continuous._bath_jumps` from dense np.kron pieces,
+    reduced to their nonzero entries."""
+    dim = math.prod(factor_dims)
+    jumps = {label: kron_jumps(label, factor_dims[0]) for label in ("hot", "cold")}
+    pieces = [kron_commutator(dim, u, d) for u, d in pairs] + [*jumps["hot"], *jumps["cold"]]
+    real, imaginary = (np.logical_or.reduce([part(piece) != 0 for piece in pieces]).ravel()
+                       for part in (np.real, np.imag))
+    positions = np.flatnonzero(real | imaginary)
+    blocks = continuous._kernel_blocks(dim * dim, positions, real[positions], imaginary[positions])
+    terms = {label: dense_terms([jump.conj().T for jump in pair]) for label, pair in jumps.items()}
+    return np.stack([piece.ravel()[positions] for piece in pieces]), blocks, terms
 
 
 #: Spec families of the assembly oracle; "1" to "3" are spec_with_catalyst.
@@ -310,7 +363,7 @@ class TestCachedGeneratorPieces:
     @pytest.mark.parametrize("family", list(ASSEMBLY_FAMILIES))
     def test_liouvillian_equals_the_kron_construction(self, family):
         for spec in ASSEMBLY_FAMILIES[family]():
-            v0 = build_interaction(spec).entries
+            v0 = interaction_operator(spec).entries
             eye = np.eye(spec.dim, dtype=complex)
             expected = (
                 -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
@@ -329,7 +382,7 @@ class TestCachedGeneratorPieces:
         )
         jumps = [continuous._bath_jumps(dims, label) for label in ("hot", "cold")]
         cached = [
-            *(jump for raising, lowering, _ in jumps for jump in (raising, lowering)),
+            *(array for where, values, _ in jumps for array in (where, values)),
             *(array for *_, terms in jumps for term in terms for array in term),
             pieces,
             positions,
@@ -368,6 +421,12 @@ class TestCachedGeneratorPieces:
             with pytest.raises(ValueError, match="catalyst, 2, 2"):
                 build_dissipator(bath, "hot", HilbertLayout((2, 2)))
 
+    def test_a_bath_other_than_hot_or_cold_is_rejected_on_every_call(self):
+        bath = bath_from_factor(0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be 'hot' or 'cold', got 'warm'"):
+                build_dissipator(bath, "warm", HilbertLayout((2, 2, 2)))
+
     @pytest.mark.parametrize("make", [otto_from_factors, catalyst_from_factors])
     def test_energy_differences_equal_the_hamiltonian_diagonals(self, make):
         spec = make(0.5, 0.2)
@@ -393,14 +452,9 @@ def dense_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray
 
 def pattern_blocks(mat: np.ndarray) -> tuple:
     """The :func:`continuous._kernel_blocks` of a generator's own pattern."""
-    return continuous._kernel_blocks(mat.real != 0, mat.imag != 0)
-
-
-def same_arrays(a, b) -> bool:
-    """Whether two nests of tuples hold equal arrays at equal places."""
-    if isinstance(a, tuple):
-        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_arrays, a, b))
-    return np.array_equal(a, b)
+    positions = np.flatnonzero(mat)
+    values = mat.ravel()[positions]
+    return continuous._kernel_blocks(len(mat), positions, values.real != 0, values.imag != 0)
 
 
 def block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -539,7 +593,7 @@ def full_refinement_state(liouvillian: Superoperator) -> np.ndarray:
 def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):
     """(<D_k^+[H_0k + V0]>, <D_k^+[V0]>) per bath through Superoperator
     adjoints, Operators and ``expectation``."""
-    v0 = build_interaction(spec)
+    v0 = interaction_operator(spec)
     heat, interaction = [], []
     for (label, bath), h0k in zip((("hot", spec.hot), ("cold", spec.cold)), hamiltonians(spec)):
         adj = build_dissipator(bath, label, spec.layout).adjoint()
@@ -631,8 +685,8 @@ def exact_agreement_specs() -> dict[str, EngineSpec]:
 def term_by_term_audit(spec: EngineSpec, rho_ss: DensityMatrix):
     """(int_vanish, catalyst_flow, sigma) summed bath by bath and pair by
     pair from freshly built pieces, in the operand order of the formulas."""
-    currents = probability_currents(spec, rho_ss)
-    v0 = build_interaction(spec)
+    currents = pair_currents(spec, rho_ss)
+    v0 = interaction_operator(spec)
     int_vanish = []
     sigma = 0.0
     for label, bath in (("hot", spec.hot), ("cold", spec.cold)):
@@ -700,7 +754,7 @@ class TestSolveOnce:
         spec = exact_agreement_specs()[name]
         report = steady_state_report(spec)
         rho = report.rho_ss
-        assert report.currents == tuple(probability_currents(spec, rho).tolist())
+        assert report.currents == tuple(pair_currents(spec, rho).tolist())
         checks = ness_condition_checks(spec, rho)
         assert checks["int_vanish"] == report.int_vanish_residuals
         assert checks["catalyst_flow"] == report.catalysis_residuals
@@ -750,7 +804,7 @@ class TestCurrentOracle:
         expected = [
             expectation(current_operator(spec, i), rho).real for i in range(len(spec.swaps))
         ]
-        assert probability_currents(spec, rho).tolist() == expected
+        assert pair_currents(spec, rho).tolist() == expected
 
     def test_steady_and_random_states_of_every_spec_family(self):
         hot = bath_from_factor(0.7)
@@ -769,7 +823,7 @@ class TestCurrentOracle:
         spec = catalyst_from_factors(0.5, 0.2)
         rho = DensityMatrix(random_operator(spec.layout, seed=5))
         with pytest.raises(AssertionError, match="imaginary part"):
-            probability_currents(spec, rho)
+            pair_currents(spec, rho)
 
 
 def stack_spec(kind: str, a_h: float, a_c: float, g: float) -> EngineSpec:
@@ -989,6 +1043,80 @@ def audit_specs(g: float) -> dict[str, EngineSpec]:
     return {**gauge_specs(g), "ladder-5": ladder_spec(5, hot, cold, g)}
 
 
+def plan_specs() -> dict[str, EngineSpec]:
+    """Ladders d = 1...6 and the spec-file structures of :func:`audit_specs`."""
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+    return {**audit_specs(1.0), "ladder-6": ladder_spec(6, hot, cold, 1.0)}
+
+
+class TestPlanFromIndexRules:
+    @pytest.mark.parametrize("name", list(plan_specs()))
+    def test_the_plan_equals_the_dense_construction(self, name):
+        spec = plan_specs()[name]
+        pieces, blocks = continuous._generator_plan(*spec.structure)
+        terms = {label: continuous._bath_jumps(spec.layout.factor_dims, label)[2]
+                 for label in ("hot", "cold")}
+        expected = dense_plan(*spec.structure)
+        assert same_arrays((pieces, blocks, terms["hot"], terms["cold"]),
+                           (expected[0], expected[1], expected[2]["hot"], expected[2]["cold"]))
+        assert pieces.tobytes() == expected[0].tobytes()
+        assert_dense_labelling(build_liouvillian(spec).matrix, blocks)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_edge_list_blocks_equal_a_dense_labelling(self, seed):
+        # A random mirror-closed pattern on a (1, 2, 2) layout: real,
+        # imaginary and complex entries, diagonal ones and long chains.
+        rng = np.random.default_rng(seed)
+        n = 16
+        mirror = (np.arange(n) % 4) * 4 + np.arange(n) // 4
+        mat = np.zeros((n, n), dtype=complex)
+        for k, l in rng.integers(n, size=(int(rng.integers(3, 12)), 2)):
+            value = rng.choice([1.0, 1.0j, 1.0 + 1.0j])
+            mat[k, l], mat[mirror[k], mirror[l]] = value, np.conj(value)
+        assert_dense_labelling(mat, pattern_blocks(mat))
+
+
+def dense_cover(real: np.ndarray, imaginary: np.ndarray) -> np.ndarray:
+    """Each index's least label in the double cover of a dense pattern
+    (index k + n*p: k at parity p), propagated over a 2n x 2n link matrix."""
+    same, flip = real | real.T, imaginary | imaginary.T
+    linked = np.block([[same, flip], [flip, same]])
+    cover = np.arange(len(linked))
+    while True:
+        least = np.minimum(cover, np.where(linked, cover, len(linked)).min(axis=1))
+        if np.array_equal(least, cover):
+            return cover
+        cover = least
+
+
+def assert_dense_labelling(mat: np.ndarray, blocks: tuple) -> None:
+    """``blocks`` of a generator with ``mat``'s pattern hold its components
+    and gauges as :func:`dense_cover` labels them, and read its entries."""
+    n, dim = len(mat), math.isqrt(len(mat))
+    mirror = (np.arange(n) % dim) * dim + np.arange(n) // dim
+    cover = dense_cover(mat.real != 0, mat.imag != 0)
+    label = np.minimum(cover[:n], cover[n:])
+    _, main, _, others, gather, mirrored = blocks
+    padded = np.append(mat[mat != 0], 0.0)
+    row, col = np.divmod(np.flatnonzero(mat), n)
+    assert np.array_equal(padded[mirrored], mat[mirror[row], mirror[col]])
+    assert np.array_equal(main, np.flatnonzero(label == 0))
+    covered, start = [main], len(main) ** 2
+    for members, _, gauge in others:
+        entries = []
+        for block in members:
+            assert np.array_equal(block, np.flatnonzero(label == label[block[0]]))
+            assert (gauge is None) == (cover[block[0]] == cover[block[0] + n])
+            entries.append(mat[np.ix_(block, block)].ravel())
+            covered += [block, mirror[block]]
+        stop = start + members.size * members.shape[1]
+        assert np.array_equal(padded[gather[start:stop]], np.concatenate(entries))
+        if gauge is not None:
+            assert np.all((padded[gather[start:stop]] * gauge).imag == 0.0)
+        start = stop
+    assert np.array_equal(np.unique(np.concatenate(covered)), np.arange(n))
+
+
 def random_states(dim: int, count: int, seed: int) -> np.ndarray:
     """Hermitian unit-trace matrices, exactly Hermitian (not positive: the
     audit reads any state)."""
@@ -1008,7 +1136,7 @@ def dense_adjoint_audit(specs: list[EngineSpec], rho: np.ndarray):
     heat, interaction, sigma = [], [], 0.0
     for label, excitation, j_k in (("hot", level_table(dims).hot, j_hot),
                                    ("cold", level_table(dims).cold, j_cold)):
-        raising, lowering = (jump.conj().T for jump in continuous._bath_jumps(dims, label)[:2])
+        raising, lowering = (jump.conj().T for jump in kron_jumps(label, dims[0]))
         baths = [getattr(spec, label) for spec in specs]
         omega, beta = (np.array([getattr(b, name) for b in baths]) for name in ("omega", "beta"))
         target = v0.copy()
@@ -1040,8 +1168,8 @@ class TestTwoTermAdjoints:
     def test_the_table_holds_every_adjoint_nonzero_at_most_two_a_row(self, name):
         dims = audit_specs(1.0)[name].layout.factor_dims
         for label in ("hot", "cold"):
-            raising, lowering, terms = continuous._bath_jumps(dims, label)
-            adjoints = raising.conj().T, lowering.conj().T
+            terms = continuous._bath_jumps(dims, label)[2]
+            adjoints = [jump.conj().T for jump in kron_jumps(label, dims[0])]
             nonzero = (adjoints[0] != 0) | (adjoints[1] != 0)
             assert nonzero.sum(axis=1).max() <= 2
             found = np.zeros_like(nonzero)
@@ -1054,7 +1182,9 @@ class TestTwoTermAdjoints:
             assert set(terms[1][0]) <= set(terms[0][0])  # a second term only after a first
 
     def test_a_row_with_a_third_nonzero_is_refused(self, monkeypatch):
-        monkeypatch.setattr(continuous, "_jump_superoperator", lambda op: np.ones((64, 64)))
+        column = np.arange(3) * 64  # entries (0, 0), (1, 0), (2, 0): row 0 of the adjoint
+        entries = [(column, np.ones(3)), (column[:0], np.ones(0))]
+        monkeypatch.setattr(continuous, "_jump_entries", lambda dims, which: entries)
         with pytest.raises(ValueError, match="^a row of the hot adjoint holds more than two"):
             continuous._bath_jumps.__wrapped__((2, 2, 2), "hot")
 

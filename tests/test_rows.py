@@ -156,3 +156,26 @@ def test_the_audit_of_a_d4_stack_holds_no_dense_adjoint():
         tracemalloc.stop()
     assert len(reports) == len(specs)
     assert peak <= LADDER_AUDIT_PEAK_BOUND_MB * 1e6
+
+
+#: Peak traced memory of building both baths' jump tables and the plan of
+#: the d = 6 ladder (dim 24, 576 x 576 generators): 1.09 MB from index
+#: rules, 66.5 MB when the jumps and commutators were formed densely with
+#: Kronecker products.  The bound adds 0.5 MB.
+PLAN_PEAK_BOUND_MB = 1.6
+
+
+def test_the_d6_plan_is_built_without_a_dense_superoperator():
+    spec = ladder_spec(6, bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0), 1.0)
+    dims = spec.layout.factor_dims
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for label in ("hot", "cold"):
+            continuous._bath_jumps.__wrapped__(dims, label)
+        pieces, blocks = continuous._generator_plan.__wrapped__(*spec.structure)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pieces.shape == (len(spec.swaps) + 4, len(blocks[0]))
+    assert peak <= PLAN_PEAK_BOUND_MB * 1e6
