@@ -134,6 +134,14 @@ class Superoperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _adopt(cls, layout: HilbertLayout, matrix: np.ndarray) -> "Superoperator":
+        """Hold a fresh complex ``matrix`` that no caller keeps: read-only, not copied."""
+        matrix.setflags(write=False)
+        sup = object.__new__(cls)
+        sup.__dict__.update(layout=layout, matrix=matrix)  # what the frozen __init__ sets
+        return sup
+
     @property
     def dim(self) -> int:
         return self.layout.total_dim
@@ -259,7 +267,7 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     positions, jumps, _ = _bath_jumps(layout.factor_dims, which_qubit)
     matrix = np.zeros(layout.total_dim**4, dtype=complex)
     matrix[positions] = bath.gamma_plus * jumps[0] + bath.gamma_minus * jumps[1]
-    return Superoperator(layout, matrix.reshape(layout.total_dim**2, -1))
+    return Superoperator._adopt(layout, matrix.reshape(layout.total_dim**2, -1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -312,7 +320,7 @@ def build_liouvillian(spec: EngineSpec) -> Superoperator:
     pieces, blocks = _generator_plan(*spec.structure)
     total = np.zeros(spec.dim**4, dtype=complex)
     total[blocks[0]] = _generator_values([spec], pieces)[0]
-    return Superoperator(spec.layout, total.reshape(spec.dim**2, -1))
+    return Superoperator._adopt(spec.layout, total.reshape(spec.dim**2, -1))
 
 
 def _normalize_state(mat: np.ndarray) -> np.ndarray:
@@ -628,7 +636,7 @@ def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]
              f"adjoint-route {label} current has imaginary part {val[k].imag:.3e}")
         fail(np.abs(direct - val.real) > CURRENT_CROSS_TOL * np.maximum(1.0, np.abs(direct)),
              AssertionError, lambda k: f"{label} heat current routes disagree: pairwise "
-             f"{direct[k]!r} vs adjoint {float(val[k].real)!r}")
+             f"{float(direct[k])!r} vs adjoint {float(val[k].real)!r}")
     first_law = np.abs(ex.power - (ex.j_hot + ex.j_cold))
     fail(first_law > FIRST_LAW_TOL * np.maximum(1.0, np.abs(ex.power)), AssertionError,
          lambda k: f"first-law residual {first_law[k]:.3e} exceeds {FIRST_LAW_TOL:.1e}")
@@ -651,8 +659,8 @@ def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]
             regime="engine" if (power > 0.0 and j_hot > 0.0) else "non_engine",
         )
         for k, ((rho_ss, gap), j_hot, j_cold, power, margin, sigma, residual) in enumerate(zip(
-            states, ex.j_hot, ex.j_cold, ex.power, ex.clausius_margin, ex.entropy_production,
-            first_law,
+            states, *np.array([ex.j_hot, ex.j_cold, ex.power, ex.clausius_margin,
+                               ex.entropy_production, first_law]).tolist(),
         ))
     ]
 

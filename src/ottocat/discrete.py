@@ -120,21 +120,12 @@ class CycleReport:
     regime: str
 
 
-def _swap_permutation(spec: EngineSpec) -> np.ndarray:
-    """Index map of the work stroke, level n <-> perm[n], read-only; raises
+def permutation_matrix(spec: EngineSpec) -> Operator:
+    """The work-stroke unitary, level n to ``perm[n]`` of the pair table; raises
     ``ValueError`` if swap pairs overlap or leave the space."""
     table = pair_table(*spec.structure)
-    if table.overlap is not None:
-        raise ValueError(table.overlap)
-    return table.perm
-
-
-def permutation_matrix(spec: EngineSpec) -> Operator:
-    """The work-stroke unitary: transposition of each swap pair."""
-    dim = spec.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[_swap_permutation(spec), np.arange(dim)] = 1.0
-    return Operator(spec.layout, mat)
+    fail(table.overlap is not None, ValueError, table.overlap)
+    return Operator(spec.layout, np.eye(spec.dim, dtype=complex)[:, table.perm])
 
 
 def _require_catalyst_dim(spec: EngineSpec, catalyst: CatalystState) -> None:
@@ -267,7 +258,7 @@ def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
         scale = np.maximum(1.0, np.abs(level_sum))
         fail(np.abs(level_sum - pairwise) > HEAT_CROSS_CHECK_TOL * scale, AssertionError, lambda k:
              f"{label} heat mismatch: level-energy sum {float(level_sum[k])!r} vs "
-             f"pairwise form {pairwise[k]!r}")
+             f"pairwise form {float(pairwise[k])!r}")
         heats.append(level_sum.tolist())
     residuals = np.abs(marginals[1] - marginals[0]).max(axis=1).tolist()
     reports = []

@@ -20,8 +20,8 @@ indices are row-major over (catalyst, hot, cold), see
 alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
-catalyst balance, for one spec or a stack of one structure; :func:`stacked`
-runs stages on such stacks and alone names a failing spec by its position.
+catalyst balance over a stack of one structure; :func:`stacked` runs
+stages on such stacks and alone names a failing spec by its position.
 """
 
 from __future__ import annotations
@@ -175,11 +175,6 @@ class EngineSpec:
     def structure(self) -> tuple:  # (factor dims, (u, d) pairs): keys the tables
         return self.layout.factor_dims, tuple((pair.u, pair.d) for pair in self.swaps)
 
-    @functools.cached_property
-    def _energetics(self) -> tuple:  # every pair's PairEnergetics, for energy_differences
-        stack = stack_energetics([self])
-        return tuple(PairEnergetics(float(en.d_eps_h[0]), float(en.d_eps_c[0])) for en in stack)
-
 
 @dataclass(frozen=True)
 class PairEnergetics:
@@ -322,27 +317,25 @@ def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
 
 
 def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:
-    """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k on the diagonals of the
-    bare Hamiltonians, read off the levels of u_i and d_i in :func:`pair_table`;
-    every pair's is built once per spec, on first use."""
+    """Delta eps_i^k = eps_{u_i}^k - eps_{d_i}^k on the diagonals of the bare
+    Hamiltonians: :func:`stack_energetics` of a stack of one."""
     if not 0 <= pair_index < len(spec.swaps):
         raise IndexError(f"pair index {pair_index} out of range for {len(spec.swaps)} swaps")
-    return spec._energetics[pair_index]
+    en = stack_energetics([spec])[pair_index]
+    return PairEnergetics(float(en.d_eps_h[0]), float(en.d_eps_c[0]))
 
 
-def pair_sums(spec, transfers) -> tuple:
+def pair_sums(specs, transfers) -> tuple:
     """``(hot, cold, omega, catalyst)``: sum_i d_eps_i^h x_i, sum_i d_eps_i^c x_i,
     sum_i Omega_i x_i and, per catalyst level m, sum_i w_m,i x_i over the
-    :class:`PairTable` weights, for one transfer x_i per swap pair (an
-    ndarray or a tuple); for a stack of specs of one structure, each x_i is
-    an array over it.
+    :class:`PairTable` weights, for one transfer x_i per swap pair, each an
+    array over a stack of specs of one structure.
 
     Flows delta_p_i give Q_h, Q_c, W and the catalyst balance per cycle;
     currents <n_i> give J_h, J_c, P and the catalyst flow.  Each sum starts
-    at 0.0 and adds the pairs in order, so its type is the transfers'."""
-    one = isinstance(spec, EngineSpec)
-    energetics = spec._energetics if one else stack_energetics(spec)
-    weights = pair_table(*(spec if one else spec[0]).structure).catalyst_weights
+    at 0.0 and adds the pairs in order."""
+    energetics = stack_energetics(specs)
+    weights = pair_table(*specs[0].structure).catalyst_weights
     hot = cold = omega = 0.0
     catalyst = [0.0] * len(weights)
     for i, (en, x) in enumerate(zip(energetics, transfers)):

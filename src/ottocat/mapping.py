@@ -11,9 +11,8 @@ summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
 :func:`rows` runs specs through both pictures and audits that dictionary
 in stacks of one structure, one :func:`~ottocat.engine_spec.stacked` call
-per stage; :func:`equivalence_from_parts` (from one cycle run and one
-steady state) and :func:`verify_equivalence` (from a spec) are stacks of
-one.  :func:`compare_at_efficiency` pits the catalyst-free and
+per stage; :func:`verify_equivalence` is a stack of one.
+:func:`compare_at_efficiency` pits the catalyst-free and
 qubit-catalyst machines against each other at matched efficiency, which
 is where the catalytic advantage in work, time, and power lives.
 """
@@ -48,7 +47,6 @@ __all__ = [
     "EngineFamily",
     "EfficiencyComparison",
     "verify_equivalence",
-    "equivalence_from_parts",
     "rows",
     "compare_at_efficiency",
 ]
@@ -63,8 +61,8 @@ TAU_UNIFORM_TOL = 1e-9
 #: Allowed gap of the heat, work-power, second-law and efficiency rows.
 WORK_POWER_TOL = 1e-9
 
-#: What :func:`equivalence_from_parts` raises: a row over its tolerance, or
-#: no characteristic time; a caller of :func:`rows` that fails by point catches this pair.
+#: What a bridge of :func:`rows` raises: a row over its tolerance, or no
+#: characteristic time; a caller of :func:`rows` that fails by point catches this pair.
 BRIDGE_ERRORS = (AssertionError, ValueError)
 
 
@@ -189,8 +187,12 @@ def _row_tolerance(row: str) -> float:
 
 
 def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[EquivalenceReport]:
-    """:func:`equivalence_from_parts` of a stack of one structure, as array
-    arithmetic in its operation order."""
+    """Audit the dictionary of each spec of a stack of one structure from one
+    cycle run and one steady state each: tau_i = delta_p_i / <n_i> per pair and
+    every row of :attr:`EquivalenceReport.residuals`.  For a simple engine a row
+    over its tolerance raises ``AssertionError`` naming every such row: they are
+    theorems for this model, not tunables.  A finite flow at a vanished current,
+    or no pair off the equilibrium boundary, raises ``ValueError``."""
     def field(reports, name):
         return np.array([getattr(report, name) for report in reports])
 
@@ -264,27 +266,6 @@ def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[Eq
             value.tolist() for value in (tau, work_power_scale, simple, spread)
         )))
     ]
-
-
-def equivalence_from_parts(
-    spec: EngineSpec,
-    cycle: "discrete.CycleReport",
-    ss: "continuous.SteadyStateReport",
-) -> EquivalenceReport:
-    """Audit the dictionary of one spec from its per-picture reports, one
-    cycle run and one steady state; a stack of one.
-
-    Computes tau_i = delta_p_i / <n_i> per pair and every row of
-    :attr:`EquivalenceReport.residuals`.  For simple engines each row
-    must be within its tolerance, or ``AssertionError`` names every row
-    that is not: those are theorems for this model, not tunables.
-
-    Raises ``ValueError`` ("mapping singular at equilibrium boundary")
-    when a finite flow meets a vanished current, or when every pair sits
-    on the boundary and no characteristic time exists.
-    """
-    [report] = _bridges([spec], [cycle], [ss])
-    return report
 
 
 def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Iterator[tuple]:

@@ -488,10 +488,10 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
             )
             diff = rho0.matrix - rho1.matrix
             emitted_heats = (cycle.q_hot, cycle.q_cold)
-            pair_heats = pair_sums(spec, cycle.delta_p)[:2]  # the energy-difference route
+            pair_heats = pair_sums([spec], np.array([cycle.delta_p]).T)[:2]  # energy differences
             for h0k, emitted, pairwise in zip(hamiltonians(spec), emitted_heats, pair_heats):
                 traced = float(np.trace(h0k.entries @ diff).real)
-                worst = max(worst, abs(traced - emitted), abs(traced - pairwise))
+                worst = max(worst, abs(traced - emitted), abs(traced - pairwise.item()))
             gap = partial_trace(rho1, keep=(0,)).matrix - partial_trace(rho0, keep=(0,)).matrix
             worst = max(worst, abs(float(np.max(np.abs(gap))) - cycle.catalyst_residual))
             rho2 = discrete.heat_stroke(spec, rho1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ottocat import cli
+from ottocat import cli, mapping
 from ottocat.engine_spec import BathParams, EngineSpec
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_power_sweep.ini"
@@ -20,3 +20,10 @@ def golden_specs() -> list[EngineSpec]:
     """Every spec of the golden sweep."""
     config = cli.load_config(str(GOLDEN_CONFIG), "sweep")
     return [cli._spec(config.fixed, *point) for point in config.points]
+
+
+def bridge(spec: EngineSpec, cycle, report) -> mapping.EquivalenceReport:
+    """The bridge of one spec from its cycle and its steady-state report: the
+    stacked stage on a stack of one."""
+    [equivalence] = mapping._bridges([spec], [cycle], [report])
+    return equivalence

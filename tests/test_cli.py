@@ -424,6 +424,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
         assert out.read_bytes() == config.with_suffix(".csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_the_stiff_coupling_sweeps_regenerate_byte_for_byte(self, tmp_path, seed):
+        # g tau_eq from 0.01 to 1000 at a working point drawn from the seed; the
+        # configs were made once by bench/workloads.py's stiff_config_text, and
+        # like the golden sweeps the CSVs are never regenerated to absorb a change.
+        config = GOLDEN_CONFIG.with_name(f"stiff_g_sweep_seed{seed}.ini")
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out)]) == 0
+        assert out.read_bytes() == config.with_suffix(".csv").read_bytes()
+
     def test_line_endings_are_bare_line_feeds(self, tmp_path):
         config = write(tmp_path / "run.ini", SWEEP_CONFIG)
         out = tmp_path / "rows.csv"

@@ -1235,3 +1235,12 @@ def test_per_structure_caches_keep_at_most_64_entries():
     again = steady_state_report(spec)
     assert again.rho_ss.matrix.tobytes() == report.rho_ss.matrix.tobytes()
     assert report_fields(again) == report_fields(report)
+
+
+def test_a_heat_route_disagreement_prints_plain_floats(monkeypatch):
+    monkeypatch.setattr(continuous, "CURRENT_CROSS_TOL", -1.0)  # every audit disagrees
+    number = r"[-+.e\d]+"  # a float's repr, not np.float64(...)
+    with pytest.raises(AssertionError, match=(
+        f"^hot heat current routes disagree: pairwise {number} vs adjoint {number}$"
+    )):
+        steady_state_report(catalyst_from_factors(0.5, 0.2))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ottocat import discrete
 from ottocat.discrete import (
     CLAUSIUS_TOL,
     CatalystState,
@@ -400,3 +401,12 @@ class TestClausiusCheck:
         assert margin == -spec.hot.beta * q_hot
         with pytest.raises(AssertionError, match="second-law margin"):
             clausius_check(spec, q_hot, 0.0)
+
+
+def test_a_heat_mismatch_prints_plain_floats(monkeypatch):
+    monkeypatch.setattr(discrete, "HEAT_CROSS_CHECK_TOL", -1.0)  # every cycle mismatches
+    number = r"[-+.e\d]+"  # a float's repr, not np.float64(...)
+    with pytest.raises(AssertionError, match=(
+        f"^hot heat mismatch: level-energy sum {number} vs pairwise form {number}$"
+    )):
+        run_cycle(catalyst_from_factors(0.5, 0.2))

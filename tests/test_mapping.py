@@ -10,12 +10,8 @@ from hypothesis import strategies as st
 from ottocat import analytic, continuous, discrete, verify
 from ottocat.discrete import CatalystState
 from ottocat.engine_spec import FAMILIES, BathParams, ladder_spec
-from ottocat.mapping import (
-    EngineFamily,
-    compare_at_efficiency,
-    equivalence_from_parts,
-    verify_equivalence,
-)
+from ottocat.mapping import EngineFamily, compare_at_efficiency, verify_equivalence
+from spec_helpers import bridge
 
 gibbs_factors = st.floats(min_value=0.1, max_value=0.9)
 
@@ -134,7 +130,7 @@ class TestEquivalence:
             for pt in verify.sample_grid(np.random.Generator(np.random.PCG64(seed)), 100):
                 spec = pt.specs[0]
                 cycle = discrete.run_cycle(spec)
-                report = equivalence_from_parts(spec, cycle, pt.reports[0])
+                report = bridge(spec, cycle, pt.reports[0])
                 worst = max(worst, report.work_power_scale / abs(cycle.work) - 1.0)
         assert 0.0 <= worst <= 1e-11
 
@@ -142,7 +138,7 @@ class TestEquivalence:
         spec = cat_family().spec_at(0.4)
         cycle = discrete.run_cycle(spec, catalyst=CatalystState(populations=(0.5, 0.5)))
         ss = continuous.steady_state_report(spec)
-        report = equivalence_from_parts(spec, cycle, ss)
+        report = bridge(spec, cycle, ss)
         assert not report.simple_permutation
         assert report.residuals["catalyst_balance_discrete_0"] > 1e-3  # reported, not gated
 

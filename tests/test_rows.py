@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -16,10 +17,11 @@ from spec_helpers import bath_from_factor, golden_specs
 
 
 def record_repr(record: tuple) -> tuple:
-    """A record by ``repr``, its steady state's matrix by its bytes."""
+    """A record by ``repr``, its steady state's matrix (if solved) by its bytes."""
     report, cycle, bridge = record
-    rest = repr(dataclasses.replace(report, rho_ss=None))
-    return report.rho_ss.matrix.tobytes(), rest, repr(cycle), repr(bridge)
+    if report is not None:
+        report = report.rho_ss.matrix.tobytes(), repr(dataclasses.replace(report, rho_ss=None))
+    return report, repr(cycle), repr(bridge)
 
 
 def alone(spec: EngineSpec) -> tuple:
@@ -53,6 +55,48 @@ def test_every_record_is_the_record_of_its_spec_alone(specs, order):
     assert list(map(record_repr, mapping.rows(specs))) == one_by_one
     shuffled = mapping.rows([specs[i] for i in order])
     assert list(map(record_repr, shuffled)) == [one_by_one[i] for i in order]
+
+
+def near_the_boundary(seed: int) -> list[EngineSpec]:
+    """40 ladders with d = 1 to 4 whose a_c = a_h^d (1 +- eps) sits a relative
+    eps from the equilibrium boundary, eps log-uniform in [1e-7, 1e-2]."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(40):
+        d, a_h = int(rng.integers(1, 5)), rng.uniform(0.5, 0.95)
+        eps = 10 ** rng.uniform(-7.0, -2.0) * rng.choice([-1.0, 1.0])
+        hot = bath_from_factor(a_h, 1.0, rng.uniform(0.5, 2.0))
+        cold = bath_from_factor(a_h**d * (1.0 + eps), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        specs.append(ladder_spec(d, hot, cold, rng.uniform(0.3, 3.0)))
+    return specs
+
+
+def records_and_fault(records) -> tuple[list, tuple | None]:
+    """The records of a run by :func:`record_repr` up to its first failure,
+    and that failure's type, message and ``index`` (``None`` if it has none)."""
+    done = []
+    try:
+        for record in records:
+            done.append(record_repr(record))
+    except (ValueError, AssertionError) as exc:
+        return done, (type(exc), str(exc), exc.index)
+    return done, None
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("mode", ["both", "continuous", "discrete"])
+def test_near_the_boundary_a_stack_fails_where_one_spec_at_a_time_does(mode, seed):
+    # Bridges this close to the boundary can fail their tau_spread row (1.4e-9
+    # and up against 1e-9): the stack must name the same spec with the same words.
+    specs = near_the_boundary(seed)
+    one_by_one = []
+    for index, spec in enumerate(specs):
+        done, fault = records_and_fault(mapping.rows([spec], mode))
+        one_by_one += done
+        if fault is not None:
+            fault = (*fault[:2], index)
+            break
+    assert records_and_fault(mapping.rows(specs, mode)) == (one_by_one, fault)
 
 
 def no_catalyst_spec() -> EngineSpec:
@@ -179,3 +223,49 @@ def test_the_d6_plan_is_built_without_a_dense_superoperator():
         tracemalloc.stop()
     assert pieces.shape == (len(spec.swaps) + 4, len(blocks[0]))
     assert peak <= PLAN_PEAK_BOUND_MB * 1e6
+
+
+#: Peak traced memory of one dense ``build_liouvillian`` or ``build_dissipator``
+#: call for the d = 6 ladder, whose 576 x 576 complex matrix takes 5.31 MB:
+#: 5.45 and 5.33 MB when the function hands its fresh matrix over, 10.62 MB
+#: each when ``Superoperator`` copied it.  The bound adds 0.5 MB.
+DENSE_BUILD_PEAK_BOUND_MB = 5.95
+
+
+def test_each_dense_build_holds_one_matrix_of_the_d6_ladder():
+    spec = ladder_spec(6, bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0), 1.0)
+    builds = (
+        lambda: continuous.build_liouvillian(spec),
+        lambda: continuous.build_dissipator(spec.hot, "hot", spec.layout),
+        lambda: continuous.build_dissipator(spec.cold, "cold", spec.layout),
+    )
+    for build in builds:
+        build()  # builds the per-structure caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matrix = build().matrix
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert matrix.nbytes == 576**2 * 16 and not matrix.flags.writeable
+        assert peak <= DENSE_BUILD_PEAK_BOUND_MB * 1e6
+
+
+def scalars(value) -> list:
+    """The numbers in a report field, through tuples and dicts."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [x for item in value for x in scalars(item)]
+    return [] if value is None or isinstance(value, (str, bool)) else [value]
+
+
+def test_every_number_of_every_record_is_a_python_float():
+    specs = [*golden_specs()[:4], ladder_spec(3, bath_from_factor(0.7), bath_from_factor(0.2), 1.0)]
+    for record in mapping.rows(specs):
+        for report in record:
+            fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+            fields.pop("rho_ss", None)
+            for name, value in fields.items():
+                assert {type(x) for x in scalars(value)} <= {float}, name

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ottocat import analytic, cli, discrete, mapping, verify
 from ottocat.continuous import steady_state_report
 from ottocat.engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair, ladder_spec
+from spec_helpers import bridge
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,14 @@ def test_the_default_report_regenerates_byte_for_byte(capsys):
     assert capsys.readouterr().out.encode("utf-8") == pinned.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 16, 101])
+def test_the_report_at_seed_regenerates_byte_for_byte(capsys, seed):
+    # Pinned once, never regenerated, like seed 1234's and seed 27's reports.
+    assert cli.main(["verify", "--seed", str(seed)]) == 0
+    pinned = Path(__file__).parent / "data" / f"verify_seed{seed}.txt"
+    assert capsys.readouterr().out.encode("utf-8") == pinned.read_bytes()
+
+
 def test_seed_27_passes_every_check(capsys):
     assert cli.main(["verify", "--seed", "27"]) == 0
     report = capsys.readouterr().out
@@ -145,7 +154,7 @@ def test_seed_27_regenerates_byte_for_byte(capsys):
 def test_the_bridge_scale_at_seed_27_point_70_is_the_pair_terms(seed_27_grid):
     spec = seed_27_grid[70].specs[1]
     cycle = discrete.run_cycle(spec)
-    report = mapping.equivalence_from_parts(spec, cycle, seed_27_grid[70].reports[1])
+    report = bridge(spec, cycle, seed_27_grid[70].reports[1])
     assert 400.0 < report.work_power_scale / abs(cycle.work) < 500.0
     gap = abs(report.power * report.tau - cycle.work)
     assert gap > 1e-9 * abs(cycle.work)
@@ -160,9 +169,7 @@ def test_every_bridge_row_at_seed_27_point_70_is_within_its_tolerance(seed_27_gr
     pt = seed_27_grid[70]
     spec = pt.specs[engine]
     report = mapping.verify_equivalence(spec)
-    assert report.residuals == mapping.equivalence_from_parts(
-        spec, discrete.run_cycle(spec), pt.reports[engine]
-    ).residuals
+    assert report.residuals == bridge(spec, discrete.run_cycle(spec), pt.reports[engine]).residuals
     for row, value in report.residuals.items():
         if row.startswith("catalyst_balance_"):
             assert value <= discrete.CATALYST_SOLVE_TOL, row
