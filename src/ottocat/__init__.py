@@ -40,7 +40,6 @@ from .analytic import (
 )
 from .continuous import (
     SteadyStateReport,
-    Superoperator,
     build_dissipator,
     build_liouvillian,
     currents_and_power,
@@ -121,7 +120,6 @@ __all__ = [
     "run_cycle",
     "clausius_check",
     # autonomous picture
-    "Superoperator",
     "SteadyStateReport",
     "build_dissipator",
     "build_liouvillian",

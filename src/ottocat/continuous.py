@@ -10,12 +10,13 @@ balance, gamma_plus / gamma_minus = exp(-beta*omega), with gamma_plus
 pumping |0> -> |1>.  Everything lives in the interaction picture where
 V0 is time-independent; lab-frame transients are out of scope.
 
-Superoperators act on column-stacked operators, vec(A X B) =
-(B^T (x) A) vec(X): the commutator part of the generator is
+The generator acts on column-stacked operators, vec(A X B) =
+(B^T (x) A) vec(X): its commutator part is
 -i (I (x) V0 - V0^T (x) I), the Hilbert-Schmidt adjoint (Heisenberg
-picture) the conjugate transpose.  Only the public :class:`Superoperator`
-holds one as a dense dim^2 x dim^2 matrix; the solver keeps the flat
-positions and values of the nonzero entries, written from index rules.
+picture) the conjugate transpose.  Only :func:`build_liouvillian` and
+:func:`build_dissipator` form one as a dense, read-only dim^2 x dim^2
+matrix; the solver keeps the flat positions and values of the nonzero
+entries, written from index rules.
 
 The stationary state is found twice — by a trace-normalized bordered
 solve of the full generator, and as a kernel eigenvector — and the two
@@ -72,7 +73,6 @@ __all__ = [
     "CURRENT_IMAG_TOL",
     "CURRENT_CROSS_TOL",
     "FIRST_LAW_TOL",
-    "Superoperator",
     "SteadyStateReport",
     "build_dissipator",
     "build_liouvillian",
@@ -116,45 +116,6 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of column stacking, X.reshape(-1, order="F"); on a stack of
     vectors, of each."""
     return np.asarray(v).reshape(*np.shape(v)[:-1], dim, dim).swapaxes(-1, -2)
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Linear map on operators, stored in column-stacking convention."""
-
-    layout: HilbertLayout
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        d2 = self.layout.total_dim ** 2
-        if mat.shape != (d2, d2):
-            raise ValueError(f"superoperator must be {d2}x{d2}, got {mat.shape}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def _adopt(cls, layout: HilbertLayout, matrix: np.ndarray) -> "Superoperator":
-        """Hold a fresh complex ``matrix`` that no caller keeps: read-only, not copied."""
-        matrix.setflags(write=False)
-        sup = object.__new__(cls)
-        sup.__dict__.update(layout=layout, matrix=matrix)  # what the frozen __init__ sets
-        return sup
-
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
-
-    def apply(self, op: Operator) -> Operator:
-        if op.layout.factor_dims != self.layout.factor_dims:
-            raise ValueError("layout mismatch between superoperator and operand")
-        vec = op.entries.reshape(-1, order="F")  # column stacking
-        return Operator(self.layout, _unvec(self.matrix @ vec, self.dim))
-
-    def adjoint(self) -> "Superoperator":
-        """Hilbert-Schmidt adjoint: the Heisenberg-picture generator."""
-        return Superoperator(self.layout, self.matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -258,8 +219,9 @@ def _bath_jumps(factor_dims: tuple[int, ...], which_qubit: str) -> tuple:
     return positions, jumps, terms
 
 
-def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) -> Superoperator:
-    """Local thermal dissipator of one bath qubit, identity elsewhere.
+def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) -> np.ndarray:
+    """Local thermal dissipator of one bath qubit, identity elsewhere, as a
+    read-only column-stacked matrix.
 
     gamma_plus drives the raising jump |0> -> |1> and gamma_minus the
     lowering jump, so the bath's own Gibbs qubit is an exact fixed point.
@@ -267,7 +229,8 @@ def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) 
     positions, jumps, _ = _bath_jumps(layout.factor_dims, which_qubit)
     matrix = np.zeros(layout.total_dim**4, dtype=complex)
     matrix[positions] = bath.gamma_plus * jumps[0] + bath.gamma_minus * jumps[1]
-    return Superoperator._adopt(layout, matrix.reshape(layout.total_dim**2, -1))
+    matrix.setflags(write=False)
+    return matrix.reshape(layout.total_dim**2, -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -314,13 +277,14 @@ def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.nda
     return coherent + (up_h * raise_h + down_h * lower_h) + (up_c * raise_c + down_c * lower_c)
 
 
-def build_liouvillian(spec: EngineSpec) -> Superoperator:
-    """Full generator -i[V0, .] + D_h + D_c, evaluated on its nonzero entries
-    only (:func:`_generator_values`)."""
+def build_liouvillian(spec: EngineSpec) -> np.ndarray:
+    """Full generator -i[V0, .] + D_h + D_c as a read-only column-stacked
+    matrix, evaluated on its nonzero entries only (:func:`_generator_values`)."""
     pieces, blocks = _generator_plan(*spec.structure)
     total = np.zeros(spec.dim**4, dtype=complex)
     total[blocks[0]] = _generator_values([spec], pieces)[0]
-    return Superoperator._adopt(spec.layout, total.reshape(spec.dim**2, -1))
+    total.setflags(write=False)
+    return total.reshape(spec.dim**2, -1)
 
 
 def _normalize_state(mat: np.ndarray) -> np.ndarray:
@@ -533,8 +497,8 @@ def _stationary_stack(
     return [(DensityMatrix(Operator(layout, rho)), float(d)) for rho, d in zip(rho_lin, decay)]
 
 
-def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
-    """Unique steady state and spectral gap of a generator.
+def stationary_state(spec: EngineSpec) -> tuple[DensityMatrix, float]:
+    """Unique steady state and spectral gap of a spec's generator.
 
     The spectrum is pooled block by block (see the module docstring): if
     mirror blocks are not exact complex conjugates, "generator does not
@@ -556,11 +520,8 @@ def stationary_state(liouvillian: Superoperator) -> tuple[DensityMatrix, float]:
     Returns ``(rho_ss, spectral_gap)`` where the gap is the smallest decay
     rate -Re(lambda) over the nonstationary spectrum; a stack of one.
     """
-    mat = liouvillian.matrix
-    positions = np.flatnonzero(mat)
-    values = mat.ravel()[positions]
-    blocks = _kernel_blocks(len(mat), positions, values.real != 0, values.imag != 0)
-    [state] = _stationary_stack(liouvillian.layout, values[None], blocks)
+    pieces, blocks = _generator_plan(*spec.structure)
+    [state] = _stationary_stack(spec.layout, _generator_values([spec], pieces), blocks)
     return state
 
 
@@ -699,13 +660,13 @@ def ness_condition_checks(spec: EngineSpec, rho_ss: DensityMatrix) -> dict:
 
     All but the first are the values :func:`steady_state_report` reports.
     """
-    l_rho = build_liouvillian(spec).apply(Operator(spec.layout, rho_ss.matrix))
+    l_rho = build_liouvillian(spec) @ rho_ss.matrix.reshape(-1, order="F")
     ex = _exchanges([spec], rho_ss.matrix[None])
     return {
-        "liouvillian_residual": float(np.max(np.abs(l_rho.entries))),
+        "liouvillian_residual": float(np.max(np.abs(l_rho))),
         "int_vanish": tuple(ex.int_vanish[:, 0].tolist()),
         "catalyst_flow": tuple(float(level[0]) for level in ex.catalyst_flow),
-        "clausius_margin": ex.clausius_margin[0],
+        "clausius_margin": float(ex.clausius_margin[0]),
     }
 
 
@@ -719,7 +680,7 @@ def entropy_production_rate(spec: EngineSpec, rho_ss: DensityMatrix) -> float:
     the interaction terms <D_k^+[V0]> vanish.  At the steady state it is
     the report's ``entropy_production``.
     """
-    return _exchanges([spec], rho_ss.matrix[None]).entropy_production[0]
+    return float(_exchanges([spec], rho_ss.matrix[None]).entropy_production[0])
 
 
 def steady_state_report(spec: EngineSpec) -> SteadyStateReport:

@@ -11,8 +11,10 @@ summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
 :func:`rows` runs specs through both pictures and audits that dictionary
 in stacks of one structure, one :func:`~ottocat.engine_spec.stacked` call
-per stage; :func:`verify_equivalence` is a stack of one.
-:func:`compare_at_efficiency` pits the catalyst-free and
+per stage; :func:`verify_equivalence` is a stack of one.  A bridge holds
+the dictionary alone: the efficiencies, the work and the power are the
+fields of the cycle and of the steady state that :func:`rows` yields
+beside it.  :func:`compare_at_efficiency` pits the catalyst-free and
 qubit-catalyst machines against each other at matched efficiency, which
 is where the catalytic advantage in work, time, and power lives.
 """
@@ -86,7 +88,7 @@ class EquivalenceReport:
       Omega_i (<n_i> tau - delta_p_i);
     * ``second_law``: -(beta_h Q_h + beta_c Q_c) vs the rate margin
       times tau, of beta_h |Q_h| + beta_c |Q_c| (which bounds |margin|);
-    * ``efficiency``: |eta_discrete - eta_continuous|, 0.0 if undefined;
+    * ``efficiency``: |eta of the cycle - eta of the steady state|, 0.0 if undefined;
     * ``catalyst_balance_{discrete,continuous}_<m>``: |net flow| through
       catalyst level m per cycle (the continuous rate times tau).
 
@@ -97,10 +99,6 @@ class EquivalenceReport:
 
     tau_i: tuple[float | None, ...]
     tau: float
-    eta_discrete: float | None
-    eta_continuous: float | None
-    work_per_cycle: float
-    power: float
     work_power_scale: float
     simple_permutation: bool
     tau_uniform_residual: float
@@ -253,16 +251,12 @@ def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[Eq
         EquivalenceReport(
             tau_i=tuple(t if inc else None for t, inc in zip(tau_i[k], included[k])),
             tau=tau_k,
-            eta_discrete=eta_d[k],
-            eta_continuous=eta_c[k],
-            work_per_cycle=cycle.work,
-            power=ss.power,
             work_power_scale=scale,
             simple_permutation=is_simple,
             tau_uniform_residual=spread_k,
             residuals={row: column[k] for row, column in columns.items()},
         )
-        for k, (cycle, ss, tau_k, scale, is_simple, spread_k) in enumerate(zip(cycles, states, *(
+        for k, (tau_k, scale, is_simple, spread_k) in enumerate(zip(*(
             value.tolist() for value in (tau, work_power_scale, simple, spread)
         )))
     ]
@@ -297,13 +291,13 @@ def compare_at_efficiency(
     otto: EngineFamily, cat: EngineFamily, eta: float
 ) -> EfficiencyComparison:
     """Evaluate both machines at the same efficiency and report
-    (power, work, characteristic time) for each.
+    (power, work, characteristic time) for each, from one :func:`rows` call.
 
     The families must be an 'otto' and a 'qubit_catalyst' design sharing
     (beta_h, beta_c, omega_h, tau_eq, g); only omega_c differs, chosen
-    per family so that each machine runs at efficiency ``eta``.  Working
-    points outside a machine's engine regime are returned tagged
-    ``non_engine`` rather than raising.
+    per family so that each machine runs at efficiency ``eta``.  Each
+    regime is that machine's steady-state ``regime``: a working point
+    outside the engine regime is tagged ``non_engine`` rather than raising.
     """
     if otto.kind != "otto":
         raise ValueError(f"first family must have kind 'otto', got {otto.kind!r}")
@@ -316,15 +310,15 @@ def compare_at_efficiency(
         if a != b:
             raise ValueError(f"families disagree on {name}: {a!r} vs {b!r}")
 
-    rep_otto = verify_equivalence(otto.spec_at(eta))
-    rep_cat = verify_equivalence(cat.spec_at(eta))
+    records = rows([otto.spec_at(eta), cat.spec_at(eta)])
+    (ss_otto, cycle_otto, bridge_otto), (ss_cat, cycle_cat, bridge_cat) = records
     return EfficiencyComparison(
-        p_otto=rep_otto.power,
-        p_cat=rep_cat.power,
-        w_otto=rep_otto.work_per_cycle,
-        w_cat=rep_cat.work_per_cycle,
-        tau_otto=rep_otto.tau,
-        tau_cat=rep_cat.tau,
-        regime_otto="engine" if rep_otto.power > 0.0 else "non_engine",
-        regime_cat="engine" if rep_cat.power > 0.0 else "non_engine",
+        p_otto=ss_otto.power,
+        p_cat=ss_cat.power,
+        w_otto=cycle_otto.work,
+        w_cat=cycle_cat.work,
+        tau_otto=bridge_otto.tau,
+        tau_cat=bridge_cat.tau,
+        regime_otto=ss_otto.regime,
+        regime_cat=ss_cat.regime,
     )

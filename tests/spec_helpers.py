@@ -22,6 +22,12 @@ def golden_specs() -> list[EngineSpec]:
     return [cli._spec(config.fixed, *point) for point in config.points]
 
 
+def record(spec: EngineSpec) -> tuple:
+    """``(report, cycle, bridge)`` of one spec: :func:`mapping.rows` of a
+    stack of one."""
+    return next(mapping.rows([spec]))
+
+
 def bridge(spec: EngineSpec, cycle, report) -> mapping.EquivalenceReport:
     """The bridge of one spec from its cycle and its steady-state report: the
     stacked stage on a stack of one."""

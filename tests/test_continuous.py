@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ottocat import analytic, cli, continuous, engine_spec, verify
 from ottocat.continuous import (
-    Superoperator,
     build_dissipator,
     build_liouvillian,
     currents_and_power,
@@ -75,11 +74,23 @@ def pair_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
     return continuous._currents([spec], rho_ss.matrix[None])[0]
 
 
-def dissipators_only(spec) -> Superoperator:
+def dissipators_only(spec) -> np.ndarray:
     """D_h + D_c with the coherent swap switched off."""
-    hot = build_dissipator(spec.hot, "hot", spec.layout)
-    cold = build_dissipator(spec.cold, "cold", spec.layout)
-    return Superoperator(spec.layout, hot.matrix + cold.matrix)
+    return (build_dissipator(spec.hot, "hot", spec.layout)
+            + build_dissipator(spec.cold, "cold", spec.layout))
+
+
+def apply(superoperator: np.ndarray, op: Operator) -> Operator:
+    """A dense column-stacked superoperator applied to an operator."""
+    vec = op.entries.reshape(-1, order="F")
+    return Operator(op.layout, continuous._unvec(superoperator @ vec, op.layout.total_dim))
+
+
+def pattern_state(layout: HilbertLayout, mat: np.ndarray) -> tuple[DensityMatrix, float]:
+    """The steady state and gap of a handmade generator, its blocks taken
+    from its own nonzero pattern: a stack of one."""
+    [state] = continuous._stationary_stack(layout, mat[mat != 0][None], pattern_blocks(mat))
+    return state
 
 
 class TestGeneratorStructure:
@@ -98,14 +109,14 @@ class TestGeneratorStructure:
         for spec in (otto_from_factors(0.5, 0.25), catalyst_from_factors(0.5, 0.2)):
             lv = build_liouvillian(spec)
             identity = Operator(spec.layout, np.eye(spec.dim, dtype=complex))
-            assert np.abs(lv.adjoint().apply(identity).entries).max() <= 1e-12
+            assert np.abs(apply(lv.conj().T, identity).entries).max() <= 1e-12
 
     def test_generator_preserves_hermiticity(self):
         spec = catalyst_from_factors(0.5, 0.2)
         lv = build_liouvillian(spec)
         x = random_operator(spec.layout, seed=5)
-        lhs = lv.apply(x.dagger()).entries
-        rhs = lv.apply(x).dagger().entries
+        lhs = apply(lv, x.dagger()).entries
+        rhs = apply(lv, x).dagger().entries
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_each_dissipator_fixes_its_own_gibbs_state(self):
@@ -120,15 +131,15 @@ class TestGeneratorStructure:
         ])
         for which, bath in (("hot", spec.hot), ("cold", spec.cold)):
             diss = build_dissipator(bath, which, spec.layout)
-            assert np.abs(diss.apply(product).entries).max() <= 1e-14
+            assert np.abs(apply(diss, product).entries).max() <= 1e-14
 
     def test_hot_dissipator_is_blind_to_the_cold_hamiltonian(self):
         spec = catalyst_from_factors(0.5, 0.2)
         h_hot, h_cold = hamiltonians(spec)
-        d_hot = build_dissipator(spec.hot, "hot", spec.layout).adjoint()
-        d_cold = build_dissipator(spec.cold, "cold", spec.layout).adjoint()
-        assert np.abs(d_hot.apply(h_cold).entries).max() <= 1e-14
-        assert np.abs(d_cold.apply(h_hot).entries).max() <= 1e-14
+        d_hot = build_dissipator(spec.hot, "hot", spec.layout).conj().T
+        d_cold = build_dissipator(spec.cold, "cold", spec.layout).conj().T
+        assert np.abs(apply(d_hot, h_cold).entries).max() <= 1e-14
+        assert np.abs(apply(d_cold, h_hot).entries).max() <= 1e-14
 
     def test_dissipator_rejects_unknown_qubit_selector(self):
         spec = otto_from_factors(0.5, 0.25)
@@ -137,19 +148,27 @@ class TestGeneratorStructure:
 
 
 class TestStationaryState:
+    def test_the_state_and_gap_are_the_reports_bit_for_bit(self):
+        hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+        ladders = [ladder_spec(d, hot, cold, g) for d in range(1, 5) for g in (0.1, 10.0, 1e3)]
+        for spec in [*golden_specs(), *ladders]:
+            rho_ss, gap = stationary_state(spec)
+            report = steady_state_report(spec)
+            assert np.array_equal(rho_ss.matrix, report.rho_ss.matrix)
+            assert gap == report.spectral_gap
+
     def test_coupled_engine_has_a_unique_steady_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        rho_ss, gap = stationary_state(build_liouvillian(spec))
+        rho_ss, gap = stationary_state(spec)
         rho_ss.validate()
         assert gap > 0.0
         lv = build_liouvillian(spec)
-        residual = np.abs(lv.apply(Operator(spec.layout, rho_ss.matrix)).entries).max()
+        residual = np.abs(apply(lv, Operator(spec.layout, rho_ss.matrix)).entries).max()
         assert residual <= 1e-12
 
     def test_dissipators_alone_relax_to_the_gibbs_product(self):
         spec = otto_from_factors(0.5, 0.25)
-        diss_only = dissipators_only(spec)
-        rho_ss, gap = stationary_state(diss_only)
+        rho_ss, gap = pattern_state(spec.layout, dissipators_only(spec))
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
         expected = tensor_all([
@@ -162,9 +181,8 @@ class TestStationaryState:
 
     def test_decoupled_catalyst_makes_the_generator_non_ergodic(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        diss_only = dissipators_only(spec)
         with pytest.raises(ValueError, match="non-ergodic"):
-            stationary_state(diss_only)
+            pattern_state(spec.layout, dissipators_only(spec))
 
 
 class TestCurrentsAndPower:
@@ -210,7 +228,7 @@ class TestCurrentsAndPower:
 
     def test_currents_are_real_at_the_steady_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        rho_ss, _ = stationary_state(build_liouvillian(spec))
+        rho_ss, _ = stationary_state(spec)
         flows = pair_currents(spec, rho_ss)
         assert flows.dtype == np.float64
 
@@ -223,7 +241,7 @@ class TestCurrentsAndPower:
 class TestSteadyStateConditions:
     def test_condition_bundle_is_small_at_the_steady_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        rho_ss, _ = stationary_state(build_liouvillian(spec))
+        rho_ss, _ = stationary_state(spec)
         checks = ness_condition_checks(spec, rho_ss)
         assert checks["liouvillian_residual"] <= 1e-12
         assert max(checks["int_vanish"]) <= 1e-13
@@ -234,7 +252,7 @@ class TestSteadyStateConditions:
     @settings(max_examples=25, deadline=None)
     def test_entropy_production_is_nonnegative(self, a_h, a_c):
         spec = catalyst_from_factors(a_h, a_c)
-        rho_ss, _ = stationary_state(build_liouvillian(spec))
+        rho_ss, _ = stationary_state(spec)
         assert entropy_production_rate(spec, rho_ss) >= -1e-10
 
     def test_entropy_production_matches_the_clausius_margin_at_steady_state(self):
@@ -243,6 +261,15 @@ class TestSteadyStateConditions:
         report = steady_state_report(spec)
         sigma = entropy_production_rate(spec, report.rho_ss)
         assert sigma == pytest.approx(report.clausius_margin, rel=1e-10)
+
+    def test_the_standalone_audits_return_python_floats(self):
+        spec = next(spec for spec in golden_specs() if spec.catalyst_dim == 2)
+        rho_ss = steady_state_report(spec).rho_ss
+        checks = ness_condition_checks(spec, rho_ss)
+        numbers = [checks["liouvillian_residual"], *checks["int_vanish"],
+                   *checks["catalyst_flow"], checks["clausius_margin"],
+                   entropy_production_rate(spec, rho_ss)]
+        assert [type(x) for x in numbers] == [float] * len(numbers)  # not np.float64
 
 
 class TestReportInvariants:
@@ -357,7 +384,7 @@ class TestCachedGeneratorPieces:
         spec = spec_with_catalyst(catalyst_dim)
         bath = spec.hot if which == "hot" else spec.cold
         for _ in range(2):
-            built = build_dissipator(bath, which, spec.layout).matrix
+            built = build_dissipator(bath, which, spec.layout)
             assert np.array_equal(built, kron_dissipator(bath, which, catalyst_dim))
 
     @pytest.mark.parametrize("family", list(ASSEMBLY_FAMILIES))
@@ -371,7 +398,7 @@ class TestCachedGeneratorPieces:
                 + kron_dissipator(spec.cold, "cold", spec.catalyst_dim)
             )
             for _ in range(2):
-                assert np.array_equal(build_liouvillian(spec).matrix, expected)
+                assert np.array_equal(build_liouvillian(spec), expected)
 
     def test_cached_arrays_reject_writes(self):
         spec = spec_with_catalyst(2)
@@ -400,20 +427,7 @@ class TestCachedGeneratorPieces:
     def test_the_generator_matrix_is_read_only(self):
         liouv = build_liouvillian(spec_with_catalyst(2))
         with pytest.raises(ValueError, match="read-only"):
-            liouv.matrix[0, 0] = 1.0
-
-    def test_the_constructor_copies_the_callers_array(self):
-        layout = HilbertLayout((1, 2, 2))
-        writable = np.eye(16, dtype=complex)
-        frozen = np.eye(16, dtype=complex)
-        frozen.setflags(write=False)
-        kept = [Superoperator(layout, writable), Superoperator(layout, frozen)]
-        frozen.setflags(write=True)  # the owner may turn writing back on
-        for mat in (writable, frozen):
-            mat[0, 0] = 5.0
-        for sup in kept:
-            assert np.array_equal(sup.matrix, np.eye(16))
-            assert not sup.matrix.flags.writeable
+            liouv[0, 0] = 1.0
 
     def test_layout_without_a_catalyst_factor_is_rejected_on_every_call(self):
         bath = bath_from_factor(0.5)
@@ -438,7 +452,7 @@ class TestCachedGeneratorPieces:
 
 
 def kernel_mask(eigvals: np.ndarray) -> np.ndarray:
-    """The stationary eigenvalues under the rule stationary_state applies."""
+    """The stationary eigenvalues under the rule the solver applies."""
     return np.abs(eigvals.real) <= continuous.KERNEL_TOL * np.max(np.abs(eigvals))
 
 
@@ -496,7 +510,7 @@ class TestBlockCertificate:
         specs = certificate_specs()
         assert len(specs) >= 600
         for spec in specs:
-            mat = build_liouvillian(spec).matrix
+            mat = build_liouvillian(spec)
             n_dense, gap_dense, rho_dense = dense_certificate(mat, spec.dim)
             n_block, gap_block, rho_block = block_certificate(mat, spec.dim)
             assert n_block == n_dense == 1
@@ -512,7 +526,7 @@ class TestBlockCertificate:
     )
     def test_block_sizes_of_the_built_in_engines(self, make, sizes):
         spec = make(0.5, 0.2)
-        mat = build_liouvillian(spec).matrix
+        mat = build_liouvillian(spec)
         blocks = continuous._generator_plan(*spec.structure)[1]
         assert same_arrays(blocks, pattern_blocks(mat))
         _, main, _, others, _, _ = blocks
@@ -529,26 +543,25 @@ class TestBlockCertificate:
         assert np.array_equal(np.sort(np.concatenate(covered)), np.arange(mat.shape[0]))
 
     def test_a_one_ulp_break_of_a_mirror_block_raises(self):
-        liouv = build_liouvillian(catalyst_from_factors(0.5, 0.2))
-        mat = liouv.matrix.copy()
+        spec = catalyst_from_factors(0.5, 0.2)
+        mat = build_liouvillian(spec).copy()
         v = 1  # |1><0| of the cold qubit, in an 8 x 8 block mirrored by |0><1|'s
         assert mat[v, v].real != 0.0
         mat[v, v] = complex(np.nextafter(mat[v, v].real, 0.0), mat[v, v].imag)
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            stationary_state(Superoperator(liouv.layout, mat))
+            pattern_state(spec.layout, mat)
 
     def test_qutrit_catalyst_spec_solves(self):
         spec = spec_with_catalyst(3)
-        liouv = build_liouvillian(spec)
-        rho_ss, gap = stationary_state(liouv)
-        n_dense, gap_dense, rho_dense = dense_certificate(liouv.matrix, spec.dim)
+        rho_ss, gap = stationary_state(spec)
+        n_dense, gap_dense, rho_dense = dense_certificate(build_liouvillian(spec), spec.dim)
         assert n_dense == 1
         assert gap == pytest.approx(gap_dense, rel=1e-9)
         assert np.max(np.abs(rho_ss.matrix - rho_dense)) <= continuous.SOLVER_CROSS_TOL
 
     def test_dissipators_alone_have_the_same_degenerate_kernel_on_both_routes(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        mat = dissipators_only(spec).matrix
+        mat = dissipators_only(spec)
         # One stationary direction per catalyst operator |s><s'|.
         n_block = int(np.count_nonzero(kernel_mask(block_spectrum(mat)[0])))
         assert n_block == dense_certificate(mat, spec.dim)[0] == 4
@@ -556,7 +569,7 @@ class TestBlockCertificate:
     def test_zero_generator_raises(self):
         layout = HilbertLayout((1, 2, 2))
         with pytest.raises(ValueError, match="identically zero"):
-            stationary_state(Superoperator(layout, np.zeros((16, 16))))
+            pattern_state(layout, np.zeros((16, 16), dtype=complex))
 
     def test_kernel_outside_the_ground_population_block_raises(self):
         # Not trace preserving: the only stationary direction is the
@@ -565,17 +578,16 @@ class TestBlockCertificate:
         mat = -np.eye(16, dtype=complex)
         mat[5, 5] = 0.0
         with pytest.raises(ValueError, match="outside the block"):
-            stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+            pattern_state(HilbertLayout((1, 2, 2)), mat)
         mat[5, 5], mat[1, 1] = -1.0, 0.0
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+            pattern_state(HilbertLayout((1, 2, 2)), mat)
 
 
-def full_refinement_state(liouvillian: Superoperator) -> np.ndarray:
+def full_refinement_state(mat: np.ndarray) -> np.ndarray:
     """The bordered solve refined on the whole generator: three solves of
     the full matrix, all of it cast to extended precision."""
-    mat = liouvillian.matrix
-    dim = liouvillian.dim
+    dim = math.isqrt(len(mat))
     bordered = mat.copy()
     bordered[0, :] = 0.0
     bordered[0, :: dim + 1] = 1.0
@@ -591,15 +603,15 @@ def full_refinement_state(liouvillian: Superoperator) -> np.ndarray:
 
 
 def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):
-    """(<D_k^+[H_0k + V0]>, <D_k^+[V0]>) per bath through Superoperator
-    adjoints, Operators and ``expectation``."""
+    """(<D_k^+[H_0k + V0]>, <D_k^+[V0]>) per bath through dense adjoints,
+    Operators and ``expectation``."""
     v0 = interaction_operator(spec)
     heat, interaction = [], []
     for (label, bath), h0k in zip((("hot", spec.hot), ("cold", spec.cold)), hamiltonians(spec)):
-        adj = build_dissipator(bath, label, spec.layout).adjoint()
+        adj = build_dissipator(bath, label, spec.layout).conj().T
         target = Operator(spec.layout, h0k.entries + v0.entries)
-        heat.append(expectation(adj.apply(target), rho_ss))
-        interaction.append(float(abs(expectation(adj.apply(v0), rho_ss))))
+        heat.append(expectation(apply(adj, target), rho_ss))
+        interaction.append(float(abs(expectation(apply(adj, v0), rho_ss))))
     return tuple(heat), tuple(interaction)
 
 
@@ -694,8 +706,8 @@ def term_by_term_audit(spec: EngineSpec, rho_ss: DensityMatrix):
         for i in range(len(spec.swaps)):
             en = energy_differences(spec, i)
             j_k += (en.d_eps_h if label == "hot" else en.d_eps_c) * currents[i]
-        adj = build_dissipator(bath, label, spec.layout).adjoint()
-        int_term = expectation(adj.apply(v0), rho_ss)
+        adj = build_dissipator(bath, label, spec.layout).conj().T
+        int_term = expectation(apply(adj, v0), rho_ss)
         int_vanish.append(float(abs(int_term)))
         sigma -= bath.beta * (j_k - int_term.real)
     flow = []
@@ -1032,7 +1044,7 @@ class TestRealGauge:
         eigvals, _, _ = block_spectrum(mat)
         assert_same_multiset(eigvals, np.linalg.eigvals(mat), 1e-14)
         # The triangle's eigenvalues -1 - 0.5i w, w^3 = 1, hold no conjugate pair.
-        rho, gap = stationary_state(Superoperator(HilbertLayout((1, 2, 2)), mat))
+        rho, gap = pattern_state(HilbertLayout((1, 2, 2)), mat)
         assert rho.matrix[0, 0] == 1.0
         assert gap == pytest.approx(1.0 - math.sqrt(3.0) / 4.0, rel=1e-14)
 
@@ -1060,7 +1072,7 @@ class TestPlanFromIndexRules:
         assert same_arrays((pieces, blocks, terms["hot"], terms["cold"]),
                            (expected[0], expected[1], expected[2]["hot"], expected[2]["cold"]))
         assert pieces.tobytes() == expected[0].tobytes()
-        assert_dense_labelling(build_liouvillian(spec).matrix, blocks)
+        assert_dense_labelling(build_liouvillian(spec), blocks)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_edge_list_blocks_equal_a_dense_labelling(self, seed):

@@ -11,7 +11,7 @@ from ottocat import analytic, continuous, discrete, verify
 from ottocat.discrete import CatalystState
 from ottocat.engine_spec import FAMILIES, BathParams, ladder_spec
 from ottocat.mapping import EngineFamily, compare_at_efficiency, verify_equivalence
-from spec_helpers import bridge
+from spec_helpers import bridge, record
 
 gibbs_factors = st.floats(min_value=0.1, max_value=0.9)
 
@@ -75,16 +75,16 @@ class TestEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_power_times_cycle_time_equals_work(self, eta):
         for family in (otto_family(), cat_family()):
-            report = verify_equivalence(family.spec_at(eta))
+            steady, cycle, report = record(family.spec_at(eta))
             assert report.simple_permutation
-            assert abs(report.power * report.tau - report.work_per_cycle) <= 1e-9 * max(
-                1e-30, abs(report.work_per_cycle)
+            assert abs(steady.power * report.tau - cycle.work) <= 1e-9 * max(
+                1e-30, abs(cycle.work)
             )
 
     def test_both_pictures_agree_on_the_efficiency(self):
-        report = verify_equivalence(cat_family().spec_at(0.4))
-        assert report.eta_discrete == pytest.approx(0.4, rel=1e-12)
-        assert report.eta_continuous == pytest.approx(0.4, rel=1e-12)
+        steady, cycle, report = record(cat_family().spec_at(0.4))
+        assert cycle.efficiency == pytest.approx(0.4, rel=1e-12)
+        assert steady.efficiency == pytest.approx(0.4, rel=1e-12)
         assert report.residuals["efficiency"] <= 1e-12
 
     def test_measured_time_matches_the_closed_form_for_otto(self):
@@ -177,6 +177,18 @@ class TestMatchedEfficiencyComparison:
         # machines still run here, so probe the power ordering instead
         comparison = compare_at_efficiency(otto_family(), cat_family(), eta=0.85)
         assert comparison.p_cat > comparison.p_otto > 0.0
+
+    def test_past_carnot_both_machines_are_tagged_by_their_steady_states(self):
+        families = verify.reference_families()
+        for eta in (0.4, 0.95):
+            comparison = compare_at_efficiency(*families, eta=eta)
+            otto, cat = (continuous.steady_state_report(f.spec_at(eta)) for f in families)
+            assert (comparison.p_otto, comparison.p_cat) == (otto.power, cat.power)
+            assert (comparison.regime_otto, comparison.regime_cat) == (otto.regime, cat.regime)
+        # eta = 0.95 is past Carnot, 1 - beta_h/beta_c = 0.9 at the reference point.
+        assert comparison.p_otto == pytest.approx(-0.01174, rel=1e-3)
+        assert comparison.p_cat == pytest.approx(-0.01364, rel=1e-3)
+        assert comparison.regime_otto == comparison.regime_cat == "non_engine"
 
     def test_rejects_mismatched_families(self):
         with pytest.raises(ValueError, match="kind"):
