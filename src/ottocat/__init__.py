@@ -70,7 +70,6 @@ from .engine_spec import (
     validate,
 )
 from .mapping import (
-    EfficiencyComparison,
     EngineFamily,
     EquivalenceReport,
     compare_at_efficiency,
@@ -146,7 +145,6 @@ __all__ = [
     # the bridge
     "EquivalenceReport",
     "EngineFamily",
-    "EfficiencyComparison",
     "verify_equivalence",
     "compare_at_efficiency",
 ]

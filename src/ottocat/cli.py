@@ -317,9 +317,11 @@ def load_config(path: str, command: str) -> RunConfig:
         )
         if not requested:
             raise ConfigError("key 'columns' in section [output] names no columns")
-        for name in requested:
+        for i, name in enumerate(requested):
             if name not in COLUMNS:
                 raise ConfigError(f"unknown column '{name}' in section [output]")
+            if name in requested[:i]:
+                raise ConfigError(f"duplicate column '{name}' in section [output]")
         columns = requested
 
     return RunConfig(points=points, fixed=fixed, columns=columns)

@@ -14,9 +14,10 @@ in stacks of one structure, one :func:`~ottocat.engine_spec.stacked` call
 per stage; :func:`verify_equivalence` is a stack of one.  A bridge holds
 the dictionary alone: the efficiencies, the work and the power are the
 fields of the cycle and of the steady state that :func:`rows` yields
-beside it.  :func:`compare_at_efficiency` pits the catalyst-free and
-qubit-catalyst machines against each other at matched efficiency, which
-is where the catalytic advantage in work, time, and power lives.
+beside it.  :func:`compare_at_efficiency` runs the catalyst-free and
+qubit-catalyst machines through :func:`rows` at matched efficiencies,
+where the catalytic advantage in work, time and power lives; ``verify``
+check 5 reads its powers from those records.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "BRIDGE_ERRORS",
     "EquivalenceReport",
     "EngineFamily",
-    "EfficiencyComparison",
     "verify_equivalence",
     "rows",
     "compare_at_efficiency",
@@ -147,20 +147,6 @@ class EngineFamily:
     def spec_at(self, eta: float) -> EngineSpec:
         cold = BathParams.from_relaxation_time(self.beta_c, self.omega_c_at(eta), self.tau_eq)
         return ladder_spec(FAMILIES[self.kind], self.hot, cold, self.g)
-
-
-@dataclass(frozen=True)
-class EfficiencyComparison:
-    """Both machines evaluated at one matched efficiency."""
-
-    p_otto: float
-    p_cat: float
-    w_otto: float
-    w_cat: float
-    tau_otto: float
-    tau_cat: float
-    regime_otto: str
-    regime_cat: str
 
 
 def verify_equivalence(spec: EngineSpec) -> EquivalenceReport:
@@ -288,16 +274,18 @@ def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Itera
 
 
 def compare_at_efficiency(
-    otto: EngineFamily, cat: EngineFamily, eta: float
-) -> EfficiencyComparison:
-    """Evaluate both machines at the same efficiency and report
-    (power, work, characteristic time) for each, from one :func:`rows` call.
+    otto: EngineFamily, cat: EngineFamily, etas: Sequence[float]
+) -> list[tuple]:
+    """The :func:`rows` records of both machines at each efficiency of ``etas``,
+    Otto's then the catalyst's, from one call.
 
     The families must be an 'otto' and a 'qubit_catalyst' design sharing
     (beta_h, beta_c, omega_h, tau_eq, g); only omega_c differs, chosen
-    per family so that each machine runs at efficiency ``eta``.  Each
-    regime is that machine's steady-state ``regime``: a working point
-    outside the engine regime is tagged ``non_engine`` rather than raising.
+    per family so that each machine runs at each efficiency.  A working
+    point outside the engine regime is tagged ``non_engine`` by its steady
+    state's ``regime`` rather than raising; a failed solve, cycle or bridge
+    raises as :func:`rows` does, its ``index`` counting the specs in that
+    order.
     """
     if otto.kind != "otto":
         raise ValueError(f"first family must have kind 'otto', got {otto.kind!r}")
@@ -309,16 +297,4 @@ def compare_at_efficiency(
         a, b = getattr(otto, name), getattr(cat, name)
         if a != b:
             raise ValueError(f"families disagree on {name}: {a!r} vs {b!r}")
-
-    records = rows([otto.spec_at(eta), cat.spec_at(eta)])
-    (ss_otto, cycle_otto, bridge_otto), (ss_cat, cycle_cat, bridge_cat) = records
-    return EfficiencyComparison(
-        p_otto=ss_otto.power,
-        p_cat=ss_cat.power,
-        w_otto=cycle_otto.work,
-        w_cat=cycle_cat.work,
-        tau_otto=bridge_otto.tau,
-        tau_cat=bridge_cat.tau,
-        regime_otto=ss_otto.regime,
-        regime_cat=ss_cat.regime,
-    )
+    return list(rows([family.spec_at(eta) for eta in etas for family in (otto, cat)]))

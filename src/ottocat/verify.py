@@ -310,24 +310,20 @@ def check_power_advantage() -> CheckResult:
     beta_c/beta_h = 10, g tau_eq = 10), the qubit-catalyst engine beats
     the catalyst-free one in power at every matched efficiency where both
     run as engines, and both powers collapse approaching the shared
-    efficiency limit."""
+    efficiency limit, at eta = 0.9 - 1e-5.  Every point, the near-limit
+    pair included, is bridged through one
+    :func:`~ottocat.mapping.compare_at_efficiency` call; a failure there
+    fails the check, naming the engine and the efficiency."""
     tol = 0.0  # the dominance must be strict
-    # Probe the collapse just short of the shared efficiency limit through
-    # the steady state alone: flows there are too small for the two-picture
-    # bridge asserts, but the power itself is perfectly well-defined.
     etas = [*map(float, np.linspace(0.01, 0.89, _POWER_POINTS)), 0.9 - 1e-5]
     families = reference_families()
-    specs = [family.spec_at(eta) for eta in etas for family in families]
-    reports = continuous.steady_state_reports(specs)
-    bridged = len(families) * _POWER_POINTS
     try:
-        for _ in mapping.rows(specs[:bridged], reports=reports[:bridged]):
-            pass
+        records = mapping.compare_at_efficiency(*families, etas)
     except mapping.BRIDGE_ERRORS as exc:
         eta, family = divmod(exc.index, len(families))
         detail = f"{families[family].kind} bridge failed at eta = {etas[eta]}: {exc}"
         return CheckResult("power_advantage", False, math.inf, tol, detail)
-    powers = [report.power for report in reports]
+    powers = [report.power for report, _, _ in records]
     p_otto, p_cat = powers[0:-2:2], powers[1:-2:2]
     engines = [cat - otto for otto, cat in zip(p_otto, p_cat) if otto > 0.0 and cat > 0.0]
     worst_margin = min(engines, default=math.inf)

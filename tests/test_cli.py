@@ -544,22 +544,28 @@ class TestVerifySubcommand:
     ):
         # Grid point 70 at seed 27 is a catalytic point whose pair terms
         # Omega_i delta_p_i nearly cancel; its work-power gap, 8.5e-12 of
-        # their scale, is the only one above 2e-12 at this seed, with its
-        # cold-heat and efficiency rows.  Tightened to 5e-12, the bridge
-        # breaks there and nowhere else.
+        # their scale, is the only one above 2e-12 on the grid at this seed,
+        # with its cold-heat and efficiency rows.  Tightened to 5e-12, the
+        # grid's bridge breaks there and nowhere else, and check 5 breaks at
+        # its near-limit catalyst, whose cold-heat row reads 5.3e-12.
         monkeypatch.setattr(verify.mapping, "WORK_POWER_TOL", 5e-12)
         out = tmp_path / "report.txt"
         code = cli.main(["verify", "--seed", "27", "--output", str(out)])
         assert code == 1
         assert capsys.readouterr().err == ""
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert sum(line.startswith("PASS  ") for line in lines) == 7
-        (failed,) = [line for line in lines if line.startswith("FAIL  ")]
-        assert failed.startswith("FAIL  time_bridge")
-        assert "qubit_catalyst bridge failed at grid point 70, GridPoint(a_h=0.834" in failed
-        assert ": bridge rows over their tolerance: heat_cold 8.5" in failed
-        assert ", work_power 8.5" in failed and failed.endswith(" > 5.0e-12")
-        assert lines[-1] == "RESULT: FAIL (7/8 checks)"
+        assert sum(line.startswith("PASS  ") for line in lines) == 6
+        grid, power = [line for line in lines if line.startswith("FAIL  ")]
+        assert grid.startswith("FAIL  time_bridge")
+        assert "qubit_catalyst bridge failed at grid point 70, GridPoint(a_h=0.834" in grid
+        assert ": bridge rows over their tolerance: heat_cold 8.5" in grid
+        assert ", work_power 8.5" in grid and grid.endswith(" > 5.0e-12")
+        assert power.startswith("FAIL  power_advantage")
+        assert power.endswith(
+            "  qubit_catalyst bridge failed at eta = 0.8999900000000001: "
+            "bridge rows over their tolerance: heat_cold 5.321e-12 > 5.0e-12"
+        )
+        assert lines[-1] == "RESULT: FAIL (6/8 checks)"
 
     def test_a_bridge_row_over_its_tolerance_fails_checks_3_and_5_by_point(
         self, capsys, monkeypatch

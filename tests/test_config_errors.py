@@ -105,7 +105,7 @@ def _faults(sections: dict, spec_file: str):
     yield "unknown section", _edit(sections, "extra", "x", "1")
     for section in sections:
         yield f"unknown key in [{section}]", _edit(sections, section, "gama", "3.0")
-    for columns in ("engine, wattage", " , ", "engine, eta, work"):
+    for columns in ("engine, wattage", " , ", "engine, eta, work", "eta, eta"):
         yield f"output.columns = {columns!r}", _edit(sections, "output", "columns", columns)
     spec_only = {"run": {"engine": spec_file}}
     yield "spec file with [fixed]", {**spec_only, "fixed": dict(FIXED)}

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottocat import analytic, continuous, discrete, verify
+from ottocat import analytic, continuous, discrete, mapping, verify
 from ottocat.discrete import CatalystState
 from ottocat.engine_spec import FAMILIES, BathParams, ladder_spec
 from ottocat.mapping import EngineFamily, compare_at_efficiency, verify_equivalence
 from spec_helpers import bridge, record
+from test_rows import record_repr
 
 gibbs_factors = st.floats(min_value=0.1, max_value=0.9)
 
@@ -165,33 +166,51 @@ class TestTableCorrespondence:
 
 class TestMatchedEfficiencyComparison:
     def test_catalytic_engine_outpowers_otto_at_equal_efficiency(self):
-        comparison = compare_at_efficiency(otto_family(), cat_family(), eta=0.4)
-        assert comparison.regime_otto == "engine"
-        assert comparison.regime_cat == "engine"
-        assert comparison.p_cat > comparison.p_otto
-        assert comparison.tau_cat < comparison.tau_otto
+        records = compare_at_efficiency(otto_family(), cat_family(), [0.4])
+        (otto, otto_cycle, otto_bridge), (cat, cat_cycle, cat_bridge) = records
+        assert otto.regime == cat.regime == "engine"
+        assert cat.power > otto.power
+        assert cat_cycle.work > otto_cycle.work
+        assert cat_bridge.tau < otto_bridge.tau
 
     def test_otto_stalls_beyond_its_design_window_while_catalyst_runs(self):
         # eta above 1 - omega_c_min/omega_h is unreachable for otto only
         # when the bias reverses; at eta close to the Carnot point both
         # machines still run here, so probe the power ordering instead
-        comparison = compare_at_efficiency(otto_family(), cat_family(), eta=0.85)
-        assert comparison.p_cat > comparison.p_otto > 0.0
+        (otto, _, _), (cat, _, _) = compare_at_efficiency(otto_family(), cat_family(), [0.85])
+        assert cat.power > otto.power > 0.0
 
     def test_past_carnot_both_machines_are_tagged_by_their_steady_states(self):
         families = verify.reference_families()
-        for eta in (0.4, 0.95):
-            comparison = compare_at_efficiency(*families, eta=eta)
-            otto, cat = (continuous.steady_state_report(f.spec_at(eta)) for f in families)
-            assert (comparison.p_otto, comparison.p_cat) == (otto.power, cat.power)
-            assert (comparison.regime_otto, comparison.regime_cat) == (otto.regime, cat.regime)
+        etas = [0.4, 0.95]
+        records = compare_at_efficiency(*families, etas)
+        specs = [family.spec_at(eta) for eta in etas for family in families]
+        for (report, _, _), alone in zip(records, map(continuous.steady_state_report, specs)):
+            assert (report.power, report.regime) == (alone.power, alone.regime)
         # eta = 0.95 is past Carnot, 1 - beta_h/beta_c = 0.9 at the reference point.
-        assert comparison.p_otto == pytest.approx(-0.01174, rel=1e-3)
-        assert comparison.p_cat == pytest.approx(-0.01364, rel=1e-3)
-        assert comparison.regime_otto == comparison.regime_cat == "non_engine"
+        (otto, _, _), (cat, _, _) = records[2:]
+        assert otto.power == pytest.approx(-0.01174, rel=1e-3)
+        assert cat.power == pytest.approx(-0.01364, rel=1e-3)
+        assert otto.regime == cat.regime == "non_engine"
+
+    def test_the_records_are_one_rows_call_on_the_same_specs(self):
+        families = verify.reference_families()
+        etas = [0.4, 0.85, 0.95]  # 0.95 is past Carnot: both non_engine
+        specs = [family.spec_at(eta) for eta in etas for family in families]
+        records = compare_at_efficiency(*families, etas)
+        assert list(map(record_repr, records)) == list(map(record_repr, mapping.rows(specs)))
+
+    def test_the_near_limit_pair_of_check_5_bridges_well_inside_its_gates(self):
+        # The worst row there measures 1.06e-11, the catalyst's tau_spread,
+        # against gates of 1e-9: this warns before refusals near the
+        # equilibrium boundary reach check 5.
+        records = compare_at_efficiency(*verify.reference_families(), [0.9 - 1e-5])
+        for _, _, bridge in records:
+            assert bridge.simple_permutation
+            assert max(bridge.residuals.values()) <= 1e-10
 
     def test_rejects_mismatched_families(self):
         with pytest.raises(ValueError, match="kind"):
-            compare_at_efficiency(cat_family(), cat_family(), eta=0.4)
+            compare_at_efficiency(cat_family(), cat_family(), [0.4])
         with pytest.raises(ValueError, match="disagree"):
-            compare_at_efficiency(otto_family(g=5.0), cat_family(), eta=0.4)
+            compare_at_efficiency(otto_family(g=5.0), cat_family(), [0.4])
