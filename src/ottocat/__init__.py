@@ -1,4 +1,4 @@
-"""Quantum Otto machines, two-stroke and autonomous, with qubit catalysts.
+"""Quantum Otto machines, two-stroke and autonomous, bare or with a catalyst.
 
 The package models one physical machine in two pictures and proves —
 numerically, on every run — that they agree:
@@ -52,7 +52,6 @@ from .discrete import (
     CatalystState,
     CycleReport,
     build_initial_state,
-    clausius_check,
     heat_stroke,
     permutation_matrix,
     run_cycle,
@@ -117,7 +116,6 @@ __all__ = [
     "heat_stroke",
     "solve_catalyst",
     "run_cycle",
-    "clausius_check",
     # autonomous picture
     "SteadyStateReport",
     "build_dissipator",

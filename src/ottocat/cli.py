@@ -222,7 +222,7 @@ def _sweep(parser: configparser.ConfigParser) -> tuple[str, list[float]]:
     if parameter == "g_tau_eq" and not 0.0 < start:
         raise ConfigError("g_tau_eq sweep range must be positive")
     step = (stop - start) / max(points - 1, 1)
-    return parameter, [start + i * step for i in range(points)]
+    return parameter, [min(start + i * step, stop) for i in range(points)]
 
 
 def _fixed(section: configparser.SectionProxy, swept: str | None) -> dict[str, float]:
@@ -634,8 +634,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ottocat",
         description=(
-            "Two-stroke and autonomous quantum Otto machines with qubit "
-            "catalysts: single runs, sweeps, and the self-audit suite."
+            "Two-stroke and autonomous quantum Otto machines, bare or with a "
+            "qubit catalyst: single runs, sweeps, and the self-audit suite."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

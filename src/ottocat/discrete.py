@@ -25,10 +25,13 @@ independent oracle that ``verify`` check 8 runs against it.
 
 The cycle is exactly periodic iff the catalyst marginal is restored by
 the work stroke; for diagonal states this is equivalent to all pair
-flows delta_p_i being equal ("simple" permutations), and
-:func:`solve_catalyst` finds diagonal catalyst populations with that
-property by a linear solve, checked on the work stroke that
-:func:`run_cycle` then accounts instead of deriving it again.
+flows delta_p_i being equal ("simple" permutations).  A cycle runs on the
+one catalyst that does this, as the paper's catalyst is cyclic by
+definition: the trivial (1.0,) for catalyst-free specs, else the diagonal
+populations that :func:`solve_catalyst` finds by a linear solve, checked on
+the work stroke that :func:`run_cycle` then accounts instead of deriving it
+again.  The restored catalyst takes up no entropy, so the second law reads
+-(beta_h Q_h + beta_c Q_c) >= 0, checked once per stack.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ __all__ = [
     "heat_stroke",
     "solve_catalyst",
     "run_cycle",
-    "clausius_check",
 ]
 
 #: Agreement required between the level-energy heats and d_eps . delta_p.
@@ -128,16 +130,12 @@ def permutation_matrix(spec: EngineSpec) -> Operator:
     return Operator(spec.layout, np.eye(spec.dim, dtype=complex)[:, table.perm])
 
 
-def _require_catalyst_dim(spec: EngineSpec, catalyst: CatalystState) -> None:
+def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMatrix:
+    """Cycle-start state sigma_s (x) tau_h (x) tau_c with Gibbs bath qubits."""
     if catalyst.dim != spec.catalyst_dim:
         raise ValueError(
             f"catalyst has {catalyst.dim} levels but spec declares {spec.catalyst_dim}"
         )
-
-
-def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMatrix:
-    """Cycle-start state sigma_s (x) tau_h (x) tau_c with Gibbs bath qubits."""
-    _require_catalyst_dim(spec, catalyst)
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
     full = tensor_all([catalyst.as_operator(), tau_h.op, tau_c.op])
@@ -180,14 +178,13 @@ def _catalyst_q(spec: EngineSpec, a_mat: np.ndarray) -> np.ndarray:
     return q / q.sum()
 
 
-def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
+def _strokes(specs: list[EngineSpec]) -> tuple:
     """``(q, p0 - p1, delta_p, catalyst marginals before and after)`` of one
-    work stroke per spec of a stack of one structure, on ``catalysts[k]`` or,
-    where ``None``, on (1.0,) or the one :func:`solve_catalyst` finds, checked."""
+    work stroke per spec of a stack of one structure, on the catalyst its spec
+    determines: (1.0,) at d = 1, else the one :func:`solve_catalyst` finds,
+    checked."""
     spec, n = specs[0], len(specs)
     d_s, table = spec.catalyst_dim, pair_table(*spec.structure)
-    if d_s == 1:
-        catalysts = [CatalystState((1.0,)) if c is None else c for c in catalysts]
     w_h, w_c = np.array([[_gibbs_weights(s.hot.gibbs_factor), _gibbs_weights(s.cold.gibbs_factor)]
                          for s in specs]).swapaxes(0, 1)
     # delta_p_i = row_i . q; (i) equal flows across consecutive pairs, (ii)
@@ -202,13 +199,8 @@ def _strokes(specs: list[EngineSpec], catalysts: list) -> tuple:
         balance[:, level_u[0]] -= row
     equal = flow_rows[:, :-1] - flow_rows[:, 1:]
     systems = np.concatenate([equal, balance, np.ones((n, 1, d_s))], axis=1)
-    solved = np.array([catalyst is None for catalyst in catalysts])
-    q = np.empty((n, d_s))
-    for k, (s, catalyst) in enumerate(zip(specs, catalysts)):
-        if catalyst is not None:
-            _require_catalyst_dim(s, catalyst)
-        q[k] = _catalyst_q(s, systems[k]) if catalyst is None else catalyst.populations
-    q = np.clip(q, 0.0, None)
+    solved = d_s > 1
+    q = np.array([_catalyst_q(s, a) for s, a in zip(specs, systems)]) if solved else np.ones((n, 1))
     fail(table.overlap is not None, ValueError, table.overlap)
     # q (x) w_h (x) w_c in the Kronecker product's element order and arithmetic.
     p0 = ((q[:, :, None] * w_h[:, None, :])[..., None] * w_c[:, None, None, :]).reshape(n, -1)
@@ -238,13 +230,13 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
     exists for this spec.  ``ValueError`` is also raised when the system
     has rank below the catalyst dimension: the catalyst is not unique.
     """
-    return CatalystState(tuple(_strokes([spec], [None])[0][0]))
+    return CatalystState(tuple(_strokes([spec])[0][0]))
 
 
-def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
-    """:func:`run_cycle` of a stack of one structure, as :func:`_strokes`
-    reads ``catalysts``; a failure raises the bare message."""
-    _, diff, flows, marginals = _strokes(specs, catalysts)
+def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
+    """:func:`run_cycle` of a stack of one structure; a failure raises the
+    bare message."""
+    _, diff, flows, marginals = _strokes(specs)
     levels = level_table(specs[0].layout.factor_dims)
     # Level energies times population changes, summed in complex like the
     # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes, and
@@ -259,11 +251,17 @@ def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
         fail(np.abs(level_sum - pairwise) > HEAT_CROSS_CHECK_TOL * scale, AssertionError, lambda k:
              f"{label} heat mismatch: level-energy sum {float(level_sum[k])!r} vs "
              f"pairwise form {float(pairwise[k])!r}")
-        heats.append(level_sum.tolist())
+        heats.append(level_sum)
+    # The entropy the baths take up per cycle; a deficit is a bug, not physics.
+    betas = np.array([(s.hot.beta, s.cold.beta) for s in specs]).T
+    margins = -(betas[0] * heats[0] + betas[1] * heats[1])
+    fail(margins < -CLAUSIUS_TOL, AssertionError, lambda k:
+         f"second-law margin is negative: {float(margins[k])!r}")
     residuals = np.abs(marginals[1] - marginals[0]).max(axis=1).tolist()
     reports = []
-    for k, (s, flow, q_h, q_c) in enumerate(zip(specs, flows.tolist(), *heats)):
-        margin = clausius_check(s, q_h, q_c, (marginals[0][k], marginals[1][k]))
+    for flow, q_h, q_c, margin, residual in zip(
+        flows.tolist(), *(heat.tolist() for heat in heats), margins.tolist(), residuals
+    ):
         work = q_h + q_c
         reports.append(CycleReport(
             delta_p=tuple(flow),
@@ -272,62 +270,16 @@ def _cycles(specs: list[EngineSpec], catalysts: list) -> list[CycleReport]:
             work=work,
             efficiency=None if q_h == 0.0 else work / q_h,
             clausius_margin=margin,
-            catalyst_residual=residuals[k],
+            catalyst_residual=residual,
             regime="engine" if (work > 0.0 and q_h > 0.0) else "non_engine",
         ))
     return reports
 
 
-def run_cycle(spec: EngineSpec, catalyst: CatalystState | None = None) -> CycleReport:
-    """Execute one two-stroke cycle and account for its energy flows.
-
-    When ``catalyst`` is omitted it is the trivial single-level state for
-    catalyst-free specs and the :func:`solve_catalyst` solution otherwise.
-    A stack of one.
-    """
-    [cycle] = _cycles([spec], [catalyst])
+def run_cycle(spec: EngineSpec) -> CycleReport:
+    """Execute one two-stroke cycle on the catalyst its spec determines, and
+    account for its energy flows; a stack of one.  ``clausius_margin`` is the
+    second-law margin -(beta_h Q_h + beta_c Q_c), and a negative one beyond
+    ``CLAUSIUS_TOL`` raises ``AssertionError``."""
+    [cycle] = _cycles([spec])
     return cycle
-
-
-def _shannon_entropy(p: np.ndarray) -> float:
-    """-sum p log p over the nonzero entries of a population vector."""
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
-
-
-def clausius_check(
-    spec: EngineSpec,
-    q_hot: float,
-    q_cold: float,
-    catalyst_marginals: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Second-law margin -(beta_h Q_h + beta_c Q_c); raises if the second
-    law is violated.
-
-    The margin is the entropy the baths take up per cycle.  A unitary
-    stroke on a product state cannot lower the summed entropies of the
-    marginals (subadditivity), and a bath qubit starting in its Gibbs
-    state gains at most -beta_k Q_k of entropy, so
-
-        -(beta_h Q_h + beta_c Q_c) + dS_cat >= 0,
-
-    where dS_cat is the entropy change of the catalyst marginal over the
-    work stroke, given as ``catalyst_marginals = (before, after)``
-    population vectors.  It is zero when the stroke restores the
-    catalyst, and is evaluated only when the margin alone is below
-    ``-CLAUSIUS_TOL``.  A violation beyond ``CLAUSIUS_TOL`` indicates a
-    bug, not physics, hence ``AssertionError``.  Returns the margin
-    without dS_cat.
-    """
-    margin = -(spec.hot.beta * q_hot + spec.cold.beta * q_cold)
-    if margin < -CLAUSIUS_TOL:
-        d_s_cat = 0.0
-        if catalyst_marginals is not None:
-            before, after = catalyst_marginals
-            d_s_cat = _shannon_entropy(after) - _shannon_entropy(before)
-        if margin + d_s_cat < -CLAUSIUS_TOL:
-            raise AssertionError(
-                f"second-law margin is negative: {margin:.3e} "
-                f"(catalyst entropy change {d_s_cat:.3e})"
-            )
-    return margin

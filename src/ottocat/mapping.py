@@ -263,7 +263,7 @@ def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Itera
     reports = [None] * len(specs) if reports is None else list(reports)
     cycles, fault = [None] * len(specs), None
     if mode != "continuous":
-        cycles, fault = stacked(discrete._cycles, specs, [None] * len(specs))
+        cycles, fault = stacked(discrete._cycles, specs)
     bridges = [None] * len(cycles)
     if mode == "both":
         bridges, late = stacked(_bridges, specs[: len(cycles)], cycles, reports)

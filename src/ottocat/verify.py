@@ -459,11 +459,7 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         hot = BathParams.from_relaxation_time(-math.log(a_h) / omega_h, omega_h, 1.0)
         cold = BathParams.from_relaxation_time(-math.log(a_c) / omega_c, omega_c, 1.0)
         for spec in (ladder_spec(d, hot, cold, 1.0) for d in FAMILIES.values()):
-            catalyst = (
-                discrete.solve_catalyst(spec)
-                if spec.catalyst_dim > 1
-                else discrete.CatalystState((1.0,))
-            )
+            catalyst = discrete.solve_catalyst(spec)
             if spec.catalyst_dim == 2:
                 expected = analytic.cat_population(a_h, a_c)
                 worst = max(
@@ -471,7 +467,7 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
                     abs(catalyst.populations[0] - expected),
                     abs(catalyst.populations[1] - (1.0 - expected)),
                 )
-            cycle = discrete.run_cycle(spec, catalyst)
+            cycle = discrete.run_cycle(spec)
 
             # The operator route: permutation matrix, operator traces of the
             # bare Hamiltonians, partial trace, heat stroke.

@@ -389,6 +389,21 @@ class TestSweep:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 
+    def test_the_last_sweep_point_is_stop_even_where_the_steps_round_past_it(self, tmp_path):
+        # start + 250 * step rounds to 1.0 here, one ulp past stop.
+        config = write(
+            tmp_path / "run.ini",
+            SWEEP_CONFIG.replace("engine = otto, qubit_catalyst", "engine = otto")
+            .replace("start = 0.05", "start = 0.20793426282712518")
+            .replace("stop = 0.85", "stop = 0.9999999999999999")
+            .replace("points = 5", "points = 251"),
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 251
+        assert float(rows[-1]["eta"]) == 0.9999999999999999
+
     def test_sweep_rows_carry_both_pictures_and_the_bridge(self, tmp_path):
         config = write(tmp_path / "run.ini", SWEEP_CONFIG)
         out = tmp_path / "rows.csv"

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from ottocat import analytic, continuous, discrete, mapping, verify
 from ottocat.discrete import CatalystState
-from ottocat.engine_spec import FAMILIES, BathParams, ladder_spec
+from ottocat.engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair, ladder_spec
 from ottocat.mapping import EngineFamily, compare_at_efficiency, verify_equivalence
 from spec_helpers import bridge, record
+from test_discrete import operator_route_cycle
 from test_rows import record_repr
 
 gibbs_factors = st.floats(min_value=0.1, max_value=0.9)
@@ -136,12 +137,23 @@ class TestEquivalence:
         assert 0.0 <= worst <= 1e-11
 
     def test_unbalanced_catalyst_is_flagged_as_non_simple(self):
+        # The operator route runs a catalyst that the stroke does not restore.
         spec = cat_family().spec_at(0.4)
-        cycle = discrete.run_cycle(spec, catalyst=CatalystState(populations=(0.5, 0.5)))
+        cycle = operator_route_cycle(spec, CatalystState(populations=(0.5, 0.5)))
         ss = continuous.steady_state_report(spec)
         report = bridge(spec, cycle, ss)
         assert not report.simple_permutation
         assert report.residuals["catalyst_balance_discrete_0"] > 1e-3  # reported, not gated
+
+    def test_unequal_pair_flows_are_flagged_as_non_simple(self):
+        # Two catalyst-free pairs, |h c> = |1 0> <-> |0 1> and |0 0> <-> |1 1>,
+        # carry different flows: no catalyst can make the swap set simple.
+        good = otto_family().spec_at(0.4)
+        spec = EngineSpec(1, good.hot, good.cold, (SwapPair(2, 1, 10.0), SwapPair(0, 3, 10.0)))
+        cycle = discrete.run_cycle(spec)
+        report = bridge(spec, cycle, continuous.steady_state_report(spec))
+        assert not report.simple_permutation
+        assert abs(cycle.delta_p[1] - cycle.delta_p[0]) > 1e-3  # reported, not gated
 
 
 class TestTableCorrespondence:

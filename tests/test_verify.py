@@ -237,8 +237,8 @@ def test_two_stroke_check_holds_the_emitted_cycle_to_the_operator_route(
     assert verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5))).passed
     run_cycle = verify.discrete.run_cycle
 
-    def drifted(spec, catalyst=None):
-        report = run_cycle(spec, catalyst)
+    def drifted(spec):
+        report = run_cycle(spec)
         return dataclasses.replace(report, **{field: getattr(report, field) + shift})
 
     monkeypatch.setattr(verify.discrete, "run_cycle", drifted)
