@@ -8,29 +8,28 @@ One cycle acts on the product state sigma_s (x) tau_h (x) tau_c:
    by fresh Gibbs states, while the catalyst (never bath-coupled) keeps
    whatever marginal the work stroke left it.
 
-Every state in the cycle is diagonal, so :func:`run_cycle` and
-:func:`solve_catalyst` move population vectors: p0 = q (x) w_h (x) w_c, the
-work stroke is the index swap p1 = p0[perm], and Q_k = sum_n eps_n^k
-(p0 - p1)_n over the bare level energies, cross-checked against the
-pairwise form sum_i d_eps_i^k * delta_p_i of
-:func:`~ottocat.engine_spec.pair_sums` on every run.  Specs of one
-structure run as one stack of population arrays from the
-:func:`~ottocat.engine_spec.pair_table` index maps; only the catalyst's
-least-squares solve stays one per spec.  :func:`run_cycle` and
-:func:`solve_catalyst` are stacks of one, bit for bit.  Positive Q_k means
-energy drawn *from* bath k into the machine; positive work means work
-extracted.  The operator route (:func:`permutation_matrix`,
-:func:`build_initial_state`, :func:`heat_stroke`, operator traces) is the
-independent oracle that ``verify`` check 8 runs against it.
+Every state in the cycle is diagonal, so :func:`run_cycle` moves
+population vectors: p0 = q (x) w_h (x) w_c, the work stroke is the index
+swap p1 = p0[perm], and Q_k = sum_n eps_n^k (p0 - p1)_n over the bare level
+energies, cross-checked against the pairwise form sum_i d_eps_i^k *
+delta_p_i of :func:`~ottocat.engine_spec.pair_sums` on every run.  Specs of
+one structure run as one stack of population arrays from the
+:func:`~ottocat.engine_spec.pair_table` index maps, each spec's catalyst
+solved once, by its own least-squares solve; :func:`run_cycle` is a stack
+of one, bit for bit.  Positive Q_k means energy drawn *from* bath k into
+the machine; positive work means work extracted.  The operator route
+(:func:`permutation_matrix`, :func:`build_initial_state`,
+:func:`heat_stroke`, operator traces) is the independent oracle that
+``verify`` check 8 runs against it, on the catalyst the cycle reports.
 
 The cycle is exactly periodic iff the catalyst marginal is restored by
 the work stroke; for diagonal states this is equivalent to all pair
 flows delta_p_i being equal ("simple" permutations).  A cycle runs on the
 one catalyst that does this, as the paper's catalyst is cyclic by
 definition: the trivial (1.0,) for catalyst-free specs, else the diagonal
-populations that :func:`solve_catalyst` finds by a linear solve, checked on
-the work stroke that :func:`run_cycle` then accounts instead of deriving it
-again.  The restored catalyst takes up no entropy, so the second law reads
+populations of a linear solve (:func:`solve_catalyst`), checked on the
+work stroke the cycle then accounts, and reported as its ``catalyst``.
+The restored catalyst takes up no entropy, so the second law reads
 -(beta_h Q_h + beta_c Q_c) >= 0, checked once per stack.
 """
 
@@ -109,7 +108,8 @@ class CycleReport:
 
     ``efficiency`` is ``None`` when no heat is drawn from the hot bath
     (the ratio W/Q_h is then undefined).  ``regime`` is ``"engine"``
-    when W > 0 and Q_h > 0, else ``"non_engine"``.
+    when W > 0 and Q_h > 0, else ``"non_engine"``.  ``catalyst`` holds
+    the populations the work stroke ran on, (1.0,) without a catalyst.
     """
 
     delta_p: tuple[float, ...]
@@ -118,6 +118,7 @@ class CycleReport:
     work: float
     efficiency: float | None
     clausius_margin: float
+    catalyst: tuple[float, ...]
     catalyst_residual: float
     regime: str
 
@@ -178,18 +179,35 @@ def _catalyst_q(spec: EngineSpec, a_mat: np.ndarray) -> np.ndarray:
     return q / q.sum()
 
 
-def _strokes(specs: list[EngineSpec]) -> tuple:
-    """``(q, p0 - p1, delta_p, catalyst marginals before and after)`` of one
-    work stroke per spec of a stack of one structure, on the catalyst its spec
-    determines: (1.0,) at d = 1, else the one :func:`solve_catalyst` finds,
-    checked."""
+def solve_catalyst(spec: EngineSpec) -> CatalystState:
+    """Diagonal catalyst populations making the permutation simple: the
+    ``catalyst`` that :func:`run_cycle` runs on.
+
+    Solves the linear system over catalyst populations q that (i) makes
+    every pair flow equal, delta_p_1 = ... = delta_p_n, (ii) balances the
+    net population flow through each catalyst level, and (iii) normalizes
+    sum(q) = 1.  A least-squares solve is used so that redundant rows are
+    harmless; if the system is inconsistent, the solution has negative
+    populations, or the work stroke still fails to restore the catalyst
+    marginal, ``ValueError`` is raised: no simple-permutation catalyst
+    exists for this spec.  ``ValueError`` is also raised when the system
+    has rank below the catalyst dimension: the catalyst is not unique.
+    The cycle's own checks raise as in :func:`run_cycle`.
+    """
+    return CatalystState(run_cycle(spec).catalyst)
+
+
+def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
+    """:func:`run_cycle` of a stack of one structure, on the catalyst each spec
+    determines: (1.0,) at d = 1, else the one :func:`solve_catalyst`
+    describes, checked on the work stroke; a failure raises the bare message."""
     spec, n = specs[0], len(specs)
     d_s, table = spec.catalyst_dim, pair_table(*spec.structure)
     w_h, w_c = np.array([[_gibbs_weights(s.hot.gibbs_factor), _gibbs_weights(s.cold.gibbs_factor)]
                          for s in specs]).swapaxes(0, 1)
     # delta_p_i = row_i . q; (i) equal flows across consecutive pairs, (ii)
     # zero net flow through each catalyst level, (iii) normalization.
-    flow_rows = np.zeros((n, len(specs[0].swaps), d_s))
+    flow_rows = np.zeros((n, len(spec.swaps), d_s))
     balance = np.zeros((n, d_s, d_s))
     for i, ((s_u, h_u, c_u), (s_d, h_d, c_d)) in enumerate(zip(table.levels_u, table.levels_d)):
         flow_rows[:, i, s_u] += w_h[:, h_u] * w_c[:, c_u]
@@ -207,37 +225,15 @@ def _strokes(specs: list[EngineSpec]) -> tuple:
     p1 = p0[:, table.perm]
     flows = p0[:, table.u] - p0[:, table.d]
     # Marginals sum out hot then cold, as :func:`~ottocat.qstate.partial_trace` does.
-    shape = (n, *spec.layout.factor_dims)
-    marginals = tuple(p.reshape(shape).sum(axis=2).sum(axis=2) for p in (p0, p1))
+    before, after = (p.reshape(n, *spec.layout.factor_dims).sum(axis=2).sum(axis=2)
+                     for p in (p0, p1))
+    residuals = np.abs(after - before).max(axis=1)
     unequal = np.abs(flows - flows[:, :1]).max(axis=1) > CATALYST_SOLVE_TOL
     fail(solved & unequal, ValueError, "catalyst solve left unequal pair flows; "
          "spec is inconsistent")
-    moved = np.abs(marginals[1] - marginals[0]).max(axis=1) > CATALYST_SOLVE_TOL
-    fail(solved & moved, ValueError, "catalyst solve failed to restore the catalyst marginal")
-    return q, p0 - p1, flows, marginals
-
-
-def solve_catalyst(spec: EngineSpec) -> CatalystState:
-    """Diagonal catalyst populations making the permutation simple.
-
-    Solves the linear system over catalyst populations q that (i) makes
-    every pair flow equal, delta_p_1 = ... = delta_p_n, (ii) balances the
-    net population flow through each catalyst level, and (iii) normalizes
-    sum(q) = 1.  A least-squares solve is used so that redundant rows are
-    harmless; if the system is inconsistent, the solution has negative
-    populations, or the work stroke still fails to restore the catalyst
-    marginal, ``ValueError`` is raised: no simple-permutation catalyst
-    exists for this spec.  ``ValueError`` is also raised when the system
-    has rank below the catalyst dimension: the catalyst is not unique.
-    """
-    return CatalystState(tuple(_strokes([spec])[0][0]))
-
-
-def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
-    """:func:`run_cycle` of a stack of one structure; a failure raises the
-    bare message."""
-    _, diff, flows, marginals = _strokes(specs)
-    levels = level_table(specs[0].layout.factor_dims)
+    fail(solved & (residuals > CATALYST_SOLVE_TOL), ValueError,
+         "catalyst solve failed to restore the catalyst marginal")
+    levels = level_table(spec.layout.factor_dims)
     # Level energies times population changes, summed in complex like the
     # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes, and
     # cross-checked against the pairwise energy-difference form.
@@ -246,7 +242,7 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
     for label, omega, excitation, pairwise in zip(
         ("hot", "cold"), omegas, (levels.hot, levels.cold), pair_heats
     ):
-        level_sum = ((omega * excitation).astype(complex) * diff).sum(axis=-1).real
+        level_sum = ((omega * excitation).astype(complex) * (p0 - p1)).sum(axis=-1).real
         scale = np.maximum(1.0, np.abs(level_sum))
         fail(np.abs(level_sum - pairwise) > HEAT_CROSS_CHECK_TOL * scale, AssertionError, lambda k:
              f"{label} heat mismatch: level-energy sum {float(level_sum[k])!r} vs "
@@ -257,10 +253,10 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
     margins = -(betas[0] * heats[0] + betas[1] * heats[1])
     fail(margins < -CLAUSIUS_TOL, AssertionError, lambda k:
          f"second-law margin is negative: {float(margins[k])!r}")
-    residuals = np.abs(marginals[1] - marginals[0]).max(axis=1).tolist()
     reports = []
-    for flow, q_h, q_c, margin, residual in zip(
-        flows.tolist(), *(heat.tolist() for heat in heats), margins.tolist(), residuals
+    for flow, populations, q_h, q_c, margin, residual in zip(
+        flows.tolist(), q.tolist(), *(heat.tolist() for heat in heats), margins.tolist(),
+        residuals.tolist(),
     ):
         work = q_h + q_c
         reports.append(CycleReport(
@@ -270,6 +266,7 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
             work=work,
             efficiency=None if q_h == 0.0 else work / q_h,
             clausius_margin=margin,
+            catalyst=tuple(populations),
             catalyst_residual=residual,
             regime="engine" if (work > 0.0 and q_h > 0.0) else "non_engine",
         ))

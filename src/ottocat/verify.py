@@ -372,9 +372,12 @@ def stationary_relation_residuals(
     The set closes the hierarchy of level occupations p_(s,h,c), the
     common transfer rate <n>, and the auxiliary coherence X on the
     non-resonant transition |0,1,1> <-> |1,0,1|; every member must vanish
-    in the steady state.
+    in the steady state.  The relations fix the ladder's levels, pair
+    orientation and one coupling g, so any other spec raises ``ValueError``,
+    the same machine with its pairs flipped included.
     """
-    if spec.catalyst_dim != 2 or len(spec.swaps) != 2:
+    couplings = {pair.g for pair in spec.swaps}
+    if len(couplings) != 1 or spec != ladder_spec(2, spec.hot, spec.cold, *couplings):
         raise ValueError("stationary relations apply to the qubit-catalyst engine")
     rho_ss = report.rho_ss
     p = rho_ss.populations()
@@ -444,13 +447,16 @@ def check_stationary_relations(rng: np.random.Generator) -> CheckResult:
 
 def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
     """Discrete-side exactness, with the operator route as the oracle of
-    the population route that :func:`~ottocat.discrete.run_cycle` emits:
-    operator-trace heats Tr[H_0k (rho0 - S rho0 S^+)] equal the emitted
-    heats and the energy-difference sums, the partial-trace marginal gap
-    equals ``catalyst_residual``, the solved catalyst matches its closed
-    form, and one full cycle restores the initial state — all to 1e-12."""
+    the population route that :func:`~ottocat.discrete.run_cycle` emits,
+    run on the catalyst the cycle reports: operator-trace heats
+    Tr[H_0k (rho0 - S rho0 S^+)] equal the emitted heats and the
+    energy-difference sums, the partial-trace marginal gap equals
+    ``catalyst_residual``, the catalyst matches its closed form, and one
+    full cycle restores the initial state — all to 1e-12.  The cycles of
+    all points run as one :func:`~ottocat.mapping.rows` call."""
     tol = 1e-12
     worst = 0.0
+    specs, closed_forms = [], []
     for _ in range(10):
         a_h = rng.uniform(0.05, 0.95)
         a_c = rng.uniform(0.05, 0.95)
@@ -458,36 +464,30 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         omega_c = rng.uniform(0.5, 2.0)
         hot = BathParams.from_relaxation_time(-math.log(a_h) / omega_h, omega_h, 1.0)
         cold = BathParams.from_relaxation_time(-math.log(a_c) / omega_c, omega_c, 1.0)
-        for spec in (ladder_spec(d, hot, cold, 1.0) for d in FAMILIES.values()):
-            catalyst = discrete.solve_catalyst(spec)
-            if spec.catalyst_dim == 2:
-                expected = analytic.cat_population(a_h, a_c)
-                worst = max(
-                    worst,
-                    abs(catalyst.populations[0] - expected),
-                    abs(catalyst.populations[1] - (1.0 - expected)),
-                )
-            cycle = discrete.run_cycle(spec)
-
-            # The operator route: permutation matrix, operator traces of the
-            # bare Hamiltonians, partial trace, heat stroke.
-            rho0 = discrete.build_initial_state(spec, catalyst)
-            swap = discrete.permutation_matrix(spec)
-            rho1 = DensityMatrix(
-                Operator(
-                    spec.layout, swap.entries @ rho0.matrix @ swap.dagger().entries
-                )
-            )
-            diff = rho0.matrix - rho1.matrix
-            emitted_heats = (cycle.q_hot, cycle.q_cold)
-            pair_heats = pair_sums([spec], np.array([cycle.delta_p]).T)[:2]  # energy differences
-            for h0k, emitted, pairwise in zip(hamiltonians(spec), emitted_heats, pair_heats):
-                traced = float(np.trace(h0k.entries @ diff).real)
-                worst = max(worst, abs(traced - emitted), abs(traced - pairwise.item()))
-            gap = partial_trace(rho1, keep=(0,)).matrix - partial_trace(rho0, keep=(0,)).matrix
-            worst = max(worst, abs(float(np.max(np.abs(gap))) - cycle.catalyst_residual))
-            rho2 = discrete.heat_stroke(spec, rho1)
-            worst = max(worst, float(np.max(np.abs(rho2.matrix - rho0.matrix))))
+        ground = analytic.cat_population(a_h, a_c)
+        catalysts = {1: (1.0,), 2: (ground, 1.0 - ground)}  # closed forms, by d
+        specs += [ladder_spec(d, hot, cold, 1.0) for d in FAMILIES.values()]
+        closed_forms += [catalysts[d] for d in FAMILIES.values()]
+    records = mapping.rows(specs, "discrete")
+    for spec, expected, (_, cycle, _) in zip(specs, closed_forms, records):
+        worst = max(worst, *(abs(q - e) for q, e in zip(cycle.catalyst, expected)))
+        # The operator route: permutation matrix, operator traces of the
+        # bare Hamiltonians, partial trace, heat stroke.
+        rho0 = discrete.build_initial_state(spec, discrete.CatalystState(cycle.catalyst))
+        swap = discrete.permutation_matrix(spec)
+        rho1 = DensityMatrix(
+            Operator(spec.layout, swap.entries @ rho0.matrix @ swap.dagger().entries)
+        )
+        diff = rho0.matrix - rho1.matrix
+        emitted_heats = (cycle.q_hot, cycle.q_cold)
+        pair_heats = pair_sums([spec], np.array([cycle.delta_p]).T)[:2]  # energy differences
+        for h0k, emitted, pairwise in zip(hamiltonians(spec), emitted_heats, pair_heats):
+            traced = float(np.trace(h0k.entries @ diff).real)
+            worst = max(worst, abs(traced - emitted), abs(traced - pairwise.item()))
+        gap = partial_trace(rho1, keep=(0,)).matrix - partial_trace(rho0, keep=(0,)).matrix
+        worst = max(worst, abs(float(np.max(np.abs(gap))) - cycle.catalyst_residual))
+        rho2 = discrete.heat_stroke(spec, rho1)
+        worst = max(worst, float(np.max(np.abs(rho2.matrix - rho0.matrix))))
     return CheckResult(
         name="two_stroke_oracles",
         passed=worst <= tol,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1256,3 +1256,34 @@ def test_a_heat_route_disagreement_prints_plain_floats(monkeypatch):
         f"^hot heat current routes disagree: pairwise {number} vs adjoint {number}$"
     )):
         steady_state_report(catalyst_from_factors(0.5, 0.2))
+
+
+def test_every_current_obeys_the_one_over_g_squared_law():
+    # Measured, not proven: scale every coupling of a spec by lambda, and
+    # 1/J is affine in 1/lambda^2.  Fitted at lambda = 1 and 10, the law
+    # predicts the currents at 0.3, 3 and 100 to 2.5e-15 relative here.
+    rng = np.random.default_rng(20261020)
+    lambdas = (1.0, 10.0, 0.3, 3.0, 100.0)
+    specs = []
+    for _ in range(3):
+        a_h, a_c, omega_h, omega_c, tau_h, tau_c = rng.uniform(
+            [0.05, 0.05, 0.5, 0.5, 0.5, 0.5], [0.95, 0.95, 2.0, 2.0, 2.0, 2.0]).tolist()
+        hot = bath_from_factor(a_h, omega=omega_h, tau_eq=tau_h)
+        cold = bath_from_factor(a_c, omega=omega_c, tau_eq=tau_c)
+        ladders = [(d, (1.0,) * d) for d in range(1, 5)]
+        for d, couplings in [*ladders, (2, (1.0, 2.7)), (3, (1.0, 0.4, 2.5))]:
+            spec = ladder_spec(d, hot, cold, 1.0)
+            specs += [replace(spec, swaps=tuple(replace(pair, g=g * scale)
+                                                for pair, g in zip(spec.swaps, couplings)))
+                      for scale in lambdas]
+    reports = continuous.steady_state_reports(specs)
+    worst = 0.0
+    for start in range(0, len(specs), len(lambdas)):
+        currents = np.array([(*r.currents, r.j_hot, r.j_cold)
+                             for r in reports[start : start + len(lambdas)]])
+        slope = (1.0 / currents[0] - 1.0 / currents[1]) / (1.0 - 1.0 / lambdas[1] ** 2)
+        offset = 1.0 / currents[0] - slope
+        for scale, current in zip(lambdas[2:], currents[2:]):
+            law = 1.0 / (offset + slope / scale**2)
+            worst = max(worst, float(np.max(np.abs(law - current) / np.abs(current))))
+    assert len(specs) == 90 and worst <= 5e-15

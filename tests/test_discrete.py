@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ottocat import discrete, mapping
+from ottocat import analytic, discrete, mapping
 from ottocat.discrete import (
     CLAUSIUS_TOL,
     CatalystState,
@@ -251,6 +253,7 @@ def operator_route_cycle(spec: EngineSpec, catalyst: CatalystState) -> CycleRepo
         work=work,
         efficiency=None if q_hot == 0.0 else work / q_hot,
         clausius_margin=-(spec.hot.beta * q_hot + spec.cold.beta * q_cold),
+        catalyst=catalyst.populations,
         catalyst_residual=float(np.max(np.abs(after - before))),
         regime="engine" if (work > 0.0 and q_hot > 0.0) else "non_engine",
     )
@@ -304,6 +307,74 @@ class TestPopulationRoute:
         spec = catalyst_from_factors(0.5, 0.2)
         with pytest.raises(ValueError, match="catalyst has 1 levels but spec declares 2"):
             build_initial_state(spec, CatalystState((1.0,)))
+
+
+def ladder_cycle(a_h, a_c, d: int) -> tuple:
+    """``(delta_p, q)`` of the d-ladder's two-stroke cycle in closed form, in
+    the arithmetic of ``a_h`` and ``a_c`` (floats, or exact fractions).
+
+    The catalyst climbs a ring q_{k+1} = a_h q_k + f, in units of the Gibbs
+    weights, closed by the cold swap.  With S_k = sum_{j<k} a_h^j,
+    T_d = sum_{k<d} S_k, x = a_c - a_h^d and D = S_d^2 + x T_d it gives
+    q_0 = S_d / D, f = x / D, q_k = a_h^k q_0 + f S_k and
+    delta_p = x / ((1 + a_h)(1 + a_c) D).
+    """
+    powers = [a_h**0]
+    for _ in range(d):
+        powers.append(powers[-1] * a_h)
+    sums = [0 * a_h]
+    for power in powers[:d]:
+        sums.append(sums[-1] + power)
+    x = a_c - powers[d]
+    denominator = sums[d] ** 2 + x * sum(sums[:d])
+    q0, f = sums[d] / denominator, x / denominator
+    flow = x / ((1 + a_h) * (1 + a_c) * denominator)
+    return flow, [power * q0 + f * partial for power, partial in zip(powers, sums[:d])]
+
+
+class TestLadderClosedForm:
+    """The cycle against the ladder's closed form, evaluated exactly."""
+
+    #: Worst gaps over the seeded draws below, d = 2...8: 3.5e-12 relative
+    #: for delta_p (at d = 7) and 8.1e-15 absolute for q (at d = 3).
+    FLOW_TOL = 5e-12
+    CATALYST_TOL = 1.5e-14
+
+    def draws(self, d: int) -> list[tuple[float, float]]:
+        """200 seeded Gibbs factors, each 1e-3 or more off a_c = a_h^d, where
+        the flow changes sign."""
+        rng, draws = np.random.default_rng(20261020 + d), []
+        while len(draws) < 200:
+            a_h, a_c = rng.uniform(0.02, 0.98, size=2).tolist()
+            if abs(a_c - a_h**d) >= 1e-3:
+                draws.append((a_h, a_c))
+        return draws
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cycle_matches_the_exact_closed_form(self, d):
+        specs = [ladder_spec(d, bath_from_factor(a_h), bath_from_factor(a_c, omega=1.7), 1.0)
+                 for a_h, a_c in self.draws(d)]
+        flow_gaps, catalyst_gaps = [], []
+        for spec, (_, cycle, _) in zip(specs, mapping.rows(specs, "discrete")):
+            exact = (Fraction(spec.hot.gibbs_factor), Fraction(spec.cold.gibbs_factor))
+            flow, q = ladder_cycle(*exact, d)
+            flow_gaps += [abs(Fraction(dp) - flow) / abs(flow) for dp in cycle.delta_p]
+            catalyst_gaps += [abs(Fraction(p) - e) for p, e in zip(cycle.catalyst, q)]
+        assert max(flow_gaps) <= self.FLOW_TOL
+        assert max(catalyst_gaps) <= self.CATALYST_TOL
+
+    def test_the_qubit_catalyst_is_the_ladder_at_d_2(self):
+        # Float for float, the ring's closed form and the d = 2 one differ in
+        # their rounding alone: at most 3 ulp in delta_p and 10 in q here.
+        flow_ulps = catalyst_ulps = 0.0
+        for a_h, a_c in self.draws(2):
+            flow, (q0, q1) = ladder_cycle(a_h, a_c, 2)
+            ground, expected = analytic.cat_population(a_h, a_c), analytic.cat_delta_p(a_h, a_c)
+            flow_ulps = max(flow_ulps, abs(flow - expected.value) / math.ulp(flow))
+            catalyst_ulps = max(catalyst_ulps, abs(q0 - ground) / math.ulp(ground),
+                                abs(q1 - (1.0 - ground)) / math.ulp(1.0 - ground))
+        assert flow_ulps <= 4
+        assert catalyst_ulps <= 12
 
 
 class TestHeatStroke:

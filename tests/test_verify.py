@@ -226,25 +226,58 @@ def test_tradeoff_check_names_its_worst_sample(monkeypatch, sample):
 
 
 @pytest.mark.parametrize(
-    "field, shift",
-    [("q_hot", 1e-9), ("q_cold", -1e-9), ("catalyst_residual", 1e-9)],
+    "field, shift, worst",
+    [
+        ("q_hot", lambda q: q + 1e-9, 1e-9),
+        ("q_cold", lambda q: q - 1e-9, 1e-9),
+        ("catalyst_residual", lambda r: r + 1e-9, 1e-9),
+        # The qubit catalyst moves and still sums to 1; (1.0,) stays.  The
+        # closed form sees the 1e-9; the stroke no longer restores the
+        # moved catalyst, and its partial-trace gap reads 1.4e-9.
+        ("catalyst", lambda q: q if len(q) == 1 else (q[0] + 1e-9, q[1] - 1e-9), 1.398e-9),
+    ],
+    ids=["q_hot", "q_cold", "catalyst_residual", "catalyst"],
 )
 def test_two_stroke_check_holds_the_emitted_cycle_to_the_operator_route(
-    monkeypatch, field, shift
+    monkeypatch, field, shift, worst
 ):
     # Check 8 recomputes the cycle along the operator route: a population
     # route that drifts from it in any one emitted field fails the check.
     assert verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5))).passed
-    run_cycle = verify.discrete.run_cycle
+    cycles = verify.discrete._cycles
 
-    def drifted(spec):
-        report = run_cycle(spec)
-        return dataclasses.replace(report, **{field: getattr(report, field) + shift})
+    def drifted(specs):
+        return [dataclasses.replace(report, **{field: shift(getattr(report, field))})
+                for report in cycles(specs)]
 
-    monkeypatch.setattr(verify.discrete, "run_cycle", drifted)
+    monkeypatch.setattr(verify.discrete, "_cycles", drifted)
     result = verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(5)))
     assert not result.passed
-    assert result.worst == pytest.approx(abs(shift), rel=1e-3)
+    assert result.worst == pytest.approx(worst, rel=1e-3)
+
+
+def test_two_stroke_check_solves_each_catalyst_once(monkeypatch):
+    # 10 points x 2 engines run as one stack per engine; only the 10 qubit
+    # catalysts need a solve, and the operator route reuses the cycle's.
+    calls = {"_catalyst_q": 0, "_cycles": 0}
+
+    def counted(name):
+        original = getattr(discrete, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    def refused(*args):
+        raise AssertionError("check 8 reads the cycle's records, not a one-spec route")
+
+    for name in calls:
+        monkeypatch.setattr(discrete, name, counted(name))
+    for name in ("run_cycle", "solve_catalyst"):
+        monkeypatch.setattr(discrete, name, refused)
+    assert verify.check_two_stroke_oracles(np.random.Generator(np.random.PCG64(1234))).passed
+    assert calls == {"_catalyst_q": 10, "_cycles": 2}
 
 
 # The ranges check 7 draws from: Gibbs factors, frequencies, and the
@@ -286,11 +319,28 @@ def qutrit_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
     )
 
 
+def flipped_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
+    """The qubit-catalyst machine with u and d exchanged in each pair."""
+    swaps = ladder_spec(2, hot, cold, 1.0).swaps
+    return EngineSpec(2, hot, cold, tuple(SwapPair(pair.d, pair.u, pair.g) for pair in swaps))
+
+
+def unequal_catalyst_spec(hot: BathParams, cold: BathParams) -> EngineSpec:
+    """The qubit-catalyst ladder with couplings 1 and 2.7."""
+    first, second = ladder_spec(2, hot, cold, 1.0).swaps
+    return EngineSpec(2, hot, cold, (first, SwapPair(second.u, second.d, 2.7)))
+
+
 @pytest.mark.parametrize(
     "make",
     [
         pytest.param(lambda hot, cold: ladder_spec(1, hot, cold, 1.0), id="otto"),
         pytest.param(qutrit_catalyst_spec, id="qutrit_catalyst"),
+        # The same machine with each pair mirrored: evaluated, the relations
+        # read 0.22 on it (hot beta 0.1, omega 1; cold beta 1, omega 1.8)
+        # where the ladder reads 5.6e-17.  Unequal couplings read 0.14.
+        pytest.param(flipped_catalyst_spec, id="flipped_qubit_catalyst"),
+        pytest.param(unequal_catalyst_spec, id="unequal_couplings"),
     ],
 )
 def test_stationary_relations_reject_other_engines(make):
