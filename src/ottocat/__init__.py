@@ -69,8 +69,8 @@ from .engine_spec import (
     validate,
 )
 from .mapping import (
-    EngineFamily,
     EquivalenceReport,
+    WorkingPoint,
     compare_at_efficiency,
     verify_equivalence,
 )
@@ -142,7 +142,7 @@ __all__ = [
     "design_efficiency",
     # the bridge
     "EquivalenceReport",
-    "EngineFamily",
+    "WorkingPoint",
     "verify_equivalence",
     "compare_at_efficiency",
 ]

@@ -38,7 +38,7 @@ from operator import attrgetter
 from . import analytic, continuous
 from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
 from .engine_spec import validate as validate_spec
-from .mapping import BRIDGE_ERRORS, EngineFamily, rows
+from .mapping import BRIDGE_ERRORS, WorkingPoint, rows
 
 __all__ = [
     "COLUMNS",
@@ -97,8 +97,8 @@ COLUMNS = (
 #: Swap pairs the per-pair columns (delta_p_N, current_N) have room for.
 _CSV_PAIRS = sum(name.startswith("current_") for name in COLUMNS)
 
-#: Wiring tolerance: every emitted steady-state efficiency must match the
-#: family's design efficiency.
+#: Wiring tolerance: every efficiency a built-in engine's row emits must match
+#: the engine's design efficiency.
 ETA_WIRING_TOL = 1e-9
 
 
@@ -363,7 +363,8 @@ def load_custom_spec(path: str) -> EngineSpec:
     with ``beta``, ``omega``, and exactly one of ``tau_eq`` or
     ``gamma_minus``; one ``[swap_N]`` per pair (numbered from 1) with
     flat level indices ``u``, ``d`` and coupling ``g``.  The CSV has
-    per-pair columns for two pairs, so a third pair is an error.
+    per-pair columns for two pairs, so a third pair is an error, and
+    ``catalyst_dim`` may not exceed the 2 levels per pair that swaps reach.
     A fault raises ``ConfigError`` or ``ValueError`` that names it, not the file.
     """
     parser = _read_ini(path)
@@ -402,20 +403,20 @@ def load_custom_spec(path: str) -> EngineSpec:
 
 
 @functools.lru_cache(maxsize=64)
-def _family(*fields) -> EngineFamily:
-    """The :class:`EngineFamily` of ``fields``, built once for all the points
-    of one engine and coupling, which share it and its hot bath."""
-    return EngineFamily(*fields)
+def _point(*fields) -> WorkingPoint:
+    """The :class:`WorkingPoint` of ``fields``, built once for all the points
+    of one coupling, whose engines share it and its hot bath."""
+    return WorkingPoint(*fields)
 
 
 def _spec(fixed: dict[str, float], token: str, eta: float, g_tau_eq: float) -> EngineSpec:
-    """A family engine's spec at (eta, g_tau_eq)."""
+    """A built-in engine's spec at (eta, g_tau_eq)."""
     beta_h = fixed["beta_h_omega_h"] / fixed["omega_h"]
     g = g_tau_eq / fixed["tau_eq"]
     try:
-        family = _family(token, beta_h, beta_h * fixed["beta_c_over_beta_h"],
-                         fixed["omega_h"], fixed["tau_eq"], g)
-        return family.spec_at(eta)
+        point = _point(beta_h, beta_h * fixed["beta_c_over_beta_h"], fixed["omega_h"],
+                       fixed["tau_eq"], g)
+        return point.spec_at(token, eta)
     except ValueError as exc:  # g or beta_h left double range, or exp(-beta*omega) is 0 past ~745
         keys, what = (
             ("'beta_h_omega_h' and 'omega_h'", "the hot inverse temperature")
@@ -571,17 +572,18 @@ def _emit(config: RunConfig, mode: str, output: str | None) -> int:
 
 def _records(points: tuple, specs: list, mode: str, reports: list | None = None) -> list[tuple]:
     """Every point's :func:`~ottocat.mapping.rows` record, with the closed-form
-    time breakdown of a built-in engine once its emitted steady-state
-    efficiency matches its design value; a failure names its point."""
+    time breakdown of a built-in engine once the efficiency its mode emits,
+    the cycle's in discrete mode and the steady state's otherwise, matches
+    its design value; a failure names its point."""
+    picture, emitted = ("two-stroke", 1) if mode == "discrete" else ("steady-state", 0)
     records = []
     try:
         for (token, eta, _), spec, record in zip(points, specs, rows(specs, mode, reports)):
-            breakdown, efficiency = None, record[0] and record[0].efficiency
+            breakdown, efficiency = None, record[emitted].efficiency
             if token in FAMILIES:
                 breakdown = _family_breakdown(spec)
-                off = efficiency is None or abs(efficiency - eta) > ETA_WIRING_TOL
-                if mode != "discrete" and off:
-                    raise CheckFailure(f"emitted steady-state efficiency {efficiency} does not "
+                if efficiency is None or abs(efficiency - eta) > ETA_WIRING_TOL:
+                    raise CheckFailure(f"emitted {picture} efficiency {efficiency} does not "
                                        f"match the design efficiency {eta!r} of {token}")
             records.append((*record, breakdown))
     except (CheckFailure, *BRIDGE_ERRORS) as exc:

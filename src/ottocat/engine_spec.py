@@ -386,12 +386,16 @@ def stacked(stage, specs, *per_spec, size: int | None = None) -> tuple[list, Exc
 
 
 def validate(spec: EngineSpec) -> list[str]:
-    """The pair table's verdict on the swap set: its range error or its
-    overlap message, or an empty list when the spec is valid.
+    """The verdict on the swap set, or an empty list when the spec is valid:
+    a catalyst level out of every pair's reach (checked before any table is
+    built), else the pair table's range error or overlap message.
 
     Bath rates, detailed balance and couplings need no second look:
     :class:`BathParams` and :class:`SwapPair` refuse them when built.
     """
+    if spec.catalyst_dim > 2 * len(spec.swaps):
+        return [f"catalyst_dim {spec.catalyst_dim} exceeds the {2 * len(spec.swaps)} catalyst "
+                f"levels that {len(spec.swaps)} swap pair(s) can touch"]
     try:
         overlap = pair_table(*spec.structure).overlap
     except ValueError as exc:

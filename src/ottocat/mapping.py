@@ -15,9 +15,10 @@ per stage; :func:`verify_equivalence` is a stack of one.  A bridge holds
 the dictionary alone: the efficiencies, the work and the power are the
 fields of the cycle and of the steady state that :func:`rows` yields
 beside it.  :func:`compare_at_efficiency` runs the catalyst-free and
-qubit-catalyst machines through :func:`rows` at matched efficiencies,
-where the catalytic advantage in work, time and power lives; ``verify``
-check 5 reads its powers from those records.
+qubit-catalyst machines through :func:`rows` at matched efficiencies on
+one :class:`WorkingPoint`, the baths and coupling they share, where the
+catalytic advantage in work, time and power lives; ``verify`` check 5
+reads its powers from those records.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "WORK_POWER_TOL",
     "BRIDGE_ERRORS",
     "EquivalenceReport",
-    "EngineFamily",
+    "WorkingPoint",
     "verify_equivalence",
     "rows",
     "compare_at_efficiency",
@@ -106,18 +107,17 @@ class EquivalenceReport:
 
 
 @dataclass(frozen=True)
-class EngineFamily:
-    """One engine design with the cold frequency left open.
+class WorkingPoint:
+    """The baths and coupling both engines share, with the cold frequency left open.
 
-    ``kind`` names a ladder of :data:`~ottocat.engine_spec.FAMILIES`, with
-    catalyst dimension d.  Fixing (beta_h, beta_c, omega_h, tau_eq, g) and
-    steering omega_c parameterizes the machine by its efficiency: it runs
-    at eta iff omega_c = d omega_h (1 - eta), so omega_h (1 - eta) for the
-    catalyst-free engine and 2 omega_h (1 - eta) with a qubit catalyst.
-    Both baths share the relaxation time ``tau_eq``.
+    Fixing (beta_h, beta_c, omega_h, tau_eq, g) and steering omega_c
+    parameterizes each ladder of :data:`~ottocat.engine_spec.FAMILIES`, with
+    catalyst dimension d, by its efficiency: it runs at eta iff omega_c =
+    d omega_h (1 - eta), so omega_h (1 - eta) for the catalyst-free engine
+    and 2 omega_h (1 - eta) with a qubit catalyst.  Both baths share the
+    relaxation time ``tau_eq``.
     """
 
-    kind: str
     beta_h: float
     beta_c: float
     omega_h: float
@@ -125,8 +125,6 @@ class EngineFamily:
     g: float
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILIES:
-            raise ValueError(f"kind must be {' or '.join(map(repr, FAMILIES))}, got {self.kind!r}")
         for name in ("beta_h", "beta_c", "omega_h", "tau_eq", "g"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -134,19 +132,20 @@ class EngineFamily:
         if not self.beta_c > self.beta_h:
             raise ValueError("need beta_c > beta_h for a hot and a cold bath")
 
-    def omega_c_at(self, eta: float) -> float:
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1), got {eta}")
-        return FAMILIES[self.kind] * self.omega_h * (1.0 - eta)
-
     @functools.cached_property
     def hot(self) -> BathParams:
-        """The hot bath, the same at every efficiency: built once."""
+        """The hot bath, the same for every engine and efficiency: built once."""
         return BathParams.from_relaxation_time(self.beta_h, self.omega_h, self.tau_eq)
 
-    def spec_at(self, eta: float) -> EngineSpec:
-        cold = BathParams.from_relaxation_time(self.beta_c, self.omega_c_at(eta), self.tau_eq)
-        return ladder_spec(FAMILIES[self.kind], self.hot, cold, self.g)
+    def spec_at(self, kind: str, eta: float) -> EngineSpec:
+        """The ladder of ``kind`` that runs at efficiency ``eta`` here."""
+        if kind not in FAMILIES:
+            raise ValueError(f"kind must be {' or '.join(map(repr, FAMILIES))}, got {kind!r}")
+        if not 0.0 < eta < 1.0:
+            raise ValueError(f"efficiency must lie in (0, 1), got {eta}")
+        omega_c = FAMILIES[kind] * self.omega_h * (1.0 - eta)
+        cold = BathParams.from_relaxation_time(self.beta_c, omega_c, self.tau_eq)
+        return ladder_spec(FAMILIES[kind], self.hot, cold, self.g)
 
 
 def verify_equivalence(spec: EngineSpec) -> EquivalenceReport:
@@ -273,28 +272,15 @@ def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Itera
         raise fault
 
 
-def compare_at_efficiency(
-    otto: EngineFamily, cat: EngineFamily, etas: Sequence[float]
-) -> list[tuple]:
-    """The :func:`rows` records of both machines at each efficiency of ``etas``,
-    Otto's then the catalyst's, from one call.
+def compare_at_efficiency(point: WorkingPoint, etas: Sequence[float]) -> list[tuple]:
+    """The :func:`rows` records of every engine of
+    :data:`~ottocat.engine_spec.FAMILIES` at ``point``, at each efficiency of
+    ``etas``: Otto's then the catalyst's, from one call.
 
-    The families must be an 'otto' and a 'qubit_catalyst' design sharing
-    (beta_h, beta_c, omega_h, tau_eq, g); only omega_c differs, chosen
-    per family so that each machine runs at each efficiency.  A working
-    point outside the engine regime is tagged ``non_engine`` by its steady
-    state's ``regime`` rather than raising; a failed solve, cycle or bridge
-    raises as :func:`rows` does, its ``index`` counting the specs in that
-    order.
+    Only omega_c differs between the two machines, chosen per engine so that
+    each runs at each efficiency.  A working point outside the engine regime
+    is tagged ``non_engine`` by its steady state's ``regime`` rather than
+    raising; a failed solve, cycle or bridge raises as :func:`rows` does, its
+    ``index`` counting the specs in that order.
     """
-    if otto.kind != "otto":
-        raise ValueError(f"first family must have kind 'otto', got {otto.kind!r}")
-    if cat.kind != "qubit_catalyst":
-        raise ValueError(
-            f"second family must have kind 'qubit_catalyst', got {cat.kind!r}"
-        )
-    for name in ("beta_h", "beta_c", "omega_h", "tau_eq", "g"):
-        a, b = getattr(otto, name), getattr(cat, name)
-        if a != b:
-            raise ValueError(f"families disagree on {name}: {a!r} vs {b!r}")
-    return list(rows([family.spec_at(eta) for eta in etas for family in (otto, cat)]))
+    return list(rows([point.spec_at(kind, eta) for eta in etas for kind in FAMILIES]))

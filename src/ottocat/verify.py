@@ -52,6 +52,11 @@ _TRADEOFF_BLOCK = 1000
 _POWER_POINTS = 100
 _RATE_SETS = 20
 
+#: The reference working point of :func:`check_power_advantage`: beta_h omega_h
+#: = 0.1, beta_c/beta_h = 10, g tau_eq = 10, with omega_h = tau_eq = 1 setting
+#: the scale.
+REFERENCE_POINT = mapping.WorkingPoint(beta_h=0.1, beta_c=1.0, omega_h=1.0, tau_eq=1.0, g=10.0)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -306,22 +311,21 @@ def check_tradeoff_bounds(rng: np.random.Generator, n_samples: int = 10_000) -> 
 
 
 def check_power_advantage() -> CheckResult:
-    """At the reference working point (beta_h omega_h = 0.1,
-    beta_c/beta_h = 10, g tau_eq = 10), the qubit-catalyst engine beats
-    the catalyst-free one in power at every matched efficiency where both
-    run as engines, and both powers collapse approaching the shared
-    efficiency limit, at eta = 0.9 - 1e-5.  Every point, the near-limit
-    pair included, is bridged through one
-    :func:`~ottocat.mapping.compare_at_efficiency` call; a failure there
-    fails the check, naming the engine and the efficiency."""
+    """At :data:`REFERENCE_POINT`, the qubit-catalyst engine beats the
+    catalyst-free one in power at every matched efficiency where both run
+    as engines, and both powers collapse approaching the shared efficiency
+    limit, at eta = 0.9 - 1e-5.  Every point, the near-limit pair included,
+    is bridged through one :func:`~ottocat.mapping.compare_at_efficiency`
+    call on that one point; a failure there fails the check, naming the
+    engine (by its position in :data:`~ottocat.engine_spec.FAMILIES`) and
+    the efficiency."""
     tol = 0.0  # the dominance must be strict
     etas = [*map(float, np.linspace(0.01, 0.89, _POWER_POINTS)), 0.9 - 1e-5]
-    families = reference_families()
     try:
-        records = mapping.compare_at_efficiency(*families, etas)
+        records = mapping.compare_at_efficiency(REFERENCE_POINT, etas)
     except mapping.BRIDGE_ERRORS as exc:
-        eta, family = divmod(exc.index, len(families))
-        detail = f"{families[family].kind} bridge failed at eta = {etas[eta]}: {exc}"
+        eta, kind = divmod(exc.index, len(FAMILIES))
+        detail = f"{list(FAMILIES)[kind]} bridge failed at eta = {etas[eta]}: {exc}"
         return CheckResult("power_advantage", False, math.inf, tol, detail)
     powers = [report.power for report, _, _ in records]
     p_otto, p_cat = powers[0:-2:2], powers[1:-2:2]
@@ -495,15 +499,6 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         tol=tol,
         detail="heat routes, catalyst closed form, and cycle closure (10 random points)",
     )
-
-
-def reference_families() -> tuple[mapping.EngineFamily, ...]:
-    """The engine families of :data:`~ottocat.engine_spec.FAMILIES`, in
-    that order, at the reference working point beta_h omega_h = 0.1,
-    beta_c/beta_h = 10, g tau_eq = 10 (with omega_h = tau_eq = 1 setting
-    the scale)."""
-    common = dict(beta_h=0.1, beta_c=1.0, omega_h=1.0, tau_eq=1.0, g=10.0)
-    return tuple(mapping.EngineFamily(kind=kind, **common) for kind in FAMILIES)
 
 
 def run_suite(seed: int, n_points: int = 100) -> list[CheckResult]:

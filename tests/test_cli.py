@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,24 @@ class TestPointCommands:
         assert capsys.readouterr().err == f"error: spec file {spec_file}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["discrete", "continuous"])
+    @pytest.mark.parametrize("catalyst_dim", [5, 100_000])
+    def test_a_catalyst_level_no_swap_reaches_is_refused_before_any_work(
+        self, tmp_path, capsys, command, catalyst_dim
+    ):
+        # Two swaps touch at most four catalyst levels.  Unchecked, d = 100
+        # took 6.6 s to fail as non-ergodic and d = 100000 ran out of memory.
+        text = CUSTOM_SPEC.replace("catalyst_dim = 2", f"catalyst_dim = {catalyst_dim}")
+        spec_file = write(tmp_path / "engine.ini", text)
+        config = write(tmp_path / "run.ini", f"[run]\nengine = {spec_file}\n")
+        start = time.perf_counter()
+        assert cli.main([command, "--config", config]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: spec file {spec_file}: catalyst_dim {catalyst_dim} exceeds the 4 "
+            "catalyst levels that 2 swap pair(s) can touch\n"
+        )
+
     def test_spec_files_are_solved_in_one_call_and_a_failure_names_its_file(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -459,18 +478,35 @@ class TestSweep:
 
 
 class TestWiringGuard:
+    @pytest.mark.parametrize(
+        "command, picture", [("continuous", "steady-state"), ("discrete", "two-stroke")]
+    )
     def test_emitted_efficiency_is_checked_against_the_design_value(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, command, picture
     ):
         monkeypatch.setattr(cli, "ETA_WIRING_TOL", -1.0)
         config = write(tmp_path / "run.ini", BASE_CONFIG)
-        assert cli.main(["continuous", "--config", config]) == 1
+        assert cli.main([command, "--config", config]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(
-            r"check failed: otto at eta = 0\.4, g = 10\.0: emitted steady-state "
+            rf"check failed: otto at eta = 0\.4, g = 10\.0: emitted {picture} "
             r"efficiency 0\.\d+ does not match the design efficiency 0\.4 of otto\n",
             err,
         ), err
+
+    def test_discrete_refuses_the_carnot_efficiency_rather_than_emit_noise(
+        self, tmp_path, capsys
+    ):
+        # At eta = 1 - beta_h/beta_c = 0.9 every pair flow vanishes: the
+        # catalyst's cycle emits a flow of 5.6e-17 and an efficiency of 0.8.
+        config = write(tmp_path / "run.ini", BASE_CONFIG.replace("eta = 0.4", "eta = 0.9"))
+        out = tmp_path / "rows.csv"
+        assert cli.main(["discrete", "--config", config, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "check failed: qubit_catalyst at eta = 0.9, g = 10.0: emitted two-stroke "
+            "efficiency 0.8 does not match the design efficiency 0.9 of qubit_catalyst\n"
+        )
+        assert not out.exists()
 
     def test_a_sweep_ending_at_the_carnot_efficiency_fails_by_point(self, tmp_path, capsys):
         text = GOLDEN_CONFIG.read_text(encoding="utf-8")
@@ -638,10 +674,10 @@ class TestVerifySubcommand:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
-def test_the_points_of_one_engine_and_coupling_share_one_hot_bath():
+def test_the_points_of_one_coupling_share_one_hot_bath_across_engines():
     specs = golden_specs()
-    hot = {spec.catalyst_dim: spec.hot for spec in specs}
-    assert all(spec.hot is hot[spec.catalyst_dim] for spec in specs)
+    assert {spec.catalyst_dim for spec in specs} == {1, 2}
+    assert all(spec.hot is specs[0].hot for spec in specs)
 
 
 def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
@@ -663,7 +699,7 @@ def test_importing_the_cli_builds_no_cache_and_loads_no_scipy():
         check=True,
     )
     names = (
-        "ottocat.cli._family",
+        "ottocat.cli._point",
         "ottocat.continuous._bath_jumps",
         "ottocat.continuous._generator_plan",
         "ottocat.engine_spec._ladder_pairs",

@@ -146,6 +146,30 @@ class TestEngineShapes:
         )
         assert validate(bad) == ["swap 1: index 4 appears in more than one pair"]
 
+    def test_validate_refuses_a_catalyst_level_no_pair_can_touch_before_any_table(self):
+        # Each pair touches at most two catalyst levels; a billion-level
+        # catalyst would not fit in memory, so no table may be built for it.
+        spec = catalyst_example()
+        level_table.cache_clear()
+        for d in (5, 10**9):
+            bad = EngineSpec(catalyst_dim=d, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
+            assert validate(bad) == [unreachable(bad)]
+        assert level_table.cache_info().currsize == 0
+        within = EngineSpec(catalyst_dim=4, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
+        assert validate(within) == []  # levels 2 and 3 unreached: the solvers refuse it
+
+
+def unreachable(spec: EngineSpec) -> str:
+    """:func:`validate`'s message for a catalyst larger than its pairs can touch."""
+    return (f"catalyst_dim {spec.catalyst_dim} exceeds the {2 * len(spec.swaps)} catalyst "
+            f"levels that {len(spec.swaps)} swap pair(s) can touch")
+
+
+def verdict(spec: EngineSpec, *problems: str) -> list[str]:
+    """:func:`validate`'s verdict on ``spec``, ``problems`` once every catalyst
+    level is within reach of the pairs."""
+    return [unreachable(spec)] if spec.catalyst_dim > 2 * len(spec.swaps) else list(problems)
+
 
 class TestEnergetics:
     def test_otto_pair_exchanges_one_hot_for_one_cold_quantum(self):
@@ -318,11 +342,11 @@ class TestPairTable:
         free = data.draw(st.integers(min_value=0, max_value=dim - 1).filter(lambda n: n != taken))
         overlapping = with_swaps(spec, spec.swaps + (SwapPair(free, taken, 1.0),))
         out_of_range = with_swaps(spec, spec.swaps + (SwapPair(outside, free, 1.0),))
-        assert validate(spec) == []
+        assert validate(spec) == verdict(spec)
         for _ in range(2):
             with pytest.raises(ValueError, match="appears in more than one pair") as overlap:
                 permutation(overlapping)
-            assert validate(overlapping) == [str(overlap.value)]
+            assert validate(overlapping) == verdict(overlapping, str(overlap.value))
             for route in (
                 permutation,
                 lambda s: pair_table(*s.structure),
@@ -330,6 +354,6 @@ class TestPairTable:
             ):
                 with pytest.raises(ValueError, match=f"index {outside} out of range for dimension"):
                     route(out_of_range)
-            assert validate(out_of_range) == [
+            assert validate(out_of_range) == verdict(out_of_range, (
                 f"swap {len(spec.swaps)}: index {outside} out of range for dimension {dim}"
-            ]
+            ))

@@ -12,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ottocat import cli, continuous, discrete, mapping, verify
-from ottocat.engine_spec import EngineSpec, SwapPair, ladder_spec
+from ottocat.engine_spec import FAMILIES, EngineSpec, SwapPair, ladder_spec
 from spec_helpers import bath_from_factor, golden_specs
 
 
@@ -118,9 +118,9 @@ def test_a_failed_cycle_carries_its_position_after_the_records_before_it():
 
 
 def test_a_failed_bridge_carries_its_position_after_the_records_before_it():
-    families = verify.reference_families()
-    specs = [family.spec_at(eta) for eta in (0.2, 0.4, 0.6) for family in families]
-    specs.insert(3, families[1].spec_at(0.9))  # the Carnot point: every pair flow vanishes
+    point = verify.REFERENCE_POINT
+    specs = [point.spec_at(kind, eta) for eta in (0.2, 0.4, 0.6) for kind in FAMILIES]
+    specs.insert(3, point.spec_at("qubit_catalyst", 0.9))  # Carnot: every pair flow vanishes
     records = mapping.rows(specs)
     before = [next(records) for _ in range(3)]
     with pytest.raises(ValueError, match="all pair flows vanish$") as caught:
@@ -132,9 +132,9 @@ def test_a_failed_bridge_carries_its_position_after_the_records_before_it():
 def test_the_first_spec_whose_cycle_or_bridge_fails_is_named():
     # Position 1 fails its bridge, position 4 its cycle: the stacks run the
     # cycles first, yet the run names position 1, as one spec at a time would.
-    families = verify.reference_families()
-    specs = [family.spec_at(0.4) for family in families] * 3
-    specs[1] = families[1].spec_at(0.9)
+    point = verify.REFERENCE_POINT
+    specs = [point.spec_at(kind, 0.4) for kind in FAMILIES] * 3
+    specs[1] = point.spec_at("qubit_catalyst", 0.9)
     specs[4] = no_catalyst_spec()
     with pytest.raises(ValueError, match="all pair flows vanish$") as caught:
         list(mapping.rows(specs))
