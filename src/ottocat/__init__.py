@@ -66,7 +66,6 @@ from .engine_spec import (
     energy_differences,
     hamiltonians,
     ladder_spec,
-    validate,
 )
 from .mapping import (
     EquivalenceReport,
@@ -107,7 +106,6 @@ __all__ = [
     "ladder_spec",
     "hamiltonians",
     "energy_differences",
-    "validate",
     # two-stroke picture
     "CatalystState",
     "CycleReport",

@@ -37,8 +37,7 @@ from operator import attrgetter
 
 from . import analytic, continuous
 from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
-from .engine_spec import validate as validate_spec
-from .mapping import BRIDGE_ERRORS, WorkingPoint, rows
+from .mapping import BRIDGE_ERRORS, FLOW_EXCLUSION_TOL, WorkingPoint, rows
 
 __all__ = [
     "COLUMNS",
@@ -363,9 +362,9 @@ def load_custom_spec(path: str) -> EngineSpec:
     with ``beta``, ``omega``, and exactly one of ``tau_eq`` or
     ``gamma_minus``; one ``[swap_N]`` per pair (numbered from 1) with
     flat level indices ``u``, ``d`` and coupling ``g``.  The CSV has
-    per-pair columns for two pairs, so a third pair is an error, and
-    ``catalyst_dim`` may not exceed the 2 levels per pair that swaps reach.
-    A fault raises ``ConfigError`` or ``ValueError`` that names it, not the file.
+    per-pair columns for two pairs, so a third pair is an error.  A fault
+    raises ``ConfigError``, or ``ValueError`` from the :class:`EngineSpec`
+    that judges the swap set; either names the fault, not the file.
     """
     parser = _read_ini(path)
     swaps = []
@@ -386,16 +385,12 @@ def load_custom_spec(path: str) -> EngineSpec:
         raise ConfigError("defines no [swap_1] section")
 
     engine = parser["engine"]
-    spec = EngineSpec(
+    return EngineSpec(
         catalyst_dim=_get_int(engine, "catalyst_dim") if "catalyst_dim" in engine else 1,
         hot=_bath(parser["hot"]),
         cold=_bath(parser["cold"]),
         swaps=tuple(_swap(parser[name]) for name in swaps),
     )
-    problems = validate_spec(spec)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +437,14 @@ def _family_breakdown(spec: EngineSpec) -> analytic.TauBreakdown:
     return analytic.cat_tau(
         constants, g, spec.hot.gibbs_factor, spec.cold.gibbs_factor
     )
+
+
+def _family_flow(spec: EngineSpec) -> float:
+    """A built-in engine's closed-form flow per cycle."""
+    a_h, a_c = spec.hot.gibbs_factor, spec.cold.gibbs_factor
+    if spec.catalyst_dim == 1:
+        return analytic.otto_delta_p(a_h, a_c)
+    return analytic.cat_delta_p(a_h, a_c).value
 
 
 def _pair(values: tuple, i: int) -> object:
@@ -574,13 +577,17 @@ def _records(points: tuple, specs: list, mode: str, reports: list | None = None)
     """Every point's :func:`~ottocat.mapping.rows` record, with the closed-form
     time breakdown of a built-in engine once the efficiency its mode emits,
     the cycle's in discrete mode and the steady state's otherwise, matches
-    its design value; a failure names its point."""
+    its design value; a failure names its point.  Outside a sweep, whose bridge
+    refuses it, a built-in engine's vanished flow is refused in its words."""
     picture, emitted = ("two-stroke", 1) if mode == "discrete" else ("steady-state", 0)
     records = []
     try:
         for (token, eta, _), spec, record in zip(points, specs, rows(specs, mode, reports)):
             breakdown, efficiency = None, record[emitted].efficiency
             if token in FAMILIES:
+                if mode != "both" and abs(_family_flow(spec)) < FLOW_EXCLUSION_TOL:
+                    raise CheckFailure("mapping singular at equilibrium boundary: "
+                                       "all pair flows vanish")
                 breakdown = _family_breakdown(spec)
                 if efficiency is None or abs(efficiency - eta) > ETA_WIRING_TOL:
                     raise CheckFailure(f"emitted {picture} efficiency {efficiency} does not "

@@ -124,11 +124,9 @@ class CycleReport:
 
 
 def permutation_matrix(spec: EngineSpec) -> Operator:
-    """The work-stroke unitary, level n to ``perm[n]`` of the pair table; raises
-    ``ValueError`` if swap pairs overlap or leave the space."""
-    table = pair_table(*spec.structure)
-    fail(table.overlap is not None, ValueError, table.overlap)
-    return Operator(spec.layout, np.eye(spec.dim, dtype=complex)[:, table.perm])
+    """The work-stroke unitary, level n to ``perm[n]`` of the pair table."""
+    perm = pair_table(*spec.structure).perm
+    return Operator(spec.layout, np.eye(spec.dim, dtype=complex)[:, perm])
 
 
 def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMatrix:
@@ -219,7 +217,6 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
     systems = np.concatenate([equal, balance, np.ones((n, 1, d_s))], axis=1)
     solved = d_s > 1
     q = np.array([_catalyst_q(s, a) for s, a in zip(specs, systems)]) if solved else np.ones((n, 1))
-    fail(table.overlap is not None, ValueError, table.overlap)
     # q (x) w_h (x) w_c in the Kronecker product's element order and arithmetic.
     p0 = ((q[:, :, None] * w_h[:, None, :])[..., None] * w_c[:, None, None, :]).reshape(n, -1)
     p1 = p0[:, table.perm]

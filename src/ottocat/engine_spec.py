@@ -17,7 +17,8 @@ of :func:`ladder_spec`, indexed by the catalyst dimension d:
 Basis convention: kets |s h c> with the catalyst index slowest; flat
 indices are row-major over (catalyst, hot, cold), see
 :class:`~ottocat.qstate.HilbertLayout`.  What depends on the structure
-alone is tabulated once, read-only: :func:`level_table`, :func:`pair_table`.
+alone is tabulated once, read-only: :func:`level_table`, and
+:func:`pair_table`, the one judge of a swap set, which every spec asks when built.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
 catalyst balance over a stack of one structure; :func:`stacked` runs
@@ -53,7 +54,6 @@ __all__ = [
     "pair_sums",
     "fail",
     "stacked",
-    "validate",
 ]
 
 #: Allowed deviation of gamma_plus/gamma_minus from exp(-beta*omega).
@@ -147,10 +147,9 @@ class EngineSpec:
     """Full machine description on the space catalyst (x) hot (x) cold.
 
     ``catalyst_dim = 1`` encodes "no catalyst" so that the Otto engine and
-    the catalytic ones flow through the same code paths.  Cross-pair
-    consistency (index ranges, disjointness) is judged by :func:`pair_table`
-    and reported by :func:`validate` rather than enforced here, so that
-    malformed specs can be diagnosed.
+    the catalytic ones flow through the same code paths.  The swap set is
+    judged here, once, by :func:`pair_table`: a spec that exists is
+    well-formed, and no caller checks it again.
     """
 
     catalyst_dim: int
@@ -162,6 +161,7 @@ class EngineSpec:
         if self.catalyst_dim < 1:
             raise ValueError(f"catalyst_dim must be >= 1, got {self.catalyst_dim}")
         object.__setattr__(self, "swaps", tuple(self.swaps))
+        pair_table(*self.structure)
 
     @functools.cached_property
     def layout(self) -> HilbertLayout:
@@ -251,9 +251,8 @@ def level_table(factor_dims: tuple[int, ...]) -> LevelTable:
 
 class PairTable(NamedTuple):
     """Per pair i the (catalyst, hot, cold) levels and flat indices of u_i
-    and d_i, the catalyst weights, the work stroke's index map n <->
-    ``perm[n]``, and ``overlap``, the message naming the first pair that
-    reuses an index (``None`` if the pairs are disjoint).
+    and d_i, the catalyst weights, and the work stroke's index map n <->
+    ``perm[n]``.
 
     ``catalyst_weights[m][i]`` is indicator_m(u_i) - indicator_m(d_i):
     +1.0 when swap pair i leaves catalyst level m through u_i, -1.0
@@ -265,23 +264,26 @@ class PairTable(NamedTuple):
     u: np.ndarray
     d: np.ndarray
     perm: np.ndarray
-    overlap: str | None
 
 
 @functools.lru_cache(maxsize=64)
 def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     """The :class:`PairTable` of one ``EngineSpec.structure``, built once,
-    read-only; an index outside the space raises ``ValueError``."""
+    read-only.  A malformed swap set raises ``ValueError``, naming the first
+    fault: a catalyst level out of every pair's reach (before any table is
+    built), else an index outside the space, else an index two pairs share."""
+    if factor_dims[0] > 2 * len(pairs):
+        raise ValueError(f"catalyst_dim {factor_dims[0]} exceeds the {2 * len(pairs)} catalyst "
+                         f"levels that {len(pairs)} swap pair(s) can touch")
     layout = HilbertLayout(factor_dims)
     dim = layout.total_dim
     flat = [idx for pair in pairs for idx in pair]
     for k, idx in enumerate(flat):
         if not 0 <= idx < dim:
             raise ValueError(f"swap {k // 2}: index {idx} out of range for dimension {dim}")
-    reused = next((k for k, idx in enumerate(flat) if idx in flat[:k]), None)
-    overlap = None if reused is None else (
-        f"swap {reused // 2}: index {flat[reused]} appears in more than one pair"
-    )
+    for k, idx in enumerate(flat):
+        if idx in flat[:k]:
+            raise ValueError(f"swap {k // 2}: index {idx} appears in more than one pair")
     u, d = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     perm = np.arange(dim)
     perm[u], perm[d] = d, u
@@ -290,7 +292,7 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     for array in (u, d, perm):
         array.setflags(write=False)
     levels = (tuple(map(layout.factor_indices, idx.tolist())) for idx in (u, d))
-    return PairTable(*levels, weights, u, d, perm, overlap)
+    return PairTable(*levels, weights, u, d, perm)
 
 
 def stack_energetics(specs) -> tuple[PairEnergetics, ...]:
@@ -383,21 +385,3 @@ def stacked(stage, specs, *per_spec, size: int | None = None) -> tuple[list, Exc
                         break
             results.update(zip(rows, done))
     return [results[i] for i in range(len(specs) if fault is None else fault.index)], fault
-
-
-def validate(spec: EngineSpec) -> list[str]:
-    """The verdict on the swap set, or an empty list when the spec is valid:
-    a catalyst level out of every pair's reach (checked before any table is
-    built), else the pair table's range error or overlap message.
-
-    Bath rates, detailed balance and couplings need no second look:
-    :class:`BathParams` and :class:`SwapPair` refuse them when built.
-    """
-    if spec.catalyst_dim > 2 * len(spec.swaps):
-        return [f"catalyst_dim {spec.catalyst_dim} exceeds the {2 * len(spec.swaps)} catalyst "
-                f"levels that {len(spec.swaps)} swap pair(s) can touch"]
-    try:
-        overlap = pair_table(*spec.structure).overlap
-    except ValueError as exc:
-        return [str(exc)]
-    return [] if overlap is None else [overlap]

@@ -159,7 +159,7 @@ def _spec_faults():
     yield "unknown section", [_edit(SPEC, "extra", "x", "1")]
     for section in ("engine", "hot", "cold", "swap_1"):
         yield f"unknown key in [{section}]", [_edit(SPEC, section, "gama", "3.0")]
-    for value in ("2.5", "0"):
+    for value in ("2.5", "0", "5"):
         yield f"engine.catalyst_dim = {value!r}", [_edit(SPEC, "engine", "catalyst_dim", value)]
     for section in ("hot", "cold"):
         for key in ("beta", "omega"):

@@ -1213,17 +1213,34 @@ class TestTwoTermAdjoints:
             assert_audit_is_dense_audit(stack, rho)
 
 
+@pytest.mark.parametrize(
+    "d, pairs", [(1, ((1, 2), (2, 3))), (2, ((4, 2), (2, 6)))], ids=["d=1", "d=2"]
+)
+def test_a_malformed_swap_set_never_reaches_the_steady_state(d, pairs):
+    hot = BathParams.from_relaxation_time(0.1, 1.0, 1.0)
+    cold = BathParams.from_relaxation_time(1.0, 0.6, 1.0)
+    swaps = tuple(SwapPair(u, v, 1.0) for u, v in pairs)
+    with pytest.raises(ValueError, match="^swap 1: index 2 appears in more than one pair$"):
+        steady_state_report(EngineSpec(d, hot, cold, swaps))
+    level_table.cache_clear()
+    with pytest.raises(ValueError, match=(
+        r"^catalyst_dim 1000000000 exceeds the 4 catalyst levels that 2 swap pair\(s\) can touch$"
+    )):
+        EngineSpec(10**9, hot, cold, swaps)
+    assert level_table.cache_info().currsize == 0
+
+
 def test_per_structure_caches_keep_at_most_64_entries():
     spec = catalyst_from_factors(0.5, 0.2)
     report = steady_state_report(spec)
     table = pair_table(*spec.structure)
     structures = [
         ((d, 2, 2), ((u, v),))
-        for d in (1, 2, 3)
+        for d in (1, 2)
         for u in range(4 * d)
         for v in range(4 * d)
         if u != v
-    ][:100]
+    ]
     for dims, pairs in structures:
         continuous._generator_plan(dims, pairs)
         pair_table(dims, pairs)
@@ -1242,7 +1259,7 @@ def test_per_structure_caches_keep_at_most_64_entries():
         assert info.maxsize == 64 and info.currsize <= 64, cache
     rebuilt = pair_table(*spec.structure)
     assert rebuilt is not table  # evicted, then built again alike
-    assert rebuilt[:3] == table[:3] and rebuilt.overlap == table.overlap
+    assert rebuilt[:3] == table[:3]
     assert all(np.array_equal(a, b) for a, b in zip(rebuilt[3:6], table[3:6]))
     again = steady_state_report(spec)
     assert again.rho_ss.matrix.tobytes() == report.rho_ss.matrix.tobytes()
@@ -1331,3 +1348,22 @@ def test_the_one_over_g_squared_law_holds_on_drawn_ladders(specs):
     for scale, current in zip(LAW_LAMBDAS[2:], currents[2:]):
         law = 1.0 / (offset + slope / scale**2)
         assert np.max(np.abs(law - current)) <= 5e-13 * np.max(np.abs(current))
+
+
+def test_the_one_over_g_squared_law_fails_for_the_heat_of_two_parallel_channels():
+    # Two swaps of one Otto space at unequal couplings (1, 2.7) * lambda, each
+    # a channel from hot to cold of its own: each pair current obeys the law,
+    # but J_h, their weighted sum, does not (1.23, 0.10 and 0.015 relative at
+    # lambda = 0.3, 3 and 100).  So the law is claimed for ladders only.
+    hot = BathParams.from_relaxation_time(0.1, 1.0, 1.0)
+    cold = BathParams.from_relaxation_time(1.0, 0.6, 1.0)
+    specs = [EngineSpec(1, hot, cold, (SwapPair(2, 1, scale), SwapPair(3, 0, 2.7 * scale)))
+             for scale in LAW_LAMBDAS]
+    currents = np.array([(*r.currents, r.j_hot)
+                         for r in continuous.steady_state_reports(specs)])
+    slope = (1.0 / currents[0] - 1.0 / currents[1]) / (1.0 - 1.0 / LAW_LAMBDAS[1] ** 2)
+    offset = 1.0 / currents[0] - slope
+    misses = np.array([np.abs(1.0 / (offset + slope / scale**2) - current) / np.abs(current)
+                       for scale, current in zip(LAW_LAMBDAS[2:], currents[2:])])
+    assert np.max(misses[:, :2]) <= 5e-15
+    assert misses[0, 2] > 0.1

@@ -22,7 +22,6 @@ from ottocat.engine_spec import (
     level_table,
     pair_sums,
     pair_table,
-    validate,
 )
 from ottocat.qstate import HilbertLayout
 
@@ -103,10 +102,6 @@ class TestEngineShapes:
         assert spec.dim == 8
         assert spec.swaps == (SwapPair(u=4, d=2, g=1.0), SwapPair(u=1, d=6, g=1.0))
 
-    def test_validate_accepts_the_built_in_engines(self):
-        assert validate(otto_example()) == []
-        assert validate(catalyst_example()) == []
-
     @pytest.mark.parametrize(
         "d, pairs",
         [
@@ -125,50 +120,39 @@ class TestEngineShapes:
         assert spec.catalyst_dim == d and spec.layout.factor_dims == (d, 2, 2)
         assert tuple((pair.u, pair.d) for pair in spec.swaps) == pairs
         assert {pair.g for pair in spec.swaps} == {0.7}
-        assert validate(spec) == []
 
     def test_the_built_in_kinds_are_the_first_two_ladders(self):
         assert FAMILIES == {"otto": 1, "qubit_catalyst": 2}
 
-    def test_validate_flags_out_of_range_swap_levels(self):
+    def test_construction_refuses_out_of_range_swap_levels(self):
         spec = otto_example()
-        bad = EngineSpec(
-            catalyst_dim=spec.catalyst_dim, hot=spec.hot, cold=spec.cold,
-            swaps=(SwapPair(u=7, d=1, g=1.0),),
-        )
-        assert validate(bad) == ["swap 0: index 7 out of range for dimension 4"]
+        with pytest.raises(ValueError, match="^swap 0: index 7 out of range for dimension 4$"):
+            with_swaps(spec, (SwapPair(u=7, d=1, g=1.0),))
 
-    def test_validate_flags_overlapping_swap_pairs(self):
+    def test_construction_refuses_overlapping_swap_pairs(self):
         spec = catalyst_example()
-        bad = EngineSpec(
-            catalyst_dim=spec.catalyst_dim, hot=spec.hot, cold=spec.cold,
-            swaps=(SwapPair(u=4, d=2, g=1.0), SwapPair(u=4, d=6, g=1.0)),
-        )
-        assert validate(bad) == ["swap 1: index 4 appears in more than one pair"]
+        with pytest.raises(ValueError, match="^swap 1: index 4 appears in more than one pair$"):
+            with_swaps(spec, (SwapPair(u=4, d=2, g=1.0), SwapPair(u=4, d=6, g=1.0)))
 
-    def test_validate_refuses_a_catalyst_level_no_pair_can_touch_before_any_table(self):
+    def test_every_range_fault_is_named_before_any_overlap(self):
+        # Swap 1 reuses index 2 before it reaches the out-of-range index 7.
+        with pytest.raises(ValueError, match="^swap 1: index 7 out of range for dimension 4$"):
+            with_swaps(otto_example(), (SwapPair(2, 1, 1.0), SwapPair(2, 7, 1.0)))
+
+    def test_construction_refuses_a_catalyst_level_no_pair_can_touch_before_any_table(self):
         # Each pair touches at most two catalyst levels; a billion-level
         # catalyst would not fit in memory, so no table may be built for it.
         spec = catalyst_example()
         level_table.cache_clear()
         for d in (5, 10**9):
-            bad = EngineSpec(catalyst_dim=d, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
-            assert validate(bad) == [unreachable(bad)]
+            with pytest.raises(ValueError, match=(
+                f"^catalyst_dim {d} exceeds the 4 catalyst levels that 2 swap pair\\(s\\) "
+                "can touch$"
+            )):
+                EngineSpec(catalyst_dim=d, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
         assert level_table.cache_info().currsize == 0
-        within = EngineSpec(catalyst_dim=4, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
-        assert validate(within) == []  # levels 2 and 3 unreached: the solvers refuse it
-
-
-def unreachable(spec: EngineSpec) -> str:
-    """:func:`validate`'s message for a catalyst larger than its pairs can touch."""
-    return (f"catalyst_dim {spec.catalyst_dim} exceeds the {2 * len(spec.swaps)} catalyst "
-            f"levels that {len(spec.swaps)} swap pair(s) can touch")
-
-
-def verdict(spec: EngineSpec, *problems: str) -> list[str]:
-    """:func:`validate`'s verdict on ``spec``, ``problems`` once every catalyst
-    level is within reach of the pairs."""
-    return [unreachable(spec)] if spec.catalyst_dim > 2 * len(spec.swaps) else list(problems)
+        # Levels 2 and 3 unreached: the solvers refuse it.
+        EngineSpec(catalyst_dim=4, hot=spec.hot, cold=spec.cold, swaps=spec.swaps)
 
 
 class TestEnergetics:
@@ -256,11 +240,12 @@ class TestLevelTable:
 
 @st.composite
 def structures(draw) -> EngineSpec:
-    """A spec with catalyst dimension 1 to 4 and random disjoint swap pairs."""
+    """A spec with catalyst dimension 1 to 4 and random disjoint swap pairs,
+    enough of them to reach every catalyst level."""
     catalyst_dim = draw(st.integers(min_value=1, max_value=4))
     dim = 4 * catalyst_dim
     indices = draw(st.permutations(range(dim)))
-    n_pairs = draw(st.integers(min_value=1, max_value=dim // 2))
+    n_pairs = draw(st.integers(min_value=(catalyst_dim + 1) // 2, max_value=dim // 2))
     swaps = tuple(SwapPair(indices[2 * i], indices[2 * i + 1], 1.0) for i in range(n_pairs))
     hot = BathParams.from_relaxation_time(0.3, draw(omegas), 1.0)
     cold = BathParams.from_relaxation_time(2.0, draw(omegas), 1.0)
@@ -336,24 +321,22 @@ class TestPairTable:
 
     @given(spec=structures(), data=st.data())
     def test_invalid_pairs_raise_on_every_call(self, spec, data):
-        dim = spec.dim
-        taken = data.draw(st.sampled_from([p.u for p in spec.swaps] + [p.d for p in spec.swaps]))
+        dim, n_pairs = spec.dim, len(spec.swaps)
+        used = [p.u for p in spec.swaps] + [p.d for p in spec.swaps]
+        taken = data.draw(st.sampled_from(used))
         outside = data.draw(st.integers(min_value=dim, max_value=dim + 8) | st.integers(-8, -1))
         free = data.draw(st.integers(min_value=0, max_value=dim - 1).filter(lambda n: n != taken))
-        overlapping = with_swaps(spec, spec.swaps + (SwapPair(free, taken, 1.0),))
-        out_of_range = with_swaps(spec, spec.swaps + (SwapPair(outside, free, 1.0),))
-        assert validate(spec) == verdict(spec)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="appears in more than one pair") as overlap:
-                permutation(overlapping)
-            assert validate(overlapping) == verdict(overlapping, str(overlap.value))
-            for route in (
-                permutation,
-                lambda s: pair_table(*s.structure),
-                lambda s: energy_differences(s, 0),
-            ):
-                with pytest.raises(ValueError, match=f"index {outside} out of range for dimension"):
-                    route(out_of_range)
-            assert validate(out_of_range) == verdict(out_of_range, (
-                f"swap {len(spec.swaps)}: index {outside} out of range for dimension {dim}"
-            ))
+        reused = free if free in used else taken
+        for extra, message in (
+            (SwapPair(free, taken, 1.0), f"swap {n_pairs}: index {reused} appears in more than "
+             "one pair"),
+            (SwapPair(outside, free, 1.0), f"swap {n_pairs}: index {outside} out of range for "
+             f"dimension {dim}"),
+        ):
+            swaps = spec.swaps + (extra,)
+            pairs = tuple((pair.u, pair.d) for pair in swaps)
+            for _ in range(2):
+                for route in (lambda: with_swaps(spec, swaps),
+                              lambda: pair_table(spec.layout.factor_dims, pairs)):
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        route()
