@@ -76,7 +76,6 @@ from .mapping import (
 from .qstate import (
     DensityMatrix,
     HilbertLayout,
-    Operator,
     expectation,
     gibbs_qubit,
     partial_trace,
@@ -90,7 +89,6 @@ __all__ = [
     "__version__",
     # states and operators
     "HilbertLayout",
-    "Operator",
     "DensityMatrix",
     "gibbs_qubit",
     "tensor",

@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine_spec import BathParams, EngineSpec, fail, level_table, pair_sums, pair_table, stacked
-from .qstate import DensityMatrix, HilbertLayout, Operator, state_defects
+from .qstate import DensityMatrix, HilbertLayout, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
 from .qstate import expectation  # noqa: F401
@@ -494,7 +494,7 @@ def _stationary_stack(
     bad, why = state_defects(rho_lin)
     fail(bad, ValueError, why)
     decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
-    return [(DensityMatrix(Operator(layout, rho)), float(d)) for rho, d in zip(rho_lin, decay)]
+    return [(DensityMatrix(layout, rho), float(d)) for rho, d in zip(rho_lin, decay)]
 
 
 def stationary_state(spec: EngineSpec) -> tuple[DensityMatrix, float]:
@@ -578,7 +578,7 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
         applied = np.zeros_like(operands)
         for rows, cols, up, down in _bath_jumps(dims, label)[2]:
             applied[..., rows] += (gamma_plus * up + gamma_minus * down) * operands[..., cols]
-        # Tr[A rho] summed as expectation() sums it, without an Operator.
+        # Tr[A rho] summed as expectation() sums it, over the whole stack.
         heat_k, int_k = (applied * rho.reshape(n, -1)).sum(axis=-1)
         heat.append(heat_k)
         interaction.append([abs(z) for z in int_k.tolist()])  # Python's complex abs

@@ -17,10 +17,12 @@ one structure run as one stack of population arrays from the
 :func:`~ottocat.engine_spec.pair_table` index maps, each spec's catalyst
 solved once, by its own least-squares solve; :func:`run_cycle` is a stack
 of one, bit for bit.  Positive Q_k means energy drawn *from* bath k into
-the machine; positive work means work extracted.  The operator route
-(:func:`permutation_matrix`, :func:`build_initial_state`,
-:func:`heat_stroke`, operator traces) is the independent oracle that
-``verify`` check 8 runs against it, on the catalyst the cycle reports.
+the machine; positive work means work extracted.  The operator route is
+the independent oracle that ``verify`` check 8 runs against it, on the
+catalyst the cycle reports: :func:`permutation_matrix` is a plain array S,
+the states of :func:`build_initial_state` and :func:`heat_stroke` are
+:class:`~ottocat.qstate.DensityMatrix` values, and the heats are traces
+of array products.
 
 The cycle is exactly periodic iff the catalyst marginal is restored by
 the work stroke; for diagonal states this is equivalent to all pair
@@ -41,14 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table
-from .qstate import (
-    DensityMatrix,
-    HilbertLayout,
-    Operator,
-    gibbs_qubit,
-    partial_trace,
-    tensor_all,
-)
+from .qstate import DensityMatrix, HilbertLayout, gibbs_qubit, partial_trace, tensor_all
 
 __all__ = [
     "HEAT_CROSS_CHECK_TOL",
@@ -93,14 +88,6 @@ class CatalystState:
     def dim(self) -> int:
         return len(self.populations)
 
-    def as_operator(self) -> Operator:
-        return Operator(
-            HilbertLayout((self.dim,)),
-            np.diag(np.clip(np.asarray(self.populations, dtype=float), 0.0, None)).astype(
-                complex
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class CycleReport:
@@ -123,34 +110,39 @@ class CycleReport:
     regime: str
 
 
-def permutation_matrix(spec: EngineSpec) -> Operator:
-    """The work-stroke unitary, level n to ``perm[n]`` of the pair table."""
-    perm = pair_table(*spec.structure).perm
-    return Operator(spec.layout, np.eye(spec.dim, dtype=complex)[:, perm])
+def permutation_matrix(spec: EngineSpec) -> np.ndarray:
+    """The work-stroke unitary, level n to ``perm[n]`` of the pair table: a
+    fresh complex array on every call."""
+    return np.eye(spec.dim, dtype=complex)[:, pair_table(*spec.structure).perm]
 
 
 def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMatrix:
-    """Cycle-start state sigma_s (x) tau_h (x) tau_c with Gibbs bath qubits."""
+    """Cycle-start state sigma_s (x) tau_h (x) tau_c with Gibbs bath qubits,
+    sigma_s = diag(q) of the catalyst populations clipped at zero."""
     if catalyst.dim != spec.catalyst_dim:
         raise ValueError(
             f"catalyst has {catalyst.dim} levels but spec declares {spec.catalyst_dim}"
         )
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-    full = tensor_all([catalyst.as_operator(), tau_h.op, tau_c.op])
-    return DensityMatrix(full)
+    sigma = np.diag(np.clip(catalyst.populations, 0.0, None))
+    return tensor_all([DensityMatrix(HilbertLayout((catalyst.dim,)), sigma), tau_h, tau_c])
 
 
 def heat_stroke(spec: EngineSpec, rho: DensityMatrix) -> DensityMatrix:
     """Rethermalize the bath qubits, keeping the catalyst marginal.
 
     Implements the partial trace over hot and cold followed by tensoring
-    fresh Gibbs states back in.
+    fresh Gibbs states back in; a state not on the spec's layout raises
+    ``ValueError``.
     """
+    if rho.layout != spec.layout:
+        raise ValueError(f"state is on layout {rho.layout.factor_dims} but spec declares "
+                         f"{spec.layout.factor_dims}")
     sigma = partial_trace(rho, keep=(0,))
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-    return DensityMatrix(tensor_all([sigma.op, tau_h.op, tau_c.op]))
+    return tensor_all([sigma, tau_h, tau_c])
 
 
 def _gibbs_weights(a: float) -> tuple[float, float]:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import HilbertLayout, Operator
+from .qstate import HilbertLayout, as_index
 
 __all__ = [
     "DETAILED_BALANCE_TOL",
@@ -129,13 +129,16 @@ class BathParams:
 
 @dataclass(frozen=True)
 class SwapPair:
-    """One resonant swap |u> <-> |d| with coupling rate g."""
+    """One resonant swap |u> <-> |d| with coupling rate g; u and d are
+    stored as Python ints."""
 
     u: int
     d: int
     g: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "u", as_index(self.u, "swap index u"))
+        object.__setattr__(self, "d", as_index(self.d, "swap index d"))
         if self.u == self.d:
             raise ValueError(f"swap pair must connect distinct basis states, got u = d = {self.u}")
         if not (math.isfinite(self.g) and self.g > 0):
@@ -158,6 +161,7 @@ class EngineSpec:
     swaps: tuple[SwapPair, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "catalyst_dim", as_index(self.catalyst_dim, "catalyst_dim"))
         if self.catalyst_dim < 1:
             raise ValueError(f"catalyst_dim must be >= 1, got {self.catalyst_dim}")
         object.__setattr__(self, "swaps", tuple(self.swaps))
@@ -305,17 +309,16 @@ def stack_energetics(specs) -> tuple[PairEnergetics, ...]:
     )
 
 
-def hamiltonians(spec: EngineSpec) -> tuple[Operator, Operator]:
-    """Bare Hamiltonians (H_0h, H_0c), both diagonal.
+def hamiltonians(spec: EngineSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Bare Hamiltonians (H_0h, H_0c), two diagonal complex arrays on the
+    spec's flat basis.
 
     H_0h = omega_h (I_s (x) |1><1|_h (x) I_c), and analogously for the
     cold qubit; the catalyst carries no Hamiltonian of its own.
     """
     levels = level_table(spec.layout.factor_dims)
-    return (
-        Operator(spec.layout, np.diag(spec.hot.omega * levels.hot).astype(complex)),
-        Operator(spec.layout, np.diag(spec.cold.omega * levels.cold).astype(complex)),
-    )
+    return (np.diag(spec.hot.omega * levels.hot).astype(complex),
+            np.diag(spec.cold.omega * levels.cold).astype(complex))
 
 
 def energy_differences(spec: EngineSpec, pair_index: int) -> PairEnergetics:

@@ -1,8 +1,11 @@
 """Dense complex linear algebra on small labeled tensor-product spaces.
 
 Everything downstream (engine cycles, Lindblad steady states) runs on
-Hilbert spaces of dimension <= ~8, so all storage is dense complex double
-(row-major numpy arrays) and all eigenproblems use direct LAPACK solves.
+Hilbert spaces of a few dozen dimensions at most (the d = 6 ladder has
+24), so all storage is dense complex double (row-major numpy arrays) and
+all eigenproblems use direct LAPACK solves.  A state is the one labeled
+matrix, :class:`DensityMatrix`; operators (observables, Hamiltonians,
+unitaries) are plain square arrays on the state's flat basis.
 Units: hbar = k_B = 1 throughout; energies and rates share one unit system.
 
 Values are immutable after construction and all operations are pure
@@ -12,6 +15,7 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,8 +25,8 @@ __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
+    "as_index",
     "HilbertLayout",
-    "Operator",
     "DensityMatrix",
     "state_defects",
     "gibbs_qubit",
@@ -32,12 +36,21 @@ __all__ = [
     "expectation",
 ]
 
-#: Max-abs tolerance on rho - rho^dagger for a valid density matrix.
+#: Max-abs tolerance on rho - rho^+ for a valid density matrix.
 HERMITICITY_TOL = 1e-12
 #: Tolerance on |Tr rho - 1| for a valid density matrix.
 TRACE_TOL = 1e-12
 #: Eigenvalues of a density matrix may round off below zero by this much.
 EIGENVALUE_FLOOR = -1e-10
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` naming ``name`` unless it is
+    an integer (a numpy integer included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,7 @@ class HilbertLayout:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(as_index(d, "factor dimension") for d in self.factor_dims)
         object.__setattr__(self, "factor_dims", dims)
         if not dims:
             raise ValueError("layout needs at least one tensor factor")
@@ -90,53 +103,32 @@ class HilbertLayout:
         return tuple(reversed(out))
 
 
-def _as_square_complex(entries: np.ndarray | list, dim: int) -> np.ndarray:
-    mat = np.array(entries, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-    mat.setflags(write=False)
-    return mat
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A square matrix tied to a :class:`HilbertLayout`."""
-
-    layout: HilbertLayout
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", _as_square_complex(self.entries, self.layout.total_dim)
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.entries.conj().T)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A state on a labeled space.
+    """A state on a labeled space: a read-only square complex copy of
+    ``matrix``, whose ``layout`` :func:`partial_trace` and :func:`tensor` read.
 
     Construction is deliberately cheap: validity (Hermiticity, unit trace,
     positivity) is only checked by an explicit :meth:`validate` call so
     that hot loops are not paying for eigendecompositions.  The
-    steady-state solver always validates its output.
+    steady-state solver always validates its output.  Two states are
+    equal when their layouts and matrices are; states are unhashable.
     """
 
-    op: Operator
+    layout: HilbertLayout
+    matrix: np.ndarray
 
-    @property
-    def layout(self) -> HilbertLayout:
-        return self.op.layout
+    def __post_init__(self) -> None:
+        mat, dim = np.array(self.matrix, dtype=complex), self.layout.total_dim
+        if mat.shape != (dim, dim):
+            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.entries
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.layout == other.layout and np.array_equal(self.matrix, other.matrix)
 
     def validate(self) -> None:
         """Raise ``ValueError`` unless this is a physical state."""
@@ -183,21 +175,20 @@ def gibbs_qubit(beta: float, omega: float) -> DensityMatrix:
     a = math.exp(-beta * omega)
     z = 1.0 + a
     mat = np.array([[1.0 / z, 0.0], [0.0, a / z]], dtype=complex)
-    return DensityMatrix(Operator(HilbertLayout((2,)), mat))
+    return DensityMatrix(HilbertLayout((2,)), mat)
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; layouts concatenate."""
     layout = HilbertLayout(a.layout.factor_dims + b.layout.factor_dims)
-    outer = np.multiply.outer(a.entries, b.entries).swapaxes(1, 2)
-    return Operator(layout, outer.reshape(layout.total_dim, layout.total_dim))
+    return DensityMatrix(layout, np.kron(a.matrix, b.matrix))
 
 
-def tensor_all(ops: list[Operator] | tuple[Operator, ...]) -> Operator:
-    """Left-fold of :func:`tensor` over a non-empty list of operators."""
-    if not ops:
-        raise ValueError("tensor_all needs at least one operator")
-    return reduce(tensor, ops)
+def tensor_all(states: list[DensityMatrix] | tuple[DensityMatrix, ...]) -> DensityMatrix:
+    """Left-fold of :func:`tensor` over a non-empty list of states."""
+    if not states:
+        raise ValueError("tensor_all needs at least one state")
+    return reduce(tensor, states)
 
 
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
@@ -228,16 +219,13 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> Dens
     kept_dims = tuple(dims[i] for i in keep_sorted)
     reduced_dim = math.prod(kept_dims)
     reduced = tensor_view.reshape(reduced_dim, reduced_dim)
-    return DensityMatrix(Operator(HilbertLayout(kept_dims), reduced))
+    return DensityMatrix(HilbertLayout(kept_dims), reduced)
 
 
-def expectation(obs: Operator, rho: DensityMatrix) -> complex:
-    """Tr[obs . rho]; complex in general, real up to round-off for Hermitian obs."""
-    if obs.layout.factor_dims != rho.layout.factor_dims:
-        raise ValueError(
-            f"layout mismatch: observable {obs.layout.factor_dims} "
-            f"vs state {rho.layout.factor_dims}"
-        )
+def expectation(obs: np.ndarray, rho: DensityMatrix) -> complex:
+    """Tr[obs . rho] for an array ``obs`` of the state's shape; complex in
+    general, real up to round-off for Hermitian obs."""
+    if np.shape(obs) != rho.matrix.shape:
+        raise ValueError(f"shape mismatch: observable {np.shape(obs)} vs state {rho.matrix.shape}")
     # Tr[A B] = sum_{ij} A_ij B_ji without forming the product.
-    return complex(np.sum(obs.entries * rho.matrix.T))
-
+    return complex(np.sum(obs * rho.matrix.T))

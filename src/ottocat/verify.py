@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analytic, continuous, discrete, mapping
 from .engine_spec import FAMILIES, BathParams, EngineSpec, hamiltonians, ladder_spec, pair_sums
-from .qstate import DensityMatrix, Operator, expectation, partial_trace
+from .qstate import DensityMatrix, expectation, partial_trace
 
 __all__ = [
     "CheckResult",
@@ -399,7 +399,7 @@ def stationary_relation_residuals(
     x_op = np.zeros((8, 8), dtype=complex)
     x_op[3, 5] = 1j * g
     x_op[5, 3] = -1j * g
-    x_val = expectation(Operator(spec.layout, x_op), rho_ss).real
+    x_val = expectation(x_op, rho_ss).real
 
     return [
         -(gh_p + gc_p) * p[0] + gh_m * p[2] + gc_m * p[1],
@@ -479,14 +479,12 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         # bare Hamiltonians, partial trace, heat stroke.
         rho0 = discrete.build_initial_state(spec, discrete.CatalystState(cycle.catalyst))
         swap = discrete.permutation_matrix(spec)
-        rho1 = DensityMatrix(
-            Operator(spec.layout, swap.entries @ rho0.matrix @ swap.dagger().entries)
-        )
+        rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
         diff = rho0.matrix - rho1.matrix
         emitted_heats = (cycle.q_hot, cycle.q_cold)
         pair_heats = pair_sums([spec], np.array([cycle.delta_p]).T)[:2]  # energy differences
         for h0k, emitted, pairwise in zip(hamiltonians(spec), emitted_heats, pair_heats):
-            traced = float(np.trace(h0k.entries @ diff).real)
+            traced = float(np.trace(h0k @ diff).real)
             worst = max(worst, abs(traced - emitted), abs(traced - pairwise.item()))
         gap = partial_trace(rho1, keep=(0,)).matrix - partial_trace(rho0, keep=(0,)).matrix
         worst = max(worst, abs(float(np.max(np.abs(gap))) - cycle.catalyst_residual))

@@ -34,7 +34,6 @@ from ottocat.engine_spec import (
 from ottocat.qstate import (
     DensityMatrix,
     HilbertLayout,
-    Operator,
     expectation,
     gibbs_qubit,
     tensor_all,
@@ -57,16 +56,14 @@ def catalyst_from_factors(a_h: float, a_c: float, omega_c: float = 1.2, g: float
     )
 
 
-def random_operator(layout: HilbertLayout, seed: int) -> Operator:
+def random_operator(dim: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
-    dim = layout.total_dim
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator(layout, raw)
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def interaction_operator(spec: EngineSpec) -> Operator:
+def interaction_operator(spec: EngineSpec) -> np.ndarray:
     """V0 = sum_i g_i (|u_i><d_i| + |d_i><u_i|) of one spec, a stack of one."""
-    return Operator(spec.layout, continuous._unvec(continuous._interactions([spec])[0], spec.dim))
+    return continuous._unvec(continuous._interactions([spec])[0], spec.dim)
 
 
 def pair_currents(spec: EngineSpec, rho_ss: DensityMatrix) -> np.ndarray:
@@ -80,10 +77,9 @@ def dissipators_only(spec) -> np.ndarray:
             + build_dissipator(spec.cold, "cold", spec.layout))
 
 
-def apply(superoperator: np.ndarray, op: Operator) -> Operator:
+def apply(superoperator: np.ndarray, op: np.ndarray) -> np.ndarray:
     """A dense column-stacked superoperator applied to an operator."""
-    vec = op.entries.reshape(-1, order="F")
-    return Operator(op.layout, continuous._unvec(superoperator @ vec, op.layout.total_dim))
+    return continuous._unvec(superoperator @ op.reshape(-1, order="F"), len(op))
 
 
 def pattern_state(layout: HilbertLayout, mat: np.ndarray) -> tuple[DensityMatrix, float]:
@@ -96,7 +92,7 @@ def pattern_state(layout: HilbertLayout, mat: np.ndarray) -> tuple[DensityMatrix
 class TestGeneratorStructure:
     def test_interaction_couples_exactly_the_swap_levels(self):
         spec = catalyst_from_factors(0.5, 0.2, g=1.3)
-        v = interaction_operator(spec).entries
+        v = interaction_operator(spec)
         assert np.allclose(v, v.conj().T)
         nonzero = {(i, j) for i, j in zip(*np.nonzero(v))}
         expected = set()
@@ -108,38 +104,34 @@ class TestGeneratorStructure:
     def test_generator_annihilates_trace(self):
         for spec in (otto_from_factors(0.5, 0.25), catalyst_from_factors(0.5, 0.2)):
             lv = build_liouvillian(spec)
-            identity = Operator(spec.layout, np.eye(spec.dim, dtype=complex))
-            assert np.abs(apply(lv.conj().T, identity).entries).max() <= 1e-12
+            identity = np.eye(spec.dim, dtype=complex)
+            assert np.abs(apply(lv.conj().T, identity)).max() <= 1e-12
 
     def test_generator_preserves_hermiticity(self):
         spec = catalyst_from_factors(0.5, 0.2)
         lv = build_liouvillian(spec)
-        x = random_operator(spec.layout, seed=5)
-        lhs = apply(lv, x.dagger()).entries
-        rhs = apply(lv, x).dagger().entries
+        x = random_operator(spec.dim, seed=5)
+        lhs = apply(lv, x.conj().T)
+        rhs = apply(lv, x).conj().T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_each_dissipator_fixes_its_own_gibbs_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        cat = Operator(HilbertLayout((2,)), np.diag([0.7, 0.3]).astype(complex))
+        cat = DensityMatrix(HilbertLayout((2,)), np.diag([0.7, 0.3]))
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-        product = tensor_all([
-            cat,
-            Operator(hot.layout, hot.matrix),
-            Operator(cold.layout, cold.matrix),
-        ])
+        product = tensor_all([cat, hot, cold]).matrix
         for which, bath in (("hot", spec.hot), ("cold", spec.cold)):
             diss = build_dissipator(bath, which, spec.layout)
-            assert np.abs(apply(diss, product).entries).max() <= 1e-14
+            assert np.abs(apply(diss, product)).max() <= 1e-14
 
     def test_hot_dissipator_is_blind_to_the_cold_hamiltonian(self):
         spec = catalyst_from_factors(0.5, 0.2)
         h_hot, h_cold = hamiltonians(spec)
         d_hot = build_dissipator(spec.hot, "hot", spec.layout).conj().T
         d_cold = build_dissipator(spec.cold, "cold", spec.layout).conj().T
-        assert np.abs(apply(d_hot, h_cold).entries).max() <= 1e-14
-        assert np.abs(apply(d_cold, h_hot).entries).max() <= 1e-14
+        assert np.abs(apply(d_hot, h_cold)).max() <= 1e-14
+        assert np.abs(apply(d_cold, h_hot)).max() <= 1e-14
 
     def test_dissipator_rejects_unknown_qubit_selector(self):
         spec = otto_from_factors(0.5, 0.25)
@@ -163,7 +155,7 @@ class TestStationaryState:
         rho_ss.validate()
         assert gap > 0.0
         lv = build_liouvillian(spec)
-        residual = np.abs(apply(lv, Operator(spec.layout, rho_ss.matrix)).entries).max()
+        residual = np.abs(apply(lv, rho_ss.matrix)).max()
         assert residual <= 1e-12
 
     def test_dissipators_alone_relax_to_the_gibbs_product(self):
@@ -171,12 +163,8 @@ class TestStationaryState:
         rho_ss, gap = pattern_state(spec.layout, dissipators_only(spec))
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-        expected = tensor_all([
-            Operator(HilbertLayout((1,)), np.eye(1, dtype=complex)),
-            Operator(hot.layout, hot.matrix),
-            Operator(cold.layout, cold.matrix),
-        ])
-        np.testing.assert_allclose(rho_ss.matrix, expected.entries, atol=1e-12)
+        expected = tensor_all([DensityMatrix(HilbertLayout((1,)), np.eye(1)), hot, cold])
+        np.testing.assert_allclose(rho_ss.matrix, expected.matrix, atol=1e-12)
         assert gap == pytest.approx(min(spec.hot.big_gamma, spec.cold.big_gamma), rel=1e-9)
 
     def test_decoupled_catalyst_makes_the_generator_non_ergodic(self):
@@ -390,7 +378,7 @@ class TestCachedGeneratorPieces:
     @pytest.mark.parametrize("family", list(ASSEMBLY_FAMILIES))
     def test_liouvillian_equals_the_kron_construction(self, family):
         for spec in ASSEMBLY_FAMILIES[family]():
-            v0 = interaction_operator(spec).entries
+            v0 = interaction_operator(spec)
             eye = np.eye(spec.dim, dtype=complex)
             expected = (
                 -1j * (np.kron(eye, v0) - np.kron(v0.T, eye))
@@ -447,8 +435,8 @@ class TestCachedGeneratorPieces:
         h0h, h0c = hamiltonians(spec)
         for i, pair in enumerate(spec.swaps):
             en = energy_differences(spec, i)
-            assert en.d_eps_h == (h0h.entries[pair.u, pair.u] - h0h.entries[pair.d, pair.d]).real
-            assert en.d_eps_c == (h0c.entries[pair.u, pair.u] - h0c.entries[pair.d, pair.d]).real
+            assert en.d_eps_h == (h0h[pair.u, pair.u] - h0h[pair.d, pair.d]).real
+            assert en.d_eps_c == (h0c[pair.u, pair.u] - h0c[pair.d, pair.d]).real
 
 
 def kernel_mask(eigvals: np.ndarray) -> np.ndarray:
@@ -604,13 +592,12 @@ def full_refinement_state(mat: np.ndarray) -> np.ndarray:
 
 def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):
     """(<D_k^+[H_0k + V0]>, <D_k^+[V0]>) per bath through dense adjoints,
-    Operators and ``expectation``."""
+    arrays and ``expectation``."""
     v0 = interaction_operator(spec)
     heat, interaction = [], []
     for (label, bath), h0k in zip((("hot", spec.hot), ("cold", spec.cold)), hamiltonians(spec)):
         adj = build_dissipator(bath, label, spec.layout).conj().T
-        target = Operator(spec.layout, h0k.entries + v0.entries)
-        heat.append(expectation(apply(adj, target), rho_ss))
+        heat.append(expectation(apply(adj, h0k + v0), rho_ss))
         interaction.append(float(abs(expectation(apply(adj, v0), rho_ss))))
     return tuple(heat), tuple(interaction)
 
@@ -638,7 +625,7 @@ class TestBlockRefinement:
         report = steady_state_report(spec)
         rho_full = full_refinement_state(build_liouvillian(spec))
         full = currents_and_power(
-            spec, DensityMatrix(Operator(spec.layout, rho_full)), report.spectral_gap
+            spec, DensityMatrix(spec.layout, rho_full), report.spectral_gap
         )
         return report, full
 
@@ -790,13 +777,13 @@ class TestSolveOnce:
         assert verify.check_thermo_consistency(shared) == fresh
 
 
-def current_operator(spec: EngineSpec, pair_index: int) -> Operator:
+def current_operator(spec: EngineSpec, pair_index: int) -> np.ndarray:
     """i g_i (|u_i><d_i| - |d_i><u_i|), the pair's transfer-rate observable."""
     pair = spec.swaps[pair_index]
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     mat[pair.u, pair.d] = 1j * pair.g
     mat[pair.d, pair.u] = -1j * pair.g
-    return Operator(spec.layout, mat)
+    return mat
 
 
 def random_state(layout: HilbertLayout, rng: np.random.Generator) -> DensityMatrix:
@@ -804,7 +791,7 @@ def random_state(layout: HilbertLayout, rng: np.random.Generator) -> DensityMatr
     dim = layout.total_dim
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = raw @ raw.conj().T
-    return DensityMatrix(Operator(layout, mat / np.trace(mat).real))
+    return DensityMatrix(layout, mat / np.trace(mat).real)
 
 
 class TestCurrentOracle:
@@ -833,7 +820,7 @@ class TestCurrentOracle:
 
     def test_a_non_hermitian_state_raises_on_the_imaginary_part(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        rho = DensityMatrix(random_operator(spec.layout, seed=5))
+        rho = DensityMatrix(spec.layout, random_operator(spec.dim, seed=5))
         with pytest.raises(AssertionError, match="imaginary part"):
             pair_currents(spec, rho)
 
@@ -882,6 +869,13 @@ class TestStackedSolves:
             alone = steady_state_report(spec)
             assert stacked.rho_ss.matrix.tobytes() == alone.rho_ss.matrix.tobytes()
             assert report_fields(stacked) == report_fields(alone)
+
+    def test_a_report_equals_its_stacked_twin(self):
+        # Reports compare their states by layout and matrix, so == answers.
+        spec = catalyst_from_factors(0.5, 0.2)
+        report = steady_state_report(spec)
+        assert report == list(continuous.steady_state_reports([spec, spec]))[1]
+        assert report != steady_state_report(catalyst_from_factors(0.5, 0.2, g=2.0))
 
     def test_interleaved_structures_keep_the_input_order(self):
         kinds = ["otto", "qubit_catalyst", "ladder-3"] * continuous._STACK

@@ -29,7 +29,7 @@ from ottocat.engine_spec import (
     hamiltonians,
     ladder_spec,
 )
-from ottocat.qstate import DensityMatrix, Operator, partial_trace
+from ottocat.qstate import DensityMatrix, partial_trace
 from spec_helpers import bath_from_factor, golden_specs
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
@@ -50,13 +50,13 @@ def catalyst_from_factors(a_h: float, a_c: float, omega_c: float = 1.2) -> Engin
 class TestPermutation:
     def test_swap_matrix_is_an_involutive_permutation(self):
         for spec in (otto_from_factors(0.5, 0.25), catalyst_from_factors(0.5, 0.2)):
-            s = permutation_matrix(spec).entries
+            s = permutation_matrix(spec)
             assert np.array_equal(s @ s, np.eye(spec.dim))
             assert np.array_equal(np.sort(np.abs(s).sum(axis=0)), np.ones(spec.dim))
 
     def test_swap_exchanges_exactly_the_named_levels(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        s = permutation_matrix(spec).entries
+        s = permutation_matrix(spec)
         moved = {i for i in range(spec.dim) if s[i, i] == 0.0}
         assert moved == {1, 2, 4, 6}
         for pair in spec.swaps:
@@ -207,9 +207,7 @@ class TestCatalyticCycle:
         spec = catalyst_from_factors(0.4, 0.3)
         rho0 = build_initial_state(spec, solve_catalyst(spec))
         swap = permutation_matrix(spec)
-        rho1 = DensityMatrix(
-            Operator(spec.layout, swap.entries @ rho0.matrix @ swap.dagger().entries)
-        )
+        rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
         rho2 = heat_stroke(spec, rho1)
         np.testing.assert_allclose(rho2.matrix, rho0.matrix, atol=1e-13)
 
@@ -235,13 +233,13 @@ def operator_route_cycle(spec: EngineSpec, catalyst: CatalystState) -> CycleRepo
     """One cycle along the operator route: density matrices, the permutation
     matrix, operator traces of the bare Hamiltonians, and partial traces."""
     rho0 = build_initial_state(spec, catalyst)
-    swap = permutation_matrix(spec).entries
-    rho1 = DensityMatrix(Operator(spec.layout, swap @ rho0.matrix @ swap.conj().T))
+    swap = permutation_matrix(spec)
+    rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
     pops = rho0.populations()
     h0h, h0c = hamiltonians(spec)
     diff = rho0.matrix - rho1.matrix
-    q_hot = float(np.trace(h0h.entries @ diff).real)
-    q_cold = float(np.trace(h0c.entries @ diff).real)
+    q_hot = float(np.trace(h0h @ diff).real)
+    q_cold = float(np.trace(h0c @ diff).real)
     work = q_hot + q_cold
     before = partial_trace(rho0, keep=(0,)).matrix
     after = partial_trace(rho1, keep=(0,)).matrix
@@ -384,6 +382,16 @@ class TestHeatStroke:
             spec.hot.gibbs_factor / (1.0 + spec.hot.gibbs_factor), rel=1e-14
         )
 
+    def test_a_state_of_another_layout_is_refused(self):
+        # The mismatch build_initial_state refuses, in the same words.
+        spec = catalyst_from_factors(0.5, 0.2)
+        otto = otto_from_factors(0.5, 0.2)
+        rho = build_initial_state(otto, CatalystState((1.0,)))
+        with pytest.raises(ValueError, match=r"^state is on layout \(1, 2, 2\) but spec "
+                           r"declares \(2, 2, 2\)$"):
+            heat_stroke(spec, rho)
+        assert heat_stroke(otto, rho) == rho
+
 
 class TestClausiusCheck:
     def test_accepts_compliant_heats_and_returns_the_margin(self):
@@ -413,8 +421,8 @@ class TestClausiusCheck:
         # The bound the cycle obeys: von Neumann entropies of the catalyst
         # marginal before and after the stroke.
         rho0 = build_initial_state(spec, catalyst)
-        swap = permutation_matrix(spec).entries
-        rho1 = DensityMatrix(Operator(spec.layout, swap @ rho0.matrix @ swap.conj().T))
+        swap = permutation_matrix(spec)
+        rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
 
         def entropy(rho):
             vals = np.linalg.eigvalsh(partial_trace(rho, keep=(0,)).matrix)

@@ -86,6 +86,16 @@ class TestSwapPair:
         with pytest.raises(ValueError):
             SwapPair(u=2, d=1, g=-1.0)
 
+    def test_indices_must_be_integers_and_are_stored_as_ints(self):
+        # 2.5 passes the range checks, so only the type can refuse it: the
+        # two-stroke picture would truncate it to 2, the continuous one fail.
+        for u, d, field in ((2.5, 1, "u"), (2, 1.0, "d"), ("2", 1, "u"), (None, 1, "u")):
+            with pytest.raises(ValueError, match=f"^swap index {field} must be an integer"):
+                SwapPair(u, d, 1.0)
+        pair = SwapPair(np.int64(2), np.int64(1), 1.0)
+        assert pair == SwapPair(2, 1, 1.0)
+        assert type(pair.u) is int and type(pair.d) is int
+
 
 class TestEngineShapes:
     def test_otto_layout_is_two_bath_qubits_with_trivial_catalyst(self):
@@ -123,6 +133,15 @@ class TestEngineShapes:
 
     def test_the_built_in_kinds_are_the_first_two_ladders(self):
         assert FAMILIES == {"otto": 1, "qubit_catalyst": 2}
+
+    def test_catalyst_dim_must_be_an_integer_and_is_stored_as_an_int(self):
+        spec = catalyst_example()
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^catalyst_dim must be an integer"):
+                EngineSpec(bad, spec.hot, spec.cold, spec.swaps)
+        built = EngineSpec(np.int64(2), spec.hot, spec.cold, spec.swaps)
+        assert built == spec and type(built.catalyst_dim) is int
+        assert discrete.run_cycle(built) == discrete.run_cycle(spec)
 
     def test_construction_refuses_out_of_range_swap_levels(self):
         spec = otto_example()
@@ -200,9 +219,9 @@ class TestEnergetics:
         layout = spec.layout
         for flat in range(spec.dim):
             _, n_h, n_c = layout.factor_indices(flat)
-            assert h_hot.entries[flat, flat] == pytest.approx(spec.hot.omega * n_h)
-            assert h_cold.entries[flat, flat] == pytest.approx(spec.cold.omega * n_c)
-        assert np.count_nonzero(h_hot.entries - np.diag(np.diag(h_hot.entries))) == 0
+            assert h_hot[flat, flat] == pytest.approx(spec.hot.omega * n_h)
+            assert h_cold[flat, flat] == pytest.approx(spec.cold.omega * n_c)
+        assert np.count_nonzero(h_hot - np.diag(np.diag(h_hot))) == 0
 
 
 class TestLevelTable:
@@ -254,7 +273,7 @@ def structures(draw) -> EngineSpec:
 
 def permutation(spec: EngineSpec) -> np.ndarray:
     """The work stroke's index map n -> perm[n], read off its unitary."""
-    return discrete.permutation_matrix(spec).entries.real.argmax(axis=0)
+    return discrete.permutation_matrix(spec).real.argmax(axis=0)
 
 
 def with_swaps(spec: EngineSpec, swaps: tuple[SwapPair, ...]) -> EngineSpec:

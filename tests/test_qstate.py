@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ottocat.qstate import (
     DensityMatrix,
     HilbertLayout,
-    Operator,
     expectation,
     gibbs_qubit,
     partial_trace,
@@ -23,14 +22,6 @@ from ottocat.qstate import (
 THREE_QUBITS = HilbertLayout((2, 2, 2))
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
-
-
-def random_hermitian(layout: HilbertLayout, seed: int) -> Operator:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.normal(size=(layout.total_dim,) * 2) + 1j * rng.normal(
-        size=(layout.total_dim,) * 2
-    )
-    return Operator(layout, raw + raw.conj().T)
 
 
 class TestHilbertLayout:
@@ -58,37 +49,64 @@ class TestHilbertLayout:
         with pytest.raises(ValueError):
             HilbertLayout(())
 
-
-class TestOperator:
-    def test_dagger_is_an_involution(self):
-        op = random_hermitian(THREE_QUBITS, seed=3)
-        skewed = Operator(THREE_QUBITS, op.entries + 1j * np.eye(8))
-        assert np.array_equal(skewed.dagger().dagger().entries, skewed.entries)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            Operator(THREE_QUBITS, np.eye(4))
+    def test_dimensions_must_be_integers(self):
+        layout = HilbertLayout((np.int64(3), 2))
+        assert layout.factor_dims == (3, 2)
+        assert type(layout.factor_dims[0]) is int
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="factor dimension must be an integer"):
+                HilbertLayout((bad, 2))
 
 
 class TestDensityMatrix:
     def test_accepts_a_valid_gibbs_state(self):
         gibbs_qubit(beta=1.0, omega=0.7).validate()
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 8x8 matrix, got shape"):
+            DensityMatrix(THREE_QUBITS, np.eye(4))
+        with pytest.raises(ValueError, match="expected a 8x8 matrix, got shape"):
+            DensityMatrix(THREE_QUBITS, np.ones(8))
+
+    def test_holds_a_read_only_complex_copy(self):
+        mat = np.diag([0.25, 0.75])
+        rho = DensityMatrix(HilbertLayout((2,)), mat)
+        mat[0, 0] = 1.0
+        assert rho.matrix.dtype == complex
+        assert rho.matrix[0, 0] == 0.25
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_states_compare_by_layout_and_matrix(self):
+        assert gibbs_qubit(1.0, 1.0) == gibbs_qubit(1.0, 1.0)
+        assert gibbs_qubit(1.0, 1.0) != gibbs_qubit(1.0, 2.0)
+        assert gibbs_qubit(1.0, 1.0) != "rho"
+        mixed = np.eye(4) / 4
+        assert DensityMatrix(HilbertLayout((2, 2)), mixed) == DensityMatrix(
+            HilbertLayout((2, 2)), mixed
+        )
+        assert DensityMatrix(HilbertLayout((2, 2)), mixed) != DensityMatrix(
+            HilbertLayout((4,)), mixed
+        )
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(gibbs_qubit(1.0, 1.0))
+
     def test_rejects_non_hermitian_matrices(self):
         layout = HilbertLayout((2,))
         mat = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(Operator(layout, mat)).validate()
+            DensityMatrix(layout, mat).validate()
 
     def test_rejects_wrong_trace(self):
         layout = HilbertLayout((2,))
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(Operator(layout, np.diag([0.7, 0.7]))).validate()
+            DensityMatrix(layout, np.diag([0.7, 0.7])).validate()
 
     def test_rejects_negative_eigenvalues(self):
         layout = HilbertLayout((2,))
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(Operator(layout, np.diag([1.2, -0.2]))).validate()
+            DensityMatrix(layout, np.diag([1.2, -0.2])).validate()
 
     def test_populations_are_the_real_diagonal(self):
         rho = gibbs_qubit(beta=2.0, omega=0.5)
@@ -124,37 +142,47 @@ class TestTensorAndPartialTrace:
     def test_partial_trace_recovers_product_marginals(self, a1, a2):
         rho1 = gibbs_qubit(beta=-math.log(a1), omega=1.0)
         rho2 = gibbs_qubit(beta=-math.log(a2), omega=1.0)
-        joint = DensityMatrix(tensor(Operator(rho1.layout, rho1.matrix),
-                                     Operator(rho2.layout, rho2.matrix)))
+        joint = tensor(rho1, rho2)
         left = partial_trace(joint, keep=(0,))
         right = partial_trace(joint, keep=(1,))
         np.testing.assert_allclose(left.matrix, rho1.matrix, atol=1e-14)
         np.testing.assert_allclose(right.matrix, rho2.matrix, atol=1e-14)
 
     def test_tensor_all_multiplies_dimensions_in_order(self):
-        ops = [
-            Operator(HilbertLayout((2,)), np.diag([1.0, 2.0])),
-            Operator(HilbertLayout((3,)), np.eye(3)),
-            Operator(HilbertLayout((2,)), np.diag([1.0, 0.0])),
+        factors = [
+            DensityMatrix(HilbertLayout((2,)), np.diag([1.0, 2.0])),
+            DensityMatrix(HilbertLayout((3,)), np.eye(3)),
+            DensityMatrix(HilbertLayout((2,)), np.diag([1.0, 0.0])),
         ]
-        big = tensor_all(ops)
+        big = tensor_all(factors)
         assert big.layout.factor_dims == (2, 3, 2)
         # the (1, 2, 0) diagonal entry is the product of the factor entries
         flat = big.layout.flat_index(1, 2, 0)
-        assert big.entries[flat, flat] == 2.0
+        assert big.matrix[flat, flat] == 2.0
+
+    def test_tensor_is_the_outer_product_construction_bit_for_bit(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for dim_a, dim_b in ((2, 2), (4, 2), (2, 4), (8, 2), (3, 2)):
+            a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                    for n in (dim_a, dim_b))
+            outer = np.multiply.outer(a, b).swapaxes(1, 2).reshape(dim_a * dim_b, -1)
+            joint = tensor(DensityMatrix(HilbertLayout((dim_a,)), a),
+                           DensityMatrix(HilbertLayout((dim_b,)), b))
+            assert joint.layout.factor_dims == (dim_a, dim_b)
+            assert np.array_equal(joint.matrix, outer)
 
     def test_partial_trace_preserves_trace_and_hermiticity(self):
         rng = np.random.Generator(np.random.PCG64(11))
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         mat = raw @ raw.conj().T
         mat /= np.trace(mat).real
-        rho = DensityMatrix(Operator(THREE_QUBITS, mat))
+        rho = DensityMatrix(THREE_QUBITS, mat)
         reduced = partial_trace(rho, keep=(0, 2))
         reduced.validate()
         assert reduced.layout.factor_dims == (2, 2)
 
     def test_partial_trace_rejects_bad_keep_sets(self):
-        rho = DensityMatrix(Operator(THREE_QUBITS, np.eye(8) / 8))
+        rho = DensityMatrix(THREE_QUBITS, np.eye(8) / 8)
         with pytest.raises(ValueError):
             partial_trace(rho, keep=())
         with pytest.raises(ValueError):
@@ -164,5 +192,11 @@ class TestTensorAndPartialTrace:
 class TestExpectationAndEntropy:
     def test_expectation_of_diagonal_observable_is_population_average(self):
         rho = gibbs_qubit(beta=1.0, omega=math.log(2.0))
-        number = Operator(rho.layout, np.diag([0.0, 1.0]))
+        number = np.diag([0.0, 1.0])
         assert math.isclose(expectation(number, rho).real, 1 / 3, rel_tol=1e-14)
+
+    def test_expectation_refuses_a_shape_mismatch(self):
+        rho = gibbs_qubit(beta=1.0, omega=1.0)
+        for obs in (np.eye(4), np.ones(2), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="shape mismatch: observable"):
+                expectation(obs, rho)
