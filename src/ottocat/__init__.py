@@ -75,7 +75,6 @@ from .mapping import (
 )
 from .qstate import (
     DensityMatrix,
-    HilbertLayout,
     expectation,
     gibbs_qubit,
     partial_trace,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # states and operators
-    "HilbertLayout",
     "DensityMatrix",
     "gibbs_qubit",
     "tensor",

@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine_spec import BathParams, EngineSpec, fail, level_table, pair_sums, pair_table, stacked
-from .qstate import DensityMatrix, HilbertLayout, state_defects
+from .qstate import DensityMatrix, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
 from .qstate import expectation  # noqa: F401
@@ -219,18 +219,18 @@ def _bath_jumps(factor_dims: tuple[int, ...], which_qubit: str) -> tuple:
     return positions, jumps, terms
 
 
-def build_dissipator(bath: BathParams, which_qubit: str, layout: HilbertLayout) -> np.ndarray:
+def build_dissipator(bath: BathParams, which_qubit: str, layout: tuple[int, ...]) -> np.ndarray:
     """Local thermal dissipator of one bath qubit, identity elsewhere, as a
     read-only column-stacked matrix.
 
     gamma_plus drives the raising jump |0> -> |1> and gamma_minus the
     lowering jump, so the bath's own Gibbs qubit is an exact fixed point.
     """
-    positions, jumps, _ = _bath_jumps(layout.factor_dims, which_qubit)
-    matrix = np.zeros(layout.total_dim**4, dtype=complex)
+    positions, jumps, _ = _bath_jumps(layout, which_qubit)
+    matrix = np.zeros(math.prod(layout) ** 4, dtype=complex)
     matrix[positions] = bath.gamma_plus * jumps[0] + bath.gamma_minus * jumps[1]
     matrix.setflags(write=False)
-    return matrix.reshape(layout.total_dim**2, -1)
+    return matrix.reshape(math.prod(layout) ** 2, -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -459,12 +459,12 @@ def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.n
 
 
 def _stationary_stack(
-    layout: HilbertLayout, values: np.ndarray, blocks: tuple
+    layout: tuple[int, ...], values: np.ndarray, blocks: tuple
 ) -> list[tuple[DensityMatrix, float]]:
     """:func:`stationary_state` of a stack of generators on one pattern,
     ``values[k]`` the nonzero entries of the k-th, ``blocks`` the pattern's
     :func:`_kernel_blocks`."""
-    dim = layout.total_dim
+    dim = math.prod(layout)
     count, main = len(values), blocks[1]
     padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
     eigvals, main_vecs = _block_spectrum(padded, blocks)
@@ -562,7 +562,7 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
     product, one gathered product per term over the whole stack, and one
     add per row; sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>)."""
     spec = specs[0]
-    dims, dim, n = spec.layout.factor_dims, spec.dim, len(specs)
+    dims, dim, n = spec.layout, spec.dim, len(specs)
     currents = _currents(specs, rho)
     j_hot, j_cold, power, cat_flow = pair_sums(specs, currents.T)
     v0 = _interactions(specs)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table
-from .qstate import DensityMatrix, HilbertLayout, gibbs_qubit, partial_trace, tensor_all
+from .qstate import DensityMatrix, gibbs_qubit, partial_trace, tensor_all
 
 __all__ = [
     "HEAT_CROSS_CHECK_TOL",
@@ -126,7 +126,7 @@ def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMat
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
     sigma = np.diag(np.clip(catalyst.populations, 0.0, None))
-    return tensor_all([DensityMatrix(HilbertLayout((catalyst.dim,)), sigma), tau_h, tau_c])
+    return tensor_all([DensityMatrix((catalyst.dim,), sigma), tau_h, tau_c])
 
 
 def heat_stroke(spec: EngineSpec, rho: DensityMatrix) -> DensityMatrix:
@@ -137,8 +137,7 @@ def heat_stroke(spec: EngineSpec, rho: DensityMatrix) -> DensityMatrix:
     ``ValueError``.
     """
     if rho.layout != spec.layout:
-        raise ValueError(f"state is on layout {rho.layout.factor_dims} but spec declares "
-                         f"{spec.layout.factor_dims}")
+        raise ValueError(f"state is on layout {rho.layout} but spec declares {spec.layout}")
     sigma = partial_trace(rho, keep=(0,))
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
@@ -214,7 +213,7 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
     p1 = p0[:, table.perm]
     flows = p0[:, table.u] - p0[:, table.d]
     # Marginals sum out hot then cold, as :func:`~ottocat.qstate.partial_trace` does.
-    before, after = (p.reshape(n, *spec.layout.factor_dims).sum(axis=2).sum(axis=2)
+    before, after = (p.reshape(n, *spec.layout).sum(axis=2).sum(axis=2)
                      for p in (p0, p1))
     residuals = np.abs(after - before).max(axis=1)
     unequal = np.abs(flows - flows[:, :1]).max(axis=1) > CATALYST_SOLVE_TOL
@@ -222,7 +221,7 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
          "spec is inconsistent")
     fail(solved & (residuals > CATALYST_SOLVE_TOL), ValueError,
          "catalyst solve failed to restore the catalyst marginal")
-    levels = level_table(spec.layout.factor_dims)
+    levels = level_table(spec.layout)
     # Level energies times population changes, summed in complex like the
     # operator traces Tr[H_0k (rho0 - rho1)] that check 8 computes, and
     # cross-checked against the pairwise energy-difference form.

@@ -14,10 +14,11 @@ of :func:`ladder_spec`, indexed by the catalyst dimension d:
 
 :data:`FAMILIES` names the ones the command line offers.
 
-Basis convention: kets |s h c> with the catalyst index slowest; flat
-indices are row-major over (catalyst, hot, cold), see
-:class:`~ottocat.qstate.HilbertLayout`.  What depends on the structure
-alone is tabulated once, read-only: :func:`level_table`, and
+Basis convention: a spec's layout is the tuple (d, 2, 2) of its factor
+dimensions, kets |s h c> with the catalyst index slowest, and the flat
+index of |s h c> is 4s + 2h + c (row-major, as in ``numpy.kron``).  What
+depends on the structure alone is tabulated once, read-only:
+:func:`level_table`, the one source of each flat index's levels, and
 :func:`pair_table`, the one judge of a swap set, which every spec asks when built.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import HilbertLayout, as_index
+from .qstate import as_index
 
 __all__ = [
     "DETAILED_BALANCE_TOL",
@@ -161,23 +162,28 @@ class EngineSpec:
     swaps: tuple[SwapPair, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "catalyst_dim", as_index(self.catalyst_dim, "catalyst_dim"))
-        if self.catalyst_dim < 1:
-            raise ValueError(f"catalyst_dim must be >= 1, got {self.catalyst_dim}")
+        object.__setattr__(self, "catalyst_dim", _catalyst_dim(self.catalyst_dim))
         object.__setattr__(self, "swaps", tuple(self.swaps))
         pair_table(*self.structure)
 
-    @functools.cached_property
-    def layout(self) -> HilbertLayout:
-        return HilbertLayout((self.catalyst_dim, 2, 2))
+    @property
+    def layout(self) -> tuple[int, int, int]:  # factor dims (catalyst, hot, cold)
+        return self.catalyst_dim, 2, 2
 
     @property
     def dim(self) -> int:
-        return self.layout.total_dim
+        return math.prod(self.layout)
 
     @functools.cached_property
-    def structure(self) -> tuple:  # (factor dims, (u, d) pairs): keys the tables
-        return self.layout.factor_dims, tuple((pair.u, pair.d) for pair in self.swaps)
+    def structure(self) -> tuple:  # (layout, (u, d) pairs): keys the tables
+        return self.layout, tuple((pair.u, pair.d) for pair in self.swaps)
+
+
+def _catalyst_dim(value) -> int:
+    """``value`` as a catalyst dimension, a Python int >= 1, else ``ValueError``."""
+    if (d := as_index(value, "catalyst_dim")) < 1:
+        raise ValueError(f"catalyst_dim must be >= 1, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,7 @@ def ladder_spec(d: int, hot: BathParams, cold: BathParams, g: float) -> EngineSp
     d = 1 that one swap is Otto's, and keeps Otto's orientation
     u = |0,1,0>, d = |0,0,1>.
     """
-    swaps = tuple(SwapPair(u, lower, g) for u, lower in _ladder_pairs(d))
+    swaps = tuple(SwapPair(u, lower, g) for u, lower in _ladder_pairs(_catalyst_dim(d)))
     return EngineSpec(catalyst_dim=d, hot=hot, cold=cold, swaps=swaps)
 
 
@@ -212,13 +218,11 @@ def ladder_spec(d: int, hot: BathParams, cold: BathParams, g: float) -> EngineSp
 def _ladder_pairs(d: int) -> tuple[tuple[int, int], ...]:
     """The flat (u, d) indices of :func:`ladder_spec`'s swaps, which depend
     on d alone: built once per d (the 64 most recent are kept)."""
-    layout = HilbertLayout((d, 2, 2))
-    pairs = [
-        (layout.flat_index(k + 1, 0, 0), layout.flat_index(k, 1, 0)) for k in range(d - 1)
-    ]
-    closing = (layout.flat_index(0, 0, 1), layout.flat_index(d - 1, 1, 0))
-    pairs.append(closing if d > 1 else closing[::-1])
-    return tuple(pairs)
+    shape, k = (d, 2, 2), np.arange(d - 1)
+    ups = np.ravel_multi_index((k + 1, 0, 0), shape).tolist()  # |k+1,0,0>
+    downs = np.ravel_multi_index((k, 1, 0), shape).tolist()  # |k,1,0>
+    closing = tuple(np.ravel_multi_index(([0, d - 1], [0, 1], [1, 0]), shape).tolist())
+    return (*zip(ups, downs), closing if d > 1 else closing[::-1])  # |0,0,1>, |d-1,1,0>
 
 
 class LevelTable(NamedTuple):
@@ -279,8 +283,7 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     if factor_dims[0] > 2 * len(pairs):
         raise ValueError(f"catalyst_dim {factor_dims[0]} exceeds the {2 * len(pairs)} catalyst "
                          f"levels that {len(pairs)} swap pair(s) can touch")
-    layout = HilbertLayout(factor_dims)
-    dim = layout.total_dim
+    dim = math.prod(factor_dims)
     flat = [idx for pair in pairs for idx in pair]
     for k, idx in enumerate(flat):
         if not 0 <= idx < dim:
@@ -291,11 +294,12 @@ def pair_table(factor_dims: tuple[int, ...], pairs: tuple) -> PairTable:
     u, d = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     perm = np.arange(dim)
     perm[u], perm[d] = d, u
-    incidence = level_table(factor_dims).incidence
-    weights = tuple(map(tuple, (incidence[:, u] - incidence[:, d]).tolist()))
+    table = level_table(factor_dims)
+    weights = tuple(map(tuple, (table.incidence[:, u] - table.incidence[:, d]).tolist()))
     for array in (u, d, perm):
         array.setflags(write=False)
-    levels = (tuple(map(layout.factor_indices, idx.tolist())) for idx in (u, d))
+    factors = (table.catalyst, table.hot, table.cold)
+    levels = (tuple(zip(*(factor[idx].tolist() for factor in factors))) for idx in (u, d))
     return PairTable(*levels, weights, u, d, perm)
 
 
@@ -316,7 +320,7 @@ def hamiltonians(spec: EngineSpec) -> tuple[np.ndarray, np.ndarray]:
     H_0h = omega_h (I_s (x) |1><1|_h (x) I_c), and analogously for the
     cold qubit; the catalyst carries no Hamiltonian of its own.
     """
-    levels = level_table(spec.layout.factor_dims)
+    levels = level_table(spec.layout)
     return (np.diag(spec.hot.omega * levels.hot).astype(complex),
             np.diag(spec.cold.omega * levels.cold).astype(complex))
 

@@ -4,8 +4,10 @@ Everything downstream (engine cycles, Lindblad steady states) runs on
 Hilbert spaces of a few dozen dimensions at most (the d = 6 ladder has
 24), so all storage is dense complex double (row-major numpy arrays) and
 all eigenproblems use direct LAPACK solves.  A state is the one labeled
-matrix, :class:`DensityMatrix`; operators (observables, Hamiltonians,
-unitaries) are plain square arrays on the state's flat basis.
+matrix, :class:`DensityMatrix`, on a layout: the tuple of its factor
+dimensions (catalyst, hot, cold for an engine), flat indices row-major as
+in ``numpy.kron``.  Operators (observables, Hamiltonians, unitaries) are
+plain square arrays on the state's flat basis.
 Units: hbar = k_B = 1 throughout; energies and rates share one unit system.
 
 Values are immutable after construction and all operations are pure
@@ -26,7 +28,6 @@ __all__ = [
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
     "as_index",
-    "HilbertLayout",
     "DensityMatrix",
     "state_defects",
     "gibbs_qubit",
@@ -53,76 +54,36 @@ def as_index(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class HilbertLayout:
-    """Ordered tensor factorization of a Hilbert space.
-
-    The factor order is fixed once per space and follows the convention
-    catalyst (x) hot (x) cold; basis kets are written |s h c> with the
-    catalyst index slowest.  Flat basis indices are row-major over the
-    factor indices (the last factor varies fastest), matching the
-    ordering produced by ``numpy.kron``.
-    """
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(as_index(d, "factor dimension") for d in self.factor_dims)
-        object.__setattr__(self, "factor_dims", dims)
-        if not dims:
-            raise ValueError("layout needs at least one tensor factor")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.factor_dims)
-
-    def flat_index(self, *factor_indices: int) -> int:
-        """Flat basis index of the ket |i0 i1 ...> in this layout."""
-        if len(factor_indices) != len(self.factor_dims):
-            raise ValueError(
-                f"expected {len(self.factor_dims)} factor indices, "
-                f"got {len(factor_indices)}"
-            )
-        flat = 0
-        for idx, dim in zip(factor_indices, self.factor_dims):
-            if not 0 <= idx < dim:
-                raise ValueError(f"factor index {idx} out of range for dim {dim}")
-            flat = flat * dim + idx
-        return flat
-
-    def factor_indices(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.total_dim:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for dim in reversed(self.factor_dims):
-            out.append(flat % dim)
-            flat //= dim
-        return tuple(reversed(out))
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A state on a labeled space: a read-only square complex copy of
-    ``matrix``, whose ``layout`` :func:`partial_trace` and :func:`tensor` read.
+    ``matrix``, whose ``layout``, a tuple of Python-int factor dimensions,
+    :func:`partial_trace` and :func:`tensor` read.
 
     Construction is deliberately cheap: validity (Hermiticity, unit trace,
     positivity) is only checked by an explicit :meth:`validate` call so
     that hot loops are not paying for eigendecompositions.  The
     steady-state solver always validates its output.  Two states are
-    equal when their layouts and matrices are; states are unhashable.
+    equal when their layouts and matrices are; states are unhashable, and
+    a state compared with an array is unequal to it.
     """
 
-    layout: HilbertLayout
+    __array_ufunc__ = None  # ``array == state`` defers to :meth:`__eq__`
+
+    layout: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat, dim = np.array(self.matrix, dtype=complex), self.layout.total_dim
+        layout = tuple(as_index(d, "factor dimension") for d in self.layout)
+        if not layout:
+            raise ValueError("layout needs at least one tensor factor")
+        if any(d < 1 for d in layout):
+            raise ValueError(f"factor dimensions must be >= 1, got {layout}")
+        mat, dim = np.array(self.matrix, dtype=complex), math.prod(layout)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         mat.setflags(write=False)
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", mat)
 
     def __eq__(self, other) -> bool:
@@ -175,13 +136,12 @@ def gibbs_qubit(beta: float, omega: float) -> DensityMatrix:
     a = math.exp(-beta * omega)
     z = 1.0 + a
     mat = np.array([[1.0 / z, 0.0], [0.0, a / z]], dtype=complex)
-    return DensityMatrix(HilbertLayout((2,)), mat)
+    return DensityMatrix((2,), mat)
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; layouts concatenate."""
-    layout = HilbertLayout(a.layout.factor_dims + b.layout.factor_dims)
-    return DensityMatrix(layout, np.kron(a.matrix, b.matrix))
+    return DensityMatrix(a.layout + b.layout, np.kron(a.matrix, b.matrix))
 
 
 def tensor_all(states: list[DensityMatrix] | tuple[DensityMatrix, ...]) -> DensityMatrix:
@@ -194,12 +154,12 @@ def tensor_all(states: list[DensityMatrix] | tuple[DensityMatrix, ...]) -> Densi
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> DensityMatrix:
     """Trace out all tensor factors not listed in ``keep``.
 
-    ``keep`` holds indices into ``rho.layout.factor_dims`` (order
+    ``keep`` holds indices into ``rho.layout`` (order
     irrelevant; the kept factors stay in their original order).  The
     trace is preserved exactly.
     """
-    keep_sorted = sorted(set(int(k) for k in keep))
-    dims = rho.layout.factor_dims
+    keep_sorted = sorted(set(as_index(k, "keep index") for k in keep))
+    dims = rho.layout
     n = len(dims)
     if not keep_sorted:
         raise ValueError("keep set must be non-empty")
@@ -219,7 +179,7 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...] | list[int]) -> Dens
     kept_dims = tuple(dims[i] for i in keep_sorted)
     reduced_dim = math.prod(kept_dims)
     reduced = tensor_view.reshape(reduced_dim, reduced_dim)
-    return DensityMatrix(HilbertLayout(kept_dims), reduced)
+    return DensityMatrix(kept_dims, reduced)
 
 
 def expectation(obs: np.ndarray, rho: DensityMatrix) -> complex:

@@ -33,7 +33,6 @@ from ottocat.engine_spec import (
 )
 from ottocat.qstate import (
     DensityMatrix,
-    HilbertLayout,
     expectation,
     gibbs_qubit,
     tensor_all,
@@ -82,7 +81,7 @@ def apply(superoperator: np.ndarray, op: np.ndarray) -> np.ndarray:
     return continuous._unvec(superoperator @ op.reshape(-1, order="F"), len(op))
 
 
-def pattern_state(layout: HilbertLayout, mat: np.ndarray) -> tuple[DensityMatrix, float]:
+def pattern_state(layout: tuple[int, ...], mat: np.ndarray) -> tuple[DensityMatrix, float]:
     """The steady state and gap of a handmade generator, its blocks taken
     from its own nonzero pattern: a stack of one."""
     [state] = continuous._stationary_stack(layout, mat[mat != 0][None], pattern_blocks(mat))
@@ -117,7 +116,7 @@ class TestGeneratorStructure:
 
     def test_each_dissipator_fixes_its_own_gibbs_state(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        cat = DensityMatrix(HilbertLayout((2,)), np.diag([0.7, 0.3]))
+        cat = DensityMatrix((2,), np.diag([0.7, 0.3]))
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
         product = tensor_all([cat, hot, cold]).matrix
@@ -163,7 +162,7 @@ class TestStationaryState:
         rho_ss, gap = pattern_state(spec.layout, dissipators_only(spec))
         hot = gibbs_qubit(spec.hot.beta, spec.hot.omega)
         cold = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-        expected = tensor_all([DensityMatrix(HilbertLayout((1,)), np.eye(1)), hot, cold])
+        expected = tensor_all([DensityMatrix((1,), np.eye(1)), hot, cold])
         np.testing.assert_allclose(rho_ss.matrix, expected.matrix, atol=1e-12)
         assert gap == pytest.approx(min(spec.hot.big_gamma, spec.cold.big_gamma), rel=1e-9)
 
@@ -391,7 +390,7 @@ class TestCachedGeneratorPieces:
     def test_cached_arrays_reject_writes(self):
         spec = spec_with_catalyst(2)
         build_liouvillian(spec)
-        dims = spec.layout.factor_dims
+        dims = spec.layout
         pieces, (positions, main, real_basis, others, gather, mirrored) = (
             continuous._generator_plan(*spec.structure)
         )
@@ -421,13 +420,13 @@ class TestCachedGeneratorPieces:
         bath = bath_from_factor(0.5)
         for _ in range(2):
             with pytest.raises(ValueError, match="catalyst, 2, 2"):
-                build_dissipator(bath, "hot", HilbertLayout((2, 2)))
+                build_dissipator(bath, "hot", (2, 2))
 
     def test_a_bath_other_than_hot_or_cold_is_rejected_on_every_call(self):
         bath = bath_from_factor(0.5)
         for _ in range(2):
             with pytest.raises(ValueError, match="must be 'hot' or 'cold', got 'warm'"):
-                build_dissipator(bath, "warm", HilbertLayout((2, 2, 2)))
+                build_dissipator(bath, "warm", (2, 2, 2))
 
     @pytest.mark.parametrize("make", [otto_from_factors, catalyst_from_factors])
     def test_energy_differences_equal_the_hamiltonian_diagonals(self, make):
@@ -555,7 +554,7 @@ class TestBlockCertificate:
         assert n_block == dense_certificate(mat, spec.dim)[0] == 4
 
     def test_zero_generator_raises(self):
-        layout = HilbertLayout((1, 2, 2))
+        layout = (1, 2, 2)
         with pytest.raises(ValueError, match="identically zero"):
             pattern_state(layout, np.zeros((16, 16), dtype=complex))
 
@@ -566,10 +565,10 @@ class TestBlockCertificate:
         mat = -np.eye(16, dtype=complex)
         mat[5, 5] = 0.0
         with pytest.raises(ValueError, match="outside the block"):
-            pattern_state(HilbertLayout((1, 2, 2)), mat)
+            pattern_state((1, 2, 2), mat)
         mat[5, 5], mat[1, 1] = -1.0, 0.0
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            pattern_state(HilbertLayout((1, 2, 2)), mat)
+            pattern_state((1, 2, 2), mat)
 
 
 def full_refinement_state(mat: np.ndarray) -> np.ndarray:
@@ -701,9 +700,8 @@ def term_by_term_audit(spec: EngineSpec, rho_ss: DensityMatrix):
     for level in range(spec.catalyst_dim):
         net = 0.0
         for i, pair in enumerate(spec.swaps):
-            weight = float(spec.layout.factor_indices(pair.u)[0] == level) - float(
-                spec.layout.factor_indices(pair.d)[0] == level
-            )
+            # flat index 4s + 2h + c sits on catalyst level s
+            weight = float(pair.u // 4 == level) - float(pair.d // 4 == level)
             net += weight * currents[i]
         flow.append(float(net))
     return tuple(int_vanish), tuple(flow), sigma
@@ -786,9 +784,9 @@ def current_operator(spec: EngineSpec, pair_index: int) -> np.ndarray:
     return mat
 
 
-def random_state(layout: HilbertLayout, rng: np.random.Generator) -> DensityMatrix:
+def random_state(layout: tuple[int, ...], rng: np.random.Generator) -> DensityMatrix:
     """A random full-rank density matrix; no generator holds it stationary."""
-    dim = layout.total_dim
+    dim = math.prod(layout)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = raw @ raw.conj().T
     return DensityMatrix(layout, mat / np.trace(mat).real)
@@ -838,11 +836,8 @@ def stack_spec(kind: str, a_h: float, a_c: float, g: float) -> EngineSpec:
 def decoupled_level_spec() -> EngineSpec:
     """A d = 3 catalyst with only the two pairs of the d = 2 ladder: level 2
     never couples, so the steady state is not unique."""
-    layout = HilbertLayout((3, 2, 2))
-    pairs = (
-        SwapPair(layout.flat_index(1, 0, 0), layout.flat_index(0, 1, 0), 1.0),
-        SwapPair(layout.flat_index(0, 0, 1), layout.flat_index(1, 1, 0), 1.0),
-    )
+    # |1,0,0> <-> |0,1,0> and |0,0,1> <-> |1,1,0>, at flat index 4s + 2h + c
+    pairs = (SwapPair(4, 2, 1.0), SwapPair(1, 6, 1.0))
     return EngineSpec(3, bath_from_factor(0.7), bath_from_factor(0.3, omega=2.0), pairs)
 
 
@@ -1038,7 +1033,7 @@ class TestRealGauge:
         eigvals, _, _ = block_spectrum(mat)
         assert_same_multiset(eigvals, np.linalg.eigvals(mat), 1e-14)
         # The triangle's eigenvalues -1 - 0.5i w, w^3 = 1, hold no conjugate pair.
-        rho, gap = pattern_state(HilbertLayout((1, 2, 2)), mat)
+        rho, gap = pattern_state((1, 2, 2), mat)
         assert rho.matrix[0, 0] == 1.0
         assert gap == pytest.approx(1.0 - math.sqrt(3.0) / 4.0, rel=1e-14)
 
@@ -1060,7 +1055,7 @@ class TestPlanFromIndexRules:
     def test_the_plan_equals_the_dense_construction(self, name):
         spec = plan_specs()[name]
         pieces, blocks = continuous._generator_plan(*spec.structure)
-        terms = {label: continuous._bath_jumps(spec.layout.factor_dims, label)[2]
+        terms = {label: continuous._bath_jumps(spec.layout, label)[2]
                  for label in ("hot", "cold")}
         expected = dense_plan(*spec.structure)
         assert same_arrays((pieces, blocks, terms["hot"], terms["cold"]),
@@ -1136,7 +1131,7 @@ def dense_adjoint_audit(specs: list[EngineSpec], rho: np.ndarray):
     """(adjoint_heat, int_vanish, entropy_production) of a stack of one
     structure through each bath's dense adjoint gamma_+ R^+ + gamma_- L^+,
     four specs per ``np.matmul``."""
-    dims, dim, n = specs[0].layout.factor_dims, specs[0].dim, len(specs)
+    dims, dim, n = specs[0].layout, specs[0].dim, len(specs)
     j_hot, j_cold = pair_sums(specs, continuous._currents(specs, rho).T)[:2]
     v0 = continuous._interactions(specs)
     heat, interaction, sigma = [], [], 0.0
@@ -1172,7 +1167,7 @@ def assert_audit_is_dense_audit(specs: list[EngineSpec], rho: np.ndarray) -> Non
 class TestTwoTermAdjoints:
     @pytest.mark.parametrize("name", list(audit_specs(1.0)))
     def test_the_table_holds_every_adjoint_nonzero_at_most_two_a_row(self, name):
-        dims = audit_specs(1.0)[name].layout.factor_dims
+        dims = audit_specs(1.0)[name].layout
         for label in ("hot", "cold"):
             terms = continuous._bath_jumps(dims, label)[2]
             adjoints = [jump.conj().T for jump in kron_jumps(label, dims[0])]

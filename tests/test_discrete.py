@@ -371,12 +371,12 @@ class TestHeatStroke:
         layout = spec.layout
         for s, weight in enumerate(catalyst.populations):
             block = sum(
-                pops[layout.flat_index(s, n_h, n_c)]
+                pops[np.ravel_multi_index((s, n_h, n_c), layout)]
                 for n_h in range(2) for n_c in range(2)
             )
             assert block == pytest.approx(weight, rel=1e-14)
         hot_excited = sum(
-            pops[layout.flat_index(s, 1, n_c)] for s in range(2) for n_c in range(2)
+            pops[np.ravel_multi_index((s, 1, n_c), layout)] for s in range(2) for n_c in range(2)
         )
         assert hot_excited == pytest.approx(
             spec.hot.gibbs_factor / (1.0 + spec.hot.gibbs_factor), rel=1e-14

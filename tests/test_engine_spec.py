@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from ottocat.engine_spec import (
     pair_sums,
     pair_table,
 )
-from ottocat.qstate import HilbertLayout
 
 betas = st.floats(min_value=0.01, max_value=5.0)
 omegas = st.floats(min_value=0.1, max_value=3.0)
 rates = st.floats(min_value=0.01, max_value=10.0)
+
+
+def levels_of(flat: int) -> tuple[int, int, int]:
+    """(s, h, c) of flat index 4s + 2h + c, by integer arithmetic."""
+    return flat // 4, flat // 2 % 2, flat % 2
 
 
 def otto_example(g: float = 1.0) -> EngineSpec:
@@ -101,14 +106,14 @@ class TestEngineShapes:
     def test_otto_layout_is_two_bath_qubits_with_trivial_catalyst(self):
         spec = otto_example()
         assert spec.catalyst_dim == 1
-        assert spec.layout.factor_dims == (1, 2, 2)
+        assert spec.layout == (1, 2, 2)
         assert spec.dim == 4
         assert spec.swaps == (SwapPair(u=2, d=1, g=1.0),)
 
     def test_catalyst_layout_is_three_qubits_with_two_swaps(self):
         spec = catalyst_example()
         assert spec.catalyst_dim == 2
-        assert spec.layout.factor_dims == (2, 2, 2)
+        assert spec.layout == (2, 2, 2)
         assert spec.dim == 8
         assert spec.swaps == (SwapPair(u=4, d=2, g=1.0), SwapPair(u=1, d=6, g=1.0))
 
@@ -127,7 +132,7 @@ class TestEngineShapes:
         hot, cold = otto_example().hot, otto_example().cold
         spec = ladder_spec(d, hot, cold, 0.7)
         assert spec == EngineSpec(d, hot, cold, tuple(SwapPair(u, v, 0.7) for u, v in pairs))
-        assert spec.catalyst_dim == d and spec.layout.factor_dims == (d, 2, 2)
+        assert spec.catalyst_dim == d and spec.layout == (d, 2, 2)
         assert tuple((pair.u, pair.d) for pair in spec.swaps) == pairs
         assert {pair.g for pair in spec.swaps} == {0.7}
 
@@ -142,6 +147,17 @@ class TestEngineShapes:
         built = EngineSpec(np.int64(2), spec.hot, spec.cold, spec.swaps)
         assert built == spec and type(built.catalyst_dim) is int
         assert discrete.run_cycle(built) == discrete.run_cycle(spec)
+
+    def test_ladder_spec_refuses_a_bad_catalyst_dim_before_any_pair(self):
+        spec = catalyst_example()
+        for bad, message in ((2.5, "catalyst_dim must be an integer, got 2.5"),
+                             ("2", "catalyst_dim must be an integer, got '2'"),
+                             (0, "catalyst_dim must be >= 1, got 0"),
+                             (-1, "catalyst_dim must be >= 1, got -1")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ladder_spec(bad, spec.hot, spec.cold, 1.0)
+        built = ladder_spec(np.int64(2), spec.hot, spec.cold, 1.0)
+        assert built == spec and type(built.catalyst_dim) is int
 
     def test_construction_refuses_out_of_range_swap_levels(self):
         spec = otto_example()
@@ -208,29 +224,28 @@ class TestEnergetics:
         assert [energy_differences(spec, i) for i in range(2)] == first
         # The bits of the per-call formula eps_u - eps_d, factor by factor.
         for pair, en in zip(spec.swaps, first):
-            _, h_u, c_u = spec.layout.factor_indices(pair.u)
-            _, h_d, c_d = spec.layout.factor_indices(pair.d)
+            _, h_u, c_u = levels_of(pair.u)
+            _, h_d, c_d = levels_of(pair.d)
             assert en.d_eps_h == spec.hot.omega * h_u - spec.hot.omega * h_d
             assert en.d_eps_c == spec.cold.omega * c_u - spec.cold.omega * c_d
 
     def test_hamiltonians_are_diagonal_number_operators(self):
         spec = catalyst_example()
         h_hot, h_cold = hamiltonians(spec)
-        layout = spec.layout
         for flat in range(spec.dim):
-            _, n_h, n_c = layout.factor_indices(flat)
+            _, n_h, n_c = levels_of(flat)
             assert h_hot[flat, flat] == pytest.approx(spec.hot.omega * n_h)
             assert h_cold[flat, flat] == pytest.approx(spec.cold.omega * n_c)
         assert np.count_nonzero(h_hot - np.diag(np.diag(h_hot))) == 0
 
 
 class TestLevelTable:
-    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3])
+    @pytest.mark.parametrize("catalyst_dim", [1, 2, 3, 4, 5, 6])
     def test_table_equals_the_factor_indices(self, catalyst_dim):
-        layout = HilbertLayout((catalyst_dim, 2, 2))
-        table = level_table(layout.factor_dims)
-        for flat in range(layout.total_dim):
-            s, h, c = layout.factor_indices(flat)
+        table = level_table((catalyst_dim, 2, 2))
+        assert len(table.catalyst) == 4 * catalyst_dim
+        for flat in range(4 * catalyst_dim):
+            s, h, c = levels_of(flat)
             assert (table.catalyst[flat], table.hot[flat], table.cold[flat]) == (s, h, c)
             assert table.incidence[:, flat].tolist() == [
                 float(m == s) for m in range(catalyst_dim)
@@ -241,10 +256,7 @@ class TestLevelTable:
 
     def test_catalyst_weights_follow_each_pair_across_levels(self):
         spec = catalyst_example()
-        level = [
-            (spec.layout.factor_indices(p.u)[0], spec.layout.factor_indices(p.d)[0])
-            for p in spec.swaps
-        ]
+        level = [(levels_of(p.u)[0], levels_of(p.d)[0]) for p in spec.swaps]
         expected = tuple(
             tuple(float(s_u == m) - float(s_d == m) for s_u, s_d in level)
             for m in range(spec.catalyst_dim)
@@ -285,10 +297,7 @@ class TestPairTable:
 
     @given(spec=structures())
     def test_table_reads_equal_the_factor_indices(self, spec):
-        levels = [
-            (spec.layout.factor_indices(pair.u), spec.layout.factor_indices(pair.d))
-            for pair in spec.swaps
-        ]
+        levels = [(levels_of(pair.u), levels_of(pair.d)) for pair in spec.swaps]
         for _ in range(2):
             for i, ((_, h_u, c_u), (_, h_d, c_d)) in enumerate(levels):
                 assert energy_differences(spec, i) == PairEnergetics(
@@ -303,6 +312,16 @@ class TestPairTable:
             for pair in spec.swaps:
                 perm[pair.u], perm[pair.d] = pair.d, pair.u
             assert permutation(spec).tolist() == perm
+
+    @given(spec=structures())
+    def test_pair_levels_are_the_level_table_at_u_and_d(self, spec):
+        table, levels = pair_table(*spec.structure), level_table(spec.layout)
+        for rows, flats in ((table.levels_u, table.u), (table.levels_d, table.d)):
+            assert rows == tuple(
+                (levels.catalyst[n], levels.hot[n], levels.cold[n]) for n in flats
+            )
+            assert rows == tuple(map(levels_of, flats.tolist()))
+            assert all(type(level) is int for row in rows for level in row)
 
     @given(spec=structures())
     def test_tables_are_read_only(self, spec):
@@ -356,6 +375,6 @@ class TestPairTable:
             pairs = tuple((pair.u, pair.d) for pair in swaps)
             for _ in range(2):
                 for route in (lambda: with_swaps(spec, swaps),
-                              lambda: pair_table(spec.layout.factor_dims, pairs)):
+                              lambda: pair_table(spec.layout, pairs)):
                     with pytest.raises(ValueError, match=f"^{message}$"):
                         route()

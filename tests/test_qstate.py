@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ottocat.qstate import (
     DensityMatrix,
-    HilbertLayout,
     expectation,
     gibbs_qubit,
     partial_trace,
@@ -19,48 +18,29 @@ from ottocat.qstate import (
     tensor_all,
 )
 
-THREE_QUBITS = HilbertLayout((2, 2, 2))
+THREE_QUBITS = (2, 2, 2)
 
 gibbs_factors = st.floats(min_value=0.05, max_value=0.95)
-
-
-class TestHilbertLayout:
-    def test_total_dim_is_product_of_factors(self):
-        assert THREE_QUBITS.total_dim == 8
-        assert HilbertLayout((3, 2)).total_dim == 6
-
-    def test_flat_index_is_row_major_with_last_factor_fastest(self):
-        # |s h c> -> 4s + 2h + c on three qubits
-        assert THREE_QUBITS.flat_index(0, 0, 0) == 0
-        assert THREE_QUBITS.flat_index(0, 0, 1) == 1
-        assert THREE_QUBITS.flat_index(0, 1, 0) == 2
-        assert THREE_QUBITS.flat_index(1, 0, 0) == 4
-        assert THREE_QUBITS.flat_index(1, 1, 1) == 7
-
-    def test_flat_index_round_trips_through_factor_indices(self):
-        for flat in range(THREE_QUBITS.total_dim):
-            assert THREE_QUBITS.flat_index(*THREE_QUBITS.factor_indices(flat)) == flat
-
-    def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            THREE_QUBITS.flat_index(0, 2, 0)
-        with pytest.raises(ValueError):
-            THREE_QUBITS.factor_indices(8)
-        with pytest.raises(ValueError):
-            HilbertLayout(())
-
-    def test_dimensions_must_be_integers(self):
-        layout = HilbertLayout((np.int64(3), 2))
-        assert layout.factor_dims == (3, 2)
-        assert type(layout.factor_dims[0]) is int
-        for bad in (2.5, 2.0, "2", None):
-            with pytest.raises(ValueError, match="factor dimension must be an integer"):
-                HilbertLayout((bad, 2))
 
 
 class TestDensityMatrix:
     def test_accepts_a_valid_gibbs_state(self):
         gibbs_qubit(beta=1.0, omega=0.7).validate()
+
+    def test_layout_dimensions_must_be_integers(self):
+        rho = DensityMatrix((np.int64(3), 2), np.eye(6) / 6)
+        assert rho.layout == (3, 2)
+        assert type(rho.layout[0]) is int
+        assert DensityMatrix([2, 2], np.eye(4) / 4).layout == (2, 2)
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="factor dimension must be an integer"):
+                DensityMatrix((bad, 2), np.eye(4) / 4)
+
+    def test_layout_needs_a_factor_of_positive_dimension(self):
+        with pytest.raises(ValueError, match="layout needs at least one tensor factor"):
+            DensityMatrix((), np.eye(1))
+        with pytest.raises(ValueError, match=r"factor dimensions must be >= 1, got \(0, 2\)"):
+            DensityMatrix((0, 2), np.zeros((0, 0)))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="expected a 8x8 matrix, got shape"):
@@ -70,7 +50,7 @@ class TestDensityMatrix:
 
     def test_holds_a_read_only_complex_copy(self):
         mat = np.diag([0.25, 0.75])
-        rho = DensityMatrix(HilbertLayout((2,)), mat)
+        rho = DensityMatrix((2,), mat)
         mat[0, 0] = 1.0
         assert rho.matrix.dtype == complex
         assert rho.matrix[0, 0] == 0.25
@@ -83,28 +63,30 @@ class TestDensityMatrix:
         assert gibbs_qubit(1.0, 1.0) != gibbs_qubit(1.0, 2.0)
         assert gibbs_qubit(1.0, 1.0) != "rho"
         mixed = np.eye(4) / 4
-        assert DensityMatrix(HilbertLayout((2, 2)), mixed) == DensityMatrix(
-            HilbertLayout((2, 2)), mixed
-        )
-        assert DensityMatrix(HilbertLayout((2, 2)), mixed) != DensityMatrix(
-            HilbertLayout((4,)), mixed
-        )
+        assert DensityMatrix((2, 2), mixed) == DensityMatrix((2, 2), mixed)
+        assert DensityMatrix((2, 2), mixed) != DensityMatrix((4,), mixed)
         with pytest.raises(TypeError, match="unhashable"):
             hash(gibbs_qubit(1.0, 1.0))
 
+    def test_a_state_is_unequal_to_its_array_from_either_side(self):
+        rho = gibbs_qubit(1.0, 1.0)
+        for result, expected in ((rho == rho.matrix, False), (rho.matrix == rho, False),
+                                 (rho != rho.matrix, True), (rho.matrix != rho, True)):
+            assert type(result) is bool and result is expected
+
     def test_rejects_non_hermitian_matrices(self):
-        layout = HilbertLayout((2,))
+        layout = (2,)
         mat = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(layout, mat).validate()
 
     def test_rejects_wrong_trace(self):
-        layout = HilbertLayout((2,))
+        layout = (2,)
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(layout, np.diag([0.7, 0.7])).validate()
 
     def test_rejects_negative_eigenvalues(self):
-        layout = HilbertLayout((2,))
+        layout = (2,)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(layout, np.diag([1.2, -0.2])).validate()
 
@@ -150,15 +132,29 @@ class TestTensorAndPartialTrace:
 
     def test_tensor_all_multiplies_dimensions_in_order(self):
         factors = [
-            DensityMatrix(HilbertLayout((2,)), np.diag([1.0, 2.0])),
-            DensityMatrix(HilbertLayout((3,)), np.eye(3)),
-            DensityMatrix(HilbertLayout((2,)), np.diag([1.0, 0.0])),
+            DensityMatrix((2,), np.diag([1.0, 2.0])),
+            DensityMatrix((3,), np.eye(3)),
+            DensityMatrix((2,), np.diag([1.0, 0.0])),
         ]
         big = tensor_all(factors)
-        assert big.layout.factor_dims == (2, 3, 2)
+        assert big.layout == (2, 3, 2)
         # the (1, 2, 0) diagonal entry is the product of the factor entries
-        flat = big.layout.flat_index(1, 2, 0)
+        flat = np.ravel_multi_index((1, 2, 0), big.layout)
+        assert flat == 1 * 6 + 2 * 2 + 0
         assert big.matrix[flat, flat] == 2.0
+
+    @pytest.mark.parametrize("layout", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (4, 2, 3)])
+    def test_tensor_all_places_each_ket_at_its_row_major_index(self, layout):
+        # |i0 i1 i2><i0 i1 i2| lands at i0 * n1 * n2 + i1 * n2 + i2, the index
+        # numpy.ravel_multi_index gives; the last factor varies fastest.
+        n0, n1, n2 = layout
+        for kets in np.ndindex(layout):
+            projectors = [DensityMatrix((n,), np.diag(np.arange(n) == i))
+                          for n, i in zip(layout, kets)]
+            flat = kets[0] * n1 * n2 + kets[1] * n2 + kets[2]
+            assert flat == np.ravel_multi_index(kets, layout)
+            big = tensor_all(projectors).matrix
+            assert big[flat, flat] == 1.0 and np.count_nonzero(big) == 1
 
     def test_tensor_is_the_outer_product_construction_bit_for_bit(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -166,9 +162,8 @@ class TestTensorAndPartialTrace:
             a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                     for n in (dim_a, dim_b))
             outer = np.multiply.outer(a, b).swapaxes(1, 2).reshape(dim_a * dim_b, -1)
-            joint = tensor(DensityMatrix(HilbertLayout((dim_a,)), a),
-                           DensityMatrix(HilbertLayout((dim_b,)), b))
-            assert joint.layout.factor_dims == (dim_a, dim_b)
+            joint = tensor(DensityMatrix((dim_a,), a), DensityMatrix((dim_b,), b))
+            assert joint.layout == (dim_a, dim_b)
             assert np.array_equal(joint.matrix, outer)
 
     def test_partial_trace_preserves_trace_and_hermiticity(self):
@@ -179,7 +174,7 @@ class TestTensorAndPartialTrace:
         rho = DensityMatrix(THREE_QUBITS, mat)
         reduced = partial_trace(rho, keep=(0, 2))
         reduced.validate()
-        assert reduced.layout.factor_dims == (2, 2)
+        assert reduced.layout == (2, 2)
 
     def test_partial_trace_rejects_bad_keep_sets(self):
         rho = DensityMatrix(THREE_QUBITS, np.eye(8) / 8)
@@ -187,6 +182,13 @@ class TestTensorAndPartialTrace:
             partial_trace(rho, keep=())
         with pytest.raises(ValueError):
             partial_trace(rho, keep=(3,))
+
+    def test_partial_trace_refuses_a_keep_index_that_is_not_an_integer(self):
+        rho = tensor_all([gibbs_qubit(1.0, 1.0), gibbs_qubit(1.0, 2.0)])
+        for bad in (0.5, 1.9, "0", 1.0):
+            with pytest.raises(ValueError, match="keep index must be an integer"):
+                partial_trace(rho, keep=(bad,))
+        assert partial_trace(rho, keep=(np.int64(1),)) == partial_trace(rho, keep=(1,))
 
 
 class TestExpectationAndEntropy:

@@ -211,7 +211,7 @@ PLAN_PEAK_BOUND_MB = 1.6
 
 def test_the_d6_plan_is_built_without_a_dense_superoperator():
     spec = ladder_spec(6, bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0), 1.0)
-    dims = spec.layout.factor_dims
+    dims = spec.layout
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
