@@ -517,7 +517,7 @@ def build_row(
 def _format_column(values: list) -> list[str]:
     """Each cell of a column: ``NA`` for ``None``, text as it is, a number
     with 17 significant digits; a NaN refuses the whole run."""
-    cells = ["NA" if v is None else v if isinstance(v, str) else f"{float(v):.17g}" for v in values]
+    cells = ["NA" if v is None else v if isinstance(v, str) else "%.17g" % v for v in values]
     if "nan" in cells and any(v != v for v in values if not isinstance(v, str)):
         raise CheckFailure("refusing to emit NaN; a computed quantity is invalid")
     return cells

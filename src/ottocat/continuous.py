@@ -97,19 +97,32 @@ CURRENT_IMAG_TOL = 1e-10
 #: Relative agreement required between the two heat-current routes.
 CURRENT_CROSS_TOL = 1e-9
 
-#: Specs per stack in :func:`steady_state_reports`, chosen from memory.
-#: Stacks of 16, 32 and 64 ran the golden sweep in 59, 54 and 49 ms (best
-#: of 60, interleaved, on 2 vCPUs with one BLAS thread), a default
-#: ``verify`` peaked at 41.8, 42.1 and 42.6 MB RSS, and the golden specs'
-#: solve at 0.81, 1.10 and 1.78 MB traced, of the 1.35 MB that
-#: ``tests/test_rows.py`` allows.
-_STACK = 32
+#: Specs per stack in :func:`steady_state_reports`, chosen from memory: the
+#: largest multiple of 16 whose full stack of qubit-catalyst specs stays
+#: under the 1.35 MB that ``tests/test_rows.py`` allows a solve.  Stacks of
+#: 32, 64 and 112 ran the golden sweep in 41.7, 38.7 and 37.7 ms (median of
+#: 40, interleaved, on 2 vCPUs with one BLAS thread), a default ``verify``
+#: peaked at 41.4, 41.6 and 41.8 MB RSS, and the solve peaked at 0.58, 0.86
+#: and 1.28 MB traced on a full qubit-catalyst stack (1.42 MB at 128) and at
+#: 0.81, 0.97 and 1.29 MB on the golden specs.  Larger catalysts take more.
+_STACK = 112
+
+#: Specs per chunk of the solve's largest temporaries: the generator terms,
+#: the block of |0><0| in its real basis, its complex eigenvectors and the
+#: extended-precision refinement residual.  A spec's rows of each depend on
+#: that spec alone, so a chunk gives the bits of the whole stack.
+_CHUNK = 32
 
 _NON_ERGODIC = "non-ergodic Liouvillian: steady state not unique"
 
 #: Allowed violation of P = J_h + J_c (power accumulated over pair
 #: resonance frequencies vs. the two heat currents separately).
 FIRST_LAW_TOL = 1e-10
+
+
+def _chunks(count: int) -> list[slice]:
+    """Consecutive slices of ``_CHUNK`` rows of a stack of ``count``."""
+    return [slice(start, start + _CHUNK) for start in range(0, count, _CHUNK)]
 
 
 def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
@@ -263,18 +276,26 @@ def _generator_plan(factor_dims: tuple[int, ...], pairs: tuple) -> tuple[np.ndar
 def _generator_values(specs: Sequence[EngineSpec], pieces: np.ndarray) -> np.ndarray:
     """One row per spec: its generator's nonzero entries,
     sum_i g_i C_i + (gamma_+ R + gamma_- L)_h + (gamma_+ R + gamma_- L)_c,
-    each by the dense sum's operations in the same order (bit-identical)."""
+    each by the dense sum's operations in the same order (bit-identical),
+    then a zero, the entry that :func:`_kernel_blocks` reads for a zero."""
     *commutators, raise_h, lower_h, raise_c, lower_c = pieces
     rates = np.array(
         [[*(pair.g for pair in s.swaps), s.hot.gamma_plus, s.hot.gamma_minus,
           s.cold.gamma_plus, s.cold.gamma_minus] for s in specs],
         dtype=complex,
     )
-    *couplings, up_h, down_h, up_c, down_c = rates.T[..., None]
-    coherent = np.zeros((len(specs), pieces.shape[1]), dtype=complex)
-    for g, commutator in zip(couplings, commutators):
-        coherent += g * commutator
-    return coherent + (up_h * raise_h + down_h * lower_h) + (up_c * raise_c + down_c * lower_c)
+    values = np.zeros((len(specs), pieces.shape[1] + 1), dtype=complex)
+    for chunk in _chunks(len(specs)):
+        *couplings, up_h, down_h, up_c, down_c = rates[chunk].T[..., None]
+        total = values[chunk, :-1]
+        for g, commutator in zip(couplings, commutators):
+            total += g * commutator
+        for up, raising, down, lowering in ((up_h, raise_h, down_h, lower_h),
+                                            (up_c, raise_c, down_c, lower_c)):
+            jumps = up * raising
+            jumps += down * lowering
+            total += jumps
+    return values
 
 
 def build_liouvillian(spec: EngineSpec) -> np.ndarray:
@@ -282,7 +303,7 @@ def build_liouvillian(spec: EngineSpec) -> np.ndarray:
     matrix, evaluated on its nonzero entries only (:func:`_generator_values`)."""
     pieces, blocks = _generator_plan(*spec.structure)
     total = np.zeros(spec.dim**4, dtype=complex)
-    total[blocks[0]] = _generator_values([spec], pieces)[0]
+    total[blocks[0]] = _generator_values([spec], pieces)[0, :-1]
     total.setflags(write=False)
     return total.reshape(spec.dim**2, -1)
 
@@ -294,8 +315,10 @@ def _normalize_state(mat: np.ndarray) -> np.ndarray:
     bound = 1e-14 * np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
     fail(np.abs(tr) < bound, ValueError, "candidate steady state is traceless; cannot normalize")
     mat = mat / tr[..., None, None]
-    herm = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
-    return herm / np.trace(herm, axis1=-2, axis2=-1).real[..., None, None]
+    herm = mat + mat.conj().swapaxes(-1, -2)
+    herm /= 2.0
+    herm /= np.trace(herm, axis1=-2, axis2=-1).real[..., None, None]
+    return herm
 
 
 def _refined_bordered_solve(
@@ -331,11 +354,12 @@ def _refined_bordered_solve(
     block = solution[:, main]
     outside = np.count_nonzero(block, axis=1) != np.count_nonzero(solution, axis=1)
     fail(outside, AssertionError, "bordered solve is nonzero outside the block of |0><0|")
-    sub_ld = sub.astype(np.clongdouble)
-    rhs_ld = rhs[main].astype(np.clongdouble)
+    rhs_ld, residual = rhs[main].astype(np.clongdouble), np.empty_like(block)
     for _ in range(2):
-        residual = rhs_ld - (sub_ld @ block.astype(np.clongdouble)[..., None])[..., 0]
-        block = block + np.linalg.solve(sub, residual.astype(complex)[..., None])[..., 0]
+        for chunk in _chunks(len(block)):  # extended precision a few specs at a time
+            block_ld = block[chunk, :, None].astype(np.clongdouble)
+            residual[chunk] = rhs_ld - (sub[chunk].astype(np.clongdouble) @ block_ld)[..., 0]
+        block += np.linalg.solve(sub, residual[..., None])[..., 0]
     solution[:, main] = block
     return solution
 
@@ -422,52 +446,54 @@ def _kernel_blocks(n: int, positions: np.ndarray, real: np.ndarray, imaginary: n
     return positions, main, real_basis, tuple(others), gather, mirrored
 
 
-def _block_spectrum(padded: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigvals, main_vecs)`` of a stack of generators on ``blocks``
+def _block_spectrum(values: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigvals, real_vecs)`` of a stack of generators on ``blocks``
     (:func:`_kernel_blocks`), one row of nonzero entries each, then a zero.
 
     Each row of ``eigvals`` starts with the block of |0><0|, in the order
-    of the columns of its right eigenvectors ``main_vecs``.  One exact
-    comparison certifies every entry as the conjugate of its mirror image,
-    or raises ``ValueError``; then one real ``eig`` per stack runs on the
-    block of |0><0| in its real basis, refusing a row that leaves double
-    range there, and one ``eigvals`` per group of ``others`` on one block
-    of every other mirror pair, real in its gauge where it has one.
+    of the columns of its right eigenvectors in the real basis,
+    ``real_vecs`` (``from_real @ real_vecs`` are the eigenvectors).  One
+    exact comparison certifies every entry as the conjugate of its mirror
+    image, or raises ``ValueError``; then one real ``eig`` per stack runs
+    on the block of |0><0| in its real basis, refusing a row that leaves
+    double range there, and one ``eigvals`` per group of ``others`` on one
+    block of every other mirror pair, real in its gauge where it has one,
+    each group's entries gathered when it is used.
     """
     _, main, (to_real, from_real), others, gather, mirrored = blocks
-    broken = (padded[:, mirrored] != padded[:, :-1].conj()).any(axis=1)
+    broken = (values[:, mirrored] != values[:, :-1].conj()).any(axis=1)
     fail(broken, ValueError, "generator does not preserve Hermiticity")
-    entries = padded[:, gather]
     start = len(main) ** 2
+    real = np.empty((len(values), len(main), len(main)))
     # Real in exact arithmetic by the certificate; the rest is round-off.
     with np.errstate(over="ignore", invalid="ignore"):  # a row out of range is refused below
-        real = (to_real @ entries[:, :start].reshape(-1, len(main), len(main)) @ from_real).real
+        for chunk in _chunks(len(values)):
+            entries = values[chunk, gather[:start]].reshape(-1, len(main), len(main))
+            real[chunk] = (to_real @ entries @ from_real).real
     fail(~np.isfinite(real).all(axis=(1, 2)), ValueError,
          "generator leaves double range in the real basis of |0><0|")
     main_vals, real_vecs = np.linalg.eig(real)
+    del real  # before the other groups' temporaries
     parts = [main_vals]
     for members, paired, gauge in others:
         count, size = members.shape
         stop = start + count * size**2
-        block = entries[:, start:stop]
+        block = values[:, gather[start:stop]]
         if gauge is not None:  # every factor is 1, i or -i: exact, and real
-            block = (block * gauge).real
-        vals = np.linalg.eigvals(block.reshape(-1, size, size)).reshape(len(padded), -1)
+            block *= gauge
+            block = block.real
+        vals = np.linalg.eigvals(block.reshape(-1, size, size)).reshape(len(values), -1)
         parts += [vals, vals.conj()] if paired else [vals]
         start = stop
-    return np.concatenate(parts, axis=1), from_real @ real_vecs
+    return np.concatenate(parts, axis=1), real_vecs
 
 
-def _stationary_stack(
-    layout: tuple[int, ...], values: np.ndarray, blocks: tuple
-) -> list[tuple[DensityMatrix, float]]:
-    """:func:`stationary_state` of a stack of generators on one pattern,
-    ``values[k]`` the nonzero entries of the k-th, ``blocks`` the pattern's
-    :func:`_kernel_blocks`."""
-    dim = math.prod(layout)
-    count, main = len(values), blocks[1]
-    padded = np.concatenate([values, np.zeros((count, 1))], axis=1)
-    eigvals, main_vecs = _block_spectrum(padded, blocks)
+def _kernel_route(dim: int, values: np.ndarray, blocks: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(rho_eig, decay)`` of a stack of generators: the normalized kernel
+    vectors of :func:`_block_spectrum`, each checked to be the one
+    stationary eigenvalue, in the block of |0><0|, and each spectral gap."""
+    count, main, from_real = len(values), blocks[1], blocks[2][1]
+    eigvals, real_vecs = _block_spectrum(values, blocks)
     scale = np.abs(eigvals).max(axis=1)
     fail(scale == 0.0, ValueError, "generator is identically zero; every state is stationary")
     zero_mask = np.abs(eigvals.real) <= KERNEL_TOL * scale[:, None]
@@ -477,15 +503,32 @@ def _stationary_stack(
     main_zero = zero_mask[:, : len(main)]
     fail(~main_zero.any(axis=1), ValueError, "stationary kernel lies outside the block "
           "of |0><0|; generator is not trace preserving")
+    column = main_zero.argmax(axis=1)
     kernel_vecs = np.zeros((count, dim * dim), dtype=complex)
-    kernel_vecs[:, main] = main_vecs[np.arange(count), :, main_zero.argmax(axis=1)]
-    rho_eig = _normalize_state(_unvec(kernel_vecs, dim))
+    for chunk in _chunks(count):  # never the complex eigenvectors of the whole stack
+        vecs = from_real @ real_vecs[chunk]
+        kernel_vecs[chunk, main] = vecs[np.arange(len(vecs)), :, column[chunk]]
+    decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
+    del eigvals, real_vecs  # before the normalization's temporaries
+    return _normalize_state(_unvec(kernel_vecs, dim)), decay
+
+
+def _stationary_stack(
+    layout: tuple[int, ...], values: np.ndarray, blocks: tuple
+) -> list[tuple[DensityMatrix, float]]:
+    """:func:`stationary_state` of a stack of generators on one pattern,
+    ``values[k]`` the nonzero entries of the k-th, then a zero
+    (:func:`_generator_values`), ``blocks`` the pattern's
+    :func:`_kernel_blocks`.  ``values`` is released once solved."""
+    dim, main = math.prod(layout), blocks[1]
+    rho_eig, decay = _kernel_route(dim, values, blocks)
 
     # Primary route: bordered linear solve with the trace constraint.  The
     # block of |0><0| starts at vec index 0, so its row 0 is the trace row.
-    sub = padded[:, blocks[4][: len(main) ** 2]].reshape(count, len(main), len(main))
+    sub = values[:, blocks[4][: len(main) ** 2]].reshape(len(values), len(main), len(main))
     sub[:, 0, :] = main % (dim + 1) == 0
-    solved = _refined_bordered_solve(dim, values, sub, blocks)
+    solved = _refined_bordered_solve(dim, values[:, :-1], sub, blocks)
+    del values, sub  # the generators, before the checks' temporaries
     rho_lin = _normalize_state(_unvec(solved, dim))
 
     apart = np.abs(rho_eig - rho_lin).max(axis=(1, 2))
@@ -493,7 +536,6 @@ def _stationary_stack(
           f"disagree by {apart[k]:.3e} (> {SOLVER_CROSS_TOL:.1e})")
     bad, why = state_defects(rho_lin)
     fail(bad, ValueError, why)
-    decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
     return [(DensityMatrix(layout, rho), float(d)) for rho, d in zip(rho_lin, decay)]
 
 
@@ -559,8 +601,9 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
     :func:`~ottocat.engine_spec.pair_sums`, and <D_k^+[H_0k + V0]> and
     <D_k^+[V0]> from each bath's adjoint dissipator D_k^+, applied by the
     two-term rows of :func:`_bath_jumps`: the nonzero products of a dense
-    product, one gathered product per term over the whole stack, and one
-    add per row; sigma = -sum_k beta_k (J_k - Re<D_k^+[V0]>)."""
+    product, one gathered product per term and operator over the whole
+    stack, and one add per row, in place; sigma = -sum_k beta_k (J_k -
+    Re<D_k^+[V0]>)."""
     spec = specs[0]
     dims, dim, n = spec.layout, spec.dim, len(specs)
     currents = _currents(specs, rho)
@@ -573,13 +616,23 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
         gamma_plus, gamma_minus, omega, beta = np.array(
             [(b.gamma_plus, b.gamma_minus, b.omega, b.beta) for b in baths]
         ).T[..., None]
-        operands = np.stack([v0, v0])  # H_0k + V0, then V0
-        operands[0, :, :: dim + 1] += omega * excitation  # the diagonal of H_0k
-        applied = np.zeros_like(operands)
+        rates = []
         for rows, cols, up, down in _bath_jumps(dims, label)[2]:
-            applied[..., rows] += (gamma_plus * up + gamma_minus * down) * operands[..., cols]
-        # Tr[A rho] summed as expectation() sums it, over the whole stack.
-        heat_k, int_k = (applied * rho.reshape(n, -1)).sum(axis=-1)
+            rate = gamma_plus * up
+            rate += gamma_minus * down
+            rates.append((rows, cols, rate))
+        hamiltonian = v0.copy()
+        hamiltonian[:, :: dim + 1] += omega * excitation  # H_0k + V0
+        expectations = []
+        for operand in (hamiltonian, v0):
+            applied = np.zeros_like(operand)
+            for rows, cols, rate in rates:
+                term = operand[:, cols]
+                np.multiply(rate, term, out=term)  # rate * term, in place
+                applied[:, rows] += term
+            applied *= rho.reshape(n, -1)  # Tr[A rho] summed as expectation() sums it
+            expectations.append(applied.sum(axis=-1))
+        heat_k, int_k = expectations
         heat.append(heat_k)
         interaction.append([abs(z) for z in int_k.tolist()])  # Python's complex abs
         sigma = sigma - beta[:, 0] * (j_k - int_k.real)
@@ -693,8 +746,9 @@ def steady_state_report(spec: EngineSpec) -> SteadyStateReport:
 def _reports(specs: Sequence[EngineSpec]) -> list[SteadyStateReport]:
     """Solve and audit a stack of specs of one structure."""
     pieces, blocks = _generator_plan(*specs[0].structure)
-    values = _generator_values(specs, pieces)
-    return _audit(specs, _stationary_stack(specs[0].layout, values, blocks))
+    # No name here holds the generators: the solve releases them before the audit.
+    states = _stationary_stack(specs[0].layout, _generator_values(specs, pieces), blocks)
+    return _audit(specs, states)
 
 
 def steady_state_reports(specs: Sequence[EngineSpec]) -> list[SteadyStateReport]:

@@ -11,7 +11,8 @@ summed over the pairs by :func:`~ottocat.engine_spec.pair_sums`.
 
 :func:`rows` runs specs through both pictures and audits that dictionary
 in stacks of one structure, one :func:`~ottocat.engine_spec.stacked` call
-per stage; :func:`verify_equivalence` is a stack of one.  A bridge holds
+per stage, the two-stroke cycle once per distinct machine, its structure
+and baths; :func:`verify_equivalence` is a stack of one.  A bridge holds
 the dictionary alone: the efficiencies, the work and the power are the
 fields of the cycle and of the steady state that :func:`rows` yields
 beside it.  :func:`compare_at_efficiency` runs the catalyst-free and
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -247,22 +249,52 @@ def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[Eq
     ]
 
 
+def _machine(spec: EngineSpec) -> tuple:
+    """The two-stroke machine of ``spec``, everything its cycle reads: the
+    structure and both baths, each bath by the bits of its fields, so a
+    beta of -0.0 is not 0.0."""
+    hot, cold = spec.hot, spec.cold
+    return spec.structure, struct.pack(
+        "8d", hot.beta, hot.omega, hot.gamma_plus, hot.gamma_minus,
+        cold.beta, cold.omega, cold.gamma_plus, cold.gamma_minus,
+    )
+
+
+def _shared_cycles(specs: Sequence[EngineSpec]) -> tuple[list, Exception | None]:
+    """``(cycles, fault)`` of ``specs`` as :func:`~ottocat.engine_spec.stacked`
+    gives them for :func:`~ottocat.discrete._cycles`, each distinct two-stroke
+    machine (:func:`_machine`) run once, in first-occurrence order, and its
+    :class:`~ottocat.discrete.CycleReport` handed to every spec of it.  A
+    fault's ``index`` is the position of the first spec of its machine: the
+    first spec that fails."""
+    first: dict = {}
+    owner = [first.setdefault(_machine(spec), i) for i, spec in enumerate(specs)]
+    starts = list(first.values())
+    done, fault = stacked(discrete._cycles, [specs[i] for i in starts])
+    if fault is not None:
+        fault.index = starts[fault.index]
+    cycle_of = dict(zip(starts, done))
+    return [cycle_of[i] for i in owner[: len(specs) if fault is None else fault.index]], fault
+
+
 def rows(specs: Sequence[EngineSpec], mode: str = "both", reports=None) -> Iterator[tuple]:
     """``(report, cycle, bridge)`` of every spec, in input order, ``None`` where
     ``mode`` (``"discrete"``, ``"continuous"`` or ``"both"``) skips it.
 
     The steady states (``reports``, if solved already) come from one
     :func:`~ottocat.continuous.steady_state_reports` call, which raises as
-    it does; then the cycles and bridges run in stacks of one structure.
-    A failed cycle or bridge raises after the records before it, for the
-    first spec that fails, with its position as ``index``.
+    it does; then the cycles run once per distinct two-stroke machine (a
+    coupling sweep of one engine has one: g does not enter the cycle) and
+    the bridges in stacks of one structure.  A failed cycle or bridge
+    raises after the records before it, for the first spec that fails,
+    with its position as ``index``.
     """
     if reports is None and mode != "discrete":
         reports = continuous.steady_state_reports(specs)
     reports = [None] * len(specs) if reports is None else list(reports)
     cycles, fault = [None] * len(specs), None
     if mode != "continuous":
-        cycles, fault = stacked(discrete._cycles, specs)
+        cycles, fault = _shared_cycles(specs)
     bridges = [None] * len(cycles)
     if mode == "both":
         bridges, late = stacked(_bridges, specs[: len(cycles)], cycles, reports)

@@ -84,7 +84,8 @@ def apply(superoperator: np.ndarray, op: np.ndarray) -> np.ndarray:
 def pattern_state(layout: tuple[int, ...], mat: np.ndarray) -> tuple[DensityMatrix, float]:
     """The steady state and gap of a handmade generator, its blocks taken
     from its own nonzero pattern: a stack of one."""
-    [state] = continuous._stationary_stack(layout, mat[mat != 0][None], pattern_blocks(mat))
+    values = np.append(mat[mat != 0], 0.0)[None]
+    [state] = continuous._stationary_stack(layout, values, pattern_blocks(mat))
     return state
 
 
@@ -463,8 +464,8 @@ def block_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ``(eigvals, main, main_vecs)``."""
     blocks = pattern_blocks(mat)
     padded = np.append(mat[mat != 0], 0.0)
-    eigvals, main_vecs = continuous._block_spectrum(padded[None], blocks)
-    return eigvals[0], blocks[1], main_vecs[0]
+    eigvals, real_vecs = continuous._block_spectrum(padded[None], blocks)
+    return eigvals[0], blocks[1], blocks[2][1] @ real_vecs[0]  # from the real basis
 
 
 def block_certificate(mat: np.ndarray, dim: int) -> tuple[int, float, np.ndarray]:
@@ -1001,7 +1002,7 @@ class TestRealGauge:
         spec = gauge_specs(g)[name]
         pieces, blocks = continuous._generator_plan(*spec.structure)
         _, main, _, others, gather, _ = blocks
-        padded = np.append(continuous._generator_values([spec], pieces)[0], 0.0)
+        padded = continuous._generator_values([spec], pieces)[0]
         start = len(main) ** 2
         for members, _, gauge in others:
             count, size = members.shape

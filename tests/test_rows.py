@@ -141,6 +141,55 @@ def test_the_first_spec_whose_cycle_or_bridge_fails_is_named():
     assert caught.value.index == 1
 
 
+def counted_cycles(monkeypatch) -> list:
+    """The stacks handed to ``discrete._cycles`` from now on, a list each."""
+    stacks, cycles = [], discrete._cycles
+
+    def counted(specs):
+        stacks.append(list(specs))
+        return cycles(specs)
+
+    monkeypatch.setattr(discrete, "_cycles", counted)
+    return stacks
+
+
+def test_a_coupling_sweep_runs_each_two_stroke_machine_once(monkeypatch):
+    # g does not enter the cycle: ladders d = 1...4 on one pair of baths at six
+    # couplings are four machines, and the repeated spec is one of them.
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.02, omega=1.5)
+    specs = [ladder_spec(d, hot, cold, g) for g in (0.3, 0.6, 1.0, 1.5, 2.2, 3.0)
+             for d in range(1, 5)]
+    specs.append(specs[6])
+    one_by_one = [alone(spec) for spec in specs]
+    stacks = counted_cycles(monkeypatch)
+    assert list(map(record_repr, mapping.rows(specs))) == one_by_one
+    assert sorted(spec.catalyst_dim for stack in stacks for spec in stack) == [1, 2, 3, 4]
+
+
+def qutrit_without_a_unique_catalyst(g: float) -> EngineSpec:
+    """Two swaps on a qutrit catalyst that never reach its level 2: the cycle's
+    catalyst system has rank 2, whatever the coupling."""
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.02, omega=1.5)
+    return EngineSpec(3, hot, cold, (SwapPair(4, 2, g), SwapPair(1, 6, g)))
+
+
+def test_a_failed_machine_is_named_by_its_first_spec():
+    # One failing machine at positions 2 and 5, at two couplings: the run
+    # names position 2 with that spec's own message, after records 0 and 1.
+    specs = golden_specs()[:6]
+    specs[2], specs[5] = (qutrit_without_a_unique_catalyst(g) for g in (1.0, 2.0))
+    with pytest.raises(ValueError) as own:
+        discrete.run_cycle(specs[2])
+    records = mapping.rows(specs, "discrete")
+    before = [next(records) for _ in range(2)]
+    with pytest.raises(ValueError) as caught:
+        next(records)
+    assert str(caught.value) == str(own.value)
+    assert str(own.value).endswith("(linear system rank 2 < catalyst dimension 3)")
+    assert caught.value.index == 2
+    assert [cycle for _, cycle, _ in before] == list(map(discrete.run_cycle, specs[:2]))
+
+
 def test_a_two_fault_sweep_names_its_failed_solve_first(tmp_path, capsys):
     # At the Carnot efficiency every pair flow vanishes, so Otto at the first
     # coupling fails its bridge; the catalyst there fails its solve.  Every
@@ -162,12 +211,29 @@ def test_a_two_fault_sweep_names_its_failed_solve_first(tmp_path, capsys):
 #: Peak traced memory of one golden-specs ``steady_state_reports`` call,
 #: measured before the audit was stacked: 0.85 MB.  The bound adds 0.5 MB.
 #: The audit applies each bath's adjoint from its two-term rows, so it holds
-#: no dim^2 x dim^2 matrix; the solve's bordered LU holds one per spec.
+#: no dim^2 x dim^2 matrix; the solve's bordered LU holds one per spec.  The
+#: same bound holds a full stack of qubit-catalyst specs, whatever ``_STACK``.
 AUDIT_PEAK_BOUND_MB = 1.35
 
 
 def test_the_stacked_audit_holds_a_few_adjoints_at_a_time():
     specs = golden_specs()
+    list(continuous.steady_state_reports(specs))  # builds the per-structure caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reports = list(continuous.steady_state_reports(specs))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(specs)
+    assert peak <= AUDIT_PEAK_BOUND_MB * 1e6
+
+
+def test_a_full_stack_of_qubit_catalysts_stays_within_the_bound():
+    # The golden specs fill no stack past 100 specs; this covers the largest.
+    hot, cold = bath_from_factor(0.7), bath_from_factor(0.2, omega=2.0)
+    specs = [ladder_spec(2, hot, cold, 0.05 * 1.03**k) for k in range(continuous._STACK)]
     list(continuous.steady_state_reports(specs))  # builds the per-structure caches
     tracemalloc.start()
     try:
