@@ -49,7 +49,6 @@ from .continuous import (
     steady_state_report,
 )
 from .discrete import (
-    CatalystState,
     CycleReport,
     build_initial_state,
     heat_stroke,
@@ -103,7 +102,6 @@ __all__ = [
     "hamiltonians",
     "energy_differences",
     # two-stroke picture
-    "CatalystState",
     "CycleReport",
     "permutation_matrix",
     "build_initial_state",

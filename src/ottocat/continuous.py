@@ -108,8 +108,8 @@ CURRENT_CROSS_TOL = 1e-9
 _STACK = 112
 
 #: Specs per chunk of the solve's largest temporaries: the generator terms,
-#: the block of |0><0| in its real basis, its complex eigenvectors and the
-#: extended-precision refinement residual.  A spec's rows of each depend on
+#: the block of |0><0| in its real basis and the extended-precision
+#: refinement residual.  A spec's rows of each depend on
 #: that spec alone, so a chunk gives the bits of the whole stack.
 _CHUNK = 32
 
@@ -505,9 +505,7 @@ def _kernel_route(dim: int, values: np.ndarray, blocks: tuple) -> tuple[np.ndarr
           "of |0><0|; generator is not trace preserving")
     column = main_zero.argmax(axis=1)
     kernel_vecs = np.zeros((count, dim * dim), dtype=complex)
-    for chunk in _chunks(count):  # never the complex eigenvectors of the whole stack
-        vecs = from_real @ real_vecs[chunk]
-        kernel_vecs[chunk, main] = vecs[np.arange(len(vecs)), :, column[chunk]]
+    kernel_vecs[:, main] = real_vecs[np.arange(count), :, column] @ from_real.T
     decay = -np.where(zero_mask, -np.inf, eigvals.real).max(axis=1)
     del eigvals, real_vecs  # before the normalization's temporaries
     return _normalize_state(_unvec(kernel_vecs, dim)), decay

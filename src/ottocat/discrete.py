@@ -15,9 +15,10 @@ energies, cross-checked against the pairwise form sum_i d_eps_i^k *
 delta_p_i of :func:`~ottocat.engine_spec.pair_sums` on every run.  Specs of
 one structure run as one stack of population arrays from the
 :func:`~ottocat.engine_spec.pair_table` index maps, each spec's catalyst
-solved once, by its own least-squares solve; :func:`run_cycle` is a stack
-of one, bit for bit.  Positive Q_k means energy drawn *from* bath k into
-the machine; positive work means work extracted.  The operator route is
+solved once, by its own least-squares solve, and every check judges the
+whole stack at once; :func:`run_cycle` is a stack of one, bit for bit.
+Positive Q_k means energy drawn *from* bath k into the machine; positive
+work means work extracted.  The operator route is
 the independent oracle that ``verify`` check 8 runs against it, on the
 catalyst the cycle reports: :func:`permutation_matrix` is a plain array S,
 the states of :func:`build_initial_state` and :func:`heat_stroke` are
@@ -49,7 +50,6 @@ __all__ = [
     "HEAT_CROSS_CHECK_TOL",
     "CLAUSIUS_TOL",
     "CATALYST_SOLVE_TOL",
-    "CatalystState",
     "CycleReport",
     "permutation_matrix",
     "build_initial_state",
@@ -66,27 +66,6 @@ CLAUSIUS_TOL = 1e-12
 
 #: Residual ceiling for the catalyst linear solve and its post-checks.
 CATALYST_SOLVE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CatalystState:
-    """Diagonal catalyst state, stored as a population vector."""
-
-    populations: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        pops = tuple(float(p) for p in self.populations)
-        object.__setattr__(self, "populations", pops)
-        if not pops:
-            raise ValueError("catalyst needs at least one level")
-        if any(not math.isfinite(p) or p < -1e-12 for p in pops):
-            raise ValueError(f"catalyst populations must be nonnegative, got {pops}")
-        if abs(sum(pops) - 1.0) > 1e-10:
-            raise ValueError(f"catalyst populations sum to {sum(pops)}, expected 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.populations)
 
 
 @dataclass(frozen=True)
@@ -116,17 +95,24 @@ def permutation_matrix(spec: EngineSpec) -> np.ndarray:
     return np.eye(spec.dim, dtype=complex)[:, pair_table(*spec.structure).perm]
 
 
-def build_initial_state(spec: EngineSpec, catalyst: CatalystState) -> DensityMatrix:
+def build_initial_state(spec: EngineSpec, catalyst: tuple[float, ...]) -> DensityMatrix:
     """Cycle-start state sigma_s (x) tau_h (x) tau_c with Gibbs bath qubits,
-    sigma_s = diag(q) of the catalyst populations clipped at zero."""
-    if catalyst.dim != spec.catalyst_dim:
-        raise ValueError(
-            f"catalyst has {catalyst.dim} levels but spec declares {spec.catalyst_dim}"
-        )
+    sigma_s = diag(q) of the catalyst populations clipped at zero; populations
+    that are not a distribution on the spec's catalyst levels raise
+    ``ValueError``."""
+    pops = tuple(float(p) for p in catalyst)
+    if not pops:
+        raise ValueError("catalyst needs at least one level")
+    if any(not math.isfinite(p) or p < -1e-12 for p in pops):
+        raise ValueError(f"catalyst populations must be nonnegative, got {pops}")
+    if abs(sum(pops) - 1.0) > 1e-10:
+        raise ValueError(f"catalyst populations sum to {sum(pops)}, expected 1")
+    if len(pops) != spec.catalyst_dim:
+        raise ValueError(f"catalyst has {len(pops)} levels but spec declares {spec.catalyst_dim}")
     tau_h = gibbs_qubit(spec.hot.beta, spec.hot.omega)
     tau_c = gibbs_qubit(spec.cold.beta, spec.cold.omega)
-    sigma = np.diag(np.clip(catalyst.populations, 0.0, None))
-    return tensor_all([DensityMatrix((catalyst.dim,), sigma), tau_h, tau_c])
+    sigma = np.diag(np.clip(pops, 0.0, None))
+    return tensor_all([DensityMatrix((len(pops),), sigma), tau_h, tau_c])
 
 
 def heat_stroke(spec: EngineSpec, rho: DensityMatrix) -> DensityMatrix:
@@ -149,26 +135,7 @@ def _gibbs_weights(a: float) -> tuple[float, float]:
     return 1.0 / (1.0 + a), a / (1.0 + a)
 
 
-def _catalyst_q(spec: EngineSpec, a_mat: np.ndarray) -> np.ndarray:
-    """The normalized least-squares solution q of one spec's catalyst system
-    (the last row the normalization), checked as :func:`solve_catalyst` says."""
-    b_vec = np.zeros(len(a_mat))
-    b_vec[-1] = 1.0
-    q, _, rank, _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    residual = float(abs(a_mat @ q - b_vec).max())
-    absent = "no simple-permutation catalyst exists for this spec"
-    if residual > CATALYST_SOLVE_TOL:
-        raise ValueError(f"{absent} (linear system residual {residual:.3e})")
-    if rank < spec.catalyst_dim:
-        raise ValueError("the simple-permutation catalyst of this spec is not unique "
-                         f"(linear system rank {rank} < catalyst dimension {spec.catalyst_dim})")
-    if float(q.min()) < -CATALYST_SOLVE_TOL:
-        raise ValueError(f"{absent} (solution has negative population {q.min():.3e})")
-    q = np.clip(q, 0.0, None)
-    return q / q.sum()
-
-
-def solve_catalyst(spec: EngineSpec) -> CatalystState:
+def solve_catalyst(spec: EngineSpec) -> tuple[float, ...]:
     """Diagonal catalyst populations making the permutation simple: the
     ``catalyst`` that :func:`run_cycle` runs on.
 
@@ -183,7 +150,7 @@ def solve_catalyst(spec: EngineSpec) -> CatalystState:
     has rank below the catalyst dimension: the catalyst is not unique.
     The cycle's own checks raise as in :func:`run_cycle`.
     """
-    return CatalystState(run_cycle(spec).catalyst)
+    return run_cycle(spec).catalyst
 
 
 def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
@@ -207,7 +174,22 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
     equal = flow_rows[:, :-1] - flow_rows[:, 1:]
     systems = np.concatenate([equal, balance, np.ones((n, 1, d_s))], axis=1)
     solved = d_s > 1
-    q = np.array([_catalyst_q(s, a) for s, a in zip(specs, systems)]) if solved else np.ones((n, 1))
+    q, misfits, ranks = np.ones((n, d_s)), np.zeros(n), np.full(n, d_s)
+    if solved:  # one least-squares solve per spec, its right side the normalization
+        b_vec = np.zeros(systems.shape[1])
+        b_vec[-1] = 1.0
+        for k, a_mat in enumerate(systems):
+            q[k], _, ranks[k], _ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+            misfits[k] = np.abs(a_mat @ q[k] - b_vec).max()
+    absent = "no simple-permutation catalyst exists for this spec"
+    fail(misfits > CATALYST_SOLVE_TOL, ValueError, lambda k:
+         f"{absent} (linear system residual {misfits[k]:.3e})")
+    fail(ranks < d_s, ValueError, lambda k: "the simple-permutation catalyst of this spec is "
+         f"not unique (linear system rank {ranks[k]} < catalyst dimension {d_s})")
+    fail(q.min(axis=1) < -CATALYST_SOLVE_TOL, ValueError, lambda k:
+         f"{absent} (solution has negative population {q[k].min():.3e})")
+    q = np.clip(q, 0.0, None)
+    q /= q.sum(axis=1, keepdims=True)
     # q (x) w_h (x) w_c in the Kronecker product's element order and arithmetic.
     p0 = ((q[:, :, None] * w_h[:, None, :])[..., None] * w_c[:, None, None, :]).reshape(n, -1)
     p1 = p0[:, table.perm]

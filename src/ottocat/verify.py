@@ -477,7 +477,7 @@ def check_two_stroke_oracles(rng: np.random.Generator) -> CheckResult:
         worst = max(worst, *(abs(q - e) for q, e in zip(cycle.catalyst, expected)))
         # The operator route: permutation matrix, operator traces of the
         # bare Hamiltonians, partial trace, heat stroke.
-        rho0 = discrete.build_initial_state(spec, discrete.CatalystState(cycle.catalyst))
+        rho0 = discrete.build_initial_state(spec, cycle.catalyst)
         swap = discrete.permutation_matrix(spec)
         rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
         diff = rho0.matrix - rho1.matrix

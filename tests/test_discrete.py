@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ottocat import analytic, discrete, mapping
 from ottocat.discrete import (
     CLAUSIUS_TOL,
-    CatalystState,
     CycleReport,
     build_initial_state,
     heat_stroke,
@@ -111,8 +110,8 @@ class TestCatalystSolve:
     def test_solved_marginal_matches_the_closed_form(self, a_h, a_c):
         catalyst = solve_catalyst(catalyst_from_factors(a_h, a_c))
         expected = (1.0 + a_h) / (1.0 + 2.0 * a_h + a_c)
-        assert catalyst.populations[0] == pytest.approx(expected, rel=1e-12)
-        assert sum(catalyst.populations) == pytest.approx(1.0, rel=1e-14)
+        assert catalyst[0] == pytest.approx(expected, rel=1e-12)
+        assert sum(catalyst) == pytest.approx(1.0, rel=1e-14)
 
     def test_solved_catalyst_equalizes_the_pair_flows(self):
         spec = catalyst_from_factors(0.5, 0.2)
@@ -121,7 +120,7 @@ class TestCatalystSolve:
 
     def test_trivial_catalyst_spec_needs_no_solve(self):
         catalyst = solve_catalyst(otto_from_factors(0.5, 0.25))
-        assert catalyst.populations == (1.0,)
+        assert catalyst == (1.0,)
 
     def test_inconsistent_swap_set_has_no_catalyst(self):
         spec = catalyst_from_factors(0.5, 0.2)
@@ -225,11 +224,11 @@ class TestCatalyticCycle:
         # run_cycle runs only the restored catalyst; the operator route, the
         # oracle of verify check 8, still reports one that is not restored.
         spec = catalyst_from_factors(0.5, 0.2)
-        report = operator_route_cycle(spec, CatalystState(populations=(0.5, 0.5)))
+        report = operator_route_cycle(spec, (0.5, 0.5))
         assert report.catalyst_residual > 1e-3
 
 
-def operator_route_cycle(spec: EngineSpec, catalyst: CatalystState) -> CycleReport:
+def operator_route_cycle(spec: EngineSpec, catalyst: tuple[float, ...]) -> CycleReport:
     """One cycle along the operator route: density matrices, the permutation
     matrix, operator traces of the bare Hamiltonians, and partial traces."""
     rho0 = build_initial_state(spec, catalyst)
@@ -250,7 +249,7 @@ def operator_route_cycle(spec: EngineSpec, catalyst: CatalystState) -> CycleRepo
         work=work,
         efficiency=None if q_hot == 0.0 else work / q_hot,
         clausius_margin=-(spec.hot.beta * q_hot + spec.cold.beta * q_cold),
-        catalyst=catalyst.populations,
+        catalyst=catalyst,
         catalyst_residual=float(np.max(np.abs(after - before))),
         regime="engine" if (work > 0.0 and q_hot > 0.0) else "non_engine",
     )
@@ -291,7 +290,28 @@ class TestPopulationRoute:
     def test_catalyst_dimension_must_match_the_spec(self):
         spec = catalyst_from_factors(0.5, 0.2)
         with pytest.raises(ValueError, match="catalyst has 1 levels but spec declares 2"):
-            build_initial_state(spec, CatalystState((1.0,)))
+            build_initial_state(spec, (1.0,))
+
+    @pytest.mark.parametrize(
+        "catalyst, message",
+        [
+            ((), "catalyst needs at least one level"),
+            ((math.nan, 1.0), "catalyst populations must be nonnegative, got (nan, 1.0)"),
+            ((1.1, -0.1), "catalyst populations must be nonnegative, got (1.1, -0.1)"),
+            ((0.6, 0.6), "catalyst populations sum to 1.2, expected 1"),
+        ],
+        ids=["empty", "nan", "negative", "unnormalized"],
+    )
+    def test_a_catalyst_that_is_not_a_distribution_is_refused(self, catalyst, message):
+        with pytest.raises(ValueError) as refused:
+            build_initial_state(catalyst_from_factors(0.5, 0.2), catalyst)
+        assert str(refused.value) == message
+
+    def test_round_off_below_zero_is_clipped(self):
+        rho = build_initial_state(catalyst_from_factors(0.5, 0.2), (1.0 + 1e-13, -1e-13))
+        marginal = partial_trace(rho, keep=(0,)).matrix
+        assert marginal[1, 1] == 0.0
+        assert rho.populations()[4:].tolist() == [0.0] * 4
 
 
 def ladder_cycle(a_h, a_c, d: int) -> tuple:
@@ -365,11 +385,11 @@ class TestLadderClosedForm:
 class TestHeatStroke:
     def test_rethermalization_resets_bath_qubits_and_keeps_catalyst(self):
         spec = catalyst_from_factors(0.5, 0.2)
-        catalyst = CatalystState(populations=(0.7, 0.3))
+        catalyst = (0.7, 0.3)
         rho = heat_stroke(spec, build_initial_state(spec, catalyst))
         pops = rho.populations()
         layout = spec.layout
-        for s, weight in enumerate(catalyst.populations):
+        for s, weight in enumerate(catalyst):
             block = sum(
                 pops[np.ravel_multi_index((s, n_h, n_c), layout)]
                 for n_h in range(2) for n_c in range(2)
@@ -386,7 +406,7 @@ class TestHeatStroke:
         # The mismatch build_initial_state refuses, in the same words.
         spec = catalyst_from_factors(0.5, 0.2)
         otto = otto_from_factors(0.5, 0.2)
-        rho = build_initial_state(otto, CatalystState((1.0,)))
+        rho = build_initial_state(otto, (1.0,))
         with pytest.raises(ValueError, match=r"^state is on layout \(1, 2, 2\) but spec "
                            r"declares \(2, 2, 2\)$"):
             heat_stroke(spec, rho)
@@ -414,13 +434,12 @@ class TestClausiusCheck:
         # that is not restored can give the baths a negative margin, and its
         # own entropy change then covers it.  run_cycle never runs one.
         spec = catalyst_from_factors(0.5, 0.2)
-        catalyst = CatalystState(populations)
-        report = operator_route_cycle(spec, catalyst)
+        report = operator_route_cycle(spec, populations)
         assert report.clausius_margin < -CLAUSIUS_TOL
         assert report.catalyst_residual > 1e-3
         # The bound the cycle obeys: von Neumann entropies of the catalyst
         # marginal before and after the stroke.
-        rho0 = build_initial_state(spec, catalyst)
+        rho0 = build_initial_state(spec, populations)
         swap = permutation_matrix(spec)
         rho1 = DensityMatrix(spec.layout, swap @ rho0.matrix @ swap.conj().T)
 

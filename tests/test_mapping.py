@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ottocat import analytic, continuous, discrete, mapping, verify
-from ottocat.discrete import CatalystState
 from ottocat.engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair, ladder_spec
 from ottocat.mapping import WorkingPoint, compare_at_efficiency, verify_equivalence
 from spec_helpers import bridge, record
@@ -135,7 +134,7 @@ class TestEquivalence:
     def test_unbalanced_catalyst_is_flagged_as_non_simple(self):
         # The operator route runs a catalyst that the stroke does not restore.
         spec = POINT.spec_at("qubit_catalyst", 0.4)
-        cycle = operator_route_cycle(spec, CatalystState(populations=(0.5, 0.5)))
+        cycle = operator_route_cycle(spec, (0.5, 0.5))
         ss = continuous.steady_state_report(spec)
         report = bridge(spec, cycle, ss)
         assert not report.simple_permutation
