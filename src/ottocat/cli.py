@@ -14,10 +14,14 @@ are hard errors: a config that does not parse cleanly never half-runs.
 Every data subcommand emits the same CSV column contract (header row,
 comma separated, floats with 17 significant digits, LF line endings,
 ``NA`` for fields that are undefined or not computed by that
-subcommand).  A run's records come from one :func:`~ottocat.mapping.rows`
-call, which solves the steady states, spec files' too, runs the cycles and
-bridges the two pictures in stacks of one structure; the CSV is then
-assembled and formatted column by column, and a failure names its point.
+subcommand).  The contract is one table, :data:`_CONTRACT`: each column
+reads one record of a point (its inputs, spec, steady state, cycle,
+bridge or closed-form time breakdown), and a record the subcommand does
+not compute prints ``NA``.  A run's records come from one
+:func:`~ottocat.mapping.rows` call, which solves the steady states, spec
+files' too, runs the cycles and bridges the two pictures in stacks of one
+structure; the CSV is then assembled and formatted column by column, and
+a failure names its point.
 ``--threads`` is still accepted, for old scripts, and has no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
@@ -33,11 +37,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from . import analytic, continuous
+from .discrete import CycleReport
 from .engine_spec import FAMILIES, BathParams, EngineSpec, SwapPair
-from .mapping import BRIDGE_ERRORS, FLOW_EXCLUSION_TOL, WorkingPoint, rows
+from .mapping import BRIDGE_ERRORS, FLOW_EXCLUSION_TOL, EquivalenceReport, WorkingPoint, rows
 
 __all__ = [
     "COLUMNS",
@@ -52,49 +58,72 @@ __all__ = [
     "main",
 ]
 
-#: The CSV column contract, in emission order.  Inputs are echoed first,
-#: then per-pair flows and rates, per-cycle and per-time energetics, the
-#: bridge quantities, and the residual bundle.
-COLUMNS = (
-    "engine",
-    "eta",
-    "beta_h",
-    "beta_c",
-    "omega_h",
-    "omega_c",
-    "tau_eq_h",
-    "tau_eq_c",
-    "g",
-    "delta_p_1",
-    "delta_p_2",
-    "current_1",
-    "current_2",
-    "q_hot",
-    "q_cold",
-    "work",
-    "j_hot",
-    "j_cold",
-    "power",
-    "eta_discrete",
-    "eta_continuous",
-    "tau",
-    "tau_spread",
-    "zeta",
-    "kappa",
-    "clausius_discrete",
-    "clausius_continuous",
-    "entropy_production",
-    "catalyst_residual",
-    "first_law_residual",
-    "int_vanish_hot",
-    "int_vanish_cold",
-    "catalysis_residual_max",
-    "regime_discrete",
-    "regime_continuous",
+#: Swap pairs the per-pair columns (delta_p_N, current_N) have room for.
+_CSV_PAIRS = 2
+
+
+class _Row(NamedTuple):
+    """One point's records, ``None`` where its command skips one, and a
+    built-in engine's closed-form time breakdown (``None`` for spec files)."""
+
+    point: tuple[str, float | None, float | None]
+    spec: EngineSpec
+    report: continuous.SteadyStateReport | None
+    cycle: CycleReport | None
+    bridge: EquivalenceReport | None
+    breakdown: analytic.TauBreakdown | None
+
+
+def _nth(attr: str, i: int):
+    """A reader of pair i's item of a record's tuple ``attr``, ``None`` past
+    the spec's last pair."""
+    get = attrgetter(attr)
+    return lambda record: get(record)[i] if i < len(get(record)) else None
+
+
+def _coupling(spec: EngineSpec) -> float | None:
+    """The spec's one coupling, ``None`` where its pairs' couplings differ."""
+    couplings = {pair.g for pair in spec.swaps}
+    return couplings.pop() if len(couplings) == 1 else None
+
+
+#: The CSV column contract, in emission order: each column's name, the
+#: :class:`_Row` field it reads, and how it reads it.  Inputs are echoed
+#: first, then per-pair flows and rates, per-cycle and per-time energetics,
+#: the bridge quantities, and the residual bundle.
+_CONTRACT = (
+    ("engine", "point", itemgetter(0)),
+    ("eta", "point", itemgetter(1)),
+    *((name, "spec", attrgetter(attr)) for name, attr in (
+        ("beta_h", "hot.beta"), ("beta_c", "cold.beta"), ("omega_h", "hot.omega"),
+        ("omega_c", "cold.omega"), ("tau_eq_h", "hot.tau_eq"), ("tau_eq_c", "cold.tau_eq"),
+    )),
+    ("g", "spec", _coupling),
+    *((f"delta_p_{i + 1}", "cycle", _nth("delta_p", i)) for i in range(_CSV_PAIRS)),
+    *((f"current_{i + 1}", "report", _nth("currents", i)) for i in range(_CSV_PAIRS)),
+    *((name, "cycle", attrgetter(name)) for name in ("q_hot", "q_cold", "work")),
+    *((name, "report", attrgetter(name)) for name in ("j_hot", "j_cold", "power")),
+    ("eta_discrete", "cycle", attrgetter("efficiency")),
+    ("eta_continuous", "report", attrgetter("efficiency")),
+    ("tau", "bridge", attrgetter("tau")),
+    ("tau_spread", "bridge", attrgetter("tau_uniform_residual")),
+    ("zeta", "breakdown", attrgetter("zeta")),
+    ("kappa", "breakdown", attrgetter("kappa")),
+    ("clausius_discrete", "cycle", attrgetter("clausius_margin")),
+    ("clausius_continuous", "report", attrgetter("clausius_margin")),
+    ("entropy_production", "report", attrgetter("entropy_production")),
+    ("catalyst_residual", "cycle", attrgetter("catalyst_residual")),
+    ("first_law_residual", "report", attrgetter("first_law_residual")),
+    ("int_vanish_hot", "report", lambda report: report.int_vanish_residuals[0]),
+    ("int_vanish_cold", "report", lambda report: report.int_vanish_residuals[1]),
+    ("catalysis_residual_max", "report",
+     lambda report: max(abs(x) for x in report.catalysis_residuals)),
+    ("regime_discrete", "cycle", attrgetter("regime")),
+    ("regime_continuous", "report", attrgetter("regime")),
 )
 
-#: Swap pairs the per-pair columns (delta_p_N, current_N) have room for.
-_CSV_PAIRS = sum(name.startswith("current_") for name in COLUMNS)
+#: The column names, in emission order.
+COLUMNS = tuple(name for name, _, _ in _CONTRACT)
 
 #: Wiring tolerance: every efficiency a built-in engine's row emits must match
 #: the engine's design efficiency.
@@ -152,6 +181,8 @@ def _read_ini(path: str) -> configparser.ConfigParser:
             parser.read_file(handle, source=path)
     except FileNotFoundError:
         raise ConfigError("not found") from None
+    except OSError as exc:  # a directory, or a file the run may not read
+        raise ConfigError(f"cannot read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot parse: {exc}") from None
     except configparser.MissingSectionHeaderError as exc:  # the reason, then the file and line
@@ -447,55 +478,12 @@ def _family_flow(spec: EngineSpec) -> float:
     return analytic.cat_delta_p(a_h, a_c).value
 
 
-def _pair(values: tuple, i: int) -> object:
-    """Pair i's value, ``None`` past the spec's last pair."""
-    return values[i] if i < len(values) else None
-
-
-def _fields(objects: list, **columns: str) -> dict[str, list]:
-    """Each column's list of one (dotted) attribute of ``objects``."""
-    return {name: list(map(attrgetter(attr), objects)) for name, attr in columns.items()}
-
-
-def _columns(points: tuple, specs: list, mode: str, records: list) -> dict[str, list]:
-    """Every column of :data:`COLUMNS` over the points: echoed inputs plus
-    whatever ``mode`` computes, ``None`` (``NA``) elsewhere."""
-    reports, cycles, bridges, breakdowns = zip(*records)
-    columns = dict.fromkeys(COLUMNS, [None] * len(points))
-    columns["engine"], columns["eta"] = ([point[i] for point in points] for i in (0, 1))
-    columns.update(_fields(
-        specs, beta_h="hot.beta", beta_c="cold.beta", omega_h="hot.omega",
-        omega_c="cold.omega", tau_eq_h="hot.tau_eq", tau_eq_c="cold.tau_eq",
-    ))
-    couplings = [{pair.g for pair in spec.swaps} for spec in specs]
-    columns["g"] = [g.pop() if len(g) == 1 else None for g in couplings]
-    for name in ("zeta", "kappa"):
-        columns[name] = [None if b is None else getattr(b, name) for b in breakdowns]
-    if mode in ("discrete", "both"):
-        for i in range(_CSV_PAIRS):
-            columns[f"delta_p_{i + 1}"] = [_pair(c.delta_p, i) for c in cycles]
-        columns.update(_fields(
-            cycles, q_hot="q_hot", q_cold="q_cold", work="work", eta_discrete="efficiency",
-            clausius_discrete="clausius_margin", catalyst_residual="catalyst_residual",
-            regime_discrete="regime",
-        ))
-    if mode in ("continuous", "both"):
-        for i in range(_CSV_PAIRS):
-            columns[f"current_{i + 1}"] = [_pair(r.currents, i) for r in reports]
-        columns.update(_fields(
-            reports, j_hot="j_hot", j_cold="j_cold", power="power",
-            eta_continuous="efficiency", clausius_continuous="clausius_margin",
-            entropy_production="entropy_production", first_law_residual="first_law_residual",
-            regime_continuous="regime",
-        ))
-        for i, side in enumerate(("hot", "cold")):
-            columns[f"int_vanish_{side}"] = [r.int_vanish_residuals[i] for r in reports]
-        columns["catalysis_residual_max"] = [
-            max(abs(x) for x in r.catalysis_residuals) for r in reports
-        ]
-    if mode == "both":
-        columns.update(_fields(bridges, tau="tau", tau_spread="tau_uniform_residual"))
-    return columns
+def _columns(rows: list[_Row]) -> dict[str, list]:
+    """Every column of :data:`_CONTRACT` over ``rows``, ``None`` (``NA``)
+    where a row lacks the record the column reads."""
+    fields = dict(zip(_Row._fields, zip(*rows)))  # each field's values, row by row
+    return {name: [None if part is None else read(part) for part in fields[source]]
+            for name, source, read in _CONTRACT}
 
 
 def build_row(
@@ -511,7 +499,7 @@ def build_row(
     (``None`` in discrete mode)."""
     point = (engine_token, eta, None)
     records = _records((point,), [spec], mode, None if report is None else [report])
-    return {name: values[0] for name, values in _columns((point,), [spec], mode, records).items()}
+    return {name: values[0] for name, values in _columns(records).items()}
 
 
 def _format_column(values: list) -> list[str]:
@@ -568,31 +556,33 @@ def _emit(config: RunConfig, mode: str, output: str | None) -> int:
                 raise _failure_at(point, None, exc) from None
     else:
         specs = [_spec(config.fixed, *point) for point in config.points]
-    columns = _columns(config.points, specs, mode, _records(config.points, specs, mode))
-    _write_csv(columns, config.columns, output)
+    _write_csv(_columns(_records(config.points, specs, mode)), config.columns, output)
     return 0
 
 
-def _records(points: tuple, specs: list, mode: str, reports: list | None = None) -> list[tuple]:
-    """Every point's :func:`~ottocat.mapping.rows` record, with the closed-form
-    time breakdown of a built-in engine once the efficiency its mode emits,
-    the cycle's in discrete mode and the steady state's otherwise, matches
-    its design value; a failure names its point.  Outside a sweep, whose bridge
-    refuses it, a built-in engine's vanished flow is refused in its words."""
-    picture, emitted = ("two-stroke", 1) if mode == "discrete" else ("steady-state", 0)
+def _records(points: tuple, specs: list, mode: str, reports: list | None = None) -> list[_Row]:
+    """Every point's :class:`_Row`: its :func:`~ottocat.mapping.rows` record,
+    with the closed-form time breakdown of a built-in engine once the
+    efficiency its mode emits, the cycle's in discrete mode and the steady
+    state's otherwise, matches its design value; a failure names its point.
+    Outside a sweep, whose bridge refuses it, a built-in engine's vanished
+    flow is refused in its words."""
+    picture = "two-stroke" if mode == "discrete" else "steady-state"
     records = []
     try:
-        for (token, eta, _), spec, record in zip(points, specs, rows(specs, mode, reports)):
-            breakdown, efficiency = None, record[emitted].efficiency
+        for point, spec, (report, cycle, bridge) in zip(points, specs, rows(specs, mode, reports)):
+            token, eta, _ = point
+            breakdown = None
             if token in FAMILIES:
                 if mode != "both" and abs(_family_flow(spec)) < FLOW_EXCLUSION_TOL:
                     raise CheckFailure("mapping singular at equilibrium boundary: "
                                        "all pair flows vanish")
                 breakdown = _family_breakdown(spec)
+                efficiency = (cycle if mode == "discrete" else report).efficiency
                 if efficiency is None or abs(efficiency - eta) > ETA_WIRING_TOL:
                     raise CheckFailure(f"emitted {picture} efficiency {efficiency} does not "
                                        f"match the design efficiency {eta!r} of {token}")
-            records.append((*record, breakdown))
+            records.append(_Row(point, spec, report, cycle, bridge, breakdown))
     except (CheckFailure, *BRIDGE_ERRORS) as exc:
         at = getattr(exc, "index", len(records))  # a failed stage's position, or the record's
         raise _failure_at(points[at], specs[at], exc) from None

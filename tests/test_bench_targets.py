@@ -5,6 +5,10 @@ here by path.  A traced function that is renamed or deleted would make
 ``bench/run.py --trace 1`` stop with an ``AttributeError``; this test
 names it first.  A traced function whose first argument no longer tells
 the engine kind would crash a traced run; the smoke test runs one.
+
+The benchmark's correctness gates in ``bench/workloads.py`` read the
+package's closed forms; each gate must pass the pinned output of its
+workload, so that a dropped name fails here before it fails every run.
 """
 
 from __future__ import annotations
@@ -12,11 +16,16 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
+
+import pytest
 
 from ottocat import cli, continuous
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def load_tracer():
@@ -84,3 +93,35 @@ def test_a_traced_sweep_and_verify_run_and_print_what_untraced_runs_print(tmp_pa
     assert traced == untraced and [code for code, _ in traced] == [0, 0]
     assert untraced[0][1].count("\n") == 5  # header and 2 eta points x 2 engines
     assert {span[3] for span in spans} >= {"cli.cmd_sweep", "verify.check_time_bridge"}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, whose gates read the package's closed forms.
+
+    Its ``@dataclass`` looks the module up while it runs, so it is
+    registered until then; left registered, its constants would join the
+    pool that Hypothesis draws from, and change the draws of later tests.
+    """
+    path = BENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("ottocat_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_the_stiff_gate_passes_every_row_of_the_pinned_stiff_sweeps(workloads, seed):
+    pinned = DATA / f"stiff_g_sweep_seed{seed}"
+    assert workloads.stiff_config_text(seed) == pinned.with_suffix(".ini").read_text("utf-8")
+    assert workloads.stiff_gate(0, pinned.with_suffix(".csv").read_text("utf-8")) == (200, 0)
+
+
+def test_the_golden_and_verify_gates_pass_their_pinned_outputs(workloads):
+    golden = (DATA / "golden_power_sweep.csv").read_text("utf-8")
+    assert workloads.golden_gate(0, golden, golden) == (200, 0)
+    assert workloads.verify_gate(0, (DATA / "verify_seed1234.txt").read_text("utf-8")) == (8, 0)

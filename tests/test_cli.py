@@ -111,6 +111,24 @@ class TestConfigParsing:
         assert "not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, kind",
+        [("discrete", "config"), ("discrete", "spec"), ("continuous", "config"),
+         ("continuous", "spec"), ("sweep", "config")],
+    )
+    def test_a_directory_is_a_file_that_cannot_be_read(self, tmp_path, capsys, command, kind):
+        # A file without read permission takes the same path, but cannot be
+        # made unreadable to a test run as root.
+        folder = tmp_path / "engine.ini"
+        folder.mkdir()
+        config = str(folder) if kind == "config" else write(
+            tmp_path / "run.ini", f"[run]\nengine = {folder}\n"
+        )
+        assert cli.main([command, "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {kind} file {folder}: cannot read: Is a directory\n"
+        )
+
+    @pytest.mark.parametrize(
         "text, fault",
         [
             ("eta = 0.4\n", "line 1: File contains no section headers."),
@@ -336,6 +354,46 @@ class TestPointCommands:
         )
         assert calls == [2]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, engines",
+        [("discrete", "built-in"), ("continuous", "built-in"), ("sweep", "built-in"),
+         ("discrete", "spec file"), ("continuous", "spec file")],
+    )
+    def test_each_command_fills_exactly_the_columns_of_its_records(
+        self, tmp_path, command, engines
+    ):
+        inputs = {"engine", "eta", "beta_h", "beta_c", "omega_h", "omega_c", "tau_eq_h",
+                  "tau_eq_c", "g", "zeta", "kappa"}
+        cycle = {"delta_p_1", "delta_p_2", "q_hot", "q_cold", "work", "eta_discrete",
+                 "clausius_discrete", "catalyst_residual", "regime_discrete"}
+        steady = {"current_1", "current_2", "j_hot", "j_cold", "power", "eta_continuous",
+                  "clausius_continuous", "entropy_production", "first_law_residual",
+                  "int_vanish_hot", "int_vanish_cold", "catalysis_residual_max",
+                  "regime_continuous"}
+        bridge = {"tau", "tau_spread"}
+        filled = inputs | {"discrete": cycle, "continuous": steady,
+                           "sweep": cycle | steady | bridge}[command]
+        if engines == "spec file":
+            spec = write(tmp_path / "engine.ini", CUSTOM_SPEC)
+            text = f"[run]\nengine = {spec}\n"
+        elif command == "sweep":
+            text = SWEEP_CONFIG.replace("points = 5", "points = 2")
+        else:
+            text = BASE_CONFIG
+        out = tmp_path / "rows.csv"
+        assert cli.main([command, "--config", write(tmp_path / "run.ini", text),
+                         "--output", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == (1 if engines == "spec file" else 4 if command == "sweep" else 2)
+        for row in rows:
+            assert set(row) == inputs | cycle | steady | bridge
+            na = set(row) - filled
+            if row["engine"] == "otto":
+                na |= {"delta_p_2", "current_2"}
+            if engines == "spec file":
+                na |= {"eta", "zeta", "kappa"}
+            assert {name for name, cell in row.items() if cell == "NA"} == na, row["engine"]
 
     def test_column_selection_is_respected(self, tmp_path):
         config = write(

@@ -1,5 +1,5 @@
-"""The README's library example runs and prints what it claims, and its
-spec file example loads."""
+"""The README's library example runs and prints what it claims, its
+spec file example loads, and it lists the CSV columns in their order."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import io
 import re
 from pathlib import Path
 
-from ottocat.cli import load_custom_spec
+from ottocat.cli import COLUMNS, load_custom_spec
 from ottocat.engine_spec import BathParams, ladder_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +32,10 @@ def test_the_readme_spec_file_loads_as_the_qubit_catalyst_ladder(tmp_path):
     spec = load_custom_spec(str(path))
     assert spec == ladder_spec(2, spec.hot, spec.cold, 10.0)
     assert spec.hot == BathParams.from_relaxation_time(0.1, 1.0, 1.0)
+
+
+def test_the_readme_lists_the_csv_columns_in_their_order():
+    text = README.read_text(encoding="utf-8")
+    [paragraph] = re.findall(r"Columns, in order:(.*?)\n\n", text, re.S)
+    names = [name for name in re.findall(r"`([^`]+)`", paragraph) if "." not in name]
+    assert tuple(names) == COLUMNS
