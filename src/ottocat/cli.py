@@ -25,7 +25,7 @@ a failure names its point.
 ``--threads`` is still accepted, for old scripts, and has no effect.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage or config
-error.
+error, or an output file that cannot be written, refused before any solve.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import configparser
 import csv
 import functools
 import math
+import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -142,8 +142,7 @@ class CheckFailure(Exception):
 # config ingestion
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A run config as the rows it emits: one (engine token, eta, g_tau_eq)
     point per row, in emission order, a spec file's being (path, None, None),
     and the ``[fixed]`` values (``None`` for spec files)."""
@@ -511,6 +510,13 @@ def _format_column(values: list) -> list[str]:
     return cells
 
 
+def _check_output(path: str) -> None:
+    """Raise before any solve, creating nothing, the ``OSError`` a late open would."""
+    os.scandir(os.path.dirname(path) or ".").close()  # a missing folder, or a file
+    if os.path.exists(path):
+        open(path, "rb+").close()  # a directory, or a file the run may not write
+
+
 def _write_csv(columns: dict[str, list], names: tuple[str, ...], output: str | None) -> None:
     cells = [_format_column(columns[name]) for name in names]
 
@@ -663,6 +669,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         if args.command == "verify":
             return cmd_verify(args.seed, args.points, args.output)
         config = load_config(args.config, args.command)
@@ -671,8 +679,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "continuous":
             return cmd_continuous(config, args.output)
         return cmd_sweep(config, args.output)
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # only the output's: a config or spec file raises ConfigError
+        output = "<stdout>" if args.output is None else args.output
+        print(f"error: output file {output}: cannot write: {exc.strerror}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

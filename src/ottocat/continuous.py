@@ -48,7 +48,8 @@ one of a stack of one bit for bit, and a failure raises the bare
 message, with no spec's name or position.
 
 Sign conventions match the two-stroke module: J_k > 0 is energy drawn
-from bath k, power > 0 is extracted.
+from bath k, power > 0 is extracted, and :func:`~ottocat.engine_spec.verdict`
+judges (J_h, J_c, P) by the cycle's rule: margin, efficiency and regime.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine_spec import BathParams, EngineSpec, fail, level_table, pair_sums, pair_table, stacked
+from .engine_spec import (
+    BathParams, EngineSpec, fail, level_table, pair_sums, pair_table, stacked, verdict,
+)
 from .qstate import DensityMatrix, state_defects
 # Not called here: bench/test_bench.py checks that the tracer wraps and
 # restores ``continuous.expectation``.
@@ -131,13 +133,13 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(*np.shape(v)[:-1], dim, dim).swapaxes(-1, -2)
 
 
-@dataclass(frozen=True)
-class SteadyStateReport:
+class SteadyStateReport(NamedTuple):
     """Steady state of the autonomous engine plus its audited energetics.
 
     ``currents[i]`` is the stationary transfer rate of swap pair i (the
-    continuous analog of the per-cycle delta_p_i).  ``efficiency`` is
-    ``None`` when no heat flows from the hot bath.
+    continuous analog of the per-cycle delta_p_i).  ``clausius_margin``,
+    ``efficiency`` (``None`` when no heat flows from the hot bath) and
+    ``regime`` are the :func:`~ottocat.engine_spec.verdict` of (J_h, J_c, P).
     ``entropy_production`` is sigma = -sum_k beta_k (J_k - <D_k^+[V0]>).
     ``int_vanish_residuals`` holds |<D_k^+[V0]>| for the hot and cold
     dissipators, ``catalysis_residuals`` the signed net transfer rate
@@ -588,7 +590,6 @@ class _Exchange(NamedTuple):
     power: np.ndarray
     adjoint_heat: np.ndarray  # <D_k^+[H_0k + V0]>, hot then cold
     int_vanish: np.ndarray  # |<D_k^+[V0]>|, hot then cold
-    clausius_margin: np.ndarray
     entropy_production: np.ndarray
     catalyst_flow: tuple[np.ndarray, ...]
 
@@ -634,9 +635,8 @@ def _exchanges(specs: Sequence[EngineSpec], rho: np.ndarray) -> _Exchange:
         heat.append(heat_k)
         interaction.append([abs(z) for z in int_k.tolist()])  # Python's complex abs
         sigma = sigma - beta[:, 0] * (j_k - int_k.real)
-    betas = np.array([(s.hot.beta, s.cold.beta) for s in specs]).T
     return _Exchange(currents, j_hot, j_cold, power, np.array(heat), np.array(interaction),
-                     -(betas[0] * j_hot + betas[1] * j_cold), sigma, cat_flow)
+                     sigma, cat_flow)
 
 
 def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]:
@@ -652,29 +652,15 @@ def _audit(specs: Sequence[EngineSpec], states: list) -> list[SteadyStateReport]
     first_law = np.abs(ex.power - (ex.j_hot + ex.j_cold))
     fail(first_law > FIRST_LAW_TOL * np.maximum(1.0, np.abs(ex.power)), AssertionError,
          lambda k: f"first-law residual {first_law[k]:.3e} exceeds {FIRST_LAW_TOL:.1e}")
-    currents, int_vanish = ex.currents.tolist(), ex.int_vanish.T.tolist()
-    catalyst_flow = list(zip(*(level.tolist() for level in ex.catalyst_flow)))
-    return [
-        SteadyStateReport(
-            rho_ss=rho_ss,
-            currents=tuple(currents[k]),
-            j_hot=j_hot,
-            j_cold=j_cold,
-            power=power,
-            efficiency=None if j_hot == 0.0 else power / j_hot,
-            spectral_gap=float(gap),
-            clausius_margin=margin,
-            entropy_production=sigma,
-            int_vanish_residuals=tuple(int_vanish[k]),
-            catalysis_residuals=catalyst_flow[k],
-            first_law_residual=residual,
-            regime="engine" if (power > 0.0 and j_hot > 0.0) else "non_engine",
-        )
-        for k, ((rho_ss, gap), j_hot, j_cold, power, margin, sigma, residual) in enumerate(zip(
-            states, *np.array([ex.j_hot, ex.j_cold, ex.power, ex.clausius_margin,
-                               ex.entropy_production, first_law]).tolist(),
-        ))
-    ]
+    margin, efficiency, regime = verdict(specs, ex.j_hot, ex.j_cold, ex.power)
+    rho_ss, gaps = zip(*states)
+    j_hot, j_cold, power, margin, sigma, first_law = (x.tolist() for x in (
+        ex.j_hot, ex.j_cold, ex.power, margin, ex.entropy_production, first_law))
+    return list(map(SteadyStateReport._make, zip(
+        rho_ss, map(tuple, ex.currents.tolist()), j_hot, j_cold, power, efficiency,
+        map(float, gaps), margin, sigma, map(tuple, ex.int_vanish.T.tolist()),
+        zip(*(level.tolist() for level in ex.catalyst_flow)), first_law, regime,
+    )))
 
 
 def currents_and_power(
@@ -717,7 +703,7 @@ def ness_condition_checks(spec: EngineSpec, rho_ss: DensityMatrix) -> dict:
         "liouvillian_residual": float(np.max(np.abs(l_rho))),
         "int_vanish": tuple(ex.int_vanish[:, 0].tolist()),
         "catalyst_flow": tuple(float(level[0]) for level in ex.catalyst_flow),
-        "clausius_margin": float(ex.clausius_margin[0]),
+        "clausius_margin": float(verdict([spec], ex.j_hot, ex.j_cold, ex.power)[0][0]),
     }
 
 

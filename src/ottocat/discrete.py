@@ -33,17 +33,18 @@ definition: the trivial (1.0,) for catalyst-free specs, else the diagonal
 populations of a linear solve (:func:`solve_catalyst`), checked on the
 work stroke the cycle then accounts, and reported as its ``catalyst``.
 The restored catalyst takes up no entropy, so the second law reads
--(beta_h Q_h + beta_c Q_c) >= 0, checked once per stack.
+-(beta_h Q_h + beta_c Q_c) >= 0, checked once per stack on the margin
+that :func:`~ottocat.engine_spec.verdict` forms from Q_h, Q_c and W.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table
+from .engine_spec import EngineSpec, fail, level_table, pair_sums, pair_table, verdict
 from .qstate import DensityMatrix, gibbs_qubit, partial_trace, tensor_all
 
 __all__ = [
@@ -68,13 +69,12 @@ CLAUSIUS_TOL = 1e-12
 CATALYST_SOLVE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Everything measurable about one two-stroke cycle.
 
-    ``efficiency`` is ``None`` when no heat is drawn from the hot bath
-    (the ratio W/Q_h is then undefined).  ``regime`` is ``"engine"``
-    when W > 0 and Q_h > 0, else ``"non_engine"``.  ``catalyst`` holds
+    ``clausius_margin``, ``efficiency`` (``None`` when no heat is drawn
+    from the hot bath) and ``regime`` are the
+    :func:`~ottocat.engine_spec.verdict` of (Q_h, Q_c, W).  ``catalyst`` holds
     the populations the work stroke ran on, (1.0,) without a catalyst.
     """
 
@@ -219,28 +219,14 @@ def _cycles(specs: list[EngineSpec]) -> list[CycleReport]:
              f"pairwise form {float(pairwise[k])!r}")
         heats.append(level_sum)
     # The entropy the baths take up per cycle; a deficit is a bug, not physics.
-    betas = np.array([(s.hot.beta, s.cold.beta) for s in specs]).T
-    margins = -(betas[0] * heats[0] + betas[1] * heats[1])
+    work = heats[0] + heats[1]
+    margins, efficiency, regime = verdict(specs, *heats, work)
     fail(margins < -CLAUSIUS_TOL, AssertionError, lambda k:
          f"second-law margin is negative: {float(margins[k])!r}")
-    reports = []
-    for flow, populations, q_h, q_c, margin, residual in zip(
-        flows.tolist(), q.tolist(), *(heat.tolist() for heat in heats), margins.tolist(),
-        residuals.tolist(),
-    ):
-        work = q_h + q_c
-        reports.append(CycleReport(
-            delta_p=tuple(flow),
-            q_hot=q_h,
-            q_cold=q_c,
-            work=work,
-            efficiency=None if q_h == 0.0 else work / q_h,
-            clausius_margin=margin,
-            catalyst=tuple(populations),
-            catalyst_residual=residual,
-            regime="engine" if (work > 0.0 and q_h > 0.0) else "non_engine",
-        ))
-    return reports
+    return list(map(CycleReport._make, zip(
+        map(tuple, flows.tolist()), *(x.tolist() for x in (*heats, work)), efficiency,
+        margins.tolist(), map(tuple, q.tolist()), residuals.tolist(), regime,
+    )))
 
 
 def run_cycle(spec: EngineSpec) -> CycleReport:

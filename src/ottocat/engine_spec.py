@@ -22,8 +22,10 @@ depends on the structure alone is tabulated once, read-only:
 :func:`pair_table`, the one judge of a swap set, which every spec asks when built.
 :func:`pair_sums` is the dictionary both pictures share: it turns one
 transfer per pair, a flow per cycle or a current, into heats, work and
-catalyst balance over a stack of one structure; :func:`stacked` runs
-stages on such stacks and alone names a failing spec by its position.
+catalyst balance over a stack of one structure, and :func:`verdict` judges
+both pictures' heats and work alike; :func:`stacked` runs stages on such
+stacks and alone names a failing spec by its position.  A record that
+neither checks its fields nor caches a value is a ``NamedTuple``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "pair_table",
     "stack_energetics",
     "pair_sums",
+    "verdict",
     "fail",
     "stacked",
 ]
@@ -186,8 +189,7 @@ def _catalyst_dim(value) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class PairEnergetics:
+class PairEnergetics(NamedTuple):
     """Bare-energy differences of one swap pair.
 
     ``omega_i = d_eps_h + d_eps_c`` holds exactly by construction: the
@@ -354,6 +356,19 @@ def pair_sums(specs, transfers) -> tuple:
         for m, row in enumerate(weights):
             catalyst[m] += row[i] * x
     return hot, cold, omega, tuple(catalyst)
+
+
+def verdict(specs, hot, cold, work) -> tuple:
+    """``(margin, efficiency, regime)`` of heats ``hot``, ``cold`` and work
+    ``work``, arrays over a stack of specs, per cycle or per unit time: the
+    second-law margin -(beta_h hot + beta_c cold), an array; per spec W/Q_h,
+    ``None`` where Q_h == 0.0; and ``"engine"`` where W > 0 and Q_h > 0,
+    else ``"non_engine"``."""
+    betas = np.array([(spec.hot.beta, spec.cold.beta) for spec in specs]).T
+    pairs = list(zip(hot.tolist(), work.tolist()))
+    return (-(betas[0] * hot + betas[1] * cold),
+            [None if q == 0.0 else w / q for q, w in pairs],
+            ["engine" if w > 0.0 and q > 0.0 else "non_engine" for q, w in pairs])
 
 
 def fail(bad, error: type, message) -> None:

@@ -29,6 +29,7 @@ import math
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ WORK_POWER_TOL = 1e-9
 BRIDGE_ERRORS = (AssertionError, ValueError)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of auditing one spec in both pictures.
 
     ``tau_i`` holds delta_p_i / <n_i> per pair (``None`` where the pair
@@ -229,24 +229,15 @@ def _bridges(specs: Sequence[EngineSpec], cycles: list, states: list) -> list[Eq
     tolerances = [_row_tolerance(row) for row in residuals]
     values = np.array([np.asarray(value, float) for value in residuals.values()]).T
     over = simple[:, None] & ~(values <= tolerances)
-    columns = dict(zip(residuals, values.T.tolist()))
     fail(over.any(axis=1), AssertionError, lambda k: "bridge rows over their tolerance: "
-         + ", ".join(f"{row} {columns[row][k]:.3e} > {tol:.1e}"
-                     for row, tol, o in zip(columns, tolerances, over[k]) if o))
-    tau_i, included = tau_i.tolist(), included.tolist()
-    return [
-        EquivalenceReport(
-            tau_i=tuple(t if inc else None for t, inc in zip(tau_i[k], included[k])),
-            tau=tau_k,
-            work_power_scale=scale,
-            simple_permutation=is_simple,
-            tau_uniform_residual=spread_k,
-            residuals={row: column[k] for row, column in columns.items()},
-        )
-        for k, (tau_k, scale, is_simple, spread_k) in enumerate(zip(*(
-            value.tolist() for value in (tau, work_power_scale, simple, spread)
-        )))
-    ]
+         + ", ".join(f"{row} {value:.3e} > {tol:.1e}" for row, value, tol, o
+                     in zip(residuals, values[k].tolist(), tolerances, over[k]) if o))
+    return list(map(EquivalenceReport._make, zip(
+        (tuple(t if inc else None for t, inc in zip(*row))
+         for row in zip(tau_i.tolist(), included.tolist())),
+        *(value.tolist() for value in (tau, work_power_scale, simple, spread)),
+        (dict(zip(residuals, row)) for row in values.tolist()),
+    )))
 
 
 def _machine(spec: EngineSpec) -> tuple:

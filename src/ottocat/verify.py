@@ -18,6 +18,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,7 @@ _RATE_SETS = 20
 REFERENCE_POINT = mapping.WorkingPoint(beta_h=0.1, beta_c=1.0, omega_h=1.0, tau_eq=1.0, g=10.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named check with its worst observed residual and tolerance;
     ``worst_at`` indexes the grid point a failed grid check names."""
 

@@ -490,6 +490,29 @@ class TestSweep:
                 work, rel=1e-9
             )
 
+    def test_a_sweep_across_carnot_reads_one_regime_in_both_pictures(self, tmp_path):
+        # eta_C = 1 - beta_h/beta_c = 0.9, between the second and third
+        # points: past it both machines run backwards at their design
+        # efficiency, drawing work and hot heat and giving up cold heat.
+        config = write(
+            tmp_path / "run.ini",
+            SWEEP_CONFIG.replace("start = 0.05", "start = 0.86")
+            .replace("stop = 0.85", "stop = 0.94")
+            .replace("points = 5", "points = 4"),
+        )
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--config", config, "--output", str(out)]) == 0
+        rows = read_rows(out)
+        assert [float(row["eta"]) > 0.9 for row in rows] == [False] * 4 + [True] * 4
+        for row in rows:
+            assert row["regime_discrete"] == row["regime_continuous"]
+            if float(row["eta"]) < 0.9:
+                assert row["regime_discrete"] == "engine"
+                continue
+            assert row["regime_discrete"] == "non_engine"
+            for work, hot, cold in (("work", "q_hot", "q_cold"), ("power", "j_hot", "j_cold")):
+                assert float(row[work]) < 0 and float(row[hot]) < 0 and float(row[cold]) > 0
+
     def test_coupling_sweep_uses_the_fixed_efficiency(self, tmp_path):
         config = write(
             tmp_path / "run.ini",
@@ -618,6 +641,52 @@ class TestWiringGuard:
         )
         assert done.returncode == 1
         assert done.stderr == f"check failed: otto at eta = 0.4, g = 4.5e+307: {alone.value}\n"
+
+
+class TestOutputFile:
+    """An output file the run cannot write is refused before any solve, and
+    no run creates its output file before it ends."""
+
+    @pytest.mark.parametrize("command", ["discrete", "continuous", "sweep", "verify"])
+    @pytest.mark.parametrize("where, reason", [
+        ("out", "Is a directory"),
+        ("missing/rows.csv", "No such file or directory"),
+        ("run.ini/rows.csv", "Not a directory"),
+    ])
+    def test_an_output_that_cannot_be_written_is_refused_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, where, reason
+    ):
+        # A file without write permission takes the same path, but a test
+        # run as root may write to it.
+        monkeypatch.setattr(cli, "rows", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(verify, "run_suite", lambda **kwargs: pytest.fail("solved"))
+        (tmp_path / "out").mkdir()
+        config = write(tmp_path / "run.ini", SWEEP_CONFIG if command == "sweep" else BASE_CONFIG)
+        output = tmp_path / where
+        argv = [command] if command == "verify" else [command, "--config", config]
+        assert cli.main([*argv, "--output", str(output)]) == 2
+        assert capsys.readouterr().err == f"error: output file {output}: cannot write: {reason}\n"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["out", "run.ini"]
+
+    def test_an_output_refused_at_its_late_open_reads_the_same(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_check_output", lambda path: None)
+        folder = tmp_path / "rows.csv"
+        folder.mkdir()
+        config = write(tmp_path / "run.ini", BASE_CONFIG)
+        assert cli.main(["discrete", "--config", config, "--output", str(folder)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output file {folder}: cannot write: Is a directory\n"
+        )
+
+    def test_an_existing_output_file_is_only_written_once_the_run_ends(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        config = write(tmp_path / "run.ini", BASE_CONFIG.replace("eta = 0.4", "eta = 0.9"))
+        assert cli.main(["discrete", "--config", config, "--output", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert cli.main(["discrete", "--config", write(tmp_path / "run.ini", BASE_CONFIG),
+                         "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("engine,eta,")
 
 
 class TestVerifySubcommand:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -603,7 +603,7 @@ def operator_route_audit(spec: EngineSpec, rho_ss: DensityMatrix):
 
 
 def report_fields(report: continuous.SteadyStateReport) -> dict:
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "rho_ss"}
+    return {name: getattr(report, name) for name in report._fields if name != "rho_ss"}
 
 
 class TestBlockRefinement:

@@ -23,6 +23,7 @@ from ottocat.engine_spec import (
     level_table,
     pair_sums,
     pair_table,
+    verdict,
 )
 
 betas = st.floats(min_value=0.01, max_value=5.0)
@@ -237,6 +238,39 @@ class TestEnergetics:
             assert h_hot[flat, flat] == pytest.approx(spec.hot.omega * n_h)
             assert h_cold[flat, flat] == pytest.approx(spec.cold.omega * n_c)
         assert np.count_nonzero(h_hot - np.diag(np.diag(h_hot))) == 0
+
+
+def otto_at(beta_h: float, beta_c: float) -> EngineSpec:
+    return ladder_spec(1, BathParams.from_damping(beta_h, 1.0, 1.0),
+                       BathParams.from_damping(beta_c, 0.5, 1.0), 1.0)
+
+
+class TestVerdict:
+    """The one judge of both pictures' energetics, on a stack of specs."""
+
+    def test_sign_table(self):
+        # (Q_h, Q_c) with W = Q_h + Q_c, as a cycle reports them.
+        table = [
+            ((2.0, -1.5), 0.25, "engine"),
+            ((0.0, 0.0), None, "non_engine"),
+            ((-0.0, 1.0), None, "non_engine"),  # -0.0 == 0.0: no ratio either
+            ((-2.0, 2.5), -0.25, "non_engine"),  # W > 0 with Q_h < 0
+            ((-2.0, 1.5), 0.25, "non_engine"),  # a refrigerator: W < 0, Q_h < 0, Q_c > 0
+            ((2.0, -2.5), -0.25, "non_engine"),  # W < 0 with Q_h > 0
+        ]
+        hot, cold = np.array([heats for heats, _, _ in table]).T
+        margin, efficiency, regime = verdict([otto_at(0.2, 1.0)] * len(table), hot, cold,
+                                             hot + cold)
+        assert efficiency == [eta for _, eta, _ in table]
+        assert regime == [kind for _, _, kind in table]
+        assert margin.tolist() == [-(0.2 * q_h + 1.0 * q_c) for (q_h, q_c), _, _ in table]
+
+    def test_the_margin_keeps_the_sign_of_a_zero_beta(self):
+        # mapping._machine keys a cycle by the bits of its betas, since a
+        # beta of -0.0 turns the sign of a zero margin.
+        ones = np.ones(2)
+        margin, _, _ = verdict([otto_at(0.0, 0.0), otto_at(-0.0, -0.0)], ones, ones, 2 * ones)
+        assert [math.copysign(1.0, m) for m in margin.tolist()] == [-1.0, 1.0]
 
 
 class TestLevelTable:

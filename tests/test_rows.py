@@ -3,7 +3,6 @@ whatever the stacks, and a failure carries the position of its spec."""
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ def record_repr(record: tuple) -> tuple:
     """A record by ``repr``, its steady state's matrix (if solved) by its bytes."""
     report, cycle, bridge = record
     if report is not None:
-        report = report.rho_ss.matrix.tobytes(), repr(dataclasses.replace(report, rho_ss=None))
+        report = report.rho_ss.matrix.tobytes(), repr(report._replace(rho_ss=None))
     return report, repr(cycle), repr(bridge)
 
 
@@ -331,7 +330,7 @@ def test_every_number_of_every_record_is_a_python_float():
     specs = [*golden_specs()[:4], ladder_spec(3, bath_from_factor(0.7), bath_from_factor(0.2), 1.0)]
     for record in mapping.rows(specs):
         for report in record:
-            fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+            fields = {name: getattr(report, name) for name in report._fields}
             fields.pop("rho_ss", None)
             for name, value in fields.items():
                 assert {type(x) for x in scalars(value)} <= {float}, name

@@ -4,7 +4,6 @@ relations behind check 7 vanish on every rate set the check can draw."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -34,7 +33,7 @@ def perturb_report(monkeypatch, pt, engine, **changes):
     reports = list(pt.reports)
     i = list(FAMILIES).index(engine)
     changes = {key: change(reports[i]) for key, change in changes.items()}
-    reports[i] = dataclasses.replace(reports[i], **changes)
+    reports[i] = reports[i]._replace(**changes)
     monkeypatch.setitem(pt.__dict__, "reports", tuple(reports))
 
 
@@ -89,7 +88,7 @@ def test_bridge_check_names_its_worst_point(solved_grid, monkeypatch):
 
     def off_at_one_point(specs, cycles, states):
         return [
-            dataclasses.replace(report, residuals={**report.residuals, "second_law": 1e-7})
+            report._replace(residuals={**report.residuals, "second_law": 1e-7})
             if ss is broken else report
             for report, ss in zip(audit(specs, cycles, states), states)
         ]
@@ -247,7 +246,7 @@ def test_two_stroke_check_holds_the_emitted_cycle_to_the_operator_route(
     cycles = verify.discrete._cycles
 
     def drifted(specs):
-        return [dataclasses.replace(report, **{field: shift(getattr(report, field))})
+        return [report._replace(**{field: shift(getattr(report, field))})
                 for report in cycles(specs)]
 
     monkeypatch.setattr(verify.discrete, "_cycles", drifted)
